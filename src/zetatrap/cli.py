@@ -173,7 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--N", type=int, default=512)
     t.set_defaults(func=_cmd_table1)
 
-    f = sub.add_parser("field", help="evaluate the solved field on a grid")
+    f = sub.add_parser(
+        "field",
+        help="evaluate the solved field on a grid; points inside the curve or "
+        "within 5 grid spacings of it get mask 1 and NaN values",
+    )
     f.add_argument("--config", required=False)
     f.add_argument("--out", default=None)
     f.add_argument("--N", type=int, default=512)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nystrom, quadrature
+from . import kernels, nystrom, quadrature
 from .geometry import ParametricCurve, curve_from_descriptor, sample
 from .kernels import helmholtz_constants
-from .specfun import hankel1_array
 from .zetaweights import CorrectionStencil, build_log_stencil
 
 __all__ = [
@@ -259,11 +258,8 @@ def known_solution(
 ) -> np.ndarray:
     """Superposition of interior point sources: sum_l c_l (i/4) H0(kappa r_l)."""
     points = np.atleast_2d(points)
-    out = np.zeros(len(points), dtype=complex)
-    for y, c in zip(sources, strengths):
-        r = np.hypot(points[:, 0] - y[0], points[:, 1] - y[1])
-        out += c * 0.25j * hankel1_array(0, kappa * r)
-    return out
+    p = kernels.pairs(points[:, None], np.asarray(sources, dtype=float))
+    return kernels.helmholtz_s(kappa).full(p) @ np.asarray(strengths, dtype=complex)
 
 
 def fit_eoc(n_values, errors, floor: float = SATURATION_FLOOR):
@@ -395,11 +391,13 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
 
 
 def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
-    """Field values on a rectangular grid; near-curve points are masked.
+    """Field values on a rectangular grid; near-curve and interior points
+    are masked.
 
     Row schema, Helmholtz: (x, y, Re u, Im u, mask); Stokes:
-    (x, y, u1, u2, mask). mask=1 flags points inside the near-field
-    cutoff, whose values are emitted as NaN.
+    (x, y, u1, u2, mask). mask=1 flags points inside the curve or within
+    the near-field cutoff (see :func:`nystrom.far_exterior`), whose values
+    are emitted as NaN.
     """
     nx, ny_ = int(grid_spec["nx"]), int(grid_spec["ny"])
     xs = np.linspace(grid_spec["xmin"], grid_spec["xmax"], nx)
@@ -407,14 +405,7 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     method = cfg.methods[0]
     bie = _assemble(cfg, method, N)
-    d = np.hypot(
-        pts[:, None, 0] - bie.data.pos[None, :, 0],
-        pts[:, None, 1] - bie.data.pos[None, :, 1],
-    )
-    nearest = d.argmin(axis=1)
-    far = d[np.arange(len(pts)), nearest] >= (
-        nystrom.NEAR_FIELD_FACTOR * bie.grid.h * bie.data.speed[nearest]
-    )
+    far = nystrom.far_exterior(bie, pts)
     rows = []
     if cfg.problem == "helmholtz":
         vals = np.full(len(pts), np.nan, dtype=complex)

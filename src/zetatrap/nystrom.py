@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from . import quadrature as quad
 from .geometry import CurveSamples, ParametricCurve, sample
 from .kernels import HelmholtzConstants
-from .specfun import hankel1_array
 from .zetaweights import CorrectionStencil
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "solve_direct",
     "solve_gmres",
     "cond_2norm",
+    "far_exterior",
     "eval_helmholtz_potential",
     "eval_stokes_velocity",
 ]
@@ -58,7 +59,8 @@ class AssemblyError(ValueError):
 
 
 class NearFieldError(ValueError):
-    """Evaluation target too close to the boundary for the plain PTR."""
+    """Evaluation target too close to the boundary for the plain PTR, or
+    inside the curve."""
 
 
 class ConditioningBudgetError(ValueError):
@@ -138,8 +140,10 @@ def assemble_stokes(
         raise AssemblyError(f"unknown method {method!r} for the Stokes system")
     grid = quad.make_grid(curve.period, N)
     data = sample(curve, grid.nodes)
-    S, D = quad.stokes_matrices(curve, grid, stencil)
-    A = 0.5 * np.eye(2 * N) + S + D
+    A, D = quad.stokes_matrices(curve, grid, stencil)
+    # In place: at N=2000 each 2N x 2N matrix is 128 MB.
+    A += D
+    A[np.diag_indices_from(A)] += 0.5
     return DiscretizedBIE(
         kind="stokes", method=method, curve=curve, grid=grid, data=data, matrix=A
     )
@@ -244,62 +248,88 @@ def cond_2norm(A: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _check_targets_far(targets: np.ndarray, data: CurveSamples, h: float):
-    d = np.hypot(
-        targets[:, None, 0] - data.pos[None, :, 0],
-        targets[:, None, 1] - data.pos[None, :, 1],
-    )
-    # Near means within five local arclength spacings of the closest node.
-    nearest = d.argmin(axis=1)
-    near = d[np.arange(len(targets)), nearest] < (
-        NEAR_FIELD_FACTOR * h * data.speed[nearest]
-    )
-    if near.any():
-        bad = targets[near][0]
-        raise NearFieldError(
-            f"target {bad} within {NEAR_FIELD_FACTOR:g} grid spacings of the "
-            "boundary; refine or use a near-field scheme"
+def _target_slabs(bie: DiscretizedBIE, targets: np.ndarray):
+    """Yield (rows, pairs with every node, accepted) per slab of targets;
+    see :func:`far_exterior` for which targets are accepted."""
+    data, h = bie.data, bie.grid.h
+    for rows in quad.slabs(len(targets)):
+        p = kernels.pairs(targets[rows, None], data.pos, data.normal)
+        nearest = p.r.argmin(axis=1)
+        far = p.r[np.arange(len(rows)), nearest] >= (
+            NEAR_FIELD_FACTOR * h * data.speed[nearest]
         )
+        # Winding number: the Laplace double layer integrates to -2 pi inside.
+        winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
+        yield rows, p, far & (np.abs(winding) < 0.5)
+
+
+def far_exterior(bie: DiscretizedBIE, targets: np.ndarray) -> np.ndarray:
+    """Which targets the off-curve evaluators accept.
+
+    True for a target that lies outside the curve and at least
+    NEAR_FIELD_FACTOR local arclength spacings from its closest node.
+    Nearer targets need a near-field scheme; inside the curve the
+    exterior representation is not the solution. "Outside" is decided by
+    the winding number, the trapezoidal sum of the Laplace double layer
+    over the nodes.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    accepted = np.empty(len(targets), dtype=bool)
+    for rows, _, ok in _target_slabs(bie, targets):
+        accepted[rows] = ok
+    return accepted
+
+
+def _evaluate(bie: DiscretizedBIE, targets, layer_sum, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``layer_sum(pairs)`` slab by slab over the targets,
+    raising NearFieldError for a target that :func:`far_exterior` refuses."""
+    for rows, p, ok in _target_slabs(bie, targets):
+        if not ok.all():
+            bad = targets[rows][~ok][0]
+            raise NearFieldError(
+                f"target {bad} inside the curve or within {NEAR_FIELD_FACTOR:g} "
+                "grid spacings of the boundary; refine or use a near-field scheme"
+            )
+        out[rows] = layer_sum(p)
+    return out
 
 
 def eval_helmholtz_potential(
     bie: DiscretizedBIE, tau: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Evaluate u = D[tau] - i*eta*S[tau] at well-separated targets.
+    """Evaluate u = D[tau] - i*eta*S[tau] at well-separated exterior targets.
 
     The far-field integrand is smooth, so the plain PTR applies. Targets
-    closer than five grid spacings (in arclength) to the boundary raise
-    :class:`NearFieldError`.
+    that :func:`far_exterior` refuses raise :class:`NearFieldError`.
     """
     if bie.kind != "helmholtz" or bie.consts is None:
         raise AssemblyError("eval_helmholtz_potential requires a Helmholtz system")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    data, h, k = bie.data, bie.grid.h, bie.consts.kappa
-    _check_targets_far(targets, data, h)
-    rvec = targets[:, None, :] - data.pos[None, :, :]
-    r = np.hypot(rvec[..., 0], rvec[..., 1])
-    slp = 0.25j * hankel1_array(0, k * r)
-    rn = np.einsum("mni,ni->mn", rvec, data.normal)
-    dlp = 0.25j * k * hankel1_array(1, k * r) * rn / r
-    kern = dlp - 1j * combined_field_coupling(k) * slp
-    return (kern * data.speed[None, :]) @ tau * h
+    k = bie.consts.kappa
+    slp, dlp = kernels.helmholtz_s(k), kernels.helmholtz_d(k)
+    eta = combined_field_coupling(k)
+    weights = bie.data.speed * bie.grid.h
+
+    def layer_sum(p):
+        return (dlp.full(p) - 1j * eta * slp.full(p)) @ (weights * tau)
+
+    return _evaluate(bie, targets, layer_sum, np.empty(len(targets), dtype=complex))
 
 
 def eval_stokes_velocity(
     bie: DiscretizedBIE, tau: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Velocity of the combined representation u = S[tau] + D[tau] off-curve."""
+    """Velocity of the combined representation u = S[tau] + D[tau] off-curve.
+
+    Targets that :func:`far_exterior` refuses raise :class:`NearFieldError`.
+    """
     if bie.kind != "stokes":
         raise AssemblyError("eval_stokes_velocity requires a Stokes system")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    data, h = bie.data, bie.grid.h
-    _check_targets_far(targets, data, h)
-    rvec = targets[:, None, :] - data.pos[None, :, :]
-    r = np.hypot(rvec[..., 0], rvec[..., 1])
-    outer = np.einsum("mni,mnj->mnij", rvec, rvec) / (r * r)[..., None, None]
-    S = (-np.log(r)[..., None, None] * np.eye(2) + outer) / (4 * math.pi)
-    rn = np.einsum("mni,ni->mn", rvec, data.normal)
-    D = (rn / (r * r))[..., None, None] * outer / math.pi
-    kern = (S + D) * (data.speed * h)[None, :, None, None]
-    tau2 = tau.reshape(-1, 2)
-    return np.einsum("mnij,nj->mi", kern, tau2)
+    slp, dlp = kernels.stokes_s(), kernels.stokes_d()
+    density = tau.reshape(-1, 2) * (bie.data.speed * bie.grid.h)[:, None]
+
+    def layer_sum(p):
+        return np.einsum("ijmn,nj->mi", slp.full(p) + dlp.full(p), density)
+
+    return _evaluate(bie, targets, layer_sum, np.empty((len(targets), 2)))

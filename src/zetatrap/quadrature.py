@@ -1,10 +1,20 @@
-"""Trapezoidal machinery: PTR, corrected operator rows, Kress baseline.
+"""Trapezoidal machinery: PTR, the zeta-corrected rule, the Kress baseline.
 
-Row builders return the N quadrature weights that dot directly with
-density samples at the grid nodes. Off the correction band the weights
-are plain punctured-trapezoidal entries kernel*speed*h; within the band
-(cyclic distance <= K from the target) the converged correction weights
-are folded in, and the diagonal carries the analytic limit terms.
+Both rules turn a :class:`~zetatrap.kernels.Kernel` into the dense
+matrix that multiplies density samples at the grid nodes; they read the
+kernel's three arrays and no formula of their own.
+
+- corrected: the punctured trapezoidal matrix kernel*speed*h, plus on
+  the ±j cyclic diagonals (j = 1..K) the correction h*w_j*phi*speed,
+  and on the diagonal h*speed*(L + phi(0)*(2 w_0 - log(speed*h))),
+  where L is the coincident limit of the kernel's smooth part.
+- Kress: the split kernel = -(phi/2) log(4 sin^2((t-s)/2)) + smooth,
+  with the log part through the circulant weights R and the smooth
+  part through the plain PTR with the analytic diagonal
+  speed*(L - phi(0)*log speed).
+
+Each rule fills the matrix one slab of SLAB_ROWS target rows at a time,
+so that only a slab's worth of pair arrays is alive at once.
 """
 
 from __future__ import annotations
@@ -14,22 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import kernels
 from .geometry import CurveSamples, ParametricCurve, sample
 from .kernels import HelmholtzConstants
 from .zetaweights import CorrectionStencil
 
 __all__ = [
     "TrapezoidGrid",
-    "OperatorRow",
     "GridError",
     "make_grid",
     "ptr",
-    "laplace_slp_row",
-    "helmholtz_s_row",
-    "helmholtz_d_row",
-    "helmholtz_dstar_row",
-    "stokes_rows",
+    "slabs",
     "laplace_slp_matrix",
     "helmholtz_matrix",
     "stokes_matrices",
@@ -39,6 +44,7 @@ __all__ = [
 ]
 
 MIN_NODES = 16
+SLAB_ROWS = 256
 
 
 class GridError(ValueError):
@@ -55,14 +61,6 @@ class TrapezoidGrid:
     nodes: np.ndarray
 
 
-@dataclass(frozen=True)
-class OperatorRow:
-    """Quadrature weights for one collocation target."""
-
-    m: int
-    weights: np.ndarray
-
-
 def make_grid(period: float, N: int) -> TrapezoidGrid:
     if N < MIN_NODES:
         raise GridError(f"N={N} below the minimum {MIN_NODES}")
@@ -75,6 +73,12 @@ def ptr(samples: np.ndarray, h: float):
     return h * np.sum(samples, axis=0)
 
 
+def slabs(n: int):
+    """Row indices 0..n-1 in consecutive slabs of at most SLAB_ROWS."""
+    for start in range(0, n, SLAB_ROWS):
+        yield np.arange(start, min(start + SLAB_ROWS, n))
+
+
 def _check_stencil(stencil: CorrectionStencil, N: int, kind: str):
     if stencil.kind != kind:
         raise GridError(f"stencil kind {stencil.kind!r}, expected {kind!r}")
@@ -82,151 +86,56 @@ def _check_stencil(stencil: CorrectionStencil, N: int, kind: str):
         raise GridError(f"stencil half-width K={stencil.K} too wide for N={N}")
 
 
-def _band_indices(m: int, j: int, N: int):
-    return (m + j) % N, (m - j) % N
-
-
-def _row_geometry(data: CurveSamples, m: int):
-    """Displacements target - source and distances for row m (diag set to 1)."""
-    rvec = data.pos[m] - data.pos
-    r = np.hypot(rvec[:, 0], rvec[:, 1])
-    r[m] = 1.0
-    return rvec, r
-
-
-def laplace_slp_row(
-    curve: ParametricCurve,
-    grid: TrapezoidGrid,
-    m: int,
-    stencil: CorrectionStencil,
-    data: CurveSamples | None = None,
-) -> OperatorRow:
-    """Corrected row for the Laplace SLP with kernel -log r."""
-    _check_stencil(stencil, grid.N, "log")
-    if data is None:
-        data = sample(curve, grid.nodes)
-    h = grid.h
-    _, r = _row_geometry(data, m)
-    w = -np.log(r) * data.speed * h
-    sp_m = data.speed[m]
-    w[m] = -h * math.log(sp_m * h) * sp_m + 2 * h * stencil.weights[0] * sp_m
-    for j in range(1, stencil.K + 1):
-        for idx in _band_indices(m, j, grid.N):
-            w[idx] += h * stencil.weights[j] * data.speed[idx]
-    return OperatorRow(m=m, weights=w)
-
-
-def helmholtz_s_row(
-    curve: ParametricCurve,
-    grid: TrapezoidGrid,
-    m: int,
-    consts: HelmholtzConstants,
-    stencil: CorrectionStencil,
-    data: CurveSamples | None = None,
-) -> OperatorRow:
-    """Corrected row for the Helmholtz SLP (i/4) H0(kappa r)."""
-    _check_stencil(stencil, grid.N, "log")
-    if data is None:
-        data = sample(curve, grid.nodes)
-    h, k = grid.h, consts.kappa
-    _, r = _row_geometry(data, m)
-    w = 0.25j * specfun.hankel1_array(0, k * r) * data.speed * h
-    sp_m = data.speed[m]
-    w[m] = (
-        h / (2 * math.pi) * (consts.c_gamma - math.log(sp_m * h)) * sp_m
-        + 2 * h * stencil.weights[0] * sp_m / (2 * math.pi)
+def _node_pairs(data: CurveSamples, tgt, src) -> kernels.Pairs:
+    """Pairs of the nodes indexed by ``tgt`` and ``src`` (broadcast)."""
+    return kernels.pairs(
+        data.pos[tgt], data.pos[src], data.normal[src], data.normal[tgt]
     )
-    for j in range(1, stencil.K + 1):
-        for idx in _band_indices(m, j, grid.N):
-            smooth = specfun.bessel_j_array(0, k * r[idx]) * data.speed[idx] / (
-                2 * math.pi
-            )
-            w[idx] += h * stencil.weights[j] * smooth
-    return OperatorRow(m=m, weights=w)
 
 
-def _dlp_row(curve, grid, m, consts, stencil, data, adjoint: bool) -> OperatorRow:
-    _check_stencil(stencil, grid.N, "log")
-    if data is None:
-        data = sample(curve, grid.nodes)
-    h, k = grid.h, consts.kappa
-    rvec, r = _row_geometry(data, m)
-    if adjoint:
-        rn = rvec @ data.normal[m]
-        sign = -1.0
-    else:
-        rn = np.einsum("ni,ni->n", rvec, data.normal)
-        sign = 1.0
-    w = sign * 0.25j * k * specfun.hankel1_array(1, k * r) * rn / r * data.speed * h
-    sp_m = data.speed[m]
-    w[m] = h * data.c0[m] * sp_m
-    for j in range(1, stencil.K + 1):
-        for idx in _band_indices(m, j, grid.N):
-            smooth = (
-                sign
-                * k
-                * specfun.bessel_j_array(1, k * r[idx])
-                * rn[idx]
-                / (2 * math.pi * r[idx])
-                * data.speed[idx]
-            )
-            w[idx] += h * stencil.weights[j] * smooth
-    return OperatorRow(m=m, weights=w)
+def _corrected(kernel: kernels.Kernel, data, h, stencil, out) -> np.ndarray:
+    """Fill ``out`` (..., N, N) with the zeta-corrected matrix of ``kernel``."""
+    N = len(data.speed)
+    _check_stencil(stencil, N, "log")
+    w = np.asarray(stencil.weights)
+    j = np.arange(1, stencil.K + 1)
+    offsets = np.concatenate([j, -j])
+    band_w = np.concatenate([w[1:], w[1:]])
+    limit = kernel.limit(data)
+    for rows in slabs(N):
+        i = rows - rows[0]
+        p = _node_pairs(data, rows[:, None], slice(None))
+        block = kernel.full(p) * data.speed * h
+        cols = (rows[:, None] + offsets) % N
+        phi = kernel.phi(_node_pairs(data, rows[:, None], cols))
+        block[..., i[:, None], cols] += h * band_w * phi * data.speed[cols]
+        phi0 = kernel.phi(_node_pairs(data, rows, rows))
+        sp = data.speed[rows]
+        block[..., i, rows] = h * sp * (
+            limit[..., rows] + phi0 * (2 * w[0] - np.log(sp * h))
+        )
+        out[..., rows, :] = block
+    return out
 
 
-def helmholtz_d_row(curve, grid, m, consts, stencil, data=None) -> OperatorRow:
-    """Corrected row for the Helmholtz DLP (source-normal derivative)."""
-    return _dlp_row(curve, grid, m, consts, stencil, data, adjoint=False)
-
-
-def helmholtz_dstar_row(curve, grid, m, consts, stencil, data=None) -> OperatorRow:
-    """Corrected row for the normal derivative of the Helmholtz SLP."""
-    return _dlp_row(curve, grid, m, consts, stencil, data, adjoint=True)
-
-
-def stokes_rows(
-    curve: ParametricCurve,
-    grid: TrapezoidGrid,
-    m: int,
-    stencil: CorrectionStencil,
-    data: CurveSamples | None = None,
-):
-    """Corrected 2x2-block rows for the Stokes SLP and DLP.
-
-    Only the -log r I part of S is singular and takes the log correction;
-    the rr/r^2 part of S and the whole of D use the plain PTR with their
-    analytic coincident limits on the diagonal.
-    """
-    _check_stencil(stencil, grid.N, "log")
-    if data is None:
-        data = sample(curve, grid.nodes)
-    N, h = grid.N, grid.h
-    rvec, r = _row_geometry(data, m)
-    outer = np.einsum("ni,nj->nij", rvec, rvec) / (r * r)[:, None, None]
-    eye = np.eye(2)
-    sw = (data.speed * h)[:, None, None]
-    S = (-np.log(r)[:, None, None] * eye + outer) / (4 * math.pi) * sw
-    rn = np.einsum("ni,ni->n", rvec, data.normal)
-    D = (rn / (r * r))[:, None, None] * outer / math.pi * sw
-    sp_m = data.speed[m]
-    tt = np.outer(data.tangent[m], data.tangent[m])
-    S[m] = (
-        (-math.log(sp_m * h) * h + 2 * h * stencil.weights[0]) * sp_m * eye
-        + tt * sp_m * h
-    ) / (4 * math.pi)
-    D[m] = (-data.curvature[m] / 2) * tt / math.pi * sp_m * h
-    for j in range(1, stencil.K + 1):
-        for idx in _band_indices(m, j, N):
-            S[idx] += h * stencil.weights[j] * data.speed[idx] * eye / (4 * math.pi)
-    return OperatorRow(m=m, weights=S), OperatorRow(m=m, weights=D)
+def _helmholtz_kernel(consts: HelmholtzConstants, which: str) -> kernels.Kernel:
+    make = {
+        "S": kernels.helmholtz_s,
+        "D": kernels.helmholtz_d,
+        "Dstar": kernels.helmholtz_dstar,
+    }.get(which)
+    if make is None:
+        raise GridError(f"unknown operator {which!r}")
+    return make(consts.kappa)
 
 
 def laplace_slp_matrix(
     curve: ParametricCurve, grid: TrapezoidGrid, stencil: CorrectionStencil
 ) -> np.ndarray:
+    """Dense corrected operator for the Laplace SLP with kernel -log r."""
     data = sample(curve, grid.nodes)
-    return np.vstack(
-        [laplace_slp_row(curve, grid, m, stencil, data).weights for m in range(grid.N)]
+    return _corrected(
+        kernels.laplace_s(), data, grid.h, stencil, np.empty((grid.N, grid.N))
     )
 
 
@@ -238,35 +147,49 @@ def helmholtz_matrix(
     which: str,
 ) -> np.ndarray:
     """Dense corrected operator for 'S', 'D', or 'Dstar'."""
+    kernel = _helmholtz_kernel(consts, which)
     data = sample(curve, grid.nodes)
-    row_fn = {
-        "S": helmholtz_s_row,
-        "D": helmholtz_d_row,
-        "Dstar": helmholtz_dstar_row,
-    }[which]
-    return np.vstack(
-        [row_fn(curve, grid, m, consts, stencil, data).weights for m in range(grid.N)]
+    return _corrected(
+        kernel, data, grid.h, stencil, np.empty((grid.N, grid.N), dtype=complex)
     )
 
 
 def stokes_matrices(
     curve: ParametricCurve, grid: TrapezoidGrid, stencil: CorrectionStencil
 ):
-    """Dense 2N x 2N Stokes S and D operators (node-major [u1, u2] blocks)."""
+    """Dense 2N x 2N Stokes S and D operators (node-major [u1, u2] blocks).
+
+    Only the -log r I part of S is singular and takes the log correction;
+    the rest of S and the whole of D use the plain PTR with their
+    analytic coincident limits on the diagonal.
+    """
     data = sample(curve, grid.nodes)
     N = grid.N
     S = np.empty((2 * N, 2 * N))
     D = np.empty((2 * N, 2 * N))
-    for m in range(N):
-        rs, rd = stokes_rows(curve, grid, m, stencil, data)
-        S[2 * m : 2 * m + 2] = np.transpose(rs.weights, (1, 0, 2)).reshape(2, 2 * N)
-        D[2 * m : 2 * m + 2] = np.transpose(rd.weights, (1, 0, 2)).reshape(2, 2 * N)
+    for kernel, A in ((kernels.stokes_s(), S), (kernels.stokes_d(), D)):
+        # Component (i, j) of node block (m, n) is A[2m + i, 2n + j].
+        components = A.reshape(N, 2, N, 2).transpose(1, 3, 0, 2)
+        _corrected(kernel, data, grid.h, stencil, components)
     return S, D
 
 
 # ---------------------------------------------------------------------------
 # Kress (Martensen-Kussmaul) spectral baseline
 # ---------------------------------------------------------------------------
+
+
+def _kress_log_column(N: int) -> np.ndarray:
+    """First column of the circulant log-kernel quadrature matrix."""
+    if N % 2 != 0:
+        raise GridError("Kress quadrature requires even N")
+    h = 2 * math.pi / N
+    d = np.arange(N)
+    ms = np.arange(1, N // 2)
+    col = np.cos(np.outer(d * h, ms)) @ (1.0 / ms)
+    col += np.cos(math.pi * d) / N
+    col *= -4 * math.pi / N
+    return col
 
 
 def kress_log_matrix(N: int) -> np.ndarray:
@@ -276,31 +199,35 @@ def kress_log_matrix(N: int) -> np.ndarray:
     R @ cos(m s) = -(2 pi / m) cos(m t) for 1 <= m <= N/2-1, R @ 1 = 0,
     with the Nyquist mode integrated exactly against the truncated series.
     """
-    if N % 2 != 0:
-        raise GridError("Kress quadrature requires even N")
-    h = 2 * math.pi / N
+    col = _kress_log_column(N)
     d = np.arange(N)
-    ms = np.arange(1, N // 2)
-    col = np.cos(np.outer(d * h, ms)) @ (1.0 / ms)
-    col += np.cos(math.pi * d) / N
-    col *= -4 * math.pi / N
-    idx = (d[:, None] - d[None, :]) % N
-    return col[idx]
+    return col[(d[:, None] - d[None, :]) % N]
 
 
-def _kress_split_parts(data: CurveSamples, grid: TrapezoidGrid):
-    """Pairwise distances and the periodic log factor for the global split."""
-    t = grid.nodes
-    dt = t[:, None] - t[None, :]
-    rvec = data.pos[:, None, :] - data.pos[None, :, :]
-    r = np.hypot(rvec[..., 0], rvec[..., 1])
-    np.fill_diagonal(r, 1.0)
-    logsin = np.log(
-        4 * np.sin(dt / 2) ** 2,
-        where=~np.eye(grid.N, dtype=bool),
-        out=np.zeros_like(dt),
-    )
-    return rvec, r, logsin
+def _kress(kernel: kernels.Kernel, data, h, out) -> np.ndarray:
+    """Fill ``out`` (N, N) with the Kress discretization of ``kernel``."""
+    N = len(data.speed)
+    R = _kress_log_column(N)
+    # log(4 sin^2(pi d/N)) at lag d, from the nearer of d and N - d so that
+    # lags close to N keep their relative accuracy.
+    d = np.minimum(np.arange(N), N - np.arange(N))
+    logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
+    limit = kernel.limit(data)
+    for rows in slabs(N):
+        i = rows - rows[0]
+        lag = (rows[:, None] - np.arange(N)) % N
+        p = _node_pairs(data, rows[:, None], slice(None))
+        phi = kernel.phi(p)
+        phi_sp = phi * data.speed
+        block = R[lag] * (-phi_sp / 2) + h * (
+            kernel.full(p) * data.speed + phi_sp * logsin[lag] / 2
+        )
+        phi0, sp = phi[i, rows], data.speed[rows]
+        block[i, rows] = R[0] * (-phi0 * sp / 2) + h * sp * (
+            limit[rows] - phi0 * np.log(sp)
+        )
+        out[rows] = block
+    return out
 
 
 def kress_helmholtz_operator(
@@ -315,62 +242,12 @@ def kress_helmholtz_operator(
     J0/J1 smooth factors as K1; K1 goes through the circulant log rule,
     K2 through the plain PTR with analytic diagonal limits.
     """
-    if which not in ("S", "D", "Dstar"):
-        raise GridError(f"unknown operator {which!r}")
+    kernel = _helmholtz_kernel(consts, which)
     data = sample(curve, grid.nodes)
-    N, h, k = grid.N, grid.h, consts.kappa
-    R = kress_log_matrix(N)
-    rvec, r, logsin = _kress_split_parts(data, grid)
-    offdiag = ~np.eye(N, dtype=bool)
-    if which == "S":
-        K1 = -specfun.bessel_j_array(0, k * r) * data.speed[None, :] / (4 * math.pi)
-        # r carries a placeholder 1.0 on the diagonal; K1(t,t) uses J0(0) = 1.
-        np.fill_diagonal(K1, -data.speed / (4 * math.pi))
-        full = 0.25j * specfun.hankel1_array(0, k * np.where(offdiag, r, 1.0))
-        K2 = np.where(offdiag, full * data.speed[None, :] - K1 * logsin, 0.0)
-        diag = (consts.c_gamma - np.log(data.speed)) * data.speed / (2 * math.pi)
-    else:
-        if which == "D":
-            rn = np.einsum("mni,ni->mn", rvec, data.normal)
-            sign = 1.0
-        else:
-            rn = np.einsum("mni,mi->mn", rvec, data.normal)
-            sign = -1.0
-        phi = (
-            sign
-            * k
-            * specfun.bessel_j_array(1, k * r)
-            * rn
-            / (2 * math.pi * r)
-            * data.speed[None, :]
-        )
-        np.fill_diagonal(phi, 0.0)
-        K1 = -phi / 2
-        full = (
-            sign
-            * 0.25j
-            * k
-            * specfun.hankel1_array(1, k * np.where(offdiag, r, 1.0))
-            * rn
-            / r
-        )
-        K2 = np.where(offdiag, full * data.speed[None, :] - K1 * logsin, 0.0)
-        diag = data.c0 * data.speed
-    A = R * K1 + h * K2
-    A = A.astype(complex)
-    A[np.arange(N), np.arange(N)] += h * diag - h * K2[np.arange(N), np.arange(N)]
-    return A
+    return _kress(kernel, data, grid.h, np.empty((grid.N, grid.N), dtype=complex))
 
 
 def kress_laplace_slp_matrix(curve: ParametricCurve, grid: TrapezoidGrid) -> np.ndarray:
     """Spectral Kress discretization of the Laplace SLP (reference use)."""
     data = sample(curve, grid.nodes)
-    N, h = grid.N, grid.h
-    R = kress_log_matrix(N)
-    _, r, logsin = _kress_split_parts(data, grid)
-    offdiag = ~np.eye(N, dtype=bool)
-    K1 = -0.5 * np.ones((N, N)) * data.speed[None, :]
-    K2 = np.where(offdiag, -np.log(r) * data.speed[None, :] - K1 * logsin, 0.0)
-    A = R * K1 + h * K2
-    A[np.arange(N), np.arange(N)] += h * (-np.log(data.speed) * data.speed)
-    return A
+    return _kress(kernels.laplace_s(), data, grid.h, np.empty((grid.N, grid.N)))

@@ -111,9 +111,12 @@ def _solve_with_retry(nodes, moment_fn, K: int):
     """Solve the dual Vandermonde system, doubling digits on failure.
 
     ``moment_fn(k)`` must evaluate moment k at the current working
-    precision.
+    precision. The first solve runs at 40 + 2K digits, or at
+    ``hiprec.working_digits()`` if that is more: the log systems certify
+    their 1e-40 residual from about 33 + 1.5K digits (K = 20 needs 63),
+    so every K <= MAX_K passes first time and the retry is a safety net.
     """
-    digits = hiprec.working_digits()
+    digits = max(hiprec.working_digits(), 2 * K - hiprec.RESIDUAL_EXPONENT)
     last_exc = None
     for _ in range(5):
         with mpmath.workdps(digits + 10):

@@ -164,10 +164,10 @@ def _stencil_eoc(K):
     """EOC of the corrected punctured trapezoidal rule in extended precision.
 
     Integrates -log|x| exp(-x^2) over the line (exact value
-    sqrt(pi) (gamma + 2 log 2) / 2) on the grid x = j/n, corrected as in
-    ``quadrature.laplace_slp_row`` at unit speed, with the weights solved
-    by hiprec from mpmath's zeta'(-2k), so the h^(2K+3) term shows far
-    below the double-precision floor.
+    sqrt(pi) (gamma + 2 log 2) / 2) on the grid x = j/n, corrected as the
+    diagonal and band of ``quadrature.laplace_slp_matrix`` are at unit
+    speed, with the weights solved by hiprec from mpmath's zeta'(-2k), so
+    the h^(2K+3) term shows far below the double-precision floor.
     """
     with mpmath.workdps(STENCIL_DIGITS + 10):
         moments = [-mpmath.zeta(-2 * k, derivative=1) for k in range(K + 1)]

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from zetatrap import cli, harness
+from zetatrap import cli, harness, nystrom
+from zetatrap.kernels import helmholtz_constants
 from zetatrap.zetaweights import build_log_stencil
 
 ON_GRID_TABLE = """\
@@ -174,6 +175,43 @@ def test_run_field_masks_near_points():
     # (1, 0) sits in a lobe gap within five spacings of the boundary
     ring = [r for r in rows if (r[0], r[1]) == (1.0, 0.0)]
     assert ring and ring[0][4] == 1
+
+
+def test_run_field_masks_interior_points():
+    # the exterior representation is not the solution inside the curve:
+    # those points are masked, and every unmasked value is the solution
+    cfg = harness.load_config(
+        {
+            "problem": "helmholtz",
+            "kappa": 12.5,
+            "methods": [{"name": "zeta", "K": 7}],
+            "N": [512],
+        }
+    )
+    rows = np.array(
+        harness.run_field(
+            cfg,
+            {"xmin": -1.2, "xmax": 1.2, "ymin": -1.2, "ymax": 1.2, "nx": 41, "ny": 41},
+            N=512,
+        )
+    )
+    pts, mask = rows[:, :2], rows[:, 4]
+    clear = mask == 0
+    ref = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pts[clear])
+    vals = rows[clear, 2] + 1j * rows[clear, 3]
+    assert clear.sum() > 100
+    assert np.abs(vals - ref).max() <= 1e-8 * np.abs(ref).max()
+    assert np.all(np.isnan(rows[~clear, 2]))
+    # the origin and (0.6, 0) lie inside the star, far from its boundary
+    inside = np.hypot(pts[:, 0], pts[:, 1]) < 0.6
+    assert inside.any() and np.all(mask[inside] == 1)
+    bie = nystrom.assemble_helmholtz(
+        cfg.curve, 512, helmholtz_constants(cfg.kappa), stencil=cfg.methods[0].stencil
+    )
+    with pytest.raises(nystrom.NearFieldError):
+        nystrom.eval_helmholtz_potential(
+            bie, np.zeros(512, dtype=complex), np.array([[0.6, 0.0]])
+        )
 
 
 # --- stencil-table ingestion ------------------------------------------------

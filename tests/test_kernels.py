@@ -1,32 +1,39 @@
-"""Pointwise kernel contracts: values, splits, reciprocity, diagonals."""
+"""Array kernel contracts: values, splits, reciprocity, diagonal limits."""
 
 import cmath
 import math
 
 import numpy as np
-import pytest
 
 from zetatrap import kernels as kn
-from zetatrap.geometry import circle_curve, jet, star_curve
+from zetatrap.geometry import circle_curve, sample, star_curve
 from zetatrap.specfun import EULER_GAMMA
 
 
-def test_make_pair_and_coincident_guard():
-    curve = circle_curve(1.0)
-    pair = kn.make_pair(curve, 0.0, math.pi)
-    assert abs(pair.r - 2.0) <= 1e-14
-    assert np.allclose(pair.r_vec, [-2.0, 0.0], atol=1e-14)
-    same = kn.make_pair(curve, 1.0, 1.0)
-    with pytest.raises(kn.CoincidentPointError):
-        kn.laplace_slp(same)
-    with pytest.raises(kn.CoincidentPointError):
-        kn.helmholtz_s(same, kn.helmholtz_constants(2.0))
+def _node_pairs(data, tgt, src):
+    return kn.pairs(data.pos[tgt], data.pos[src], data.normal[src], data.normal[tgt])
+
+
+def test_pairs_and_coincident_values():
+    data = sample(circle_curve(1.0), np.array([0.0, math.pi, 1.0]))
+    p = _node_pairs(data, 0, 1)
+    assert abs(p.r - 2.0) <= 1e-14
+    assert abs(p.dx - 2.0) <= 1e-14 and abs(p.dy) <= 1e-14
+    # coincident pairs: r = 0, finite kernels, phi(0) as documented
+    same = _node_pairs(data, 2, 2)
+    assert same.r == 0.0
+    assert kn.laplace_s().full(same) == 0.0
+    assert kn.laplace_s().phi(same) == 1.0
+    helm = kn.helmholtz_s(2.0)
+    assert np.isfinite(helm.full(same))
+    assert abs(helm.phi(same) - 1 / (2 * math.pi)) <= 1e-16
+    assert np.allclose(kn.stokes_s().phi(same), np.eye(2) / (4 * math.pi), atol=1e-16)
 
 
 def test_laplace_slp_value():
-    curve = circle_curve(1.0)
-    pair = kn.make_pair(curve, 0.0, math.pi / 2)
-    assert abs(kn.laplace_slp(pair) - (-math.log(math.sqrt(2.0)))) <= 1e-14
+    data = sample(circle_curve(1.0), np.array([0.0, math.pi / 2]))
+    p = _node_pairs(data, 1, 0)
+    assert abs(kn.laplace_s().full(p) - (-math.log(math.sqrt(2.0)))) <= 1e-14
 
 
 def test_helmholtz_constants():
@@ -38,66 +45,69 @@ def test_helmholtz_constants():
 
 
 def test_helmholtz_d_dstar_reciprocity():
-    # d*(target, source) uses the target normal, which is the source
-    # normal of the reversed pair: d*(s->t) = -d(t->s) ... with the sign
-    # convention r_vec = target - source the two agree directly
-    curve = star_curve(1.0, 0.3, 5)
-    consts = kn.helmholtz_constants(7.3)
-    pair = kn.make_pair(curve, 0.4, 2.1)
-    rev = kn.make_pair(curve, 2.1, 0.4)
-    assert abs(kn.helmholtz_dstar(pair, consts) - kn.helmholtz_d(rev, consts)) <= 1e-13
+    # d*(target m, source n) uses the target normal, which is the source
+    # normal of the reversed pair, and r_vec flips sign: D* = D^T
+    t = np.linspace(0, 2 * math.pi, 23, endpoint=False)
+    data = sample(star_curve(1.0, 0.3, 5), t)
+    p = _node_pairs(data, np.arange(23)[:, None], slice(None))
+    for kappa in (7.3, 12.5 + 10j):
+        d = kn.helmholtz_d(kappa).full(p)
+        dstar = kn.helmholtz_dstar(kappa).full(p)
+        off = ~np.eye(23, dtype=bool)
+        scale = np.abs(d[off]).max()
+        assert np.abs(dstar - d.T)[off].max() <= 1e-13 * scale
+        phi_d = kn.helmholtz_d(kappa).phi(p)
+        phi_dstar = kn.helmholtz_dstar(kappa).phi(p)
+        assert np.abs(phi_dstar - phi_d.T).max() <= 1e-13 * np.abs(phi_d).max()
 
 
 def test_helmholtz_s_log_split():
     # (i/4) H0(kappa r) + (log r) J0(kappa r)/(2 pi) -> c_gamma/(2 pi)
-    curve = circle_curve(1.0)
+    kernel = kn.helmholtz_s(12.5)
     consts = kn.helmholtz_constants(12.5)
-    vals = []
-    for dt in (1e-4, 1e-5):
-        pair = kn.make_pair(curve, 1.0, 1.0 + dt)
-        s = kn.helmholtz_s(pair, consts)
-        smooth = s + math.log(pair.r) * kn.smooth_factor_s(pair, consts, 1.0)
-        vals.append(smooth)
-    assert abs(vals[-1] - consts.c_gamma / (2 * math.pi)) <= 1e-7
+    data = sample(circle_curve(1.0), np.array([1.0, 1.0 + 1e-4, 1.0 + 1e-5]))
+    p = _node_pairs(data, 0, np.array([1, 2]))
+    smooth = kernel.full(p) + np.log(p.r) * kernel.phi(p)
+    assert abs(smooth[-1] - consts.c_gamma / (2 * math.pi)) <= 1e-7
+    assert np.all(kernel.limit(data) == consts.c_gamma / (2 * math.pi))
 
 
 def test_smooth_factors_vanish_on_diagonal():
-    curve = circle_curve(1.0)
-    consts = kn.helmholtz_constants(5.0)
-    pair = kn.make_pair(curve, 0.5, 0.5)
-    assert kn.smooth_factor_d(pair, consts, 1.0) == 0.0
-    assert kn.smooth_factor_dstar(pair, consts, 1.0) == 0.0
+    data = sample(circle_curve(1.0), np.array([0.5]))
+    same = _node_pairs(data, 0, 0)
+    for kernel in (kn.helmholtz_d(5.0), kn.helmholtz_dstar(5.0), kn.laplace_d()):
+        assert kernel.phi(same) == 0.0
+    assert np.all(kn.stokes_d().phi(same) == 0.0)
 
 
 def test_stokes_kernels_structure():
-    curve = star_curve(1.0, 0.3, 5)
-    pair = kn.make_pair(curve, 0.3, 2.0)
-    S, D = kn.stokes_kernels(pair)
+    data = sample(star_curve(1.0, 0.3, 5), np.array([2.0, 0.3]))
+    p = _node_pairs(data, 0, 1)
+    S = kn.stokes_s().full(p)
+    D = kn.stokes_d().full(p)
+    assert S.shape == D.shape == (2, 2)
     assert np.allclose(S, S.T, atol=1e-15)
     assert np.allclose(D, D.T, atol=1e-15)
     # S = (1/4pi)(-log r I + rhat rhat): eigen-decomposition along r_vec
-    rhat = pair.r_vec / pair.r
+    rhat = np.array([p.dx, p.dy]) / p.r
     along = rhat @ S @ rhat
-    assert abs(along - (-math.log(pair.r) + 1.0) / (4 * math.pi)) <= 1e-14
+    assert abs(along - (-math.log(p.r) + 1.0) / (4 * math.pi)) <= 1e-14
     perp = np.array([-rhat[1], rhat[0]])
-    assert abs(perp @ S @ perp - (-math.log(pair.r)) / (4 * math.pi)) <= 1e-14
+    assert abs(perp @ S @ perp - (-math.log(p.r)) / (4 * math.pi)) <= 1e-14
+    # D = (1/pi)((r.n)/r^2) rhat rhat: rank one along r_vec
+    rn = (p.dx * data.normal[1, 0] + p.dy * data.normal[1, 1]) / p.r**2
+    assert abs(rhat @ D @ rhat - rn / math.pi) <= 1e-14
+    assert abs(perp @ D @ perp) <= 1e-15
 
 
 def test_stokeslet_divergence_free():
     # the single-layer velocity of a point force is divergence free
-    curve = circle_curve(1.0)
+    source = np.array([1.0, 0.0])
     f = np.array([0.7, -0.4])
     eps = 1e-6
 
     def vel(x):
-        pair = kn.KernelPair(
-            source=jet(curve, 0.0),
-            target=jet(curve, 0.0),
-            r_vec=x - jet(curve, 0.0).pos,
-            r=float(np.hypot(*(x - jet(curve, 0.0).pos))),
-        )
-        S, _ = kn.stokes_kernels(pair)
-        return S @ f
+        return kn.stokes_s().full(kn.pairs(np.asarray(x), source)) @ f
 
     x0 = np.array([2.1, 1.3])
     div = (vel(x0 + [eps, 0])[0] - vel(x0 - [eps, 0])[0]) / (2 * eps) + (
@@ -108,9 +118,22 @@ def test_stokeslet_divergence_free():
 
 def test_stokes_diagonals_on_circle():
     a = 2.0
-    j = jet(circle_curve(a), 0.7)
-    t = j.d1 / j.speed
-    Sd = kn.stokes_s_diagonal(j)
-    assert np.allclose(Sd, np.outer(t, t) / (4 * math.pi), atol=1e-15)
-    Dd = kn.stokes_d_diagonal(j)
-    assert np.allclose(Dd, (-1.0 / (2 * a)) * np.outer(t, t) / math.pi, atol=1e-15)
+    data = sample(circle_curve(a), np.array([0.7, 2.9]))
+    for m in range(2):
+        t = data.tangent[m]
+        Sd = kn.stokes_s().limit(data)[..., m]
+        assert np.allclose(Sd, np.outer(t, t) / (4 * math.pi), atol=1e-15)
+        Dd = kn.stokes_d().limit(data)[..., m]
+        assert np.allclose(Dd, (-1.0 / (2 * a)) * np.outer(t, t) / math.pi, atol=1e-15)
+    assert np.allclose(kn.laplace_d().limit(data), -1.0 / (2 * a), atol=1e-15)
+
+
+def test_laplace_d_winding():
+    # the trapezoidal sum of (r.n_src)/r^2 is -2 pi inside the curve, 0 outside
+    curve = star_curve(1.0, 0.3, 5)
+    N = 256
+    data = sample(curve, np.linspace(0, 2 * math.pi, N, endpoint=False))
+    targets = np.array([[0.0, 0.0], [0.6, 0.0], [1.5, 0.0], [0.0, -2.0]])
+    p = kn.pairs(targets[:, None], data.pos, data.normal)
+    winding = kn.laplace_d().full(p) @ (data.speed * 2 * math.pi / N)
+    assert np.allclose(winding, [-2 * math.pi, -2 * math.pi, 0.0, 0.0], atol=1e-10)

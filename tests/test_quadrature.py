@@ -1,9 +1,12 @@
-"""Corrected-row and Kress-baseline operator contracts."""
+"""Corrected-rule and Kress-baseline operator contracts."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from zetatrap import quadrature as quad
 from zetatrap.geometry import circle_curve, sample, star_curve
@@ -57,19 +60,52 @@ def test_laplace_circle_harmonic_modes():
 
 
 def test_band_locality():
-    # off the correction band the corrected row is the plain PTR row
+    # off the correction band a row of the corrected matrix is the plain PTR row
     K = 3
     g = _grid(STAR, 64)
     data = sample(STAR, g.nodes)
-    m = 10
-    row = quad.laplace_slp_row(STAR, g, m, build_log_stencil(K), data).weights
-    rvec = data.pos[m] - data.pos
-    r = np.hypot(rvec[:, 0], rvec[:, 1])
-    plain = np.where(r > 0, -np.log(np.where(r > 0, r, 1.0)), 0.0) * data.speed * g.h
-    band = {(m + j) % g.N for j in range(-K, K + 1)}
-    for n in range(g.N):
-        if n not in band:
-            assert row[n] == plain[n]
+    A = quad.laplace_slp_matrix(STAR, g, build_log_stencil(K))
+    for m in (0, 10, 63):
+        rvec = data.pos[m] - data.pos
+        r = np.hypot(rvec[:, 0], rvec[:, 1])
+        plain = -np.log(np.where(r > 0, r, 1.0)) * data.speed * g.h
+        band = {(m + j) % g.N for j in range(-K, K + 1)}
+        for n in range(g.N):
+            if n not in band:
+                assert A[m, n] == plain[n]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    base=hst.floats(0.5, 2.0),
+    amp_frac=hst.floats(0.0, 0.9),
+    lobes=hst.integers(0, 7),
+    K=hst.integers(0, 7),
+    N=hst.integers(quad.MIN_NODES, 96),  # 2K+1 < N for every K <= 7
+    slab=hst.integers(1, 40),
+)
+def test_corrected_matrix_is_ptr_plus_band(base, amp_frac, lobes, K, N, slab):
+    # the corrected Laplace matrix is the plain PTR matrix except on the
+    # diagonal and the +-j cyclic diagonals, where it adds h*w_j*speed,
+    # whatever the slab height that fills it
+    curve = star_curve(base, amp_frac * base, lobes)
+    g = _grid(curve, N)
+    stencil = build_log_stencil(K)
+    with mock.patch.object(quad, "SLAB_ROWS", slab):
+        A = quad.laplace_slp_matrix(curve, g, stencil)
+    data = sample(curve, g.nodes)
+    d = data.pos[:, None, :] - data.pos[None, :, :]
+    r = np.hypot(d[..., 0], d[..., 1])
+    np.fill_diagonal(r, 1.0)
+    plain = -np.log(r) * data.speed * g.h
+    lag = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    dist = np.minimum(lag, N - lag)
+    off = dist > K
+    assert np.array_equal(A[off], plain[off])
+    for j in range(1, K + 1):
+        band = dist == j
+        corr = (g.h * stencil.weights[j] * data.speed)[None, :] * np.ones((N, 1))
+        assert np.allclose(A[band] - plain[band], corr[band], rtol=1e-12, atol=1e-14)
 
 
 def test_helmholtz_small_kappa_matches_laplace_split():

@@ -70,6 +70,24 @@ def test_cache_determinism():
 # --- pow/log link -----------------------------------------------------------
 
 
+def test_every_log_stencil_certifies_on_the_first_solve(monkeypatch):
+    # the first solve's precision grows with K, so no K <= MAX_K retries
+    monkeypatch.delenv("ZETATRAP_PRECISION_DIGITS", raising=False)
+    monkeypatch.setattr(zw, "_cache", {})
+    solve = zw.hiprec.solve_dual_vandermonde
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("digits"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(zw.hiprec, "solve_dual_vandermonde", counted)
+    for K in range(zw.MAX_K + 1):
+        calls.clear()
+        zw.build_log_stencil(K)
+        assert len(calls) == 1, (K, calls)
+
+
 def test_pow_log_derivative_link():
     # d/dz [-zeta(z - 2k)] at z=0 equals -zeta'(-2k); a central difference
     # of the pow weights in z must therefore reproduce the log weights
