@@ -144,13 +144,25 @@ def laplace_d() -> Kernel:
     )
 
 
+def _wavenumber(kappa: complex) -> complex | float:
+    """kappa as a float when it is real and positive, else as a complex.
+
+    kappa * r is then a real array exactly when the real Bessel routines
+    of :mod:`~zetatrap.specfun` apply; at Re kappa <= 0 they would miss
+    the principal branch of H^(1).
+    """
+    k = complex(kappa)
+    return k.real if k.imag == 0 and k.real > 0 else k
+
+
 def helmholtz_s(kappa: complex) -> Kernel:
     """(i/4) H0(kappa r), with phi = J0(kappa r)/(2 pi).
 
-    The smooth part tends to c_gamma/(2 pi).
+    The smooth part tends to c_gamma/(2 pi). phi is real at real
+    positive kappa.
     """
-    k = complex(kappa)
-    c = helmholtz_constants(k).c_gamma / (2 * math.pi)
+    k = _wavenumber(kappa)
+    c = helmholtz_constants(kappa).c_gamma / (2 * math.pi)
     return Kernel(
         full=lambda p: 0.25j * hankel1_array(0, k * _nonzero(p.r)),
         phi=lambda p: bessel_j_array(0, k * p.r) / (2 * math.pi),
@@ -159,7 +171,7 @@ def helmholtz_s(kappa: complex) -> Kernel:
 
 
 def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
-    k = complex(kappa)
+    k = _wavenumber(kappa)
 
     def along(p):
         return sign * _along(p, normal(p))

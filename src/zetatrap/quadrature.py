@@ -105,7 +105,9 @@ def _corrected(kernel: kernels.Kernel, data, h, stencil, out) -> np.ndarray:
     for rows in slabs(N):
         i = rows - rows[0]
         p = _node_pairs(data, rows[:, None], slice(None))
-        block = kernel.full(p) * data.speed * h
+        block = kernel.full(p)
+        block *= data.speed
+        block *= h
         cols = (rows[:, None] + offsets) % N
         phi = kernel.phi(_node_pairs(data, rows[:, None], cols))
         block[..., i[:, None], cols] += h * band_w * phi * data.speed[cols]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zetatrap import cli, harness, nystrom
+from zetatrap import cli, harness, kernels, nystrom, specfun
 from zetatrap.kernels import helmholtz_constants
 from zetatrap.zetaweights import build_log_stencil
 
@@ -144,6 +144,29 @@ def test_run_convergence_helmholtz():
     assert rows[1][3] < rows[0][3]  # error decreases
     assert len(eoc_rows) == 1
     assert eoc_rows[0][2] > 3.0
+
+
+def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
+    # H^(1) at a negative real argument needs the principal branch, which
+    # the real Bessel routines (Y of a negative is NaN) do not give.
+    raw = {
+        "problem": "helmholtz",
+        "kappa": -12.5,
+        "methods": [{"name": "zeta", "K": 2}],
+        "N": [128, 256],
+    }
+    errs = [row[3] for row in harness.run_convergence(harness.load_config(raw))[0]]
+    for name in ("hankel1_array", "bessel_j_array"):
+        original = getattr(specfun, name)
+        monkeypatch.setattr(
+            kernels,
+            name,
+            lambda order, z, f=original: f(order, np.asarray(z, dtype=complex)),
+        )
+    forced = [row[3] for row in harness.run_convergence(harness.load_config(raw))[0]]
+    assert np.all(np.isfinite(errs))
+    assert errs == pytest.approx(forced, rel=1e-9)
+    assert errs == pytest.approx([2.6e-4, 2.5e-6], rel=0.02)
 
 
 def test_run_table1_rejects_stokes():

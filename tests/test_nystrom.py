@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
+from zetatrap import harness
 from zetatrap import nystrom as ny
+from zetatrap import quadrature as quad
 from zetatrap.geometry import circle_curve, star_curve
 from zetatrap.kernels import helmholtz_constants
 from zetatrap.zetaweights import build_log_stencil
@@ -145,3 +148,55 @@ def test_stokes_flow_far_field_decay():
     assert np.linalg.norm(far) < np.linalg.norm(near)
     # no-slip residual on a finer check grid stays small
     assert np.linalg.norm(bie.matrix @ rep.solution + uinf.ravel()) <= 1e-10
+
+
+def _complex_bessel_calls(monkeypatch, allowed: bool) -> list:
+    """Record each call of scipy's hankel1 and jv; fail on any unless allowed."""
+    calls = []
+    for name in ("hankel1", "jv"):
+        original = getattr(scipy.special, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            if not allowed:
+                raise AssertionError(f"complex scipy.special.{_name} called")
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(scipy.special, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("kappa", [12.5, 12.5 + 0j, 12.5 + 10j])
+def test_real_wavenumber_skips_complex_bessel(kappa, monkeypatch):
+    # 12.5 + 0j is the form load_config gives a real kappa.
+    real = complex(kappa).imag == 0
+    N = 64
+    consts = helmholtz_constants(kappa)
+    stencil = build_log_stencil(2)
+    grid = quad.make_grid(STAR.period, N)
+    bie = ny.assemble_helmholtz(STAR, N, consts, "zeta", stencil)
+    tau = np.ones(N, dtype=complex)
+    targets = np.array([[2.0, 0.5], [-1.5, 2.0]])
+    sources, strengths = np.array([[0.1, 0.2]]), np.array([1.0])
+    routes = {
+        "known_solution": lambda: harness.known_solution(
+            kappa, sources, strengths, targets
+        ),
+        "eval_helmholtz_potential": lambda: ny.eval_helmholtz_potential(
+            bie, tau, targets
+        ),
+    }
+    for which in ("S", "D", "Dstar"):
+        routes[f"helmholtz_matrix {which}"] = lambda w=which: quad.helmholtz_matrix(
+            STAR, grid, consts, stencil, w
+        )
+    for which in ("S", "D"):
+        routes[f"kress {which}"] = lambda w=which: quad.kress_helmholtz_operator(
+            STAR, grid, consts, w
+        )
+    calls = _complex_bessel_calls(monkeypatch, allowed=not real)
+    for name, route in routes.items():
+        before = len(calls)
+        assert np.all(np.isfinite(route())), name
+        if not real:
+            assert len(calls) > before, name
