@@ -121,7 +121,11 @@ def _cmd_field(args) -> int:
         "nx": args.nx,
         "ny": args.ny,
     }
-    rows = harness.run_field(cfg, grid_spec, N=args.N)
+    try:
+        rows = harness.run_field(cfg, grid_spec, N=args.N)
+    except harness.ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if cfg.problem == "helmholtz":
         header = ["x", "y", "re_u", "im_u", "mask"]
     else:

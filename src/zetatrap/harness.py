@@ -27,6 +27,7 @@ __all__ = [
     "StencilTableError",
     "OffGridTableError",
     "load_config",
+    "check_grid",
     "default_helmholtz_config",
     "default_stokes_config",
     "known_solution",
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 SATURATION_FLOOR = 1e-11
+MIN_FIT_POINTS = 3
 DEFAULT_SOURCE_RADIUS = 0.4
 DEFAULT_TARGET_RADIUS = 2.0
 STOKES_REFERENCE_N = 2000
@@ -182,12 +184,17 @@ def load_config(source) -> ProblemConfig:
                 )
         if kappa is None:
             raise ConfigError("helmholtz config requires 'kappa' or 'wavelengths'")
+        if kappa.imag < 0:
+            raise ConfigError(
+                f"kappa {kappa} has Im kappa < 0: the exterior problem needs a "
+                "wave that decays or stays bounded away from the curve"
+            )
     methods = tuple(_method_from_spec(m) for m in raw.get("methods", [{"name": "zeta", "K": 7}]))
     if not methods:
         raise ConfigError("at least one quadrature method is required")
     n_list = tuple(int(n) for n in raw.get("N", [64, 128, 256, 512]))
-    if any(n < quadrature.MIN_NODES for n in n_list):
-        raise ConfigError(f"all N must be >= {quadrature.MIN_NODES}")
+    for n in n_list:
+        check_grid(methods, n)
     sources = np.asarray(raw.get("sources", _default_sources()), dtype=float)
     strengths = np.asarray(
         raw.get("strengths", np.ones(len(sources))), dtype=complex
@@ -208,6 +215,18 @@ def load_config(source) -> ProblemConfig:
     )
     _validate_points(cfg)
     return cfg
+
+
+def check_grid(methods, N: int):
+    """Raise ConfigError unless each of ``methods`` can run on N nodes.
+
+    The rules are those of :func:`~zetatrap.quadrature.check_grid`.
+    """
+    for method in methods:
+        try:
+            quadrature.check_grid(N, method.stencil, kress=method.name == "kress")
+        except quadrature.GridError as exc:
+            raise ConfigError(f"{method.label}: {exc}") from None
 
 
 def _validate_points(cfg: ProblemConfig):
@@ -266,15 +285,17 @@ def fit_eoc(n_values, errors, floor: float = SATURATION_FLOOR):
     """Least-squares slope of log error vs log N over pre-saturation points.
 
     Returns (eoc, n_used) where ``n_used`` lists the window; the EOC is
-    reported as a positive order (error ~ N^-eoc).
+    reported as a positive order (error ~ N^-eoc). A window of fewer than
+    MIN_FIT_POINTS points measures no order: the EOC is then NaN, returned
+    with the window it had.
     """
     pts = [
         (n, e)
         for n, e in zip(n_values, errors)
         if np.isfinite(e) and e > floor
     ]
-    if len(pts) < 2:
-        return float("nan"), []
+    if len(pts) < MIN_FIT_POINTS:
+        return float("nan"), [p[0] for p in pts]
     ns = np.log([p[0] for p in pts])
     es = np.log([p[1] for p in pts])
     slope = np.polyfit(ns, es, 1)[0]
@@ -370,6 +391,7 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
     """
     if cfg.problem != "helmholtz":
         raise ConfigError("the conditioning table is a Helmholtz experiment")
+    check_grid(cfg.methods, N)
     rows = []
     for method in cfg.methods:
         bie = _assemble(cfg, method, N)
@@ -397,13 +419,14 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     Row schema, Helmholtz: (x, y, Re u, Im u, mask); Stokes:
     (x, y, u1, u2, mask). mask=1 flags points inside the curve or within
     the near-field cutoff (see :func:`nystrom.far_exterior`), whose values
-    are emitted as NaN.
+    are emitted as NaN. Only the first configured method runs.
     """
+    method = cfg.methods[0]
+    check_grid([method], N)
     nx, ny_ = int(grid_spec["nx"]), int(grid_spec["ny"])
     xs = np.linspace(grid_spec["xmin"], grid_spec["xmax"], nx)
     ys = np.linspace(grid_spec["ymin"], grid_spec["ymax"], ny_)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    method = cfg.methods[0]
     bie = _assemble(cfg, method, N)
     far = nystrom.far_exterior(bie, pts)
     rows = []

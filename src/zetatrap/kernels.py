@@ -10,6 +10,10 @@ gives three things for the quadrature rules and the evaluators:
 - ``limit(samples)``: the coincident limit of the smooth part at each
   node of a curve.
 
+The combined-field kernel D - i eta S is a kernel of its own, so that a
+rule or an evaluator reads H0 and H1 at each pair from one
+``hankel01_array`` call.
+
 Conventions follow the operator normalizations used throughout the
 experiments: the Laplace SLP kernel is the bare -log r, the Helmholtz
 kernels carry i/4, and the Stokes S and D carry 1/(4 pi) and 1/pi. The
@@ -28,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import CurveSamples
-from .specfun import EULER_GAMMA, bessel_j_array, hankel1_array
+from .specfun import EULER_GAMMA, bessel_j_array, hankel01_array, hankel1_array
 
 __all__ = [
     "HelmholtzConstants",
@@ -41,6 +45,8 @@ __all__ = [
     "helmholtz_s",
     "helmholtz_d",
     "helmholtz_dstar",
+    "helmholtz_combined",
+    "combined_field_coupling",
     "stokes_s",
     "stokes_d",
 ]
@@ -155,6 +161,16 @@ def _wavenumber(kappa: complex) -> complex | float:
     return k.real if k.imag == 0 and k.real > 0 else k
 
 
+def _single_layer(h0):
+    """(i/4) H0 from H0(kappa r)."""
+    return 0.25j * h0
+
+
+def _normal_derivative(k, h1, along):
+    """(i kappa/4) H1 (r.n)/r from H1(kappa r) and ``along`` = (r.n)/r."""
+    return 0.25j * k * h1 * along
+
+
 def helmholtz_s(kappa: complex) -> Kernel:
     """(i/4) H0(kappa r), with phi = J0(kappa r)/(2 pi).
 
@@ -164,7 +180,7 @@ def helmholtz_s(kappa: complex) -> Kernel:
     k = _wavenumber(kappa)
     c = helmholtz_constants(kappa).c_gamma / (2 * math.pi)
     return Kernel(
-        full=lambda p: 0.25j * hankel1_array(0, k * _nonzero(p.r)),
+        full=lambda p: _single_layer(hankel1_array(0, k * _nonzero(p.r))),
         phi=lambda p: bessel_j_array(0, k * p.r) / (2 * math.pi),
         limit=lambda s: np.full(s.speed.shape, c),
     )
@@ -177,7 +193,9 @@ def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
         return sign * _along(p, normal(p))
 
     return Kernel(
-        full=lambda p: 0.25j * k * hankel1_array(1, k * _nonzero(p.r)) * along(p),
+        full=lambda p: _normal_derivative(
+            k, hankel1_array(1, k * _nonzero(p.r)), along(p)
+        ),
         phi=lambda p: k * bessel_j_array(1, k * p.r) * along(p) / (2 * math.pi),
         limit=lambda s: s.c0,
     )
@@ -199,6 +217,40 @@ def helmholtz_dstar(kappa: complex) -> Kernel:
     the smooth part tends to c0.
     """
     return _helmholtz_normal_derivative(kappa, -1.0, lambda p: p.tgt_normal)
+
+
+def combined_field_coupling(kappa: complex) -> float:
+    """Real coupling eta of the combined-field representation D - i eta S.
+
+    eta = Re kappa, or |kappa| for purely imaginary kappa: a real eta
+    keeps the system uniformly well conditioned when Im kappa > 0.
+    """
+    k = complex(kappa)
+    return k.real if k.real != 0.0 else abs(k)
+
+
+def helmholtz_combined(kappa: complex) -> Kernel:
+    """Combined-field kernel D - i eta S, eta = combined_field_coupling(kappa).
+
+    ``full`` evaluates H0 and H1 at each pair in one
+    :func:`~zetatrap.specfun.hankel01_array` call; phi and the limit are
+    those of :func:`helmholtz_d` and :func:`helmholtz_s`, combined.
+    """
+    k = _wavenumber(kappa)
+    s, d = helmholtz_s(kappa), helmholtz_d(kappa)
+    coupling = -1j * combined_field_coupling(kappa)
+
+    def full(p):
+        h0, h1 = hankel01_array(k * _nonzero(p.r))
+        out = _normal_derivative(k, h1, _along(p, p.src_normal))
+        out += coupling * _single_layer(h0)
+        return out
+
+    return Kernel(
+        full=full,
+        phi=lambda p: d.phi(p) + coupling * s.phi(p),
+        limit=lambda data: d.limit(data) + coupling * s.limit(data),
+    )
 
 
 def stokes_s() -> Kernel:

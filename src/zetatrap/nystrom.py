@@ -4,7 +4,8 @@ Exterior Dirichlet Helmholtz uses the combined-field representation
 u = D[tau] - i*eta*S[tau], giving the second-kind system
 (I/2 + D - i*eta*S) tau = f. The coupling eta must be real for the
 operator to stay uniformly well conditioned when Im kappa > 0; we take
-eta = Re kappa (falling back to |kappa| for purely imaginary kappa).
+eta = Re kappa (falling back to |kappa| for purely imaginary kappa), see
+:func:`~zetatrap.kernels.combined_field_coupling`.
 Exterior Stokes flow past a body uses the combined single-plus-double
 representation with the system (I/2 + S + D) tau = -u_inf.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from . import kernels
 from . import quadrature as quad
 from .geometry import CurveSamples, ParametricCurve, sample
-from .kernels import HelmholtzConstants
+from .kernels import HelmholtzConstants, combined_field_coupling
 from .zetaweights import CorrectionStencil
 
 __all__ = [
@@ -40,15 +41,6 @@ __all__ = [
 ]
 
 GMRES_TOL = 1e-14
-
-
-def combined_field_coupling(kappa: complex) -> float:
-    """Real coupling parameter for the combined-field representation."""
-    k = complex(kappa)
-    return k.real if k.real != 0.0 else abs(k)
-
-
-
 GMRES_MAX_ITER = 2000
 COND_MAX_DIM = 4096
 NEAR_FIELD_FACTOR = 5.0
@@ -100,24 +92,24 @@ def assemble_helmholtz(
 ) -> DiscretizedBIE:
     """Combined-field system I/2 + D - i*eta*S on an N-node grid.
 
-    ``method`` selects the singular quadrature: "zeta" (corrected
-    trapezoidal, requires ``stencil``) or "kress" (spectral baseline).
-    Externally ingested stencils go through the "zeta" path with their
-    own stencil object.
+    D - i*eta*S is built in one pass of the combined kernel
+    (:func:`~zetatrap.kernels.helmholtz_combined`), and I/2 is added to
+    its diagonal in place. ``method`` selects the singular quadrature:
+    "zeta" (corrected trapezoidal, requires ``stencil``) or "kress"
+    (spectral baseline). Externally ingested stencils go through the
+    "zeta" path with their own stencil object.
     """
     grid = quad.make_grid(curve.period, N)
     data = sample(curve, grid.nodes)
     if method in ("zeta", "external"):
         if stencil is None:
             raise AssemblyError(f"method {method!r} requires a correction stencil")
-        S = quad.helmholtz_matrix(curve, grid, consts, stencil, "S")
-        D = quad.helmholtz_matrix(curve, grid, consts, stencil, "D")
+        A = quad.helmholtz_matrix(curve, grid, consts, stencil, "combined")
     elif method == "kress":
-        S = quad.kress_helmholtz_operator(curve, grid, consts, "S")
-        D = quad.kress_helmholtz_operator(curve, grid, consts, "D")
+        A = quad.kress_helmholtz_operator(curve, grid, consts, "combined")
     else:
         raise AssemblyError(f"unknown method {method!r}")
-    A = 0.5 * np.eye(N) + D - 1j * combined_field_coupling(consts.kappa) * S
+    A[np.diag_indices(N)] += 0.5
     return DiscretizedBIE(
         kind="helmholtz",
         method=method,
@@ -306,12 +298,11 @@ def eval_helmholtz_potential(
         raise AssemblyError("eval_helmholtz_potential requires a Helmholtz system")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     k = bie.consts.kappa
-    slp, dlp = kernels.helmholtz_s(k), kernels.helmholtz_d(k)
-    eta = combined_field_coupling(k)
-    weights = bie.data.speed * bie.grid.h
+    combined = kernels.helmholtz_combined(k)
+    density = bie.data.speed * bie.grid.h * tau
 
     def layer_sum(p):
-        return (dlp.full(p) - 1j * eta * slp.full(p)) @ (weights * tau)
+        return combined.full(p) @ density
 
     return _evaluate(bie, targets, layer_sum, np.empty(len(targets), dtype=complex))
 

@@ -32,6 +32,7 @@ from .zetaweights import CorrectionStencil
 __all__ = [
     "TrapezoidGrid",
     "GridError",
+    "check_grid",
     "make_grid",
     "ptr",
     "slabs",
@@ -61,9 +62,24 @@ class TrapezoidGrid:
     nodes: np.ndarray
 
 
-def make_grid(period: float, N: int) -> TrapezoidGrid:
+def check_grid(N: int, stencil: CorrectionStencil | None = None, kress: bool = False):
+    """Raise GridError unless a rule can run on N nodes.
+
+    N must reach MIN_NODES, a stencil of half-width K needs 2K+1 < N, and
+    the Kress rule needs an even N.
+    """
     if N < MIN_NODES:
         raise GridError(f"N={N} below the minimum {MIN_NODES}")
+    if stencil is not None and 2 * stencil.K + 1 >= N:
+        raise GridError(
+            f"stencil half-width K={stencil.K} needs N > {2 * stencil.K + 1}, got N={N}"
+        )
+    if kress and N % 2 != 0:
+        raise GridError(f"Kress quadrature requires even N, got N={N}")
+
+
+def make_grid(period: float, N: int) -> TrapezoidGrid:
+    check_grid(N)
     h = period / N
     return TrapezoidGrid(N=N, period=period, h=h, nodes=h * np.arange(N))
 
@@ -82,8 +98,7 @@ def slabs(n: int):
 def _check_stencil(stencil: CorrectionStencil, N: int, kind: str):
     if stencil.kind != kind:
         raise GridError(f"stencil kind {stencil.kind!r}, expected {kind!r}")
-    if 2 * stencil.K + 1 >= N:
-        raise GridError(f"stencil half-width K={stencil.K} too wide for N={N}")
+    check_grid(N, stencil)
 
 
 def _node_pairs(data: CurveSamples, tgt, src) -> kernels.Pairs:
@@ -125,6 +140,7 @@ def _helmholtz_kernel(consts: HelmholtzConstants, which: str) -> kernels.Kernel:
         "S": kernels.helmholtz_s,
         "D": kernels.helmholtz_d,
         "Dstar": kernels.helmholtz_dstar,
+        "combined": kernels.helmholtz_combined,
     }.get(which)
     if make is None:
         raise GridError(f"unknown operator {which!r}")
@@ -148,7 +164,11 @@ def helmholtz_matrix(
     stencil: CorrectionStencil,
     which: str,
 ) -> np.ndarray:
-    """Dense corrected operator for 'S', 'D', or 'Dstar'."""
+    """Dense corrected operator for 'S', 'D', 'Dstar', or 'combined'.
+
+    'combined' is D - i eta S with eta from
+    :func:`~zetatrap.kernels.combined_field_coupling`, built in one pass.
+    """
     kernel = _helmholtz_kernel(consts, which)
     data = sample(curve, grid.nodes)
     return _corrected(
@@ -183,8 +203,7 @@ def stokes_matrices(
 
 def _kress_log_column(N: int) -> np.ndarray:
     """First column of the circulant log-kernel quadrature matrix."""
-    if N % 2 != 0:
-        raise GridError("Kress quadrature requires even N")
+    check_grid(N, kress=True)
     h = 2 * math.pi / N
     d = np.arange(N)
     ms = np.arange(1, N // 2)
@@ -238,7 +257,8 @@ def kress_helmholtz_operator(
     consts: HelmholtzConstants,
     which: str,
 ) -> np.ndarray:
-    """Spectral Kress discretization of the Helmholtz S, D, or D* operator.
+    """Spectral Kress discretization of the Helmholtz S, D, D*, or 'combined'
+    D - i eta S operator.
 
     Uses the global split K = K1*log(4 sin^2((t-s)/2)) + K2 with the
     J0/J1 smooth factors as K1; K1 goes through the circulant log rule,

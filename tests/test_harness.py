@@ -91,6 +91,8 @@ def test_config_validation_errors():
         )
     with pytest.raises(harness.ConfigError):
         harness.load_config({"problem": "stokes", "N": [8]})
+    with pytest.raises(harness.ConfigError, match="Im kappa < 0"):
+        harness.load_config({"problem": "helmholtz", "kappa": [12.5, -1e-3]})
     with pytest.raises(harness.ConfigError):
         harness.load_config(
             {"problem": "helmholtz", "kappa": 5.0, "targets": [[0.5, 0.0]]}
@@ -99,6 +101,32 @@ def test_config_validation_errors():
         harness.load_config(
             {"problem": "helmholtz", "kappa": 5.0, "sources": [[2.0, 0.0]]}
         )
+
+
+def test_stencil_and_grid_must_fit():
+    # 2K+1 < N for every method and N, and an even N for Kress
+    helm = {"problem": "helmholtz", "kappa": 5.0}
+    cases = [
+        ([{"name": "zeta", "K": 20}], [32]),
+        ([{"name": "zeta", "K": 8}], [64, 17]),  # 2K+1 = N
+        ([{"name": "kress"}], [64, 65]),
+    ]
+    for methods, ns in cases:
+        with pytest.raises(harness.ConfigError):
+            harness.load_config({**helm, "methods": methods, "N": ns})
+    widest = {**helm, "methods": [{"name": "zeta", "K": 15}], "N": [32]}
+    assert harness.load_config(widest).n_list == (32,)
+    # the N given to table1 and field is checked too
+    cfg = harness.load_config({**helm, "methods": [{"name": "zeta", "K": 20}, "kress"]})
+    grid = {"xmin": 3.0, "xmax": 3.5, "ymin": 0.0, "ymax": 0.5, "nx": 2, "ny": 2}
+    with pytest.raises(harness.ConfigError):
+        harness.run_table1(cfg, N=32)
+    with pytest.raises(harness.ConfigError):
+        harness.run_table1(cfg, N=65)
+    with pytest.raises(harness.ConfigError):
+        harness.run_field(cfg, grid, N=41)
+    # field runs the first method only, so an odd N is fine for it
+    assert len(harness.run_field(cfg, grid, N=43)) == 4
 
 
 # --- fit_eoc ----------------------------------------------------------------
@@ -114,10 +142,14 @@ def test_fit_eoc_recovers_slope():
 
 def test_fit_eoc_ignores_saturated_points():
     ns = [64, 128, 256, 512]
-    errs = [1e-4, 1e-7, 2e-12, 3e-12]  # last two below the floor
+    errs = [1e-4, 1e-7, 1e-10, 3e-12]  # the last one below the floor
     eoc, window = harness.fit_eoc(ns, errs)
-    assert window == [64, 128]
+    assert window == [64, 128, 256]
     assert abs(eoc - math.log(1e-4 / 1e-7) / math.log(2)) <= 1e-12
+    # two points above the floor measure no order: NaN, with their window
+    eoc, window = harness.fit_eoc(ns, [1e-4, 1e-7, 2e-12, 3e-12])
+    assert math.isnan(eoc)
+    assert window == [64, 128]
 
 
 def test_fit_eoc_degenerate():
@@ -135,15 +167,16 @@ def test_run_convergence_helmholtz():
             "problem": "helmholtz",
             "kappa": 5.0,
             "methods": [{"name": "zeta", "K": 2}],
-            "N": [64, 128],
+            "N": [64, 96, 128],
         }
     )
     rows, eoc_rows = harness.run_convergence(cfg)
-    assert len(rows) == 2
+    assert len(rows) == 3
     assert rows[0][0] == 64 and rows[0][1] == "zeta6"
-    assert rows[1][3] < rows[0][3]  # error decreases
+    assert rows[2][3] < rows[1][3] < rows[0][3]  # error decreases
     assert len(eoc_rows) == 1
     assert eoc_rows[0][2] > 3.0
+    assert eoc_rows[0][3] == "64;96;128"
 
 
 def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
@@ -365,6 +398,33 @@ def test_cli_convergence_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"problem": "poisson"}))
     assert cli.main(["convergence", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_config_errors_exit_2(tmp_path, capsys):
+    # a stencil too wide for N, an odd N for Kress and Im kappa < 0 are
+    # config errors: exit 2 with a message, no traceback
+    def config(**fields):
+        path = tmp_path / "cfg.json"
+        raw = {"problem": "helmholtz", "kappa": 5.0, "N": [64], **fields}
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    bad = [
+        config(methods=[{"name": "zeta", "K": 20}], N=[32]),
+        config(methods=["kress"], N=[64, 65]),
+        config(kappa=[12.5, -10.0]),
+    ]
+    for path in bad:
+        assert cli.main(["convergence", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    good = config(methods=[{"name": "zeta", "K": 20}, "kress"])
+    for argv in (
+        ["table1", "--config", good, "--N", "32"],
+        ["table1", "--config", good, "--N", "65"],
+        ["field", "--config", good, "--N", "41", "--nx", "2", "--ny", "2"],
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_ingest_check(tmp_path, capsys):

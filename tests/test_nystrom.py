@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from zetatrap import harness
+from zetatrap import harness, kernels
 from zetatrap import nystrom as ny
 from zetatrap import quadrature as quad
 from zetatrap.geometry import circle_curve, star_curve
@@ -200,3 +200,41 @@ def test_real_wavenumber_skips_complex_bessel(kappa, monkeypatch):
         assert np.all(np.isfinite(route())), name
         if not real:
             assert len(calls) > before, name
+
+
+@pytest.mark.parametrize("kappa", [12.5, 12.5 + 10j])
+def test_combined_system_matches_separate_operators(kappa):
+    # one combined-field pass gives I/2 + D - i eta S of the separate S and D
+    N = 64
+    consts = helmholtz_constants(kappa)
+    grid = quad.make_grid(STAR.period, N)
+    eta = ny.combined_field_coupling(kappa)
+    for K in (2, 7, None):
+        if K is None:
+            method, stencil = "kress", None
+            S, D = (quad.kress_helmholtz_operator(STAR, grid, consts, w) for w in "SD")
+        else:
+            method, stencil = "zeta", build_log_stencil(K)
+            S, D = (quad.helmholtz_matrix(STAR, grid, consts, stencil, w) for w in "SD")
+        ref = 0.5 * np.eye(N) + D - 1j * eta * S
+        bie = ny.assemble_helmholtz(STAR, N, consts, method, stencil)
+        scale = np.abs(ref).max()
+        if K is None and complex(kappa).imag > 0:
+            # Kress entries sum terms of size |J0(kappa r)| ~ exp(Im kappa r)
+            # that cancel: rounding shows at the size of the largest term
+            p = kernels.pairs(bie.data.pos[:, None], bie.data.pos, bie.data.normal)
+            phi = kernels.helmholtz_combined(kappa).phi(p) * bie.data.speed
+            scale = np.abs(quad.kress_log_matrix(N) * phi / 2).max()
+        assert np.abs(bie.matrix - ref).max() <= 1e-14 * scale, (method, K)
+    # the evaluator against the sum of the separate layer potentials
+    rng = np.random.default_rng(5)
+    tau = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    angle = np.linspace(0, 2 * math.pi, 12, endpoint=False)
+    targets = 2.4 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    bie = ny.assemble_helmholtz(STAR, N, consts, "kress")
+    p = kernels.pairs(targets[:, None], bie.data.pos, bie.data.normal)
+    slp, dlp = kernels.helmholtz_s(kappa), kernels.helmholtz_d(kappa)
+    weights = bie.data.speed * bie.grid.h
+    old = (dlp.full(p) - 1j * eta * slp.full(p)) @ (weights * tau)
+    new = ny.eval_helmholtz_potential(bie, tau, targets)
+    assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()

@@ -179,6 +179,20 @@ def test_kress_log_matrix_trigonometric_action():
         assert np.max(np.abs(out - (-2 * math.pi / m) * np.cos(m * t))) <= 1e-11
 
 
+def test_check_grid_rules():
+    # the grid rules of make_grid, the stencil rules and the Kress rule
+    stencil = build_log_stencil(7)
+    quad.check_grid(16, stencil)  # 2K+1 = 15 < 16
+    quad.check_grid(18, stencil, kress=True)
+    for N, args, kw in (
+        (15, (), {}),
+        (31, (build_log_stencil(15),), {}),  # 2K+1 = N
+        (17, (), {"kress": True}),
+    ):
+        with pytest.raises(quad.GridError):
+            quad.check_grid(N, *args, **kw)
+
+
 def test_kress_log_matrix_requires_even_n():
     with pytest.raises(quad.GridError):
         quad.kress_log_matrix(33)

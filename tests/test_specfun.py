@@ -265,3 +265,72 @@ def test_array_dtype_follows_argument():
         z = x + 0.5j
         assert specfun.bessel_j_array(order, z).dtype == np.complex128
         assert specfun.hankel1_array(order, z).dtype == np.complex128
+
+
+# --- H0 and H1 together -----------------------------------------------------
+
+
+def _mp_hankel1(order, z):
+    """mpmath H^(1) with 60 correct digits. J and Y grow like e^(Im z)
+    where H decays like e^(-Im z), so J + iY cancels 2 Im z / ln 10
+    digits: the working precision adds them."""
+    digits = 60 + math.ceil(2 * z.imag / math.log(10))
+    with mpmath.workdps(digits):
+        return complex(mpmath.hankel1(order, mpmath.mpc(z.real, z.imag)))
+
+
+def test_hankel01_expansion_matches_mpmath(monkeypatch):
+    assert specfun.HANKEL_ASYMPTOTIC_MIN_ABS == 20.0
+    assert specfun.HANKEL_ASYMPTOTIC_TERMS == 20
+    # |z| in [20, 60], arg z in [0, pi/2], and extra points on |z| = 20
+    modulus, angle = np.meshgrid(
+        np.linspace(20, 60, 4), np.linspace(0, math.pi / 2, 4)
+    )
+    ring = (20 + 1e-13) * np.exp(1j * np.linspace(0, math.pi / 2, 7)[1:-1])
+    z = np.concatenate(
+        [(modulus * np.exp(1j * angle)).ravel(), ring, [20 + 0j, 12 + 16j, 16 + 12j]]
+    )
+
+    def refuse(order, z):
+        raise AssertionError("a point in the expansion's region reached scipy")
+
+    monkeypatch.setattr(specfun, "hankel1_array", refuse)
+    h0, h1 = specfun.hankel01_array(z)
+    for order, h in ((0, h0), (1, h1)):
+        ref = np.array([_mp_hankel1(order, t) for t in z])
+        assert np.max(np.abs(h - ref) / np.abs(ref)) <= 2e-15
+
+
+def test_hankel01_elsewhere_is_hankel1_array(monkeypatch):
+    # real z, Re z <= 0, Im z < 0, |z| < 20 and Im z > 700 never reach the
+    # expansion: each gives hankel1_array's values bit for bit
+    def refuse(*args):
+        raise AssertionError("expansion reached")
+
+    monkeypatch.setattr(specfun, "_hankel01_asymptotic", refuse)
+    x = np.linspace(0.5, 80.0, 41)
+    for z in (
+        x,
+        -x + 0j,
+        -x + 5j,
+        1j * x,
+        x - 1j,
+        (12.5 + 10j) * x / 80,  # |z| < 20 up to x = 80
+        x + 800j,
+    ):
+        h0, h1 = specfun.hankel01_array(z)
+        np.testing.assert_array_equal(h0, specfun.hankel1_array(0, z))
+        np.testing.assert_array_equal(h1, specfun.hankel1_array(1, z))
+
+
+def test_hankel01_mixed_points_keep_their_place():
+    import scipy.special as sp
+
+    z = (12.5 + 10j) * np.linspace(0.05, 3.4, 60).reshape(3, 20)
+    far = np.abs(z) >= specfun.HANKEL_ASYMPTOTIC_MIN_ABS
+    assert far.any() and not far.all()
+    for order, h in enumerate(specfun.hankel01_array(z)):
+        ref = sp.hankel1(order, z)
+        assert h.shape == z.shape
+        np.testing.assert_array_equal(h[~far], ref[~far])
+        assert np.max(np.abs(h - ref) / np.abs(ref)) <= 4e-15
