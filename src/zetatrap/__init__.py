@@ -8,12 +8,10 @@ for comparison.
 """
 
 from .geometry import (
-    CurveJet,
     CurveSamples,
     ParametricCurve,
     circle_curve,
     curve_from_descriptor,
-    jet,
     sample,
     star_curve,
 )
@@ -47,7 +45,6 @@ from .quadrature import (
     make_grid,
     ptr,
 )
-from .specfun import zeta_complex, zeta_deriv_neg_even, zeta_real
 from .zetaweights import (
     CorrectionStencil,
     build_log_stencil,
@@ -57,12 +54,10 @@ from .zetaweights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurveJet",
     "CurveSamples",
     "ParametricCurve",
     "circle_curve",
     "curve_from_descriptor",
-    "jet",
     "sample",
     "star_curve",
     "ProblemConfig",
@@ -90,9 +85,6 @@ __all__ = [
     "kress_log_matrix",
     "make_grid",
     "ptr",
-    "zeta_complex",
-    "zeta_deriv_neg_even",
-    "zeta_real",
     "CorrectionStencil",
     "build_log_stencil",
     "build_pow_stencil",

@@ -16,14 +16,12 @@ import numpy as np
 
 __all__ = [
     "ParametricCurve",
-    "CurveJet",
     "CurveSamples",
     "InvalidGeometryError",
     "DegenerateParameterizationError",
     "star_curve",
     "circle_curve",
     "curve_from_descriptor",
-    "jet",
     "sample",
 ]
 
@@ -47,21 +45,8 @@ class ParametricCurve:
 
 
 @dataclass(frozen=True)
-class CurveJet:
-    """Pointwise geometric data at one parameter value."""
-
-    pos: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    speed: float
-    normal: np.ndarray
-    c0: float  # (d2 . n) / (4 pi speed^2), the corrected-rule diagonal factor
-    curvature: float  # signed curvature, positive for a ccw circle
-
-
-@dataclass(frozen=True)
 class CurveSamples:
-    """Vectorized jets at all grid nodes (assembly hot path)."""
+    """Position, derivatives and the derived geometry at each parameter value."""
 
     t: np.ndarray
     pos: np.ndarray  # (N, 2)
@@ -70,8 +55,8 @@ class CurveSamples:
     speed: np.ndarray
     normal: np.ndarray  # (N, 2)
     tangent: np.ndarray  # (N, 2)
-    c0: np.ndarray
-    curvature: np.ndarray
+    c0: np.ndarray  # (d2 . n) / (4 pi speed^2), the corrected-rule diagonal factor
+    curvature: np.ndarray  # signed curvature, positive for a ccw circle
 
 
 def star_curve(base: float, amplitude: float, lobes: int) -> ParametricCurve:
@@ -140,24 +125,11 @@ def curve_from_descriptor(desc: dict) -> ParametricCurve:
     raise InvalidGeometryError(f"unknown curve type {kind!r}")
 
 
-def jet(curve: ParametricCurve, t: float) -> CurveJet:
-    """Evaluate position, derivatives, speed, outward normal, and c0 at t."""
-    pos = np.asarray(curve.position(float(t)), dtype=float)
-    d1 = np.asarray(curve.d1(float(t)), dtype=float)
-    d2 = np.asarray(curve.d2(float(t)), dtype=float)
-    speed = float(np.hypot(d1[0], d1[1]))
-    if speed < 1e-12:
-        raise DegenerateParameterizationError(f"|d1|={speed} at t={t}")
-    normal = np.array([d1[1], -d1[0]]) / speed
-    c0 = float(d2 @ normal) / (4 * math.pi * speed**2)
-    curvature = float(d1[0] * d2[1] - d1[1] * d2[0]) / speed**3
-    return CurveJet(
-        pos=pos, d1=d1, d2=d2, speed=speed, normal=normal, c0=c0, curvature=curvature
-    )
-
-
 def sample(curve: ParametricCurve, t: np.ndarray) -> CurveSamples:
-    """Vectorized jets at the parameter values ``t``."""
+    """Curve data at the parameter values ``t``, an array or a scalar.
+
+    Raises DegenerateParameterizationError where |d1| vanishes.
+    """
     t = np.asarray(t, dtype=float)
     pos = curve.position(t)
     d1 = curve.d1(t)

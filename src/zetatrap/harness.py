@@ -311,22 +311,27 @@ def _assemble(cfg: ProblemConfig, method: QuadratureMethod, N: int):
     return nystrom.assemble_stokes(cfg.curve, N, method.stencil, method.name)
 
 
-def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray):
-    """Solve the BIE for the configured data and evaluate at the targets."""
+def _shear_flow(cfg: ProblemConfig, points: np.ndarray) -> np.ndarray:
+    """The background Stokes flow (shear_rate * y, 0) at the points."""
+    return np.stack([cfg.shear_rate * points[:, 1], np.zeros(len(points))], axis=1)
+
+
+def _solve(cfg: ProblemConfig, bie) -> nystrom.SolveReport:
+    """Solve the BIE for the configured boundary data."""
     if cfg.problem == "helmholtz":
         rhs = known_solution(cfg.kappa, cfg.sources, cfg.strengths, bie.data.pos)
-        rep = nystrom.solve_gmres(bie.matrix, rhs)
-        vals = nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
-        return rep, vals
-    uinf = np.stack(
-        [cfg.shear_rate * bie.data.pos[:, 1], np.zeros(bie.grid.N)], axis=1
-    ).ravel()
-    rep = nystrom.solve_gmres(bie.matrix, -uinf)
+    else:
+        rhs = -_shear_flow(cfg, bie.data.pos).ravel()
+    return nystrom.solve_gmres(bie.matrix, rhs)
+
+
+def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray):
+    """Solve the BIE for the configured data and evaluate at the targets."""
+    rep = _solve(cfg, bie)
+    if cfg.problem == "helmholtz":
+        return rep, nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
     flow = nystrom.eval_stokes_velocity(bie, rep.solution, targets)
-    vals = flow + np.stack(
-        [cfg.shear_rate * targets[:, 1], np.zeros(len(targets))], axis=1
-    )
-    return rep, vals
+    return rep, flow + _shear_flow(cfg, targets)
 
 
 def _stokes_reference(cfg: ProblemConfig) -> np.ndarray:
@@ -418,7 +423,7 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
 
     Row schema, Helmholtz: (x, y, Re u, Im u, mask); Stokes:
     (x, y, u1, u2, mask). mask=1 flags points inside the curve or within
-    the near-field cutoff (see :func:`nystrom.far_exterior`), whose values
+    the near-field cutoff (see :func:`nystrom.eval_field`), whose values
     are emitted as NaN. Only the first configured method runs.
     """
     method = cfg.methods[0]
@@ -428,24 +433,14 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     ys = np.linspace(grid_spec["ymin"], grid_spec["ymax"], ny_)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     bie = _assemble(cfg, method, N)
-    far = nystrom.far_exterior(bie, pts)
-    rows = []
+    vals, far = nystrom.eval_field(bie, _solve(cfg, bie).solution, pts)
     if cfg.problem == "helmholtz":
-        vals = np.full(len(pts), np.nan, dtype=complex)
-        if far.any():
-            rhs = known_solution(cfg.kappa, cfg.sources, cfg.strengths, bie.data.pos)
-            rep = nystrom.solve_gmres(bie.matrix, rhs)
-            vals[far] = nystrom.eval_helmholtz_potential(bie, rep.solution, pts[far])
-        for p, v, ok in zip(pts, vals, far):
-            rows.append((p[0], p[1], v.real, v.imag, 0 if ok else 1))
+        vals = np.stack([vals.real, vals.imag], axis=1)
     else:
-        vals = np.full((len(pts), 2), np.nan)
-        if far.any():
-            _, vf = _solve_and_eval(cfg, bie, pts[far])
-            vals[far] = vf
-        for p, v, ok in zip(pts, vals, far):
-            rows.append((p[0], p[1], v[0], v[1], 0 if ok else 1))
-    return rows
+        vals += _shear_flow(cfg, pts)
+    return [
+        (p[0], p[1], v[0], v[1], 0 if ok else 1) for p, v, ok in zip(pts, vals, far)
+    ]
 
 
 def ingest_stencil_table(path: str) -> ExternalStencilTable:

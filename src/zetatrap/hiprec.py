@@ -5,16 +5,11 @@ severely ill-conditioned for large K and must be solved in extended
 precision. mpmath provides the arbitrary-precision arithmetic; the solve
 itself is LU with pivoting at a configurable number of decimal digits,
 verified by an a-posteriori residual bound. Callers retry with more
-digits when the bound fails.
-
-The working precision defaults to 60 significant digits and can be
-overridden with the environment variable ZETATRAP_PRECISION_DIGITS
-(integer >= 30).
+digits when the bound fails. The working precision defaults to
+DEFAULT_DIGITS = 60 significant digits.
 """
 
 from __future__ import annotations
-
-import os
 
 import mpmath
 
@@ -26,7 +21,6 @@ __all__ = [
     "DEFAULT_DIGITS",
     "DuplicateNodesError",
     "PrecisionInsufficientError",
-    "working_digits",
     "solve_dual_vandermonde",
 ]
 
@@ -39,18 +33,7 @@ class PrecisionInsufficientError(ArithmeticError):
     """The residual bound could not be met at the requested precision."""
 
 
-def working_digits() -> int:
-    """Default working precision in decimal digits (env-overridable)."""
-    raw = os.environ.get("ZETATRAP_PRECISION_DIGITS")
-    if raw is None:
-        return DEFAULT_DIGITS
-    digits = int(raw)
-    if digits < 30:
-        raise ValueError("ZETATRAP_PRECISION_DIGITS must be >= 30")
-    return digits
-
-
-def solve_dual_vandermonde(nodes, moments, digits: int | None = None):
+def solve_dual_vandermonde(nodes, moments, digits: int = DEFAULT_DIGITS):
     """Solve sum_j w_j x_j^k = b_k, k = 0..K, for the weights w.
 
     ``nodes`` and ``moments`` are length-(K+1) sequences convertible to
@@ -59,8 +42,6 @@ def solve_dual_vandermonde(nodes, moments, digits: int | None = None):
     the normalized residual max_k |sum_j w_j x_j^k - b_k| / (1 + |b_k|)
     exceeds 1e-40; the caller should retry with more digits.
     """
-    if digits is None:
-        digits = working_digits()
     if len(nodes) != len(moments):
         raise ValueError("nodes and moments must have equal length")
     n = len(nodes)

@@ -13,14 +13,14 @@ representation with the system (I/2 + S + D) tau = -u_inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
 from . import quadrature as quad
 from .geometry import CurveSamples, ParametricCurve, sample
-from .kernels import HelmholtzConstants, combined_field_coupling
+from .kernels import HelmholtzConstants
 from .zetaweights import CorrectionStencil
 
 __all__ = [
@@ -29,13 +29,12 @@ __all__ = [
     "AssemblyError",
     "NearFieldError",
     "ConditioningBudgetError",
-    "combined_field_coupling",
     "assemble_helmholtz",
     "assemble_stokes",
     "solve_direct",
     "solve_gmres",
     "cond_2norm",
-    "far_exterior",
+    "eval_field",
     "eval_helmholtz_potential",
     "eval_stokes_velocity",
 ]
@@ -241,8 +240,9 @@ def cond_2norm(A: np.ndarray) -> float:
 
 
 def _target_slabs(bie: DiscretizedBIE, targets: np.ndarray):
-    """Yield (rows, pairs with every node, accepted) per slab of targets;
-    see :func:`far_exterior` for which targets are accepted."""
+    """Yield (rows, accepted, pairs of the accepted targets with every
+    node) per slab of targets; see :func:`eval_field` for which targets
+    are accepted."""
     data, h = bie.data, bie.grid.h
     for rows in quad.slabs(len(targets)):
         p = kernels.pairs(targets[rows, None], data.pos, data.normal)
@@ -252,38 +252,69 @@ def _target_slabs(bie: DiscretizedBIE, targets: np.ndarray):
         )
         # Winding number: the Laplace double layer integrates to -2 pi inside.
         winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
-        yield rows, p, far & (np.abs(winding) < 0.5)
+        ok = far & (np.abs(winding) < 0.5)
+        if not ok.all():  # rebinding p frees the whole slab's pairs before the yield
+            p = replace(p, dx=p.dx[ok], dy=p.dy[ok], r=p.r[ok])
+        yield rows, ok, p
 
 
-def far_exterior(bie: DiscretizedBIE, targets: np.ndarray) -> np.ndarray:
-    """Which targets the off-curve evaluators accept.
+def eval_field(
+    bie: DiscretizedBIE, tau: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The representation's field at the targets, and which targets it
+    accepts.
 
-    True for a target that lies outside the curve and at least
+    A target is accepted when it lies outside the curve and at least
     NEAR_FIELD_FACTOR local arclength spacings from its closest node.
     Nearer targets need a near-field scheme; inside the curve the
     exterior representation is not the solution. "Outside" is decided by
     the winding number, the trapezoidal sum of the Laplace double layer
     over the nodes.
+
+    One pass over the targets decides acceptance and sums the layer
+    potentials with the plain PTR at the accepted targets; the value at a
+    refused target is NaN. The field is u = D[tau] - i*eta*S[tau] for a
+    Helmholtz system, an (M,) complex array, and the velocity
+    S[tau] + D[tau] for a Stokes system, an (M, 2) array.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    weight = bie.data.speed * bie.grid.h
+    if bie.kind == "helmholtz":
+        combined = kernels.helmholtz_combined(bie.consts.kappa)
+        density = weight * tau
+
+        def layer_sum(p):
+            return combined.full(p) @ density
+
+        values = np.full(len(targets), np.nan, dtype=complex)
+    else:
+        slp, dlp = kernels.stokes_s(), kernels.stokes_d()
+        density = tau.reshape(-1, 2) * weight[:, None]
+
+        def layer_sum(p):
+            return np.einsum("ijmn,nj->mi", slp.full(p) + dlp.full(p), density)
+
+        values = np.full((len(targets), 2), np.nan)
     accepted = np.empty(len(targets), dtype=bool)
-    for rows, _, ok in _target_slabs(bie, targets):
+    for rows, ok, p in _target_slabs(bie, targets):
         accepted[rows] = ok
-    return accepted
+        if ok.any():
+            values[rows[ok]] = layer_sum(p)
+    return values, accepted
 
 
-def _evaluate(bie: DiscretizedBIE, targets, layer_sum, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with ``layer_sum(pairs)`` slab by slab over the targets,
-    raising NearFieldError for a target that :func:`far_exterior` refuses."""
-    for rows, p, ok in _target_slabs(bie, targets):
-        if not ok.all():
-            bad = targets[rows][~ok][0]
-            raise NearFieldError(
-                f"target {bad} inside the curve or within {NEAR_FIELD_FACTOR:g} "
-                "grid spacings of the boundary; refine or use a near-field scheme"
-            )
-        out[rows] = layer_sum(p)
-    return out
+def _accepted_field(bie: DiscretizedBIE, tau: np.ndarray, targets) -> np.ndarray:
+    """:func:`eval_field`'s values, raising NearFieldError if it refused a
+    target."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    values, accepted = eval_field(bie, tau, targets)
+    if not accepted.all():
+        raise NearFieldError(
+            f"target {targets[~accepted][0]} inside the curve or within "
+            f"{NEAR_FIELD_FACTOR:g} grid spacings of the boundary; refine or use "
+            "a near-field scheme"
+        )
+    return values
 
 
 def eval_helmholtz_potential(
@@ -292,19 +323,11 @@ def eval_helmholtz_potential(
     """Evaluate u = D[tau] - i*eta*S[tau] at well-separated exterior targets.
 
     The far-field integrand is smooth, so the plain PTR applies. Targets
-    that :func:`far_exterior` refuses raise :class:`NearFieldError`.
+    that :func:`eval_field` refuses raise :class:`NearFieldError`.
     """
     if bie.kind != "helmholtz" or bie.consts is None:
         raise AssemblyError("eval_helmholtz_potential requires a Helmholtz system")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    k = bie.consts.kappa
-    combined = kernels.helmholtz_combined(k)
-    density = bie.data.speed * bie.grid.h * tau
-
-    def layer_sum(p):
-        return combined.full(p) @ density
-
-    return _evaluate(bie, targets, layer_sum, np.empty(len(targets), dtype=complex))
+    return _accepted_field(bie, tau, targets)
 
 
 def eval_stokes_velocity(
@@ -312,15 +335,8 @@ def eval_stokes_velocity(
 ) -> np.ndarray:
     """Velocity of the combined representation u = S[tau] + D[tau] off-curve.
 
-    Targets that :func:`far_exterior` refuses raise :class:`NearFieldError`.
+    Targets that :func:`eval_field` refuses raise :class:`NearFieldError`.
     """
     if bie.kind != "stokes":
         raise AssemblyError("eval_stokes_velocity requires a Stokes system")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    slp, dlp = kernels.stokes_s(), kernels.stokes_d()
-    density = tau.reshape(-1, 2) * (bie.data.speed * bie.grid.h)[:, None]
-
-    def layer_sum(p):
-        return np.einsum("ijmn,nj->mi", slp.full(p) + dlp.full(p), density)
-
-    return _evaluate(bie, targets, layer_sum, np.empty((len(targets), 2)))
+    return _accepted_field(bie, tau, targets)

@@ -11,15 +11,15 @@ from zetatrap import geometry as geom
 def test_circle_jet_values():
     a = 2.0
     curve = geom.circle_curve(a)
-    for t in (0.0, 0.7, math.pi, 5.1):
-        j = geom.jet(curve, t)
-        assert np.allclose(j.pos, [a * math.cos(t), a * math.sin(t)], atol=1e-14)
-        assert abs(j.speed - a) <= 1e-14
-        # outward normal is the radial direction
-        assert np.allclose(j.normal, j.pos / a, atol=1e-14)
-        assert abs(j.curvature - 1.0 / a) <= 1e-14
-        # d2 . n = -a on a circle
-        assert abs(j.c0 - (-1.0 / (4 * math.pi * a))) <= 1e-15
+    t = np.array([0.0, 0.7, math.pi, 5.1])
+    s = geom.sample(curve, t)
+    assert np.allclose(s.pos, a * np.stack([np.cos(t), np.sin(t)], axis=1), atol=1e-14)
+    assert np.max(np.abs(s.speed - a)) <= 1e-14
+    # outward normal is the radial direction
+    assert np.allclose(s.normal, s.pos / a, atol=1e-14)
+    assert np.max(np.abs(s.curvature - 1.0 / a)) <= 1e-14
+    # d2 . n = -a on a circle
+    assert np.max(np.abs(s.c0 - (-1.0 / (4 * math.pi * a)))) <= 1e-15
 
 
 def test_star_derivatives_match_finite_differences():
@@ -48,16 +48,27 @@ def test_star_enclosed_area():
 
 
 def test_sample_matches_jet():
+    # rows of an array sample equal the sample at each scalar t, and the
+    # polar closed forms of the star p(t) = 1 + 0.3 cos 5t
     curve = geom.star_curve(1.0, 0.3, 5)
     t = np.array([0.2, 1.4, 3.3])
     s = geom.sample(curve, t)
     for i, ti in enumerate(t):
-        j = geom.jet(curve, float(ti))
+        j = geom.sample(curve, float(ti))
         assert np.allclose(s.pos[i], j.pos, atol=1e-15)
         assert abs(s.speed[i] - j.speed) <= 1e-15
         assert np.allclose(s.normal[i], j.normal, atol=1e-15)
         assert abs(s.c0[i] - j.c0) <= 1e-16
         assert abs(s.curvature[i] - j.curvature) <= 1e-14
+    p = 1.0 + 0.3 * np.cos(5 * t)
+    dp = -1.5 * np.sin(5 * t)
+    ddp = -7.5 * np.cos(5 * t)
+    speed2 = p * p + dp * dp
+    curvature = (p * p + 2 * dp * dp - p * ddp) / speed2**1.5
+    assert np.max(np.abs(s.speed - np.sqrt(speed2))) <= 1e-15
+    assert np.max(np.abs(s.curvature - curvature)) <= 1e-14
+    # d2 . n = -curvature speed^2, so c0 = -curvature / (4 pi)
+    assert np.max(np.abs(s.c0 + curvature / (4 * math.pi))) <= 1e-15
     assert np.allclose(
         np.einsum("ni,ni->n", s.normal, s.tangent), 0.0, atol=1e-15
     )
@@ -78,7 +89,7 @@ def test_curve_from_descriptor():
     )
     assert c.period == 2 * math.pi
     c2 = geom.curve_from_descriptor({"type": "circle", "radius": 2.0})
-    assert abs(geom.jet(c2, 0.0).pos[0] - 2.0) <= 1e-15
+    assert abs(geom.sample(c2, 0.0).pos[0] - 2.0) <= 1e-15
 
 
 def test_degenerate_parameterization():
@@ -91,6 +102,6 @@ def test_degenerate_parameterization():
         d2=lambda t: np.zeros(np.shape(t) + (2,)),
     )
     with pytest.raises(geom.DegenerateParameterizationError):
-        geom.jet(bad, 0.3)
+        geom.sample(bad, 0.3)
     with pytest.raises(geom.DegenerateParameterizationError):
         geom.sample(bad, np.array([0.0, 1.0]))

@@ -270,6 +270,62 @@ def test_run_field_masks_interior_points():
         )
 
 
+@pytest.mark.parametrize("problem", ["helmholtz", "stokes"])
+def test_run_field_walks_the_grid_once(problem, monkeypatch):
+    # one pass over the targets gives both the mask and the values; a row is
+    # masked where the public evaluator refuses its point, and otherwise holds
+    # the evaluator's value
+    if problem == "helmholtz":
+        cfg = harness.load_config(
+            {
+                "problem": "helmholtz",
+                "kappa": 5.0,
+                "methods": [{"name": "zeta", "K": 2}],
+                "N": [64],
+            }
+        )
+    else:
+        cfg = harness.default_stokes_config(N=[64])
+    spec = {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0, "nx": 9, "ny": 9}
+    walked = []
+    target_slabs = nystrom._target_slabs
+
+    def counted(bie, targets):
+        walked.append(len(targets))
+        return target_slabs(bie, targets)
+
+    monkeypatch.setattr(nystrom, "_target_slabs", counted)
+    rows = np.array(harness.run_field(cfg, spec, N=64))
+    assert walked == [81]
+    monkeypatch.undo()
+
+    pts = rows[:, :2]
+    bie = harness._assemble(cfg, cfg.methods[0], 64)
+    rep = harness._solve(cfg, bie)
+    if problem == "helmholtz":
+        evaluate = nystrom.eval_helmholtz_potential
+    else:
+        evaluate = nystrom.eval_stokes_velocity
+
+    def accepted(point):
+        try:
+            evaluate(bie, rep.solution, point)
+        except nystrom.NearFieldError:
+            return False
+        return True
+
+    far = np.array([accepted(p) for p in pts])
+    assert far.any() and not far.all()
+    np.testing.assert_array_equal(rows[:, 4], np.where(far, 0, 1))
+    ref = evaluate(bie, rep.solution, pts[far])
+    if problem == "helmholtz":
+        ref = np.stack([ref.real, ref.imag], axis=1)
+    else:
+        ref = ref + harness._shear_flow(cfg, pts[far])
+    np.testing.assert_array_equal(rows[far, 2:4], ref)
+    assert np.all(np.isnan(rows[~far, 2]))
+
+
 # --- stencil-table ingestion ------------------------------------------------
 
 

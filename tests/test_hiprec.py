@@ -79,10 +79,3 @@ def test_deterministic_output():
     w2 = hiprec.solve_dual_vandermonde(nodes, moments, digits=60)
     assert [mpmath.nstr(v, 50) for v in w1] == [mpmath.nstr(v, 50) for v in w2]
 
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("ZETATRAP_PRECISION_DIGITS", "80")
-    assert hiprec.working_digits() == 80
-    monkeypatch.setenv("ZETATRAP_PRECISION_DIGITS", "10")
-    with pytest.raises(ValueError):
-        hiprec.working_digits()

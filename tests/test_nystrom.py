@@ -17,9 +17,9 @@ STAR = star_curve(1.0, 0.3, 5)
 
 
 def test_combined_field_coupling():
-    assert ny.combined_field_coupling(12.5) == 12.5
-    assert ny.combined_field_coupling(12.5 + 10j) == 12.5
-    assert ny.combined_field_coupling(4j) == 4.0
+    assert kernels.combined_field_coupling(12.5) == 12.5
+    assert kernels.combined_field_coupling(12.5 + 10j) == 12.5
+    assert kernels.combined_field_coupling(4j) == 4.0
 
 
 def test_assembly_validation():
@@ -208,7 +208,7 @@ def test_combined_system_matches_separate_operators(kappa):
     N = 64
     consts = helmholtz_constants(kappa)
     grid = quad.make_grid(STAR.period, N)
-    eta = ny.combined_field_coupling(kappa)
+    eta = kernels.combined_field_coupling(kappa)
     for K in (2, 7, None):
         if K is None:
             method, stencil = "kress", None

@@ -4,6 +4,7 @@ import math
 
 import mpmath
 import numpy as np
+import oracle
 import pytest
 
 from zetatrap import zetaweights as zw
@@ -53,8 +54,8 @@ def test_domain_errors():
 
 def test_residual_double():
     for K in (0, 3, 7):
-        assert zw.residual_double(zw.build_log_stencil(K)) <= 1e-12
-    assert zw.residual_double(zw.build_pow_stencil(4, 0.25)) <= 1e-12
+        assert oracle.residual_double(zw.build_log_stencil(K)) <= 1e-12
+    assert oracle.residual_double(zw.build_pow_stencil(4, 0.25)) <= 1e-12
 
 
 def test_cache_determinism():
@@ -72,7 +73,6 @@ def test_cache_determinism():
 
 def test_every_log_stencil_certifies_on_the_first_solve(monkeypatch):
     # the first solve's precision grows with K, so no K <= MAX_K retries
-    monkeypatch.delenv("ZETATRAP_PRECISION_DIGITS", raising=False)
     monkeypatch.setattr(zw, "_cache", {})
     solve = zw.hiprec.solve_dual_vandermonde
     calls = []
@@ -130,7 +130,7 @@ def test_oracle_matches_converged_weights():
     # independent finite-h moment fitting, extrapolated to h -> 0
     for K in (0, 2, 4, 7):
         st = zw.build_log_stencil(K)
-        w = zw.oracle_weights_extrapolated(K)
+        w = oracle.oracle_weights_extrapolated(K)
         for j in range(K + 1):
             assert abs(w[j] - st.weights[j]) <= 1e-9
 
@@ -140,10 +140,10 @@ def test_oracle_convergence_rate():
     windows = {0: (3, 4, 5), 1: (3, 4, 5), 2: (4, 5, 6)}
     for K, qs in windows.items():
         st = zw.build_log_stencil(K)
-        cutoff = zw.CutoffSpec(b=1.0, m=K + 1)
+        cutoff = oracle.CutoffSpec(b=1.0, m=K + 1)
         errs = []
         for q in qs:
-            w = zw.oracle_stencil(K, 2.0**-q, cutoff)
+            w = oracle.oracle_stencil(K, 2.0**-q, cutoff)
             errs.append(max(abs(a - b) for a, b in zip(w, st.weights)))
         assert errs[0] > errs[1] > errs[2] > 0.0
         slope = np.polyfit([math.log(2.0**-q) for q in qs], np.log(errs), 1)[0]
@@ -151,10 +151,10 @@ def test_oracle_convergence_rate():
 
 
 def test_oracle_under_resolved_cutoff():
-    with pytest.raises(zw.UnderResolvedCutoffError):
-        zw.oracle_stencil(2, 0.5, zw.CutoffSpec(b=1.0, m=3))
+    with pytest.raises(oracle.UnderResolvedCutoffError):
+        oracle.oracle_stencil(2, 0.5, oracle.CutoffSpec(b=1.0, m=3))
 
 
 def test_oracle_cutoff_flatness_check():
     with pytest.raises(zw.StencilError):
-        zw.oracle_stencil(3, 0.01, zw.CutoffSpec(b=1.0, m=2))  # 2m < 2K+2
+        oracle.oracle_stencil(3, 0.01, oracle.CutoffSpec(b=1.0, m=2))  # 2m < 2K+2
