@@ -392,11 +392,17 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
     """Conditioning and GMRES iteration table at fixed N.
 
     Row schema: (method, order, Re kappa, Im kappa, cond2, iterations,
-    residual).
+    residual). An N above the dense SVD budget
+    :data:`~zetatrap.nystrom.COND_MAX_DIM` is a ConfigError, raised
+    before anything is assembled.
     """
     if cfg.problem != "helmholtz":
         raise ConfigError("the conditioning table is a Helmholtz experiment")
     check_grid(cfg.methods, N)
+    if N > nystrom.COND_MAX_DIM:
+        raise ConfigError(
+            f"N={N} exceeds the dense SVD budget of {nystrom.COND_MAX_DIM} unknowns"
+        )
     rows = []
     for method in cfg.methods:
         bie = _assemble(cfg, method, N)

@@ -10,9 +10,10 @@ gives three things for the quadrature rules and the evaluators:
 - ``limit(samples)``: the coincident limit of the smooth part at each
   node of a curve.
 
-The combined-field kernel D - i eta S is a kernel of its own, so that a
-rule or an evaluator reads H0 and H1 at each pair from one
-``hankel01_array`` call.
+The combined-field kernel D - i eta S and the combined Stokes kernel
+S + D are kernels of their own, so that a rule or an evaluator reads the
+radial factors of each pair once: H0 and H1 from one ``hankel01_array``
+call, or log r and r r^T/r^2.
 
 Conventions follow the operator normalizations used throughout the
 experiments: the Laplace SLP kernel is the bare -log r, the Helmholtz
@@ -49,6 +50,7 @@ __all__ = [
     "combined_field_coupling",
     "stokes_s",
     "stokes_d",
+    "stokes_combined",
 ]
 
 
@@ -115,8 +117,14 @@ def _eye(p: Pairs) -> np.ndarray:
 def _rr(p: Pairs) -> np.ndarray:
     """r_vec r_vec^T / r^2 as a (2, 2, ...) array, 0 at coincident pairs."""
     r = _nonzero(p.r)
-    u = np.stack([p.dx / r, p.dy / r])
-    return u[:, None] * u[None, :]
+    ux, uy = p.dx / r, p.dy / r
+    # One product per distinct component; ``...`` keeps 0-d slices views.
+    out = np.empty((2, 2) + r.shape)
+    np.multiply(ux, ux, out=out[0, 0, ...])
+    np.multiply(ux, uy, out=out[0, 1, ...])
+    out[1, 0] = out[0, 1]
+    np.multiply(uy, uy, out=out[1, 1, ...])
+    return out
 
 
 def _tt(s: CurveSamples) -> np.ndarray:
@@ -274,4 +282,31 @@ def stokes_d() -> Kernel:
         full=lambda p: _along(p, p.src_normal) / _nonzero(p.r) * _rr(p) / math.pi,
         phi=lambda p: np.zeros((2, 2) + np.shape(p.r)),
         limit=lambda s: (-s.curvature / 2) * _tt(s) / math.pi,
+    )
+
+
+def stokes_combined() -> Kernel:
+    """Combined Stokes kernel S + D of :func:`stokes_s` and :func:`stokes_d`:
+    -log r I/(4 pi) + r r^T/r^2 (1/(4 pi) + (r.n_src)/(pi r^2)).
+
+    ``full`` forms r r^T/r^2, (r.n_src)/r and log r once per pair and adds
+    the log term in place on the two diagonal components; phi is that of
+    S, as D has none, and the limit is the sum of the two limits.
+    """
+    s, d = stokes_s(), stokes_d()
+
+    def full(p):
+        r = _nonzero(p.r)
+        out = _rr(p)
+        out *= _along(p, p.src_normal) / (math.pi * r) + 1 / (4 * math.pi)
+        log = np.log(r)
+        log /= 4 * math.pi
+        out[0, 0] -= log
+        out[1, 1] -= log
+        return out
+
+    return Kernel(
+        full=full,
+        phi=s.phi,
+        limit=lambda data: s.limit(data) + d.limit(data),
     )

@@ -8,6 +8,12 @@ eta = Re kappa (falling back to |kappa| for purely imaginary kappa), see
 :func:`~zetatrap.kernels.combined_field_coupling`.
 Exterior Stokes flow past a body uses the combined single-plus-double
 representation with the system (I/2 + S + D) tau = -u_inf.
+
+Each system is assembled in one pass of its combined kernel
+(:func:`~zetatrap.kernels.helmholtz_combined` or
+:func:`~zetatrap.kernels.stokes_combined`) into one dense matrix, with
+I/2 added to its diagonal in place; the off-curve evaluators sum the
+same combined kernels.
 """
 
 from __future__ import annotations
@@ -126,14 +132,17 @@ def assemble_stokes(
     stencil: CorrectionStencil,
     method: str = "zeta",
 ) -> DiscretizedBIE:
-    """Combined Stokes system I/2 + S + D (node-major 2N unknowns)."""
+    """Combined Stokes system I/2 + S + D (node-major 2N unknowns).
+
+    S + D is built in one pass of the combined kernel
+    (:func:`~zetatrap.kernels.stokes_combined`) into one 2N x 2N matrix,
+    and I/2 is added to its diagonal in place.
+    """
     if method != "zeta":
         raise AssemblyError(f"unknown method {method!r} for the Stokes system")
     grid = quad.make_grid(curve.period, N)
     data = sample(curve, grid.nodes)
-    A, D = quad.stokes_matrices(curve, grid, stencil)
-    # In place: at N=2000 each 2N x 2N matrix is 128 MB.
-    A += D
+    A = quad.stokes_matrix(curve, grid, stencil, "combined")
     A[np.diag_indices_from(A)] += 0.5
     return DiscretizedBIE(
         kind="stokes", method=method, curve=curve, grid=grid, data=data, matrix=A
@@ -273,9 +282,10 @@ def eval_field(
 
     One pass over the targets decides acceptance and sums the layer
     potentials with the plain PTR at the accepted targets; the value at a
-    refused target is NaN. The field is u = D[tau] - i*eta*S[tau] for a
-    Helmholtz system, an (M,) complex array, and the velocity
-    S[tau] + D[tau] for a Stokes system, an (M, 2) array.
+    refused target is NaN, in both parts of a complex value. The field is
+    u = D[tau] - i*eta*S[tau] for a Helmholtz system, an (M,) complex
+    array, and the velocity S[tau] + D[tau] for a Stokes system, an
+    (M, 2) array.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     weight = bie.data.speed * bie.grid.h
@@ -286,13 +296,13 @@ def eval_field(
         def layer_sum(p):
             return combined.full(p) @ density
 
-        values = np.full(len(targets), np.nan, dtype=complex)
+        values = np.full(len(targets), complex(np.nan, np.nan))
     else:
-        slp, dlp = kernels.stokes_s(), kernels.stokes_d()
+        combined = kernels.stokes_combined()
         density = tau.reshape(-1, 2) * weight[:, None]
 
         def layer_sum(p):
-            return np.einsum("ijmn,nj->mi", slp.full(p) + dlp.full(p), density)
+            return np.einsum("ijmn,nj->mi", combined.full(p), density)
 
         values = np.full((len(targets), 2), np.nan)
     accepted = np.empty(len(targets), dtype=bool)

@@ -38,6 +38,7 @@ __all__ = [
     "slabs",
     "laplace_slp_matrix",
     "helmholtz_matrix",
+    "stokes_matrix",
     "stokes_matrices",
     "kress_log_matrix",
     "kress_helmholtz_operator",
@@ -176,24 +177,44 @@ def helmholtz_matrix(
     )
 
 
-def stokes_matrices(
-    curve: ParametricCurve, grid: TrapezoidGrid, stencil: CorrectionStencil
-):
-    """Dense 2N x 2N Stokes S and D operators (node-major [u1, u2] blocks).
+def stokes_matrix(
+    curve: ParametricCurve,
+    grid: TrapezoidGrid,
+    stencil: CorrectionStencil,
+    which: str,
+) -> np.ndarray:
+    """Dense 2N x 2N Stokes operator 'S', 'D', or 'combined' S + D
+    (node-major [u1, u2] blocks).
 
     Only the -log r I part of S is singular and takes the log correction;
     the rest of S and the whole of D use the plain PTR with their
-    analytic coincident limits on the diagonal.
+    analytic coincident limits on the diagonal. 'combined' builds S + D
+    in one pass of :func:`~zetatrap.kernels.stokes_combined`.
     """
+    make = {
+        "S": kernels.stokes_s,
+        "D": kernels.stokes_d,
+        "combined": kernels.stokes_combined,
+    }.get(which)
+    if make is None:
+        raise GridError(f"unknown operator {which!r}")
     data = sample(curve, grid.nodes)
     N = grid.N
-    S = np.empty((2 * N, 2 * N))
-    D = np.empty((2 * N, 2 * N))
-    for kernel, A in ((kernels.stokes_s(), S), (kernels.stokes_d(), D)):
-        # Component (i, j) of node block (m, n) is A[2m + i, 2n + j].
-        components = A.reshape(N, 2, N, 2).transpose(1, 3, 0, 2)
-        _corrected(kernel, data, grid.h, stencil, components)
-    return S, D
+    A = np.empty((2 * N, 2 * N))
+    # Component (i, j) of node block (m, n) is A[2m + i, 2n + j].
+    components = A.reshape(N, 2, N, 2).transpose(1, 3, 0, 2)
+    _corrected(make(), data, grid.h, stencil, components)
+    return A
+
+
+def stokes_matrices(
+    curve: ParametricCurve, grid: TrapezoidGrid, stencil: CorrectionStencil
+):
+    """The Stokes S and D operators of :func:`stokes_matrix`, one pass each."""
+    return (
+        stokes_matrix(curve, grid, stencil, "S"),
+        stokes_matrix(curve, grid, stencil, "D"),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,24 @@ def test_run_field_masks_interior_points():
         )
 
 
+def test_masked_helmholtz_rows_are_nan_in_both_columns(tmp_path, capsys):
+    # a refused point has no value: Re u and Im u are both NaN, in the rows
+    # of run_field and in the CSV of the field command
+    raw = {"problem": "helmholtz", "kappa": 5.0, "methods": [{"name": "zeta", "K": 2}]}
+    spec = {"xmin": -0.1, "xmax": 0.1, "ymin": -0.1, "ymax": 0.1, "nx": 2, "ny": 2}
+    rows = np.array(harness.run_field(harness.load_config(raw), spec, N=128))
+    assert np.all(rows[:, 4] == 1)
+    assert np.all(np.isnan(rows[:, 2:4]))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    argv = ["field", "--config", str(path), "--N", "128", "--nx", "2", "--ny", "2"]
+    argv += ["--xmin", "-0.1", "--xmax", "0.1", "--ymin", "-0.1", "--ymax", "0.1"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 5
+    assert all(line.split(",")[2:] == ["nan", "nan", "1"] for line in lines[1:])
+
+
 @pytest.mark.parametrize("problem", ["helmholtz", "stokes"])
 def test_run_field_walks_the_grid_once(problem, monkeypatch):
     # one pass over the targets gives both the mask and the values; a row is
@@ -481,6 +499,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     ):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cli_table1_over_the_svd_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # a system larger than the dense SVD budget is refused before assembly
+    def no_assembly(*args):
+        raise AssertionError("table1 assembled a system over the SVD budget")
+
+    monkeypatch.setattr(harness, "_assemble", no_assembly)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "helmholtz", "kappa": 5.0}))
+    N = nystrom.COND_MAX_DIM + 2
+    assert cli.main(["table1", "--config", str(path), "--N", str(N)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_ingest_check(tmp_path, capsys):

@@ -137,3 +137,16 @@ def test_laplace_d_winding():
     p = kn.pairs(targets[:, None], data.pos, data.normal)
     winding = kn.laplace_d().full(p) @ (data.speed * 2 * math.pi / N)
     assert np.allclose(winding, [-2 * math.pi, -2 * math.pi, 0.0, 0.0], atol=1e-10)
+
+
+def test_stokes_combined_is_s_plus_d():
+    # one pass of the combined kernel gives the sum of the Stokeslet and the
+    # stresslet, with S's phi and the sum of the two limits
+    N = 41
+    data = sample(star_curve(1.0, 0.3, 5), np.linspace(0, 2 * math.pi, N, endpoint=False))
+    p = _node_pairs(data, np.arange(N)[:, None], slice(None))
+    s, d, c = kn.stokes_s(), kn.stokes_d(), kn.stokes_combined()
+    ref = s.full(p) + d.full(p)
+    assert np.abs(c.full(p) - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.array_equal(c.phi(p), s.phi(p) + d.phi(p))
+    assert np.array_equal(c.limit(data), s.limit(data) + d.limit(data))

@@ -1,6 +1,8 @@
 """Assembly, linear-solve, and off-curve evaluation contracts."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,3 +240,31 @@ def test_combined_system_matches_separate_operators(kappa):
     old = (dlp.full(p) - 1j * eta * slp.full(p)) @ (weights * tau)
     new = ny.eval_helmholtz_potential(bie, tau, targets)
     assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("slab", [quad.SLAB_ROWS, 7])
+def test_combined_stokes_system_matches_separate_operators(slab):
+    # one combined pass gives I/2 + S + D of the separate S and D
+    N = 64
+    grid = quad.make_grid(STAR.period, N)
+    for K in (2, 7):
+        stencil = build_log_stencil(K)
+        with mock.patch.object(quad, "SLAB_ROWS", slab):
+            S, D = quad.stokes_matrices(STAR, grid, stencil)
+            A = ny.assemble_stokes(STAR, N, stencil).matrix
+        ref = 0.5 * np.eye(2 * N) + S + D
+        assert np.abs(A - ref).max() <= 1e-15 * np.abs(ref).max(), K
+
+
+def test_assemble_stokes_allocates_one_matrix():
+    # the system is written into one 2N x 2N matrix: the peak is that
+    # matrix plus the pair arrays of one slab, not a second matrix
+    N = 1024
+    stencil = build_log_stencil(7)
+    tracemalloc.start()
+    try:
+        bie = ny.assemble_stokes(STAR, N, stencil)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * bie.matrix.nbytes

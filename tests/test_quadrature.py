@@ -219,6 +219,17 @@ def test_stokes_dlp_constant_identity():
     assert np.max(np.abs(out - (-0.5) * c)) <= 1e-12
 
 
+def test_stokes_matrix_operators():
+    # stokes_matrices is stokes_matrix's S and D; other names are refused
+    g = _grid(STAR, 32)
+    st = build_log_stencil(2)
+    S, D = quad.stokes_matrices(STAR, g, st)
+    assert np.array_equal(S, quad.stokes_matrix(STAR, g, st, "S"))
+    assert np.array_equal(D, quad.stokes_matrix(STAR, g, st, "D"))
+    with pytest.raises(quad.GridError):
+        quad.stokes_matrix(STAR, g, st, "Dstar")
+
+
 def test_stokes_rotation_equivariance_on_circle():
     # on a circle the operator commutes with grid rotation: block (m+1, n+1)
     # is the block (m, n) conjugated by the rotation through one spacing
