@@ -80,7 +80,11 @@ def _load_config_or_exit(args):
 
 def _cmd_convergence(args) -> int:
     cfg = _load_config_or_exit(args)
-    rows, eoc_rows = harness.run_convergence(cfg)
+    try:
+        rows, eoc_rows = harness.run_convergence(cfg)
+    except harness.ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _write_csv(
         args.out,
         ["N", "method", "order", "max_rel_error", "assemble_s", "solve_s"],

@@ -114,6 +114,69 @@ def _default_targets() -> np.ndarray:
     return DEFAULT_TARGET_RADIUS * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _finite(value, what: str, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``, or ConfigError unless it converts
+    and every entry is finite."""
+    try:
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return arr
+
+
+def _points(value, what: str) -> np.ndarray:
+    """``value`` as a finite (n, 2) array with n >= 1."""
+    arr = _finite(value, what)
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
+        raise ConfigError(f"{what} must be a non-empty list of [x, y] points")
+    return arr
+
+
+def _kappa(raw, curve: ParametricCurve) -> complex:
+    """The wavenumber of a Helmholtz config, finite and nonzero."""
+    kappa = None
+    if "kappa" in raw:
+        k = raw["kappa"]
+        if isinstance(k, (list, tuple)):
+            parts = _finite(k, "kappa")
+            if parts.shape != (2,):
+                raise ConfigError(f"kappa as a list is [re, im], got {k!r}")
+            kappa = complex(parts[0], parts[1])
+        else:
+            kappa = complex(_finite(k, "kappa", complex))
+    if "wavelengths" in raw:
+        wavelengths = float(_finite(raw["wavelengths"], "wavelengths"))
+        if wavelengths <= 0:
+            raise ConfigError(f"wavelengths must be positive, got {wavelengths}")
+        implied = 2 * math.pi * wavelengths / _curve_diameter(curve)
+        if kappa is None:
+            kappa = complex(implied)
+        elif abs(kappa.real - implied) > 0.05 * implied:
+            raise ConfigError(
+                f"kappa {kappa} inconsistent with wavelengths spec "
+                f"(implies Re kappa = {implied:.4g})"
+            )
+    if kappa is None:
+        raise ConfigError("helmholtz config requires 'kappa' or 'wavelengths'")
+    if kappa == 0:
+        raise ConfigError("kappa must be nonzero: the kernels take log(kappa/2)")
+    if kappa.imag < 0:
+        raise ConfigError(
+            f"kappa {kappa} has Im kappa < 0: the exterior problem needs a "
+            "wave that decays or stays bounded away from the curve"
+        )
+    return kappa
+
+
 def _method_from_spec(spec) -> QuadratureMethod:
     if isinstance(spec, str):
         spec = {"name": spec}
@@ -122,9 +185,9 @@ def _method_from_spec(spec) -> QuadratureMethod:
         return QuadratureMethod(name="kress", label="kress")
     if name == "zeta":
         if "K" in spec:
-            K = int(spec["K"])
+            K = _integer(spec["K"], "K")
         elif "order" in spec:
-            order = int(spec["order"])
+            order = _integer(spec["order"], "order")
             if order < 2 or order % 2:
                 raise ConfigError(f"zeta order must be even and >= 2, got {order}")
             K = (order - 2) // 2
@@ -167,41 +230,30 @@ def load_config(source) -> ProblemConfig:
     if problem not in ("helmholtz", "stokes"):
         raise ConfigError(f"problem must be 'helmholtz' or 'stokes', got {problem!r}")
     curve = curve_from_descriptor(raw.get("curve", {"type": "star"}))
-    kappa = None
-    if problem == "helmholtz":
-        if "kappa" in raw:
-            k = raw["kappa"]
-            kappa = complex(k[0], k[1]) if isinstance(k, (list, tuple)) else complex(k)
-        if "wavelengths" in raw:
-            diam = _curve_diameter(curve)
-            implied = 2 * math.pi * float(raw["wavelengths"]) / diam
-            if kappa is None:
-                kappa = complex(implied)
-            elif abs(kappa.real - implied) > 0.05 * implied:
-                raise ConfigError(
-                    f"kappa {kappa} inconsistent with wavelengths spec "
-                    f"(implies Re kappa = {implied:.4g})"
-                )
-        if kappa is None:
-            raise ConfigError("helmholtz config requires 'kappa' or 'wavelengths'")
-        if kappa.imag < 0:
-            raise ConfigError(
-                f"kappa {kappa} has Im kappa < 0: the exterior problem needs a "
-                "wave that decays or stays bounded away from the curve"
-            )
+    kappa = _kappa(raw, curve) if problem == "helmholtz" else None
     methods = tuple(_method_from_spec(m) for m in raw.get("methods", [{"name": "zeta", "K": 7}]))
     if not methods:
         raise ConfigError("at least one quadrature method is required")
-    n_list = tuple(int(n) for n in raw.get("N", [64, 128, 256, 512]))
+    if problem == "stokes" and any(m.name == "kress" for m in methods):
+        raise ConfigError("the Kress rule is built for Helmholtz only, not for Stokes")
+    n_raw = raw.get("N", [64, 128, 256, 512])
+    if not isinstance(n_raw, (list, tuple)) or not n_raw:
+        raise ConfigError(f"N must be a non-empty list of grid sizes, got {n_raw!r}")
+    n_list = tuple(_integer(n, "N") for n in n_raw)
     for n in n_list:
         check_grid(methods, n)
-    sources = np.asarray(raw.get("sources", _default_sources()), dtype=float)
-    strengths = np.asarray(
-        raw.get("strengths", np.ones(len(sources))), dtype=complex
+    sources = _points(raw.get("sources", _default_sources()), "sources")
+    strengths = _finite(
+        raw.get("strengths", np.ones(len(sources))), "strengths", complex
     )
-    if len(strengths) != len(sources):
-        raise ConfigError("sources and strengths must have equal length")
-    targets = np.asarray(raw.get("targets", _default_targets()), dtype=float)
+    if strengths.shape != (len(sources),):
+        raise ConfigError("strengths must list one number per source")
+    targets = _points(raw.get("targets", _default_targets()), "targets")
+    shear_rate = float(_finite(raw.get("shear_rate", 5.0), "shear_rate"))
+    if problem == "stokes" and shear_rate == 0:
+        raise ConfigError(
+            "shear_rate must be nonzero: a zero flow has no relative error"
+        )
     cfg = ProblemConfig(
         problem=problem,
         curve=curve,
@@ -211,7 +263,7 @@ def load_config(source) -> ProblemConfig:
         sources=sources,
         strengths=strengths,
         targets=targets,
-        shear_rate=float(raw.get("shear_rate", 5.0)),
+        shear_rate=shear_rate,
     )
     _validate_points(cfg)
     return cfg
@@ -240,6 +292,12 @@ def _validate_points(cfg: ProblemConfig):
         sr = np.hypot(cfg.sources[:, 0], cfg.sources[:, 1])
         if np.any(sr >= tmin):
             raise ConfigError("sources must lie strictly inside the curve")
+        ref = known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
+        if not np.abs(ref).max() > 0:
+            raise ConfigError(
+                "the known solution vanishes at every target: no relative "
+                "error can be measured"
+            )
 
 
 def default_helmholtz_config(kappa: complex, **overrides) -> ProblemConfig:
@@ -326,11 +384,18 @@ def _solve(cfg: ProblemConfig, bie) -> nystrom.SolveReport:
 
 
 def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray):
-    """Solve the BIE for the configured data and evaluate at the targets."""
+    """Solve the BIE for the configured data and evaluate at the targets.
+
+    A target that the grid's near-field rule refuses is a ConfigError:
+    the config's targets and N do not fit together.
+    """
     rep = _solve(cfg, bie)
-    if cfg.problem == "helmholtz":
-        return rep, nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
-    flow = nystrom.eval_stokes_velocity(bie, rep.solution, targets)
+    try:
+        if cfg.problem == "helmholtz":
+            return rep, nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
+        flow = nystrom.eval_stokes_velocity(bie, rep.solution, targets)
+    except nystrom.NearFieldError as exc:
+        raise ConfigError(f"N={bie.grid.N}: {exc}") from None
     return rep, flow + _shear_flow(cfg, targets)
 
 
@@ -430,13 +495,19 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     Row schema, Helmholtz: (x, y, Re u, Im u, mask); Stokes:
     (x, y, u1, u2, mask). mask=1 flags points inside the curve or within
     the near-field cutoff (see :func:`nystrom.eval_field`), whose values
-    are emitted as NaN. Only the first configured method runs.
+    are emitted as NaN. Only the first configured method runs. The grid
+    needs nx, ny >= 1 and finite bounds; anything else is a ConfigError.
     """
     method = cfg.methods[0]
     check_grid([method], N)
-    nx, ny_ = int(grid_spec["nx"]), int(grid_spec["ny"])
-    xs = np.linspace(grid_spec["xmin"], grid_spec["xmax"], nx)
-    ys = np.linspace(grid_spec["ymin"], grid_spec["ymax"], ny_)
+    nx, ny_ = _integer(grid_spec["nx"], "nx"), _integer(grid_spec["ny"], "ny")
+    if nx < 1 or ny_ < 1:
+        raise ConfigError(f"the field grid needs nx, ny >= 1, got nx={nx}, ny={ny_}")
+    xmin, xmax, ymin, ymax = _finite(
+        [grid_spec[k] for k in ("xmin", "xmax", "ymin", "ymax")], "field grid bounds"
+    )
+    xs = np.linspace(xmin, xmax, nx)
+    ys = np.linspace(ymin, ymax, ny_)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     bie = _assemble(cfg, method, N)
     vals, far = nystrom.eval_field(bie, _solve(cfg, bie).solution, pts)

@@ -10,10 +10,33 @@ gives three things for the quadrature rules and the evaluators:
 - ``limit(samples)``: the coincident limit of the smooth part at each
   node of a curve.
 
+Radial-factor contract. ``full`` and ``phi`` are each formed in two
+steps, so that a rule can evaluate the costly part of a pair once for
+the pair (m, n) and its mirror (n, m):
+
+- ``radial(p)`` gives the symmetric factors of ``full``: a tuple of
+  arrays shaped like ``p.r`` (after any leading component axes) whose
+  values at (m, n) are bit for bit those at (n, m). They are functions
+  of r alone: H0 and/or H1 of kappa r for Helmholtz (H0 and H1 from one
+  ``hankel01_array`` call for the combined kernel), log r for Laplace,
+  log r and r r^T/r^2 for Stokes (log r/(4 pi) for S + D). At
+  coincident pairs r is taken as 1, where every kernel is finite.
+- ``full_of(p, f)`` forms the kernel from those factors and the pairs'
+  directions and normals; ``full(p)`` is ``full_of(p, radial(p))``.
+- ``phi_radial(p, f)`` gives the symmetric factors of phi: J0/J1 of
+  kappa r for Helmholtz, none for Laplace and Stokes. Given f =
+  ``radial(p)`` at real positive kappa, J0 and J1 are the real parts of
+  H0 and H1, which hold exactly the ``j0``/``j1`` bits, and no Bessel
+  routine runs; at coincident pairs they then hold J(kappa), not J(0).
+  With f None they are evaluated at kappa r, J(0) at coincident pairs.
+- ``phi_of(p, g)`` forms phi from those factors; ``phi(p)`` is
+  ``phi_of(p, phi_radial(p, None))``.
+
+Neither ``full_of`` nor ``phi_of`` writes into its factors.
+
 The combined-field kernel D - i eta S and the combined Stokes kernel
 S + D are kernels of their own, so that a rule or an evaluator reads the
-radial factors of each pair once: H0 and H1 from one ``hankel01_array``
-call, or log r and r r^T/r^2.
+radial factors of each pair once.
 
 Conventions follow the operator normalizations used throughout the
 experiments: the Laplace SLP kernel is the bare -log r, the Helmholtz
@@ -86,11 +109,21 @@ class Pairs:
 
 
 class Kernel(NamedTuple):
-    """The three array functions of one kernel (see the module docstring)."""
+    """The array functions of one kernel (see the module docstring)."""
 
-    full: Callable[[Pairs], np.ndarray]
-    phi: Callable[[Pairs], np.ndarray]
+    radial: Callable[[Pairs], tuple]
+    full_of: Callable[[Pairs, tuple], np.ndarray]
+    phi_radial: Callable[[Pairs, tuple | None], tuple]
+    phi_of: Callable[[Pairs, tuple], np.ndarray]
     limit: Callable[[CurveSamples], np.ndarray]
+
+    def full(self, p: Pairs) -> np.ndarray:
+        """The kernel at every pair."""
+        return self.full_of(p, self.radial(p))
+
+    def phi(self, p: Pairs) -> np.ndarray:
+        """phi at every pair, phi(0) at coincident ones."""
+        return self.phi_of(p, self.phi_radial(p, None))
 
 
 def pairs(targets, sources, src_normal=None, tgt_normal=None) -> Pairs:
@@ -133,14 +166,22 @@ def _tt(s: CurveSamples) -> np.ndarray:
     return t[:, None] * t[None, :]
 
 
+
+
+def _no_factors(p: Pairs, f=None) -> tuple:
+    return ()
+
+
 def laplace_s() -> Kernel:
     """-log r: phi = 1 and the smooth part is 0.
 
     Speed factors are applied by the quadrature rules.
     """
     return Kernel(
-        full=lambda p: -np.log(_nonzero(p.r)),
-        phi=lambda p: np.ones_like(p.r),
+        radial=lambda p: (np.log(_nonzero(p.r)),),
+        full_of=lambda p, f: -f[0],
+        phi_radial=_no_factors,
+        phi_of=lambda p, g: np.ones_like(p.r),
         limit=lambda s: np.zeros_like(s.speed),
     )
 
@@ -152,8 +193,10 @@ def laplace_d() -> Kernel:
     at targets outside. No log singularity; the limit is -curvature/2.
     """
     return Kernel(
-        full=lambda p: _along(p, p.src_normal) / _nonzero(p.r),
-        phi=lambda p: np.zeros_like(p.r),
+        radial=_no_factors,
+        full_of=lambda p, f: _along(p, p.src_normal) / _nonzero(p.r),
+        phi_radial=_no_factors,
+        phi_of=lambda p, g: np.zeros_like(p.r),
         limit=lambda s: -s.curvature / 2,
     )
 
@@ -167,6 +210,18 @@ def _wavenumber(kappa: complex) -> complex | float:
     """
     k = complex(kappa)
     return k.real if k.imag == 0 and k.real > 0 else k
+
+
+def _bessel_j(k, p: Pairs, hankel: tuple | None, orders: tuple) -> tuple:
+    """J_n(kappa r) for each n of ``orders``.
+
+    On the real route they are the real parts of ``hankel``, the
+    H_n(kappa r) of the same orders, when it is given; otherwise they are
+    evaluated at kappa p.r.
+    """
+    if hankel is not None and isinstance(k, float):
+        return tuple(h.real for h in hankel)
+    return tuple(bessel_j_array(n, k * p.r) for n in orders)
 
 
 def _single_layer(h0):
@@ -188,8 +243,10 @@ def helmholtz_s(kappa: complex) -> Kernel:
     k = _wavenumber(kappa)
     c = helmholtz_constants(kappa).c_gamma / (2 * math.pi)
     return Kernel(
-        full=lambda p: _single_layer(hankel1_array(0, k * _nonzero(p.r))),
-        phi=lambda p: bessel_j_array(0, k * p.r) / (2 * math.pi),
+        radial=lambda p: (hankel1_array(0, k * _nonzero(p.r)),),
+        full_of=lambda p, f: _single_layer(f[0]),
+        phi_radial=lambda p, f: _bessel_j(k, p, f, (0,)),
+        phi_of=lambda p, g: g[0] / (2 * math.pi),
         limit=lambda s: np.full(s.speed.shape, c),
     )
 
@@ -201,10 +258,10 @@ def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
         return sign * _along(p, normal(p))
 
     return Kernel(
-        full=lambda p: _normal_derivative(
-            k, hankel1_array(1, k * _nonzero(p.r)), along(p)
-        ),
-        phi=lambda p: k * bessel_j_array(1, k * p.r) * along(p) / (2 * math.pi),
+        radial=lambda p: (hankel1_array(1, k * _nonzero(p.r)),),
+        full_of=lambda p, f: _normal_derivative(k, f[0], along(p)),
+        phi_radial=lambda p, f: _bessel_j(k, p, f, (1,)),
+        phi_of=lambda p, g: k * g[0] * along(p) / (2 * math.pi),
         limit=lambda s: s.c0,
     )
 
@@ -240,23 +297,26 @@ def combined_field_coupling(kappa: complex) -> float:
 def helmholtz_combined(kappa: complex) -> Kernel:
     """Combined-field kernel D - i eta S, eta = combined_field_coupling(kappa).
 
-    ``full`` evaluates H0 and H1 at each pair in one
-    :func:`~zetatrap.specfun.hankel01_array` call; phi and the limit are
-    those of :func:`helmholtz_d` and :func:`helmholtz_s`, combined.
+    Its radial factors are H0 and H1 from one
+    :func:`~zetatrap.specfun.hankel01_array` call, and those of phi are
+    J0 and J1; phi and the limit are those of :func:`helmholtz_d` and
+    :func:`helmholtz_s`, combined.
     """
     k = _wavenumber(kappa)
     s, d = helmholtz_s(kappa), helmholtz_d(kappa)
     coupling = -1j * combined_field_coupling(kappa)
 
-    def full(p):
-        h0, h1 = hankel01_array(k * _nonzero(p.r))
+    def full_of(p, f):
+        h0, h1 = f
         out = _normal_derivative(k, h1, _along(p, p.src_normal))
         out += coupling * _single_layer(h0)
         return out
 
     return Kernel(
-        full=full,
-        phi=lambda p: d.phi(p) + coupling * s.phi(p),
+        radial=lambda p: hankel01_array(k * _nonzero(p.r)),
+        full_of=full_of,
+        phi_radial=lambda p, f: _bessel_j(k, p, f, (0, 1)),
+        phi_of=lambda p, g: d.phi_of(p, g[1:]) + coupling * s.phi_of(p, g[:1]),
         limit=lambda data: d.limit(data) + coupling * s.limit(data),
     )
 
@@ -266,9 +326,12 @@ def stokes_s() -> Kernel:
 
     The smooth part r r^T/(4 pi r^2) tends to t t^T/(4 pi).
     """
+
     return Kernel(
-        full=lambda p: (-np.log(_nonzero(p.r)) * _eye(p) + _rr(p)) / (4 * math.pi),
-        phi=lambda p: _eye(p) * np.ones_like(p.r) / (4 * math.pi),
+        radial=lambda p: (np.log(_nonzero(p.r)), _rr(p)),
+        full_of=lambda p, f: (-f[0] * _eye(p) + f[1]) / (4 * math.pi),
+        phi_radial=_no_factors,
+        phi_of=lambda p, g: _eye(p) * np.ones_like(p.r) / (4 * math.pi),
         limit=lambda s: _tt(s) / (4 * math.pi),
     )
 
@@ -278,35 +341,47 @@ def stokes_d() -> Kernel:
 
     It tends to (1/pi)(-curvature/2) t t^T.
     """
+
     return Kernel(
-        full=lambda p: _along(p, p.src_normal) / _nonzero(p.r) * _rr(p) / math.pi,
-        phi=lambda p: np.zeros((2, 2) + np.shape(p.r)),
+        radial=lambda p: (_rr(p),),
+        full_of=lambda p, f: (
+            _along(p, p.src_normal) / _nonzero(p.r) * f[0] / math.pi
+        ),
+        phi_radial=_no_factors,
+        phi_of=lambda p, g: np.zeros((2, 2) + np.shape(p.r)),
         limit=lambda s: (-s.curvature / 2) * _tt(s) / math.pi,
     )
+
+
+def _log_over_4pi(p: Pairs) -> np.ndarray:
+    log = np.log(_nonzero(p.r))
+    log /= 4 * math.pi
+    return log
 
 
 def stokes_combined() -> Kernel:
     """Combined Stokes kernel S + D of :func:`stokes_s` and :func:`stokes_d`:
     -log r I/(4 pi) + r r^T/r^2 (1/(4 pi) + (r.n_src)/(pi r^2)).
 
-    ``full`` forms r r^T/r^2, (r.n_src)/r and log r once per pair and adds
-    the log term in place on the two diagonal components; phi is that of
-    S, as D has none, and the limit is the sum of the two limits.
+    Its radial factors are log r/(4 pi) and r r^T/r^2, shared by S and D;
+    ``full_of`` scales r r^T/r^2 once and subtracts the log term on the
+    two diagonal components. phi is that of S, as D has none, and the
+    limit is the sum of the two limits.
     """
     s, d = stokes_s(), stokes_d()
 
-    def full(p):
+    def full_of(p, f):
+        log, rr = f
         r = _nonzero(p.r)
-        out = _rr(p)
-        out *= _along(p, p.src_normal) / (math.pi * r) + 1 / (4 * math.pi)
-        log = np.log(r)
-        log /= 4 * math.pi
+        out = rr * (_along(p, p.src_normal) / (math.pi * r) + 1 / (4 * math.pi))
         out[0, 0] -= log
         out[1, 1] -= log
         return out
 
     return Kernel(
-        full=full,
-        phi=s.phi,
+        radial=lambda p: (_log_over_4pi(p), _rr(p)),
+        full_of=full_of,
+        phi_radial=_no_factors,
+        phi_of=s.phi_of,
         limit=lambda data: s.limit(data) + d.limit(data),
     )

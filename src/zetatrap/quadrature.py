@@ -2,7 +2,7 @@
 
 Both rules turn a :class:`~zetatrap.kernels.Kernel` into the dense
 matrix that multiplies density samples at the grid nodes; they read the
-kernel's three arrays and no formula of their own.
+kernel's array functions and no formula of their own.
 
 - corrected: the punctured trapezoidal matrix kernel*speed*h, plus on
   the ±j cyclic diagonals (j = 1..K) the correction h*w_j*phi*speed,
@@ -13,8 +13,19 @@ kernel's three arrays and no formula of their own.
   part through the plain PTR with the analytic diagonal
   speed*(L - phi(0)*log speed).
 
-Each rule fills the matrix one slab of SLAB_ROWS target rows at a time,
-so that only a slab's worth of pair arrays is alive at once.
+Both rules fill the matrix in one tile loop. The node range is cut into
+slabs of SLAB_ROWS; for each slab pair (I, J) with J >= I, in row-major
+order of (I, J), the loop forms the pairs once and evaluates the
+kernel's radial factors once (see :mod:`~zetatrap.kernels`). It writes
+tile (I, J) and then the mirror tile (J, I), which reads the same
+factors transposed, with r_vec negated and the two normals exchanged,
+since r_mn = r_nm. The Kress rule also takes phi's factors per tile pair.
+Each tile is written with one slice assignment per component plane: a
+Stokes tile, a contiguous (2, 2, |I|, |J|) block, goes through the four
+(N, N) planes of the node-major 2N x 2N matrix. The band and diagonal
+corrections of the corrected rule, and the Kress diagonal, follow in a
+pass over row slabs. At most one tile pair of pair arrays,
+O(SLAB_ROWS^2), is alive at once, where a row slab held SLAB_ROWS x N.
 """
 
 from __future__ import annotations
@@ -46,7 +57,11 @@ __all__ = [
 ]
 
 MIN_NODES = 16
-SLAB_ROWS = 256
+# Tile edge of the matrix rules and slab height of the off-curve targets.
+# On the assembly mix of the benchmark workloads 128 ran faster than 256
+# (smaller diagonal tiles, tile arrays that stay in cache) and than 64
+# (more tiles per Stokes matrix).
+SLAB_ROWS = 128
 
 
 class GridError(ValueError):
@@ -109,30 +124,77 @@ def _node_pairs(data: CurveSamples, tgt, src) -> kernels.Pairs:
     )
 
 
+def _planes(a: np.ndarray, lead: int) -> list:
+    """The sub-arrays of ``a`` at each index of its ``lead`` leading axes.
+
+    A Stokes matrix is written one component plane at a time: an
+    assignment to its (2, 2, N, N) view would run its innermost loop
+    over the two interleaved components.
+    """
+    return [a[c] for c in np.ndindex(a.shape[:lead])]
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last two axes swapped, C-contiguous."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
+def _tiles(kernel: kernels.Kernel, data: CurveSamples, with_phi: bool):
+    """(I, J, pairs, radial factors, phi factors) of every tile of the N x N
+    pair grid, I and J slices of at most SLAB_ROWS nodes.
+
+    The factors are evaluated for tiles with J >= I; the mirror tile (J, I)
+    follows at once with the same factors transposed. Without ``with_phi``
+    the phi factors are empty.
+    """
+    N = len(data.speed)
+    edges = [slice(s, min(s + SLAB_ROWS, N)) for s in range(0, N, SLAB_ROWS)]
+    for a, I in enumerate(edges):
+        for J in edges[a:]:
+            p = kernels.pairs(
+                data.pos[I, None], data.pos[J], data.normal[J], data.normal[I, None]
+            )
+            f = kernel.radial(p)
+            g = kernel.phi_radial(p, f) if with_phi else ()
+            yield I, J, p, f, g
+            if J != I:
+                mirror = kernels.Pairs(
+                    -_swap(p.dx),
+                    -_swap(p.dy),
+                    _swap(p.r),
+                    data.normal[I],
+                    data.normal[J, None],
+                )
+                yield J, I, mirror, tuple(map(_swap, f)), tuple(map(_swap, g))
+
+
 def _corrected(kernel: kernels.Kernel, data, h, stencil, out) -> np.ndarray:
     """Fill ``out`` (..., N, N) with the zeta-corrected matrix of ``kernel``."""
     N = len(data.speed)
     _check_stencil(stencil, N, "log")
+    lead = out.ndim - 2
+    planes = _planes(out, lead)
+    for I, J, p, f, _ in _tiles(kernel, data, with_phi=False):
+        block = kernel.full_of(p, f)
+        block *= data.speed[J]
+        block *= h
+        for plane, tile in zip(planes, _planes(block, lead)):
+            plane[I, J] = tile
     w = np.asarray(stencil.weights)
     j = np.arange(1, stencil.K + 1)
     offsets = np.concatenate([j, -j])
     band_w = np.concatenate([w[1:], w[1:]])
     limit = kernel.limit(data)
     for rows in slabs(N):
-        i = rows - rows[0]
-        p = _node_pairs(data, rows[:, None], slice(None))
-        block = kernel.full(p)
-        block *= data.speed
-        block *= h
         cols = (rows[:, None] + offsets) % N
         phi = kernel.phi(_node_pairs(data, rows[:, None], cols))
-        block[..., i[:, None], cols] += h * band_w * phi * data.speed[cols]
+        band = h * band_w * phi * data.speed[cols]
         phi0 = kernel.phi(_node_pairs(data, rows, rows))
         sp = data.speed[rows]
-        block[..., i, rows] = h * sp * (
-            limit[..., rows] + phi0 * (2 * w[0] - np.log(sp * h))
-        )
-        out[..., rows, :] = block
+        diag = h * sp * (limit[..., rows] + phi0 * (2 * w[0] - np.log(sp * h)))
+        for plane, b, d in zip(planes, _planes(band, lead), _planes(diag, lead)):
+            plane[rows[:, None], cols] += b
+            plane[rows, rows] = d
     return out
 
 
@@ -250,25 +312,22 @@ def _kress(kernel: kernels.Kernel, data, h, out) -> np.ndarray:
     """Fill ``out`` (N, N) with the Kress discretization of ``kernel``."""
     N = len(data.speed)
     R = _kress_log_column(N)
+    n = np.arange(N)
     # log(4 sin^2(pi d/N)) at lag d, from the nearer of d and N - d so that
     # lags close to N keep their relative accuracy.
-    d = np.minimum(np.arange(N), N - np.arange(N))
+    d = np.minimum(n, N - n)
     logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
-    limit = kernel.limit(data)
-    for rows in slabs(N):
-        i = rows - rows[0]
-        lag = (rows[:, None] - np.arange(N)) % N
-        p = _node_pairs(data, rows[:, None], slice(None))
-        phi = kernel.phi(p)
-        phi_sp = phi * data.speed
-        block = R[lag] * (-phi_sp / 2) + h * (
-            kernel.full(p) * data.speed + phi_sp * logsin[lag] / 2
+    for I, J, p, f, g in _tiles(kernel, data, with_phi=True):
+        lag = (n[I, None] - n[J]) % N
+        phi_sp = kernel.phi_of(p, g) * data.speed[J]
+        out[I, J] = R[lag] * (-phi_sp / 2) + h * (
+            kernel.full_of(p, f) * data.speed[J] + phi_sp * logsin[lag] / 2
         )
-        phi0, sp = phi[i, rows], data.speed[rows]
-        block[i, rows] = R[0] * (-phi0 * sp / 2) + h * sp * (
-            limit[rows] - phi0 * np.log(sp)
-        )
-        out[rows] = block
+    # The tiles' diagonal read the factors at r = 1; phi(0) replaces them.
+    phi0, sp = kernel.phi(_node_pairs(data, n, n)), data.speed
+    out[n, n] = R[0] * (-phi0 * sp / 2) + h * sp * (
+        kernel.limit(data) - phi0 * np.log(sp)
+    )
     return out
 
 

@@ -1,10 +1,16 @@
 """Config loading, experiment drivers, stencil-table ingestion, and CLI."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from zetatrap import cli, harness, kernels, nystrom, specfun
 from zetatrap.kernels import helmholtz_constants
@@ -532,3 +538,163 @@ def test_cli_ingest_check(tmp_path, capsys):
 
     assert cli.main(["ingest-check", str(tmp_path / "missing.txt")]) == 2
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+# --- input contract -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+@pytest.mark.parametrize(
+    "field", ["sources", "strengths", "targets", "kappa", "shear_rate"]
+)
+def test_non_finite_config_values_exit_2(field, bad, tmp_path, capsys):
+    # a NaN source used to run to a max relative error of 1.53 with exit 0,
+    # an inf target to end in a NearFieldError traceback
+    raw = {
+        "problem": "helmholtz",
+        "kappa": 5.0,
+        "N": [32],
+        "methods": [{"name": "zeta", "K": 2}],
+        "sources": [[0.1, 0.0], [0.0, 0.2]],
+        "strengths": [1.0, 0.5],
+        "targets": [[2.0, 0.0], [0.0, 2.5]],
+        "shear_rate": 5.0,
+    }
+    if field == "kappa":
+        raw["kappa"] = bad
+    elif field == "shear_rate":
+        raw["shear_rate"] = bad
+    elif field == "strengths":
+        raw["strengths"] = [1.0, bad]
+    else:
+        raw[field][1][0] = bad
+    with pytest.raises(harness.ConfigError, match=field):
+        harness.load_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_config_rejects_empty_zero_and_malformed_values():
+    base = {
+        "problem": "helmholtz",
+        "kappa": 5.0,
+        "N": [32],
+        "methods": [{"name": "zeta", "K": 1}],
+    }
+    for fields in (
+        {"sources": []},
+        {"targets": []},
+        {"sources": [0.1, 0.2]},
+        {"strengths": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]},
+        {"strengths": [0.0, 0.0, 0.0]},
+        {"kappa": 0.0},
+        {"kappa": [12.5]},
+        {"kappa": None},
+        {"wavelengths": -2.0},
+        {"N": []},
+        {"N": [math.inf]},
+        {"methods": [{"name": "zeta", "K": math.inf}]},
+        {"problem": "stokes", "shear_rate": 0.0},
+    ):
+        with pytest.raises(harness.ConfigError):
+            harness.load_config({**base, **fields})
+
+
+_GRID = {"nx": 2, "ny": 2, "xmin": 2.0, "xmax": 3.0, "ymin": -1.0, "ymax": 1.0}
+
+
+def _field_argv(path, **grid):
+    spec = {**_GRID, **grid}
+    argv = ["field", "--config", path, "--N", "32"]
+    return argv + [f"--{key}={value}" for key, value in spec.items()]
+
+
+def test_field_grid_is_validated(tmp_path, capsys):
+    # --nx -1 used to end in numpy's ValueError traceback, --xmin nan to
+    # write all-NaN rows with exit 0
+    path = tmp_path / "cfg.json"
+    raw = {"problem": "helmholtz", "kappa": 5.0, "methods": [{"name": "zeta", "K": 2}]}
+    path.write_text(json.dumps(raw))
+    cfg = harness.load_config(str(path))
+    for grid in (
+        {"nx": -1},
+        {"ny": 0},
+        {"xmin": math.nan},
+        {"ymax": math.inf},
+        {"ymin": -math.inf},
+    ):
+        with pytest.raises(harness.ConfigError):
+            harness.run_field(cfg, {**_GRID, **grid}, N=32)
+        assert cli.main(_field_argv(str(path), **grid)) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    assert cli.main(_field_argv(str(path))) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -1.5, 0.0]
+_number = hst.one_of(hst.sampled_from(_SPECIAL), hst.floats(-4.0, 4.0))
+_point = hst.lists(_number, min_size=0, max_size=3)
+_points = hst.one_of(hst.just([]), hst.lists(_point, min_size=1, max_size=3))
+_method = hst.one_of(
+    hst.just("kress"),
+    hst.fixed_dictionaries(
+        {"name": hst.just("zeta"), "K": hst.sampled_from([-1, 0, 1, 2])}
+    ),
+)
+_config = hst.fixed_dictionaries(
+    {"problem": hst.sampled_from(["helmholtz", "stokes"])},
+    optional={
+        "kappa": hst.one_of(_number, hst.lists(_number, min_size=0, max_size=3)),
+        "sources": _points,
+        "strengths": hst.lists(_number, min_size=0, max_size=3),
+        "targets": _points,
+        "shear_rate": _number,
+        "N": hst.lists(hst.sampled_from([-16, 0, 16, 17, 24, 32]), max_size=2),
+        "methods": hst.lists(_method, min_size=0, max_size=2),
+    },
+)
+
+
+def _run_cli(argv):
+    # cli.main must return its exit code: a traceback fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return cli.main(argv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=_config)
+def test_fuzzed_configs_exit_0_or_2(raw):
+    # random configs with NaN, inf, negative, zero and empty values, at tiny
+    # sizes: the Stokes reference is computed at N = 64, not 2000
+    small_reference = mock.patch.object(harness, "STOKES_REFERENCE_N", 64)
+    with tempfile.TemporaryDirectory() as tmp, small_reference:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        argv = ["convergence", "--config", path, "--out", f"{tmp}/out.csv"]
+        assert _run_cli(argv) in (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=hst.sampled_from([-8, 16, 24, 33]),
+    nx=hst.sampled_from([-1, 0, 1, 3]),
+    ny=hst.sampled_from([-1, 0, 1, 3]),
+    bounds=hst.lists(_number, min_size=4, max_size=4),
+    problem=hst.sampled_from(["helmholtz", "stokes"]),
+)
+def test_fuzzed_field_grids_exit_0_or_2(N, nx, ny, bounds, problem):
+    raw = {"problem": problem, "kappa": 5.0, "methods": [{"name": "zeta", "K": 2}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        argv = ["field", "--config", path, f"--N={N}", f"--nx={nx}", f"--ny={ny}"]
+        argv += [f"--{k}={v}" for k, v in zip(("xmin", "xmax", "ymin", "ymax"), bounds)]
+        argv += ["--out", f"{tmp}/field.csv"]
+        assert _run_cli(argv) in (0, 2)

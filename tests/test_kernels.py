@@ -150,3 +150,35 @@ def test_stokes_combined_is_s_plus_d():
     assert np.abs(c.full(p) - ref).max() <= 1e-15 * np.abs(ref).max()
     assert np.array_equal(c.phi(p), s.phi(p) + d.phi(p))
     assert np.array_equal(c.limit(data), s.limit(data) + d.limit(data))
+
+
+def test_radial_factors_are_symmetric_and_give_full_and_phi():
+    # radial(p) of the pairs (m, n) is, bit for bit, the transpose of that of
+    # (n, m); phi from radial(p)'s own factors equals phi(p) off the
+    # coincident pairs, with no Bessel call on the real route
+    N = 23
+    t = np.linspace(0, 2 * math.pi, N, endpoint=False)
+    data = sample(star_curve(1.0, 0.3, 5), t)
+    idx = np.arange(N)
+    fwd = _node_pairs(data, idx[:8, None], idx[8:])
+    rev = _node_pairs(data, idx[8:, None], idx[:8])
+    kernels = [kn.laplace_s(), kn.laplace_d()]
+    kernels += [kn.stokes_s(), kn.stokes_d(), kn.stokes_combined()]
+    for kappa in (12.5, 12.5 + 10j, -4.0):
+        kernels += [
+            kn.helmholtz_s(kappa),
+            kn.helmholtz_d(kappa),
+            kn.helmholtz_dstar(kappa),
+            kn.helmholtz_combined(kappa),
+        ]
+    for kernel in kernels:
+        f, f_rev = kernel.radial(fwd), kernel.radial(rev)
+        assert len(f) == len(f_rev)
+        for a, b in zip(f, f_rev):
+            assert np.array_equal(a, np.swapaxes(b, -1, -2))
+        assert np.array_equal(kernel.full_of(fwd, f), kernel.full(fwd))
+        phi = kernel.phi_of(fwd, kernel.phi_radial(fwd, f))
+        assert np.array_equal(phi, kernel.phi(fwd))
+    real = kn.helmholtz_combined(12.5)
+    f = real.radial(fwd)
+    assert all(np.shares_memory(j, h) for j, h in zip(real.phi_radial(fwd, f), f))

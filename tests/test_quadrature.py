@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from zetatrap import kernels
 from zetatrap import quadrature as quad
 from zetatrap.geometry import circle_curve, sample, star_curve
 from zetatrap.kernels import helmholtz_constants
@@ -247,3 +248,155 @@ def test_stokes_rotation_equivariance_on_circle():
             lhs = block(A, (m + 1) % g.N, (n + 1) % g.N)
             rhs = Q @ block(A, m, n) @ Q.T
             assert np.max(np.abs(lhs - rhs)) <= 1e-13
+
+
+# --- one tile loop ------------------------------------------------------------
+
+
+def test_tile_loop_evaluates_each_pair_once(monkeypatch):
+    # hankel01_array sees each unordered pair once (whole diagonal tiles
+    # included): at most N(N + SLAB_ROWS)/2 points, where a row-by-row fill
+    # reaches N^2; the real-kappa Kress rule takes J0/J1 from those values
+    # and calls bessel_j_array on the N diagonal pairs only
+    N, slab = 64, 7
+    g = _grid(STAR, N)
+    consts = helmholtz_constants(12.5)
+    hankel_points, bessel_sizes = [], []
+    hankel01, bessel_j = kernels.hankel01_array, kernels.bessel_j_array
+
+    def counted_hankel01(z):
+        hankel_points.append(np.size(z))
+        return hankel01(z)
+
+    def counted_bessel_j(order, z):
+        bessel_sizes.append(np.size(z))
+        return bessel_j(order, z)
+
+    monkeypatch.setattr(kernels, "hankel01_array", counted_hankel01)
+    monkeypatch.setattr(kernels, "bessel_j_array", counted_bessel_j)
+    monkeypatch.setattr(quad, "SLAB_ROWS", slab)
+    quad.helmholtz_matrix(STAR, g, consts, build_log_stencil(3), "combined")
+    assert 0 < sum(hankel_points) <= N * (N + slab) // 2
+    hankel_points.clear()
+    bessel_sizes.clear()
+    quad.kress_helmholtz_operator(STAR, g, consts, "combined")
+    assert 0 < sum(hankel_points) <= N * (N + slab) // 2
+    assert bessel_sizes and max(bessel_sizes) <= N
+
+
+def _node_pairs(data, tgt, src):
+    pos, normal = data.pos, data.normal
+    return kernels.pairs(pos[tgt], pos[src], normal[src], normal[tgt])
+
+
+def _band_offsets(K):
+    j = np.arange(1, K + 1)
+    return np.concatenate([j, -j])
+
+
+def _row_by_row_corrected(kernel, data, h, stencil):
+    # the corrected rule one target row at a time, from kernel.full and
+    # kernel.phi: plain PTR row, band correction, diagonal
+    N = len(data.speed)
+    w = np.asarray(stencil.weights)
+    offsets = _band_offsets(stencil.K)
+    band_w = np.concatenate([w[1:], w[1:]])
+    rows = []
+    for m in range(N):
+        row = kernel.full(_node_pairs(data, m, slice(None)))
+        row *= data.speed
+        row *= h
+        cols = (m + offsets) % N
+        q = _node_pairs(data, m, cols)
+        row[..., cols] += h * band_w * kernel.phi(q) * data.speed[cols]
+        rows.append(row)
+    A = np.stack(rows, axis=-2)
+    n = np.arange(N)
+    phi0 = kernel.phi(_node_pairs(data, n, n))
+    A[..., n, n] = h * data.speed * (
+        kernel.limit(data) + phi0 * (2 * w[0] - np.log(data.speed * h))
+    )
+    return A
+
+
+def _row_by_row_kress(kernel, data, h):
+    N = len(data.speed)
+    R = quad.kress_log_matrix(N)
+    n = np.arange(N)
+    d = np.minimum(n, N - n)
+    logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
+    rows = []
+    for m in range(N):
+        p = _node_pairs(data, m, slice(None))
+        lag = (m - n) % N
+        phi_sp = kernel.phi(p) * data.speed
+        rows.append(
+            R[m] * (-phi_sp / 2)
+            + h * (kernel.full(p) * data.speed + phi_sp * logsin[lag] / 2)
+        )
+    A = np.stack(rows)
+    phi0, sp = kernel.phi(_node_pairs(data, n, n)), data.speed
+    A[n, n] = R[0, 0] * (-phi0 * sp / 2) + h * sp * (
+        kernel.limit(data) - phi0 * np.log(sp)
+    )
+    return A
+
+
+_HELMHOLTZ = {
+    "S": kernels.helmholtz_s,
+    "D": kernels.helmholtz_d,
+    "Dstar": kernels.helmholtz_dstar,
+    "combined": kernels.helmholtz_combined,
+}
+_STOKES = {
+    "S": kernels.stokes_s,
+    "D": kernels.stokes_d,
+    "combined": kernels.stokes_combined,
+}
+
+
+@pytest.mark.parametrize("slab", [quad.SLAB_ROWS, 7, 10])
+def test_tiled_matrices_equal_a_row_by_row_fill(slab):
+    # every kernel the rules accept: whole and partial tiles, mirrored
+    # tiles of unequal height, give the row-by-row matrices bit for bit
+    N = 64
+    g = _grid(STAR, N)
+    data = sample(STAR, g.nodes)
+    st = build_log_stencil(3)
+    with mock.patch.object(quad, "SLAB_ROWS", slab):
+        cases = [
+            (
+                quad.laplace_slp_matrix(STAR, g, st),
+                _row_by_row_corrected(kernels.laplace_s(), data, g.h, st),
+            ),
+            (
+                quad.kress_laplace_slp_matrix(STAR, g),
+                _row_by_row_kress(kernels.laplace_s(), data, g.h),
+            ),
+        ]
+        for kappa in (12.5, 12.5 + 10j, -4.0):
+            consts = helmholtz_constants(kappa)
+            for which, make in _HELMHOLTZ.items():
+                cases.append(
+                    (
+                        quad.helmholtz_matrix(STAR, g, consts, st, which),
+                        _row_by_row_corrected(make(kappa), data, g.h, st),
+                    )
+                )
+                cases.append(
+                    (
+                        quad.kress_helmholtz_operator(STAR, g, consts, which),
+                        _row_by_row_kress(make(kappa), data, g.h),
+                    )
+                )
+        for which, make in _STOKES.items():
+            A = quad.stokes_matrix(STAR, g, st, which)
+            cases.append(
+                (
+                    A.reshape(N, 2, N, 2).transpose(1, 3, 0, 2),
+                    _row_by_row_corrected(make(), data, g.h, st),
+                )
+            )
+    for tiled, rowwise in cases:
+        assert np.isfinite(tiled).all()
+        assert np.array_equal(tiled, rowwise)
