@@ -18,9 +18,10 @@ the pair (m, n) and its mirror (n, m):
   arrays shaped like ``p.r`` (after any leading component axes) whose
   values at (m, n) are bit for bit those at (n, m). They are functions
   of r alone: H0 and/or H1 of kappa r for Helmholtz (H0 and H1 from one
-  ``hankel01_array`` call for the combined kernel), log r for Laplace,
-  log r and r r^T/r^2 for Stokes (log r/(4 pi) for S + D). At
-  coincident pairs r is taken as 1, where every kernel is finite.
+  :class:`~zetatrap.specfun.Hankel01` call for the combined kernel),
+  log r for Laplace, log r and r r^T/r^2 for Stokes (log r/(4 pi) for
+  S + D). At coincident pairs r is taken as 1, where every kernel is
+  finite.
 - ``full_of(p, f)`` forms the kernel from those factors and the pairs'
   directions and normals; ``full(p)`` is ``full_of(p, radial(p))``.
 - ``phi_radial(p, f)`` gives the symmetric factors of phi: J0/J1 of
@@ -56,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import CurveSamples
-from .specfun import EULER_GAMMA, bessel_j_array, hankel01_array, hankel1_array
+from .specfun import EULER_GAMMA, Hankel01, bessel_j_array, hankel1_array
 
 __all__ = [
     "HelmholtzConstants",
@@ -297,12 +298,14 @@ def combined_field_coupling(kappa: complex) -> float:
 def helmholtz_combined(kappa: complex) -> Kernel:
     """Combined-field kernel D - i eta S, eta = combined_field_coupling(kappa).
 
-    Its radial factors are H0 and H1 from one
-    :func:`~zetatrap.specfun.hankel01_array` call, and those of phi are
+    Its radial factors are H0 and H1 from one call of a
+    :class:`~zetatrap.specfun.Hankel01` made with the kernel (at complex
+    kappa that builds the Hankel table of its ray), and those of phi are
     J0 and J1; phi and the limit are those of :func:`helmholtz_d` and
     :func:`helmholtz_s`, combined.
     """
     k = _wavenumber(kappa)
+    hankel01 = Hankel01(k)
     s, d = helmholtz_s(kappa), helmholtz_d(kappa)
     coupling = -1j * combined_field_coupling(kappa)
 
@@ -313,7 +316,7 @@ def helmholtz_combined(kappa: complex) -> Kernel:
         return out
 
     return Kernel(
-        radial=lambda p: hankel01_array(k * _nonzero(p.r)),
+        radial=lambda p: hankel01(_nonzero(p.r)),
         full_of=full_of,
         phi_radial=lambda p, f: _bessel_j(k, p, f, (0, 1)),
         phi_of=lambda p, g: d.phi_of(p, g[1:]) + coupling * s.phi_of(p, g[:1]),

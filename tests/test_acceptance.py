@@ -373,19 +373,28 @@ def test_criterion_9_special_functions():
         checks.append(abs(j0 - 0.7651976865579666) <= 1e-12)
         h0 = specfun.hankel1_array(0, 6.25 * one)[0]
         checks.append(abs(h0 - (0.21309005307666073 - 0.23693546237904966j)) <= 1e-12)
-    # H0 and H1 from Hankel's expansion, against scipy at |z| >= 20
-    modulus, angle = np.meshgrid(np.linspace(20, 60, 9), [0.0, 0.3, 0.675, 1.0, 1.4])
-    z = (modulus * np.exp(1j * angle)).ravel()
-    far = max(
-        float(np.max(np.abs(h - sp.hankel1(order, z)) / np.abs(sp.hankel1(order, z))))
-        for order, h in enumerate(specfun.hankel01_array(z))
-    )
+    # H0 and H1 of Hankel01 against scipy on five rays: Hankel's expansion
+    # at |z| >= 20, the table at 2 <= |z| < 20
+    def worst(modulus):
+        errors = []
+        for angle in (0.0, 0.3, 0.675, 1.0, 1.4):
+            kappa = complex(math.cos(angle), math.sin(angle))
+            z = kappa * modulus
+            for order, h in enumerate(specfun.Hankel01(kappa)(modulus)):
+                ref = sp.hankel1(order, z)
+                errors.append(np.max(np.abs(h - ref) / np.abs(ref)))
+        return float(max(errors))
+
+    far = worst(np.linspace(20, 60, 9))
+    table = worst(np.linspace(2, 20, 73)[:-1])
     checks.append(far <= 4e-15)
+    checks.append(table <= 4e-15)
     ok = all(checks)
     assert _verdict(
         "9",
         ok,
         f"{sum(checks)}/{len(checks)} hold; Wronskian rel err "
         f"{wronskian[np.float64]:.1e} real route, {wronskian[np.complex128]:.1e} "
-        f"complex route; hankel01 vs scipy at |z| >= 20 {far:.1e}",
+        f"complex route; Hankel01 vs scipy at |z| >= 20 {far:.1e}, "
+        f"at 2 <= |z| < 20 {table:.1e}",
     )

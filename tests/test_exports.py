@@ -37,7 +37,7 @@ def test_module_exports_its_definitions(name):
 def test_specfun_exports_the_array_functions():
     assert set(specfun.__all__) == {
         "EULER_GAMMA",
+        "Hankel01",
         "bessel_j_array",
         "hankel1_array",
-        "hankel01_array",
     }

@@ -1,10 +1,12 @@
 """Config loading, experiment drivers, stencil-table ingestion, and CLI."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zetatrap import cli, harness, kernels, nystrom, specfun
+from zetatrap.geometry import sample
 from zetatrap.kernels import helmholtz_constants
 from zetatrap.zetaweights import build_log_stencil
 
@@ -505,6 +508,46 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     ):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_too_few_points_per_wavelength_exit_2(tmp_path, capsys):
+    # kappa = 500 at N = 64 is 0.09 nodes per wavelength on the star: it
+    # returned a relative error of 1.03 with exit 0 before the check
+    with pytest.raises(harness.ConfigError, match="points per wavelength"):
+        harness.load_config({"problem": "helmholtz", "kappa": 500.0, "N": [64]})
+    # the smallest N decides, and Re kappa sets the wavelength
+    star = harness.load_config({"problem": "helmholtz", "kappa": 5.0}).curve
+    t = np.linspace(0, star.period, 512, endpoint=False)
+    length = star.period * np.mean(sample(star, t).speed)
+    kappa = 2 * math.pi * 64 / (2 * length)  # 2 points per wavelength at N = 64
+    raw = {"problem": "helmholtz", "N": [64]}
+    harness.load_config({**raw, "kappa": [0.99 * kappa, 5.0]})
+    with pytest.raises(harness.ConfigError, match="points per wavelength"):
+        harness.load_config({**raw, "kappa": 1.01 * kappa, "N": [128, 64]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "helmholtz", "kappa": 500.0, "N": [64]}))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert "points per wavelength" in capsys.readouterr().err
+    # the --N of table1 and field is held to the same rule
+    path.write_text(json.dumps({"problem": "helmholtz", "kappa": 60.0, "N": [256]}))
+    for argv in (
+        ["table1", "--config", str(path), "--N", "64"],
+        ["field", "--config", str(path), "--N", "64", "--nx", "2", "--ny", "2"],
+    ):
+        assert cli.main(argv) == 2
+        assert "points per wavelength" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_benchmark_configs_load(small, monkeypatch):
+    # the three perfbench workloads, at full and self-test size, pass every
+    # config check (the points-per-wavelength one included)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert len(workloads.WORKLOADS) == 3
+    for workload in workloads.WORKLOADS.values():
+        raw = workload(seed=1, small=small).config()
+        assert harness.load_config(raw).n_list == tuple(raw["N"])
 
 
 def test_cli_table1_over_the_svd_budget_exits_2(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,10 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
-from zetatrap import harness, kernels
+from zetatrap import harness, kernels, specfun
 from zetatrap import nystrom as ny
 from zetatrap import quadrature as quad
 from zetatrap.geometry import circle_curve, star_curve
@@ -268,3 +270,43 @@ def test_assemble_stokes_allocates_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * bie.matrix.nbytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    amplitude=hst.floats(0.0, 0.35),
+    lobes=hst.integers(2, 7),
+    K=hst.integers(0, 7),
+    modulus=hst.floats(3.5, 14.0),
+    arg=hst.one_of(hst.just(0.0), hst.floats(1e-3, math.pi / 2 - 1e-3)),
+)
+@example(amplitude=0.3, lobes=5, K=7, modulus=16.0, arg=0.675)  # 12.5 + 10i
+def test_gmres_agrees_with_lu_on_random_stars(amplitude, lobes, K, modulus, arg):
+    # random star shapes, rules and wavenumbers, real (arg 0) and complex in
+    # the first quadrant; |kappa| diameter > 4, so at complex kappa the
+    # Hankel table of the combined kernel takes part
+    curve = star_curve(1.0, amplitude, lobes)
+    kappa = modulus if arg == 0 else modulus * complex(math.cos(arg), math.sin(arg))
+    table_points = []
+    table = specfun.Hankel01._table
+
+    def spy(self, r):
+        table_points.append(r.size)
+        return table(self, r)
+
+    with mock.patch.object(specfun.Hankel01, "_table", spy):
+        bie = ny.assemble_helmholtz(
+            curve, 128, helmholtz_constants(kappa), stencil=build_log_stencil(K)
+        )
+    assert bool(table_points) == isinstance(kappa, complex)
+    rhs = harness.known_solution(
+        kappa, np.array([[0.1, -0.2]]), np.array([1.0 + 0.5j]), bie.data.pos
+    )
+    lu = ny.solve_direct(bie.matrix, rhs)
+    gmres = ny.solve_gmres(bie.matrix, rhs)
+    assert gmres.converged
+    # both solve to a relative residual near GMRES_TOL; the condition
+    # number bounds how far apart that leaves the solutions
+    bound = 10 * ny.cond_2norm(bie.matrix) * ny.GMRES_TOL
+    err = np.linalg.norm(gmres.solution - lu.solution) / np.linalg.norm(lu.solution)
+    assert err <= bound

@@ -254,7 +254,7 @@ def test_stokes_rotation_equivariance_on_circle():
 
 
 def test_tile_loop_evaluates_each_pair_once(monkeypatch):
-    # hankel01_array sees each unordered pair once (whole diagonal tiles
+    # Hankel01 sees each unordered pair once (whole diagonal tiles
     # included): at most N(N + SLAB_ROWS)/2 points, where a row-by-row fill
     # reaches N^2; the real-kappa Kress rule takes J0/J1 from those values
     # and calls bessel_j_array on the N diagonal pairs only
@@ -262,17 +262,18 @@ def test_tile_loop_evaluates_each_pair_once(monkeypatch):
     g = _grid(STAR, N)
     consts = helmholtz_constants(12.5)
     hankel_points, bessel_sizes = [], []
-    hankel01, bessel_j = kernels.hankel01_array, kernels.bessel_j_array
+    bessel_j = kernels.bessel_j_array
 
-    def counted_hankel01(z):
-        hankel_points.append(np.size(z))
-        return hankel01(z)
+    class CountedHankel01(kernels.Hankel01):
+        def __call__(self, r):
+            hankel_points.append(np.size(r))
+            return super().__call__(r)
 
     def counted_bessel_j(order, z):
         bessel_sizes.append(np.size(z))
         return bessel_j(order, z)
 
-    monkeypatch.setattr(kernels, "hankel01_array", counted_hankel01)
+    monkeypatch.setattr(kernels, "Hankel01", CountedHankel01)
     monkeypatch.setattr(kernels, "bessel_j_array", counted_bessel_j)
     monkeypatch.setattr(quad, "SLAB_ROWS", slab)
     quad.helmholtz_matrix(STAR, g, consts, build_log_stencil(3), "combined")

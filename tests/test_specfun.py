@@ -96,7 +96,8 @@ def test_hankel_reference_values():
 def test_hankel_decay_upper_half_plane():
     z = np.array([10.0 + 10.0j])
     ref = -7.852572202546007e-06 + 5.474632234776742e-06j
-    for v in (specfun.hankel1_array(0, z), specfun.hankel01_array(z)[0]):
+    pair = specfun.Hankel01(1 + 1j)(np.array([10.0]))  # z = 10 + 10i, the table
+    for v in (specfun.hankel1_array(0, z), pair[0]):
         assert abs(v[0] - ref) <= 1e-12 * abs(ref)
         assert abs(v[0]) < 1e-4  # exponential decay for Im z > 0
 
@@ -182,46 +183,115 @@ def _mp_hankel1(order, z):
         return complex(mpmath.hankel1(order, mpmath.mpc(z.real, z.imag)))
 
 
+def _worst_against_mpmath(kappa, r, pair):
+    """Largest relative error of ``pair`` = (H0, H1) against mpmath at
+    z = kappa * r as numpy rounds it, the argument Hankel01 documents."""
+    z = (kappa * np.asarray(r)).ravel()
+    worst = 0.0
+    for order, h in enumerate(pair):
+        ref = np.array([_mp_hankel1(order, t) for t in z])
+        worst = max(worst, float(np.max(np.abs(np.ravel(h) - ref) / np.abs(ref))))
+    return worst
+
+
+def _scipy_points(monkeypatch):
+    """Record the points every later hankel1_array call receives."""
+    seen = []
+    hankel1 = specfun.hankel1_array
+
+    def recorded(order, z):
+        seen.append(np.asarray(z).ravel())
+        return hankel1(order, z)
+
+    monkeypatch.setattr(specfun, "hankel1_array", recorded)
+    return seen
+
+
+RAYS = (1e-3, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2 - 1e-3)
+
+
 def test_hankel01_expansion_matches_mpmath(monkeypatch):
     assert specfun.HANKEL_ASYMPTOTIC_MIN_ABS == 20.0
     assert specfun.HANKEL_ASYMPTOTIC_TERMS == 20
-    # |z| in [20, 60], arg z in [0, pi/2], and extra points on |z| = 20
-    modulus, angle = np.meshgrid(
-        np.linspace(20, 60, 4), np.linspace(0, math.pi / 2, 4)
-    )
-    ring = (20 + 1e-13) * np.exp(1j * np.linspace(0, math.pi / 2, 7)[1:-1])
-    z = np.concatenate(
-        [(modulus * np.exp(1j * angle)).ravel(), ring, [20 + 0j, 12 + 16j, 16 + 12j]]
-    )
+    # |z| in [20, 60] on rays with arg z in [0, pi/2], points just above
+    # |z| = 20, and |z| = 20 on three rays
+    rays = [(a, np.linspace(20, 60, 4)) for a in np.linspace(0, math.pi / 2, 4)]
+    rays += [(a, [20 + 1e-13]) for a in np.linspace(0, math.pi / 2, 7)[1:-1]]
+    rays += [(0.0, [20.0]), (math.atan2(16, 12), [20.0]), (math.atan2(12, 16), [20.0])]
+    pairs = [specfun.Hankel01(complex(math.cos(a), math.sin(a))) for a, _ in rays]
 
     def refuse(order, z):
         raise AssertionError("a point in the expansion's region reached scipy")
 
     monkeypatch.setattr(specfun, "hankel1_array", refuse)
-    h0, h1 = specfun.hankel01_array(z)
-    for order, h in ((0, h0), (1, h1)):
-        ref = np.array([_mp_hankel1(order, t) for t in z])
-        assert np.max(np.abs(h - ref) / np.abs(ref)) <= 2e-15
+    for pair, (_, r) in zip(pairs, rays):
+        assert _worst_against_mpmath(pair.kappa, r, pair(np.array(r))) <= 2e-15
+
+
+def test_hankel01_table_constants_and_build():
+    assert specfun.HANKEL_TABLE_MIN_ABS == 2.0
+    assert specfun.HANKEL_TABLE_PANELS == 8
+    assert specfun.HANKEL_TABLE_DEGREE == 12
+    # the table is built from one scipy call per order at the panel nodes
+    sizes = []
+    hankel1 = specfun.hankel1_array
+
+    def counted(order, z):
+        sizes.append(np.size(z))
+        return hankel1(order, z)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "hankel1_array", counted)
+        specfun.Hankel01(12.5 + 10j)
+        specfun.Hankel01(12.5)  # the real route builds nothing
+    assert sizes == [8 * 13, 8 * 13]
+
+
+@pytest.mark.parametrize("arg", RAYS)
+def test_hankel01_table_matches_mpmath(arg, monkeypatch):
+    # the whole table range of one ray: every panel edge and both cutoffs
+    # approached from each side, and each panel's middle, so the
+    # scipy/table and table/expansion seams are covered
+    kappa = 16.0 * complex(math.cos(arg), math.sin(arg))
+    pair = specfun.Hankel01(kappa)
+    lo, hi = specfun.HANKEL_TABLE_MIN_ABS, specfun.HANKEL_ASYMPTOTIC_MIN_ABS
+    halves = 2 * specfun.HANKEL_TABLE_PANELS
+    steps = np.arange(halves + 1) / halves
+    modulus = lo * (hi / lo) ** steps  # edges at even steps, middles at odd
+    edges = modulus[::2]
+    r = np.concatenate([edges * (1 - 1e-13), modulus, edges * (1 + 1e-13)]) / abs(kappa)
+    seen = _scipy_points(monkeypatch)
+    h = pair(r)
+    below = np.abs(kappa * r) < lo * (1 - 1e-14)
+    assert below.sum() == 1
+    assert np.array_equal(np.concatenate(seen), np.tile(kappa * r[below], 2))
+    # scipy itself is off by up to 2.9e-15 just below |z| = 2, so the
+    # points below the table are held to being scipy's values
+    assert _worst_against_mpmath(kappa, r[~below], [v[~below] for v in h]) <= 2e-15
 
 
 def test_hankel01_elsewhere_is_hankel1_array(monkeypatch):
-    # real z, Re z <= 0, Im z < 0, |z| < 20 and Im z > 700 never reach the
-    # expansion: each gives hankel1_array's values bit for bit
+    # a float kappa (the real route), Re kappa <= 0, Im kappa < 0 and
+    # Im(kappa r) > 700 never reach the table or the expansion: each
+    # gives hankel1_array's values at kappa * r bit for bit
     def refuse(*args):
-        raise AssertionError("expansion reached")
+        raise AssertionError("table or expansion reached")
 
-    monkeypatch.setattr(specfun, "_hankel01_asymptotic", refuse)
     x = np.linspace(0.5, 80.0, 41)
-    for z in (
-        x,
-        -x + 0j,
-        -x + 5j,
-        1j * x,
-        x - 1j,
-        (12.5 + 10j) * x / 80,  # |z| < 20 up to x = 80
-        x + 800j,
+    for kappa, r in (
+        (1.0, x),
+        (-1.0 + 0j, x),
+        (-1.0 + 0.0625j, x),
+        (1j, x),
+        (1.0 - 0.0125j, x),
+        (1.0 + 10.0j, np.linspace(70.5, 80.0, 11)),
     ):
-        h0, h1 = specfun.hankel01_array(z)
+        pair = specfun.Hankel01(kappa)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pair, "_expansion", refuse)
+            patch.setattr(pair, "_table", refuse)
+            h0, h1 = pair(r)
+        z = kappa * r
         np.testing.assert_array_equal(h0, specfun.hankel1_array(0, z))
         np.testing.assert_array_equal(h1, specfun.hankel1_array(1, z))
 
@@ -229,11 +299,18 @@ def test_hankel01_elsewhere_is_hankel1_array(monkeypatch):
 def test_hankel01_mixed_points_keep_their_place():
     import scipy.special as sp
 
-    z = (12.5 + 10j) * np.linspace(0.05, 3.4, 60).reshape(3, 20)
-    far = np.abs(z) >= specfun.HANKEL_ASYMPTOTIC_MIN_ABS
-    assert far.any() and not far.all()
-    for order, h in enumerate(specfun.hankel01_array(z)):
+    # the three routes of kappa = 12.5 + 10i in one (3, 20) array: scipy
+    # below |z| = 2 (bit for bit), the table up to 20, the expansion beyond
+    kappa = 12.5 + 10j
+    r = np.linspace(0.05, 3.4, 60).reshape(3, 20)
+    z = kappa * r
+    below = np.abs(z) < specfun.HANKEL_TABLE_MIN_ABS
+    table = ~below & (np.abs(z) < specfun.HANKEL_ASYMPTOTIC_MIN_ABS)
+    assert below.any() and table.any() and not (below | table).all()
+    pair = specfun.Hankel01(kappa)(r)
+    for order, h in enumerate(pair):
         ref = sp.hankel1(order, z)
         assert h.shape == z.shape
-        np.testing.assert_array_equal(h[~far], ref[~far])
+        np.testing.assert_array_equal(h[below], ref[below])
         assert np.max(np.abs(h - ref) / np.abs(ref)) <= 4e-15
+    assert _worst_against_mpmath(kappa, r[table], [h[table] for h in pair]) <= 2e-15
