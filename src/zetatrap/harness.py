@@ -141,6 +141,12 @@ def _points(value, what: str) -> np.ndarray:
     return arr
 
 
+# The kernels take log(kappa/2), and H1(z) ~ -2i/(pi z) overflows a double
+# below |z| ~ 3.5e-309: at kappa = 2.2e-309 a sweep met inf * 0 and ended
+# in a traceback. 1e-300 keeps kappa r finite for pair distances to 1e-8.
+MIN_KAPPA = 1e-300
+
+
 def _kappa(raw, curve: ParametricCurve) -> complex:
     """The wavenumber of a Helmholtz config, finite and nonzero."""
     kappa = None
@@ -167,8 +173,11 @@ def _kappa(raw, curve: ParametricCurve) -> complex:
             )
     if kappa is None:
         raise ConfigError("helmholtz config requires 'kappa' or 'wavelengths'")
-    if kappa == 0:
-        raise ConfigError("kappa must be nonzero: the kernels take log(kappa/2)")
+    if abs(kappa) < MIN_KAPPA:
+        raise ConfigError(
+            f"|kappa| must be at least {MIN_KAPPA:g}, got {kappa}: the kernels "
+            "take log(kappa/2), and H1(kappa r) overflows below it"
+        )
     if kappa.imag < 0:
         raise ConfigError(
             f"kappa {kappa} has Im kappa < 0: the exterior problem needs a "
@@ -230,6 +239,23 @@ def _check_points_per_wavelength(curve: ParametricCurve, kappa, N: int):
         )
 
 
+# Bytes one dense system of N nodes may take: 16 N^2 for the complex
+# N x N Helmholtz matrix, 32 N^2 for the real 2N x 2N Stokes matrix. At
+# N = 20000 a Helmholtz system would take 6.4 GB.
+MAX_SYSTEM_BYTES = 2 * 2**30
+
+
+def _check_memory(problem: str, N: int):
+    """Raise ConfigError when the dense system of N nodes would take more
+    than MAX_SYSTEM_BYTES."""
+    size = (16 if problem == "helmholtz" else 32) * N * N
+    if size > MAX_SYSTEM_BYTES:
+        raise ConfigError(
+            f"N={N} needs a dense {problem} system of {size / 2**30:.3g} GiB, "
+            f"over the budget of {MAX_SYSTEM_BYTES / 2**30:g} GiB"
+        )
+
+
 def _curve_diameter(curve: ParametricCurve) -> float:
     pos = sample(curve, np.linspace(0, curve.period, 256, endpoint=False)).pos
     d = np.hypot(
@@ -265,6 +291,7 @@ def load_config(source) -> ProblemConfig:
     n_list = tuple(_integer(n, "N") for n in n_raw)
     for n in n_list:
         check_grid(methods, n)
+        _check_memory(problem, n)
     _check_points_per_wavelength(curve, kappa, min(n_list))
     sources = _points(raw.get("sources", _default_sources()), "sources")
     strengths = _finite(
@@ -393,6 +420,40 @@ def _assemble(cfg: ProblemConfig, method: QuadratureMethod, N: int):
     return nystrom.assemble_stokes(cfg.curve, N, method.stencil, method.name)
 
 
+def _on_each_system(cfg: ProblemConfig, N: int, measure) -> list:
+    """(assemble seconds, ``measure(bie)``) for the system of each
+    configured method at N, in the order of ``cfg.methods``.
+
+    The stencil rules share one PTR fill: each applies its correction for
+    the span of its measurement (:class:`~zetatrap.nystrom.PTRFill`), and
+    its seconds are the fill's plus its own. The fill is dropped before
+    any other rule is assembled, so that at most one dense matrix is
+    alive at a time.
+    """
+    out = [None] * len(cfg.methods)
+    shared = [i for i, m in enumerate(cfg.methods) if m.stencil is not None]
+    if shared:
+        t0 = time.perf_counter()
+        consts = None if cfg.kappa is None else helmholtz_constants(cfg.kappa)
+        fill = nystrom.PTRFill(cfg.problem, cfg.curve, N, consts)
+        fill_s = time.perf_counter() - t0
+        for i in shared:
+            method = cfg.methods[i]
+            t0 = time.perf_counter()
+            with fill.system(method.name, method.stencil) as bie:
+                assemble_s = fill_s + time.perf_counter() - t0
+                out[i] = (assemble_s, measure(bie))
+        del fill, bie
+    for i, method in enumerate(cfg.methods):
+        if out[i] is None:
+            t0 = time.perf_counter()
+            bie = _assemble(cfg, method, N)
+            assemble_s = time.perf_counter() - t0
+            out[i] = (assemble_s, measure(bie))
+            del bie
+    return out
+
+
 def _shear_flow(cfg: ProblemConfig, points: np.ndarray) -> np.ndarray:
     """The background Stokes flow (shear_rate * y, 0) at the points."""
     return np.stack([cfg.shear_rate * points[:, 1], np.zeros(len(points))], axis=1)
@@ -435,44 +496,37 @@ def run_convergence(cfg: ProblemConfig):
     """Error sweep over N for every configured method.
 
     Returns (rows, eoc_rows). Row schema:
-    (N, method, order, max_rel_error, assemble_s, solve_s); EOC schema:
-    (method, order, eoc, fit window as 'n1;n2;...').
+    (N, method, order, max_rel_error, assemble_s, solve_s), method by
+    method, N ascending; EOC schema: (method, order, eoc, fit window as
+    'n1;n2;...'). The stencil rules at one N share one PTR fill, so a
+    row's assemble_s is the fill's seconds plus that rule's correction
+    (see :func:`_on_each_system`).
     """
     if cfg.problem == "helmholtz":
         ref = known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
     else:
         ref = _stokes_reference(cfg)
     scale = float(np.abs(ref).max())
+
+    def measure(bie):
+        t0 = time.perf_counter()
+        _, vals = _solve_and_eval(cfg, bie, cfg.targets)
+        solve_s = time.perf_counter() - t0
+        return float(np.abs(vals - ref).max()) / scale, solve_s
+
+    per_n = [_on_each_system(cfg, N, measure) for N in cfg.n_list]
     rows = []
     eoc_rows = []
-    for method in cfg.methods:
+    for i, method in enumerate(cfg.methods):
+        order = "" if method.order is None else method.order
         errs = []
-        for N in cfg.n_list:
-            t0 = time.perf_counter()
-            bie = _assemble(cfg, method, N)
-            t1 = time.perf_counter()
-            rep, vals = _solve_and_eval(cfg, bie, cfg.targets)
-            t2 = time.perf_counter()
-            err = float(np.abs(vals - ref).max()) / scale
+        for N, results in zip(cfg.n_list, per_n):
+            assemble_s, (err, solve_s) = results[i]
             errs.append(err)
-            rows.append(
-                (
-                    N,
-                    method.label,
-                    "" if method.order is None else method.order,
-                    err,
-                    t1 - t0,
-                    t2 - t1,
-                )
-            )
+            rows.append((N, method.label, order, err, assemble_s, solve_s))
         eoc, window = fit_eoc(cfg.n_list, errs)
         eoc_rows.append(
-            (
-                method.label,
-                "" if method.order is None else method.order,
-                eoc,
-                ";".join(str(n) for n in window),
-            )
+            (method.label, order, eoc, ";".join(str(n) for n in window))
         )
     return rows, eoc_rows
 
@@ -483,34 +537,34 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
     Row schema: (method, order, Re kappa, Im kappa, cond2, iterations,
     residual). An N above the dense SVD budget
     :data:`~zetatrap.nystrom.COND_MAX_DIM` is a ConfigError, raised
-    before anything is assembled.
+    before anything is assembled. The stencil rules share one PTR fill.
     """
     if cfg.problem != "helmholtz":
         raise ConfigError("the conditioning table is a Helmholtz experiment")
     check_grid(cfg.methods, N)
     _check_points_per_wavelength(cfg.curve, cfg.kappa, N)
+    _check_memory(cfg.problem, N)
     if N > nystrom.COND_MAX_DIM:
         raise ConfigError(
             f"N={N} exceeds the dense SVD budget of {nystrom.COND_MAX_DIM} unknowns"
         )
-    rows = []
-    for method in cfg.methods:
-        bie = _assemble(cfg, method, N)
+
+    def measure(bie):
         cond = nystrom.cond_2norm(bie.matrix)
         rhs = known_solution(cfg.kappa, cfg.sources, cfg.strengths, bie.data.pos)
         rep = nystrom.solve_gmres(bie.matrix, rhs)
-        rows.append(
-            (
-                method.label,
-                "" if method.order is None else method.order,
-                cfg.kappa.real,
-                cfg.kappa.imag,
-                cond,
-                rep.iterations,
-                rep.residual_norm,
-            )
+        return cond, rep.iterations, rep.residual_norm
+
+    return [
+        (
+            method.label,
+            "" if method.order is None else method.order,
+            cfg.kappa.real,
+            cfg.kappa.imag,
+            *result,
         )
-    return rows
+        for method, (_, result) in zip(cfg.methods, _on_each_system(cfg, N, measure))
+    ]
 
 
 def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
@@ -526,6 +580,7 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     method = cfg.methods[0]
     check_grid([method], N)
     _check_points_per_wavelength(cfg.curve, cfg.kappa, N)
+    _check_memory(cfg.problem, N)
     nx, ny_ = _integer(grid_spec["nx"], "nx"), _integer(grid_spec["ny"], "ny")
     if nx < 1 or ny_ < 1:
         raise ConfigError(f"the field grid needs nx, ny >= 1, got nx={nx}, ny={ny_}")

@@ -97,14 +97,17 @@ class Pairs:
     """Target and source points, pair by pair.
 
     ``dx``, ``dy`` are the components of r_vec = target - source and ``r``
-    its length, 0 where the two coincide. The normals are (..., 2)
-    arrays that broadcast against them, or None where no kernel reads
-    them.
+    its length, 0 where the two coincide; ``r_safe`` is ``r`` with those
+    coincident pairs set to 1, where every kernel is finite, formed once
+    for every kernel function that divides by r or takes its logarithm.
+    The normals are (..., 2) arrays that broadcast against them, or None
+    where no kernel reads them.
     """
 
     dx: np.ndarray
     dy: np.ndarray
     r: np.ndarray
+    r_safe: np.ndarray
     src_normal: np.ndarray | None = None
     tgt_normal: np.ndarray | None = None
 
@@ -131,17 +134,13 @@ def pairs(targets, sources, src_normal=None, tgt_normal=None) -> Pairs:
     """Pairs of ``targets`` and ``sources``, (..., 2) arrays that broadcast."""
     dx = targets[..., 0] - sources[..., 0]
     dy = targets[..., 1] - sources[..., 1]
-    return Pairs(dx, dy, np.hypot(dx, dy), src_normal, tgt_normal)
-
-
-def _nonzero(r):
-    """r with coincident pairs set to 1, where every kernel below is finite."""
-    return np.where(r > 0, r, 1.0)
+    r = np.hypot(dx, dy)
+    return Pairs(dx, dy, r, np.where(r > 0, r, 1.0), src_normal, tgt_normal)
 
 
 def _along(p: Pairs, normal) -> np.ndarray:
     """(r_vec . normal) / r, 0 at coincident pairs."""
-    return (p.dx * normal[..., 0] + p.dy * normal[..., 1]) / _nonzero(p.r)
+    return (p.dx * normal[..., 0] + p.dy * normal[..., 1]) / p.r_safe
 
 
 def _eye(p: Pairs) -> np.ndarray:
@@ -150,10 +149,9 @@ def _eye(p: Pairs) -> np.ndarray:
 
 def _rr(p: Pairs) -> np.ndarray:
     """r_vec r_vec^T / r^2 as a (2, 2, ...) array, 0 at coincident pairs."""
-    r = _nonzero(p.r)
-    ux, uy = p.dx / r, p.dy / r
+    ux, uy = p.dx / p.r_safe, p.dy / p.r_safe
     # One product per distinct component; ``...`` keeps 0-d slices views.
-    out = np.empty((2, 2) + r.shape)
+    out = np.empty((2, 2) + p.r_safe.shape)
     np.multiply(ux, ux, out=out[0, 0, ...])
     np.multiply(ux, uy, out=out[0, 1, ...])
     out[1, 0] = out[0, 1]
@@ -179,7 +177,7 @@ def laplace_s() -> Kernel:
     Speed factors are applied by the quadrature rules.
     """
     return Kernel(
-        radial=lambda p: (np.log(_nonzero(p.r)),),
+        radial=lambda p: (np.log(p.r_safe),),
         full_of=lambda p, f: -f[0],
         phi_radial=_no_factors,
         phi_of=lambda p, g: np.ones_like(p.r),
@@ -195,7 +193,7 @@ def laplace_d() -> Kernel:
     """
     return Kernel(
         radial=_no_factors,
-        full_of=lambda p, f: _along(p, p.src_normal) / _nonzero(p.r),
+        full_of=lambda p, f: _along(p, p.src_normal) / p.r_safe,
         phi_radial=_no_factors,
         phi_of=lambda p, g: np.zeros_like(p.r),
         limit=lambda s: -s.curvature / 2,
@@ -244,7 +242,7 @@ def helmholtz_s(kappa: complex) -> Kernel:
     k = _wavenumber(kappa)
     c = helmholtz_constants(kappa).c_gamma / (2 * math.pi)
     return Kernel(
-        radial=lambda p: (hankel1_array(0, k * _nonzero(p.r)),),
+        radial=lambda p: (hankel1_array(0, k * p.r_safe),),
         full_of=lambda p, f: _single_layer(f[0]),
         phi_radial=lambda p, f: _bessel_j(k, p, f, (0,)),
         phi_of=lambda p, g: g[0] / (2 * math.pi),
@@ -259,7 +257,7 @@ def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
         return sign * _along(p, normal(p))
 
     return Kernel(
-        radial=lambda p: (hankel1_array(1, k * _nonzero(p.r)),),
+        radial=lambda p: (hankel1_array(1, k * p.r_safe),),
         full_of=lambda p, f: _normal_derivative(k, f[0], along(p)),
         phi_radial=lambda p, f: _bessel_j(k, p, f, (1,)),
         phi_of=lambda p, g: k * g[0] * along(p) / (2 * math.pi),
@@ -316,7 +314,7 @@ def helmholtz_combined(kappa: complex) -> Kernel:
         return out
 
     return Kernel(
-        radial=lambda p: hankel01(_nonzero(p.r)),
+        radial=lambda p: hankel01(p.r_safe),
         full_of=full_of,
         phi_radial=lambda p, f: _bessel_j(k, p, f, (0, 1)),
         phi_of=lambda p, g: d.phi_of(p, g[1:]) + coupling * s.phi_of(p, g[:1]),
@@ -331,7 +329,7 @@ def stokes_s() -> Kernel:
     """
 
     return Kernel(
-        radial=lambda p: (np.log(_nonzero(p.r)), _rr(p)),
+        radial=lambda p: (np.log(p.r_safe), _rr(p)),
         full_of=lambda p, f: (-f[0] * _eye(p) + f[1]) / (4 * math.pi),
         phi_radial=_no_factors,
         phi_of=lambda p, g: _eye(p) * np.ones_like(p.r) / (4 * math.pi),
@@ -348,7 +346,7 @@ def stokes_d() -> Kernel:
     return Kernel(
         radial=lambda p: (_rr(p),),
         full_of=lambda p, f: (
-            _along(p, p.src_normal) / _nonzero(p.r) * f[0] / math.pi
+            _along(p, p.src_normal) / p.r_safe * f[0] / math.pi
         ),
         phi_radial=_no_factors,
         phi_of=lambda p, g: np.zeros((2, 2) + np.shape(p.r)),
@@ -357,7 +355,7 @@ def stokes_d() -> Kernel:
 
 
 def _log_over_4pi(p: Pairs) -> np.ndarray:
-    log = np.log(_nonzero(p.r))
+    log = np.log(p.r_safe)
     log /= 4 * math.pi
     return log
 
@@ -375,8 +373,9 @@ def stokes_combined() -> Kernel:
 
     def full_of(p, f):
         log, rr = f
-        r = _nonzero(p.r)
-        out = rr * (_along(p, p.src_normal) / (math.pi * r) + 1 / (4 * math.pi))
+        out = rr * (
+            _along(p, p.src_normal) / (math.pi * p.r_safe) + 1 / (4 * math.pi)
+        )
         out[0, 0] -= log
         out[1, 1] -= log
         return out

@@ -13,12 +13,16 @@ Each system is assembled in one pass of its combined kernel
 (:func:`~zetatrap.kernels.helmholtz_combined` or
 :func:`~zetatrap.kernels.stokes_combined`) into one dense matrix, with
 I/2 added to its diagonal in place; the off-curve evaluators sum the
-same combined kernels.
+same combined kernels. A zeta-corrected system is one PTR fill per N
+(:class:`PTRFill`), the plain trapezoidal matrix, with the sparse band
+and diagonal correction of its stencil applied on it; rules that share
+a grid can share the fill and apply their corrections in turn.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +35,7 @@ from .zetaweights import CorrectionStencil
 
 __all__ = [
     "DiscretizedBIE",
+    "PTRFill",
     "SolveReport",
     "AssemblyError",
     "NearFieldError",
@@ -88,6 +93,77 @@ class SolveReport:
     residual_norm: float
 
 
+class PTRFill:
+    """The plain trapezoidal (PTR) matrix of one system on an N-node grid,
+    filled once and shared by the rules that correct it.
+
+    A zeta-corrected system differs from this fill only at the band and
+    diagonal of its stencil (a :class:`~zetatrap.quadrature.Correction`),
+    where I/2 is also added. :meth:`system` applies both for the span of
+    a ``with`` block and writes the overwritten entries back when the
+    block exits, whether it ends or raises, so each rule starts from the
+    same fill. ``kind`` is "helmholtz" (combined field, needs ``consts``)
+    or "stokes" (S + D, node-major 2N unknowns).
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        curve: ParametricCurve,
+        N: int,
+        consts: HelmholtzConstants | None = None,
+    ):
+        if kind == "helmholtz":
+            self.kernel = kernels.helmholtz_combined(consts.kappa)
+            A = np.empty((N, N), dtype=complex)
+        elif kind == "stokes":
+            self.kernel = kernels.stokes_combined()
+            A = np.empty((2 * N, 2 * N))
+        else:
+            raise AssemblyError(f"unknown system {kind!r}")
+        self.kind = kind
+        self.curve = curve
+        self.consts = consts
+        self.grid = quad.make_grid(curve.period, N)
+        self.data = sample(curve, self.grid.nodes)
+        self.matrix = quad._ptr_fill(self.kernel, self.data, self.grid.h, A)
+
+    def _apply(self, method: str, stencil: CorrectionStencil):
+        """Apply the correction of ``stencil`` and I/2 to the fill; return
+        the system and the entries the correction overwrote."""
+        methods = ("zeta", "external") if self.kind == "helmholtz" else ("zeta",)
+        if method not in methods:
+            raise AssemblyError(f"unknown method {method!r} for a {self.kind} system")
+        if stencil is None:
+            raise AssemblyError(f"method {method!r} requires a correction stencil")
+        correction = quad._correction(self.kernel, self.data, self.grid.h, stencil)
+        saved = correction.apply(self.matrix)
+        # The correction wrote every entry of the diagonal, so its saved
+        # entries undo this too.
+        self.matrix[np.diag_indices_from(self.matrix)] += 0.5
+        bie = DiscretizedBIE(
+            kind=self.kind,
+            method=method,
+            curve=self.curve,
+            grid=self.grid,
+            data=self.data,
+            matrix=self.matrix,
+            consts=self.consts,
+        )
+        return bie, correction, saved
+
+    @contextmanager
+    def system(self, method: str, stencil: CorrectionStencil):
+        """The system I/2 + fill + correction of ``stencil`` for the span of
+        a ``with`` block. Its matrix is the fill's own, so it holds the
+        system only inside the block."""
+        bie, correction, saved = self._apply(method, stencil)
+        try:
+            yield bie
+        finally:
+            correction.restore(self.matrix, saved)
+
+
 def assemble_helmholtz(
     curve: ParametricCurve,
     N: int,
@@ -100,20 +176,21 @@ def assemble_helmholtz(
     D - i*eta*S is built in one pass of the combined kernel
     (:func:`~zetatrap.kernels.helmholtz_combined`), and I/2 is added to
     its diagonal in place. ``method`` selects the singular quadrature:
-    "zeta" (corrected trapezoidal, requires ``stencil``) or "kress"
-    (spectral baseline). Externally ingested stencils go through the
-    "zeta" path with their own stencil object.
+    "zeta" (corrected trapezoidal, requires ``stencil``: a
+    :class:`PTRFill` with its correction applied) or "kress" (spectral
+    baseline). Externally ingested stencils go through the "zeta" path
+    with their own stencil object.
     """
-    grid = quad.make_grid(curve.period, N)
-    data = sample(curve, grid.nodes)
     if method in ("zeta", "external"):
         if stencil is None:
             raise AssemblyError(f"method {method!r} requires a correction stencil")
-        A = quad.helmholtz_matrix(curve, grid, consts, stencil, "combined")
-    elif method == "kress":
-        A = quad.kress_helmholtz_operator(curve, grid, consts, "combined")
-    else:
+        quad._check_stencil(stencil, N, "log")  # before the fill, not after
+        return PTRFill("helmholtz", curve, N, consts)._apply(method, stencil)[0]
+    if method != "kress":
         raise AssemblyError(f"unknown method {method!r}")
+    grid = quad.make_grid(curve.period, N)
+    data = sample(curve, grid.nodes)
+    A = quad.kress_helmholtz_operator(curve, grid, consts, "combined")
     A[np.diag_indices(N)] += 0.5
     return DiscretizedBIE(
         kind="helmholtz",
@@ -136,17 +213,13 @@ def assemble_stokes(
 
     S + D is built in one pass of the combined kernel
     (:func:`~zetatrap.kernels.stokes_combined`) into one 2N x 2N matrix,
-    and I/2 is added to its diagonal in place.
+    a :class:`PTRFill` with the correction of ``stencil`` and I/2
+    applied in place.
     """
     if method != "zeta":
         raise AssemblyError(f"unknown method {method!r} for the Stokes system")
-    grid = quad.make_grid(curve.period, N)
-    data = sample(curve, grid.nodes)
-    A = quad.stokes_matrix(curve, grid, stencil, "combined")
-    A[np.diag_indices_from(A)] += 0.5
-    return DiscretizedBIE(
-        kind="stokes", method=method, curve=curve, grid=grid, data=data, matrix=A
-    )
+    quad._check_stencil(stencil, N, "log")  # before the fill, not after
+    return PTRFill("stokes", curve, N)._apply(method, stencil)[0]
 
 
 def solve_direct(A: np.ndarray, rhs: np.ndarray) -> SolveReport:
@@ -263,7 +336,9 @@ def _target_slabs(bie: DiscretizedBIE, targets: np.ndarray):
         winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
         ok = far & (np.abs(winding) < 0.5)
         if not ok.all():  # rebinding p frees the whole slab's pairs before the yield
-            p = replace(p, dx=p.dx[ok], dy=p.dy[ok], r=p.r[ok])
+            p = replace(
+                p, dx=p.dx[ok], dy=p.dy[ok], r=p.r[ok], r_safe=p.r_safe[ok]
+            )
         yield rows, ok, p
 
 

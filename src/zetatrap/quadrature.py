@@ -4,28 +4,34 @@ Both rules turn a :class:`~zetatrap.kernels.Kernel` into the dense
 matrix that multiplies density samples at the grid nodes; they read the
 kernel's array functions and no formula of their own.
 
-- corrected: the punctured trapezoidal matrix kernel*speed*h, plus on
-  the ±j cyclic diagonals (j = 1..K) the correction h*w_j*phi*speed,
-  and on the diagonal h*speed*(L + phi(0)*(2 w_0 - log(speed*h))),
-  where L is the coincident limit of the kernel's smooth part.
+- corrected: one PTR fill per N, each rule a sparse correction on it.
+  The fill is the punctured trapezoidal matrix kernel*speed*h. A
+  :class:`Correction` holds the 2K+1 entries per row that one stencil
+  changes: on the +-j cyclic diagonals (j = 1..K) it adds
+  h*w_j*phi*speed, and on the diagonal it writes
+  h*speed*(L + phi(0)*(2 w_0 - log(speed*h))), where L is the coincident
+  limit of the kernel's smooth part. ``apply`` returns the entries it
+  overwrote and ``restore`` writes them back, so rules that share a grid
+  can share one fill (see :class:`~zetatrap.nystrom.PTRFill`).
 - Kress: the split kernel = -(phi/2) log(4 sin^2((t-s)/2)) + smooth,
   with the log part through the circulant weights R and the smooth
   part through the plain PTR with the analytic diagonal
   speed*(L - phi(0)*log speed).
 
-Both rules fill the matrix in one tile loop. The node range is cut into
-slabs of SLAB_ROWS; for each slab pair (I, J) with J >= I, in row-major
-order of (I, J), the loop forms the pairs once and evaluates the
-kernel's radial factors once (see :mod:`~zetatrap.kernels`). It writes
-tile (I, J) and then the mirror tile (J, I), which reads the same
+The PTR fill and the Kress rule run one tile loop. The node range is
+cut into slabs of SLAB_ROWS; for each slab pair (I, J) with J >= I, in
+row-major order of (I, J), the loop forms the pairs once and evaluates
+the kernel's radial factors once (see :mod:`~zetatrap.kernels`). It
+writes tile (I, J) and then the mirror tile (J, I), which reads the same
 factors transposed, with r_vec negated and the two normals exchanged,
-since r_mn = r_nm. The Kress rule also takes phi's factors per tile pair.
-Each tile is written with one slice assignment per component plane: a
-Stokes tile, a contiguous (2, 2, |I|, |J|) block, goes through the four
-(N, N) planes of the node-major 2N x 2N matrix. The band and diagonal
-corrections of the corrected rule, and the Kress diagonal, follow in a
-pass over row slabs. At most one tile pair of pair arrays,
-O(SLAB_ROWS^2), is alive at once, where a row slab held SLAB_ROWS x N.
+since r_mn = r_nm. The Kress rule also takes phi's factors per tile
+pair. Each tile is written with one slice assignment per component
+plane: a Stokes tile, a contiguous (2, 2, |I|, |J|) block, goes through
+the four (N, N) planes of the node-major 2N x 2N matrix. A correction
+evaluates phi on its N x 2K band pairs and the N diagonal pairs in one
+pass, and the Kress diagonal follows its tile loop. At most one tile
+pair of pair arrays, O(SLAB_ROWS^2), is alive at once, where a row slab
+held SLAB_ROWS x N.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .zetaweights import CorrectionStencil
 __all__ = [
     "TrapezoidGrid",
     "GridError",
+    "Correction",
     "check_grid",
     "make_grid",
     "ptr",
@@ -162,16 +169,33 @@ def _tiles(kernel: kernels.Kernel, data: CurveSamples, with_phi: bool):
                     -_swap(p.dx),
                     -_swap(p.dy),
                     _swap(p.r),
+                    _swap(p.r_safe),
                     data.normal[I],
                     data.normal[J, None],
                 )
                 yield J, I, mirror, tuple(map(_swap, f)), tuple(map(_swap, g))
 
 
-def _corrected(kernel: kernels.Kernel, data, h, stencil, out) -> np.ndarray:
-    """Fill ``out`` (..., N, N) with the zeta-corrected matrix of ``kernel``."""
+def _components(A: np.ndarray, N: int) -> np.ndarray:
+    """The (..., N, N) component view of a matrix over N nodes.
+
+    An N x N matrix is its own view. A 2N x 2N Stokes matrix is node-major:
+    component (i, j) of node block (m, n) is A[2m + i, 2n + j], and the
+    view is (2, 2, N, N).
+    """
+    if A.shape == (N, N):
+        return A
+    return A.reshape(N, 2, N, 2).transpose(1, 3, 0, 2)
+
+
+def _ptr_fill(kernel: kernels.Kernel, data, h, A: np.ndarray) -> np.ndarray:
+    """Fill ``A`` with the punctured trapezoidal matrix kernel*speed*h.
+
+    The diagonal holds a finite placeholder, the kernel's factors at
+    r = 1, that every :class:`Correction` overwrites.
+    """
     N = len(data.speed)
-    _check_stencil(stencil, N, "log")
+    out = _components(A, N)
     lead = out.ndim - 2
     planes = _planes(out, lead)
     for I, J, p, f, _ in _tiles(kernel, data, with_phi=False):
@@ -180,22 +204,79 @@ def _corrected(kernel: kernels.Kernel, data, h, stencil, out) -> np.ndarray:
         block *= h
         for plane, tile in zip(planes, _planes(block, lead)):
             plane[I, J] = tile
+    return A
+
+
+@dataclass(frozen=True)
+class Correction:
+    """The entries one log stencil changes in a PTR fill of N nodes.
+
+    Row m takes ``band[..., m, :]`` added at the columns ``cols[m]``, the
+    cyclic neighbours m + 1..K and m - 1..K, and ``diag[..., m]`` written
+    at (m, m); the leading axes of ``band`` and ``diag`` are the component
+    planes (none, or (2, 2) for Stokes). Every other entry of the
+    corrected matrix is the fill's. The 2K + 1 positions of a row are
+    distinct (2K + 1 < N), so the order of the writes does not matter.
+    """
+
+    cols: np.ndarray  # (N, 2K)
+    band: np.ndarray  # (..., N, 2K)
+    diag: np.ndarray  # (..., N)
+
+    def _targets(self, A: np.ndarray):
+        """(plane, band values, diagonal values) per component plane of A."""
+        lead = self.diag.ndim - 1
+        planes = _planes(_components(A, self.cols.shape[0]), lead)
+        return zip(planes, _planes(self.band, lead), _planes(self.diag, lead))
+
+    def apply(self, A: np.ndarray) -> list:
+        """Add the band to ``A`` and write the diagonal, in place.
+
+        Returns the entries it overwrote, for :meth:`restore`.
+        """
+        n = np.arange(self.cols.shape[0])
+        rows = n[:, None]
+        saved = []
+        for plane, band, diag in self._targets(A):
+            saved.append((plane[rows, self.cols], plane[n, n]))
+            plane[rows, self.cols] += band
+            plane[n, n] = diag
+        return saved
+
+    def restore(self, A: np.ndarray, saved: list):
+        """Write back the entries that :meth:`apply` returned."""
+        n = np.arange(self.cols.shape[0])
+        for (plane, _, _), (band, diag) in zip(self._targets(A), saved):
+            plane[n[:, None], self.cols] = band
+            plane[n, n] = diag
+
+
+def _correction(kernel: kernels.Kernel, data, h, stencil) -> Correction:
+    """The :class:`Correction` of ``stencil`` for ``kernel``: h*w_j*phi*speed
+    on the +-j cyclic diagonals, h*speed*(L + phi(0)*(2 w_0 - log(speed*h)))
+    on the diagonal."""
+    N = len(data.speed)
+    _check_stencil(stencil, N, "log")
     w = np.asarray(stencil.weights)
     j = np.arange(1, stencil.K + 1)
-    offsets = np.concatenate([j, -j])
-    band_w = np.concatenate([w[1:], w[1:]])
-    limit = kernel.limit(data)
-    for rows in slabs(N):
-        cols = (rows[:, None] + offsets) % N
-        phi = kernel.phi(_node_pairs(data, rows[:, None], cols))
-        band = h * band_w * phi * data.speed[cols]
-        phi0 = kernel.phi(_node_pairs(data, rows, rows))
-        sp = data.speed[rows]
-        diag = h * sp * (limit[..., rows] + phi0 * (2 * w[0] - np.log(sp * h)))
-        for plane, b, d in zip(planes, _planes(band, lead), _planes(diag, lead)):
-            plane[rows[:, None], cols] += b
-            plane[rows, rows] = d
-    return out
+    n = np.arange(N)
+    cols = (n[:, None] + np.concatenate([j, -j])) % N
+    phi = kernel.phi(_node_pairs(data, n[:, None], cols))
+    band = h * np.concatenate([w[1:], w[1:]]) * phi * data.speed[cols]
+    phi0 = kernel.phi(_node_pairs(data, n, n))
+    sp = data.speed
+    diag = h * sp * (kernel.limit(data) + phi0 * (2 * w[0] - np.log(sp * h)))
+    return Correction(cols, band, diag)
+
+
+def _corrected(kernel: kernels.Kernel, data, h, stencil, A) -> np.ndarray:
+    """Fill ``A`` with the zeta-corrected matrix of ``kernel``: the PTR
+    fill, then the correction of ``stencil`` (built first, so that a
+    stencil that does not fit is refused before the fill)."""
+    correction = _correction(kernel, data, h, stencil)
+    _ptr_fill(kernel, data, h, A)
+    correction.apply(A)
+    return A
 
 
 def _helmholtz_kernel(consts: HelmholtzConstants, which: str) -> kernels.Kernel:
@@ -261,12 +342,9 @@ def stokes_matrix(
     if make is None:
         raise GridError(f"unknown operator {which!r}")
     data = sample(curve, grid.nodes)
-    N = grid.N
-    A = np.empty((2 * N, 2 * N))
-    # Component (i, j) of node block (m, n) is A[2m + i, 2n + j].
-    components = A.reshape(N, 2, N, 2).transpose(1, 3, 0, 2)
-    _corrected(make(), data, grid.h, stencil, components)
-    return A
+    return _corrected(
+        make(), data, grid.h, stencil, np.empty((2 * grid.N, 2 * grid.N))
+    )
 
 
 def stokes_matrices(

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -186,6 +187,108 @@ def test_run_convergence_helmholtz():
     assert len(eoc_rows) == 1
     assert eoc_rows[0][2] > 3.0
     assert eoc_rows[0][3] == "64;96;128"
+
+
+def _method_outer_sweep(cfg):
+    # the sweep as it ran before the PTR fill was shared: method by
+    # method, each system assembled on its own
+    if cfg.problem == "helmholtz":
+        ref = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
+    else:
+        ref = harness._stokes_reference(cfg)
+    scale = float(np.abs(ref).max())
+    rows, eoc_rows = [], []
+    for method in cfg.methods:
+        order = "" if method.order is None else method.order
+        errs = []
+        for N in cfg.n_list:
+            bie = harness._assemble(cfg, method, N)
+            _, vals = harness._solve_and_eval(cfg, bie, cfg.targets)
+            errs.append(float(np.abs(vals - ref).max()) / scale)
+            rows.append((N, method.label, order, errs[-1]))
+        eoc, window = harness.fit_eoc(cfg.n_list, errs)
+        eoc_rows.append((method.label, order, eoc, ";".join(str(n) for n in window)))
+    return rows, eoc_rows
+
+
+def _method_outer_table1(cfg, N):
+    rows = []
+    for method in cfg.methods:
+        bie = harness._assemble(cfg, method, N)
+        pos = bie.data.pos
+        rhs = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pos)
+        rep = nystrom.solve_gmres(bie.matrix, rhs)
+        rows.append(
+            (
+                method.label,
+                "" if method.order is None else method.order,
+                cfg.kappa.real,
+                cfg.kappa.imag,
+                nystrom.cond_2norm(bie.matrix),
+                rep.iterations,
+                rep.residual_norm,
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize("kappa", [12.5, 12.5 + 10j, None])
+def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
+    kappa, tmp_path, monkeypatch
+):
+    # sharing the PTR fill across the stencil rules at each N changes no
+    # number: the sweep rows (but the two timing columns), the EOC rows and
+    # the table1 rows equal those of the method-outer loop
+    if kappa is None:
+        monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
+        cfg = harness.default_stokes_config(N=[64, 96, 128])
+    else:
+        table = tmp_path / "table.txt"
+        lines = ["name: mirror10", "order: 10", "grid: on"]
+        lines += [f"{j} {w:.17e}" for j, w in enumerate(build_log_stencil(4).weights)]
+        table.write_text("\n".join(lines) + "\n")
+        methods = [
+            {"name": "zeta", "K": 2},
+            {"name": "kress"},
+            {"name": "external", "table": str(table)},
+            {"name": "zeta", "K": 7},
+        ]
+        cfg = harness.default_helmholtz_config(kappa, methods=methods, N=[64, 96, 128])
+    rows, eoc_rows = harness.run_convergence(cfg)
+    old_rows, old_eoc = _method_outer_sweep(cfg)
+    # assert_equal takes a NaN EOC (fewer than 3 points above the floor)
+    # as equal to itself
+    np.testing.assert_equal([r[:4] for r in rows], old_rows)
+    np.testing.assert_equal(eoc_rows, old_eoc)
+    assert all(r[4] > 0 and r[5] > 0 for r in rows)
+    if kappa is not None:
+        assert harness.run_table1(cfg, N=96) == _method_outer_table1(cfg, 96)
+
+
+def test_sweep_drops_the_fill_before_kress(monkeypatch):
+    # no reference to the shared fill's matrix (the fill's own or a
+    # system's) is left when the Kress rule is assembled, so two dense
+    # matrices of one N are never alive together
+    fills = []
+    make_fill = nystrom.PTRFill
+    assemble = harness._assemble
+
+    def tracked_fill(*args):
+        fill = make_fill(*args)
+        fills.append(weakref.ref(fill.matrix))
+        return fill
+
+    def checked_assemble(cfg, method, N):
+        assert fills and all(f() is None for f in fills), "fill alive at Kress"
+        return assemble(cfg, method, N)
+
+    monkeypatch.setattr(nystrom, "PTRFill", tracked_fill)
+    monkeypatch.setattr(harness, "_assemble", checked_assemble)
+    methods = [{"name": "kress"}, {"name": "zeta", "K": 2}, {"name": "zeta", "K": 7}]
+    cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 128, 256])
+    rows, _ = harness.run_convergence(cfg)
+    assert len(fills) == 3
+    assert [r[:2] for r in rows[:3]] == [(64, "kress"), (128, "kress"), (256, "kress")]
 
 
 def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
@@ -556,11 +659,46 @@ def test_cli_table1_over_the_svd_budget_exits_2(tmp_path, capsys, monkeypatch):
         raise AssertionError("table1 assembled a system over the SVD budget")
 
     monkeypatch.setattr(harness, "_assemble", no_assembly)
+    monkeypatch.setattr(nystrom, "PTRFill", no_assembly)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": "helmholtz", "kappa": 5.0}))
     N = nystrom.COND_MAX_DIM + 2
     assert cli.main(["table1", "--config", str(path), "--N", str(N)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_memory_budget_refuses_large_n(tmp_path, capsys, monkeypatch):
+    # one dense system may take MAX_SYSTEM_BYTES: 16 N^2 bytes for
+    # Helmholtz, 32 N^2 for Stokes. N = 20000 (6.4 GB for Helmholtz) exits
+    # 2 from the config's N and from the --N of table1 and field, before
+    # anything is assembled.
+    def no_assembly(*args):
+        raise AssertionError("assembled a system over the memory budget")
+
+    monkeypatch.setattr(harness, "_assemble", no_assembly)
+    monkeypatch.setattr(nystrom, "PTRFill", no_assembly)
+    assert harness.MAX_SYSTEM_BYTES == 2 * 2**30
+    for problem, largest in (("helmholtz", 11585), ("stokes", 8192)):
+        raw = {"problem": problem, "kappa": 5.0}
+        harness.load_config({**raw, "N": [64, largest]})
+        with pytest.raises(harness.ConfigError, match="budget"):
+            harness.load_config({**raw, "N": [64, largest + 1]})
+        path = tmp_path / f"{problem}.json"
+        path.write_text(json.dumps({**raw, "N": [64, 20000]}))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
+        assert "budget" in capsys.readouterr().err
+        path.write_text(json.dumps({**raw, "N": [64]}))
+        for argv in (
+            ["table1", "--config", str(path), "--N", "20000"],
+            ["field", "--config", str(path), "--N", "20000", "--nx", "2", "--ny", "2"],
+        ):
+            if problem == "stokes" and argv[0] == "table1":
+                continue  # table1 is a Helmholtz experiment
+            assert cli.main(argv) == 2
+            assert "budget" in capsys.readouterr().err
+    # the Stokes reference and the largest table1 system fit
+    assert 32 * harness.STOKES_REFERENCE_N**2 <= harness.MAX_SYSTEM_BYTES
+    assert 16 * nystrom.COND_MAX_DIM**2 <= harness.MAX_SYSTEM_BYTES
 
 
 def test_cli_ingest_check(tmp_path, capsys):
@@ -635,6 +773,7 @@ def test_config_rejects_empty_zero_and_malformed_values():
         {"strengths": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]},
         {"strengths": [0.0, 0.0, 0.0]},
         {"kappa": 0.0},
+        {"kappa": 2.225073858507203e-309},  # H1(kappa r) overflows: inf * 0
         {"kappa": [12.5]},
         {"kappa": None},
         {"wavelengths": -2.0},

@@ -22,6 +22,9 @@ def test_pairs_and_coincident_values():
     # coincident pairs: r = 0, finite kernels, phi(0) as documented
     same = _node_pairs(data, 2, 2)
     assert same.r == 0.0
+    # r_safe, the r every kernel divides by or takes the log of, is r
+    # except at coincident pairs, where it is 1
+    assert p.r_safe == p.r and same.r_safe == 1.0
     assert kn.laplace_s().full(same) == 0.0
     assert kn.laplace_s().phi(same) == 1.0
     helm = kn.helmholtz_s(2.0)

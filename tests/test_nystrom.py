@@ -15,7 +15,7 @@ from zetatrap import nystrom as ny
 from zetatrap import quadrature as quad
 from zetatrap.geometry import circle_curve, star_curve
 from zetatrap.kernels import helmholtz_constants
-from zetatrap.zetaweights import build_log_stencil
+from zetatrap.zetaweights import build_log_stencil, build_pow_stencil
 
 STAR = star_curve(1.0, 0.3, 5)
 
@@ -270,6 +270,99 @@ def test_assemble_stokes_allocates_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * bie.matrix.nbytes
+
+
+# --- one PTR fill per N --------------------------------------------------------
+
+
+def _fresh_fill(kind, N, consts):
+    return ny.PTRFill(kind, STAR, N, consts).matrix
+
+
+@pytest.mark.parametrize(
+    "kind, kappa", [("helmholtz", 12.5), ("helmholtz", 12.5 + 10j), ("stokes", None)]
+)
+def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
+    # each rule's system inside the holder is the assembled system bit for
+    # bit, and each exit leaves the fill as a fresh fill makes it
+    N = 96
+    consts = None if kappa is None else helmholtz_constants(kappa)
+    fill = ny.PTRFill(kind, STAR, N, consts)
+    fresh = _fresh_fill(kind, N, consts)
+    assert np.array_equal(fill.matrix, fresh)
+    rules = [("zeta", 2), ("zeta", 7), ("zeta", 20), ("zeta", 0)]
+    if kind == "helmholtz":
+        rules.insert(2, ("external", 4))
+    for method, K in rules:
+        stencil = build_log_stencil(K)
+        if kind == "helmholtz":
+            assembled = ny.assemble_helmholtz(STAR, N, consts, method, stencil)
+        else:
+            assembled = ny.assemble_stokes(STAR, N, stencil)
+        with fill.system(method, stencil) as bie:
+            assert bie.kind == kind and bie.method == method
+            assert bie.matrix is fill.matrix
+            assert np.array_equal(bie.matrix, assembled.matrix), (method, K)
+            assert np.array_equal(bie.data.pos, assembled.data.pos)
+        assert np.array_equal(fill.matrix, fresh), (method, K)
+
+
+def test_ptr_fill_is_restored_when_the_block_raises():
+    # a NearFieldError inside the block, as a sweep target too close to the
+    # curve raises it, still writes the saved entries back
+    N = 64
+    consts = helmholtz_constants(5.0)
+    fill = ny.PTRFill("helmholtz", STAR, N, consts)
+    fresh = _fresh_fill("helmholtz", N, consts)
+    with pytest.raises(ny.NearFieldError):
+        with fill.system("zeta", build_log_stencil(2)) as bie:
+            assert not np.array_equal(fill.matrix, fresh)
+            ny.eval_helmholtz_potential(
+                bie, np.zeros(N, dtype=complex), np.array([[1.31, 0.0]])
+            )
+    assert np.array_equal(fill.matrix, fresh)
+    with pytest.raises(ny.AssemblyError):  # refused before anything is applied
+        with fill.system("kress", None):
+            pass
+    with pytest.raises(quad.GridError):
+        with fill.system("zeta", build_pow_stencil(2, 0.5)):
+            pass
+    assert np.array_equal(fill.matrix, fresh)
+    stokes = ny.PTRFill("stokes", STAR, N)
+    with pytest.raises(ny.AssemblyError):  # as assemble_stokes refuses it
+        with stokes.system("external", build_log_stencil(2)):
+            pass
+    with pytest.raises(ny.AssemblyError):
+        ny.PTRFill("laplace", STAR, N)
+    # the assemblers refuse a stencil that does not fit before any fill
+    with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
+        for stencil in (build_pow_stencil(2, 0.5), build_log_stencil(20)):
+            with pytest.raises(quad.GridError):
+                ny.assemble_helmholtz(STAR, 40, consts, "zeta", stencil)
+            with pytest.raises(quad.GridError):
+                ny.assemble_stokes(STAR, 40, stencil)
+
+
+def test_correction_touches_only_its_band_and_diagonal():
+    # apply changes the 2K + 1 entries of each row of every component plane
+    # and returns their old values; restore writes exactly those back
+    N, K = 48, 3
+    for kind, consts in (("helmholtz", helmholtz_constants(5.0)), ("stokes", None)):
+        fill = ny.PTRFill(kind, STAR, N, consts)
+        correction = quad._correction(
+            fill.kernel, fill.data, fill.grid.h, build_log_stencil(K)
+        )
+        A = fill.matrix.copy()
+        saved = correction.apply(A)
+        lag = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+        near = np.minimum(lag, N - lag) <= K
+        if kind == "stokes":
+            near = np.kron(near, np.ones((2, 2), dtype=bool))
+        assert np.array_equal(A[~near], fill.matrix[~near])
+        old = np.concatenate([np.ravel(a) for entries in saved for a in entries])
+        assert np.array_equal(np.sort(old), np.sort(fill.matrix[near]))
+        correction.restore(A, saved)
+        assert np.array_equal(A, fill.matrix)
 
 
 @settings(max_examples=30, deadline=None)

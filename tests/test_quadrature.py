@@ -60,6 +60,38 @@ def test_laplace_circle_harmonic_modes():
         assert np.max(np.abs(vals - (math.pi / n) * np.cos(n * g.nodes))) <= 1e-10
 
 
+# Largest relative error of cos(ms) over (m/N)^(2K+3), for m <= N/8 at
+# N = 64, 128, 256 and 512 where the error exceeds 1e-13 (the ratio depends
+# on m/N alone): 57.5, 2.73e3 and 1.24e6 for K = 2, 4 and 7, at m/N of
+# 1/128, 0.041 and 0.086. C_K doubles them.
+CIRCLE_MODE_CONSTANT = {2: 120.0, 4: 5.5e3, 7: 2.5e6}
+# Roundoff of A @ cos(ms) over rho: at most 4.2e-15 measured on that table.
+CIRCLE_MODE_FLOOR = 2e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=hst.floats(0.5, 2.0),
+    N=hst.integers(64, 512),
+    K=hst.sampled_from(sorted(CIRCLE_MODE_CONSTANT)),
+    data=hst.data(),
+)
+def test_laplace_circle_property(rho, N, K, data):
+    # on a circle of radius rho the corrected Laplace single layer maps 1 to
+    # -2 pi rho log rho to roundoff, and cos(ms) to (pi rho/m) cos(mt) with
+    # the error of the zeta expansion's leading term, (m/N)^(2K+3)
+    curve = circle_curve(rho)
+    g = _grid(curve, N)
+    A = quad.laplace_slp_matrix(curve, g, build_log_stencil(K))
+    ref = -2 * math.pi * rho * math.log(rho)
+    assert np.abs(A @ np.ones(N) - ref).max() <= 1e-14 * 2 * math.pi * rho
+    m = data.draw(hst.integers(1, N // 8), label="m")
+    exact = math.pi * rho / m
+    err = np.abs(A @ np.cos(m * g.nodes) - exact * np.cos(m * g.nodes)).max()
+    bound = exact * CIRCLE_MODE_CONSTANT[K] * (m / N) ** (2 * K + 3)
+    assert err <= bound + CIRCLE_MODE_FLOOR * rho
+
+
 def test_band_locality():
     # off the correction band a row of the corrected matrix is the plain PTR row
     K = 3
