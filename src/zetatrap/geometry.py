@@ -59,16 +59,29 @@ class CurveSamples:
     curvature: np.ndarray  # signed curvature, positive for a ccw circle
 
 
+def _parameter(value, name: str) -> float:
+    """``value`` as a finite float, or InvalidGeometryError naming it."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise InvalidGeometryError(f"curve {name}: {value!r} is not a finite number")
+    return x
+
+
 def star_curve(base: float, amplitude: float, lobes: int) -> ParametricCurve:
     """Polar star p(t) = base + amplitude*cos(lobes*t), traversed ccw.
 
     The default geometry used across the experiments is
     star_curve(1.0, 0.3, 5).
     """
-    base = float(base)
-    amplitude = float(amplitude)
+    base = _parameter(base, "base")
+    amplitude = _parameter(amplitude, "amplitude")
+    if not _parameter(lobes, "lobes").is_integer():
+        raise InvalidGeometryError(f"curve lobes: {lobes!r} is not an integer")
     lobes = int(lobes)
-    min_radius = base - abs(amplitude) if lobes > 0 else base + amplitude
+    min_radius = base - abs(amplitude) if lobes != 0 else base + amplitude
     if min_radius <= 0:
         raise InvalidGeometryError(
             f"radius reaches {min_radius}; the curve must stay star-shaped"
@@ -104,7 +117,7 @@ def star_curve(base: float, amplitude: float, lobes: int) -> ParametricCurve:
 
 def circle_curve(radius: float) -> ParametricCurve:
     """Counterclockwise circle of the given radius centered at the origin."""
-    if radius <= 0:
+    if _parameter(radius, "radius") <= 0:
         raise InvalidGeometryError("radius must be positive")
     return star_curve(radius, 0.0, 0)
 
@@ -115,6 +128,8 @@ def curve_from_descriptor(desc: dict) -> ParametricCurve:
     Supported: {"type": "star", "base": b, "amplitude": a, "lobes": n}
     and {"type": "circle", "radius": r}.
     """
+    if not isinstance(desc, dict):
+        raise InvalidGeometryError(f"curve must be an object, got {desc!r}")
     kind = desc.get("type")
     if kind == "star":
         return star_curve(

@@ -3,12 +3,16 @@ field evaluation, and external stencil-table ingestion.
 
 All drivers are pure functions from a :class:`ProblemConfig` to lists of
 CSV-ready rows; the CLI module handles argument parsing and file output.
+Method names live here only, to read a config and label rows: every
+driver checks each N with :func:`_check_n` and builds its systems with
+:func:`_on_each_system`, which hands each method's stencil to nystrom.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -27,7 +31,6 @@ __all__ = [
     "StencilTableError",
     "OffGridTableError",
     "load_config",
-    "check_grid",
     "default_helmholtz_config",
     "default_stokes_config",
     "known_solution",
@@ -115,10 +118,13 @@ def _default_targets() -> np.ndarray:
 
 
 def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+    """``value`` as an int: an integer, or a float without a fractional
+    part. Anything else, a bool included, is a ConfigError: truncated,
+    ``"K": 2.5`` would run zeta6 and ``"K": true`` zeta4."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _finite(value, what: str, dtype=float) -> np.ndarray:
@@ -186,9 +192,19 @@ def _kappa(raw, curve: ParametricCurve) -> complex:
     return kappa
 
 
+def _zeta_method(K: int) -> QuadratureMethod:
+    return QuadratureMethod(
+        name="zeta", label=f"zeta{2 * K + 2}", stencil=build_log_stencil(K)
+    )
+
+
 def _method_from_spec(spec) -> QuadratureMethod:
     if isinstance(spec, str):
         spec = {"name": spec}
+    if not isinstance(spec, dict):
+        raise ConfigError(
+            f"a methods entry is a name or an object with 'name', got {spec!r}"
+        )
     name = spec.get("name")
     if name == "kress":
         return QuadratureMethod(name="kress", label="kress")
@@ -202,13 +218,11 @@ def _method_from_spec(spec) -> QuadratureMethod:
             K = (order - 2) // 2
         else:
             raise ConfigError("zeta method requires 'K' or 'order'")
-        return QuadratureMethod(
-            name="zeta", label=f"zeta{2 * K + 2}", stencil=build_log_stencil(K)
-        )
+        return _zeta_method(K)
     if name == "external":
         path = spec.get("table")
-        if not path:
-            raise ConfigError("external method requires 'table' path")
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"external method requires a 'table' path, got {path!r}")
         table = ingest_stencil_table(path)
         return QuadratureMethod(
             name="external", label=table.name, stencil=stencil_from_table(table)
@@ -221,37 +235,37 @@ def _method_from_spec(spec) -> QuadratureMethod:
 # relative error of 1.03 with exit 0.
 MIN_POINTS_PER_WAVELENGTH = 2.0
 
-
-def _check_points_per_wavelength(curve: ParametricCurve, kappa, N: int):
-    """Raise ConfigError when N nodes give fewer than
-    MIN_POINTS_PER_WAVELENGTH per wavelength 2 pi/|Re kappa| along the
-    curve. A Stokes problem (kappa None) and Re kappa = 0 pass."""
-    if kappa is None or kappa.real == 0:
-        return
-    t = np.linspace(0, curve.period, 512, endpoint=False)
-    length = float(sample(curve, t).speed.sum()) * curve.period / len(t)
-    ppw = N * (2 * math.pi / abs(kappa.real)) / length
-    if ppw < MIN_POINTS_PER_WAVELENGTH:
-        raise ConfigError(
-            f"N={N} gives {ppw:.3g} points per wavelength at kappa {kappa} on a "
-            f"curve of length {length:.4g}; at least {MIN_POINTS_PER_WAVELENGTH:g} "
-            "are needed"
-        )
-
-
 # Bytes one dense system of N nodes may take: 16 N^2 for the complex
 # N x N Helmholtz matrix, 32 N^2 for the real 2N x 2N Stokes matrix. At
 # N = 20000 a Helmholtz system would take 6.4 GB.
 MAX_SYSTEM_BYTES = 2 * 2**30
 
 
-def _check_memory(problem: str, N: int):
-    """Raise ConfigError when the dense system of N nodes would take more
-    than MAX_SYSTEM_BYTES."""
-    size = (16 if problem == "helmholtz" else 32) * N * N
+def _check_n(cfg: ProblemConfig, methods, N: int):
+    """Raise ConfigError unless each of ``methods`` can run on N nodes: the
+    rules of :func:`~zetatrap.quadrature.check_grid`, at least
+    MIN_POINTS_PER_WAVELENGTH per wavelength 2 pi/|Re kappa| along the
+    curve (Stokes and Re kappa = 0 pass), at most MAX_SYSTEM_BYTES."""
+    for method in methods:
+        try:
+            quadrature.check_grid(N, method.stencil, kress=method.name == "kress")
+        except quadrature.GridError as exc:
+            raise ConfigError(f"{method.label}: {exc}") from None
+    kappa = cfg.kappa
+    if kappa is not None and kappa.real != 0:
+        t = np.linspace(0, cfg.curve.period, 512, endpoint=False)
+        length = float(sample(cfg.curve, t).speed.sum()) * cfg.curve.period / len(t)
+        ppw = N * (2 * math.pi / abs(kappa.real)) / length
+        if ppw < MIN_POINTS_PER_WAVELENGTH:
+            raise ConfigError(
+                f"N={N} gives {ppw:.3g} points per wavelength at kappa {kappa} on "
+                f"a curve of length {length:.4g}; at least "
+                f"{MIN_POINTS_PER_WAVELENGTH:g} are needed"
+            )
+    size = (16 if cfg.problem == "helmholtz" else 32) * N * N
     if size > MAX_SYSTEM_BYTES:
         raise ConfigError(
-            f"N={N} needs a dense {problem} system of {size / 2**30:.3g} GiB, "
+            f"N={N} needs a dense {cfg.problem} system of {size / 2**30:.3g} GiB, "
             f"over the budget of {MAX_SYSTEM_BYTES / 2**30:g} GiB"
         )
 
@@ -280,19 +294,16 @@ def load_config(source) -> ProblemConfig:
         raise ConfigError(f"problem must be 'helmholtz' or 'stokes', got {problem!r}")
     curve = curve_from_descriptor(raw.get("curve", {"type": "star"}))
     kappa = _kappa(raw, curve) if problem == "helmholtz" else None
-    methods = tuple(_method_from_spec(m) for m in raw.get("methods", [{"name": "zeta", "K": 7}]))
-    if not methods:
-        raise ConfigError("at least one quadrature method is required")
+    m_raw = raw.get("methods", [{"name": "zeta", "K": 7}])
+    if not isinstance(m_raw, (list, tuple)) or not m_raw:
+        raise ConfigError(f"methods must be a non-empty list, got {m_raw!r}")
+    methods = tuple(_method_from_spec(m) for m in m_raw)
     if problem == "stokes" and any(m.name == "kress" for m in methods):
         raise ConfigError("the Kress rule is built for Helmholtz only, not for Stokes")
     n_raw = raw.get("N", [64, 128, 256, 512])
     if not isinstance(n_raw, (list, tuple)) or not n_raw:
         raise ConfigError(f"N must be a non-empty list of grid sizes, got {n_raw!r}")
     n_list = tuple(_integer(n, "N") for n in n_raw)
-    for n in n_list:
-        check_grid(methods, n)
-        _check_memory(problem, n)
-    _check_points_per_wavelength(curve, kappa, min(n_list))
     sources = _points(raw.get("sources", _default_sources()), "sources")
     strengths = _finite(
         raw.get("strengths", np.ones(len(sources))), "strengths", complex
@@ -316,20 +327,10 @@ def load_config(source) -> ProblemConfig:
         targets=targets,
         shear_rate=shear_rate,
     )
+    for n in n_list:
+        _check_n(cfg, methods, n)
     _validate_points(cfg)
     return cfg
-
-
-def check_grid(methods, N: int):
-    """Raise ConfigError unless each of ``methods`` can run on N nodes.
-
-    The rules are those of :func:`~zetatrap.quadrature.check_grid`.
-    """
-    for method in methods:
-        try:
-            quadrature.check_grid(N, method.stencil, kress=method.name == "kress")
-        except quadrature.GridError as exc:
-            raise ConfigError(f"{method.label}: {exc}") from None
 
 
 def _validate_points(cfg: ProblemConfig):
@@ -411,43 +412,33 @@ def fit_eoc(n_values, errors, floor: float = SATURATION_FLOOR):
     return float(-slope), [p[0] for p in pts]
 
 
-def _assemble(cfg: ProblemConfig, method: QuadratureMethod, N: int):
-    if cfg.problem == "helmholtz":
-        consts = helmholtz_constants(cfg.kappa)
-        return nystrom.assemble_helmholtz(
-            cfg.curve, N, consts, method.name, method.stencil
-        )
-    return nystrom.assemble_stokes(cfg.curve, N, method.stencil, method.name)
-
-
-def _on_each_system(cfg: ProblemConfig, N: int, measure) -> list:
-    """(assemble seconds, ``measure(bie)``) for the system of each
-    configured method at N, in the order of ``cfg.methods``.
+def _on_each_system(cfg: ProblemConfig, methods, N: int, measure) -> list:
+    """(assemble seconds, ``measure(bie)``) for the system of each of
+    ``methods`` at N, in their order.
 
     The stencil rules share one PTR fill: each applies its correction for
     the span of its measurement (:class:`~zetatrap.nystrom.PTRFill`), and
     its seconds are the fill's plus its own. The fill is dropped before
-    any other rule is assembled, so that at most one dense matrix is
+    the Kress rule is assembled, so that at most one dense matrix is
     alive at a time.
     """
-    out = [None] * len(cfg.methods)
-    shared = [i for i, m in enumerate(cfg.methods) if m.stencil is not None]
+    consts = None if cfg.kappa is None else helmholtz_constants(cfg.kappa)
+    out = [None] * len(methods)
+    shared = [i for i, m in enumerate(methods) if m.stencil is not None]
     if shared:
         t0 = time.perf_counter()
-        consts = None if cfg.kappa is None else helmholtz_constants(cfg.kappa)
         fill = nystrom.PTRFill(cfg.problem, cfg.curve, N, consts)
         fill_s = time.perf_counter() - t0
         for i in shared:
-            method = cfg.methods[i]
             t0 = time.perf_counter()
-            with fill.system(method.name, method.stencil) as bie:
+            with fill.system(methods[i].stencil) as bie:
                 assemble_s = fill_s + time.perf_counter() - t0
                 out[i] = (assemble_s, measure(bie))
         del fill, bie
-    for i, method in enumerate(cfg.methods):
+    for i, method in enumerate(methods):
         if out[i] is None:
             t0 = time.perf_counter()
-            bie = _assemble(cfg, method, N)
+            bie = nystrom.assemble_helmholtz(cfg.curve, N, consts, method.name)
             assemble_s = time.perf_counter() - t0
             out[i] = (assemble_s, measure(bie))
             del bie
@@ -486,9 +477,12 @@ def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray):
 
 def _stokes_reference(cfg: ProblemConfig) -> np.ndarray:
     """Self-converged reference velocity at the test targets."""
-    stencil = build_log_stencil((STOKES_REFERENCE_ORDER - 2) // 2)
-    bie = nystrom.assemble_stokes(cfg.curve, STOKES_REFERENCE_N, stencil)
-    _, vals = _solve_and_eval(cfg, bie, cfg.targets)
+    method = _zeta_method((STOKES_REFERENCE_ORDER - 2) // 2)
+
+    def measure(bie):
+        return _solve_and_eval(cfg, bie, cfg.targets)[1]
+
+    [(_, vals)] = _on_each_system(cfg, [method], STOKES_REFERENCE_N, measure)
     return vals
 
 
@@ -514,7 +508,7 @@ def run_convergence(cfg: ProblemConfig):
         solve_s = time.perf_counter() - t0
         return float(np.abs(vals - ref).max()) / scale, solve_s
 
-    per_n = [_on_each_system(cfg, N, measure) for N in cfg.n_list]
+    per_n = [_on_each_system(cfg, cfg.methods, N, measure) for N in cfg.n_list]
     rows = []
     eoc_rows = []
     for i, method in enumerate(cfg.methods):
@@ -541,9 +535,7 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
     """
     if cfg.problem != "helmholtz":
         raise ConfigError("the conditioning table is a Helmholtz experiment")
-    check_grid(cfg.methods, N)
-    _check_points_per_wavelength(cfg.curve, cfg.kappa, N)
-    _check_memory(cfg.problem, N)
+    _check_n(cfg, cfg.methods, N)
     if N > nystrom.COND_MAX_DIM:
         raise ConfigError(
             f"N={N} exceeds the dense SVD budget of {nystrom.COND_MAX_DIM} unknowns"
@@ -563,7 +555,9 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
             cfg.kappa.imag,
             *result,
         )
-        for method, (_, result) in zip(cfg.methods, _on_each_system(cfg, N, measure))
+        for method, (_, result) in zip(
+            cfg.methods, _on_each_system(cfg, cfg.methods, N, measure)
+        )
     ]
 
 
@@ -577,10 +571,8 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     are emitted as NaN. Only the first configured method runs. The grid
     needs nx, ny >= 1 and finite bounds; anything else is a ConfigError.
     """
-    method = cfg.methods[0]
-    check_grid([method], N)
-    _check_points_per_wavelength(cfg.curve, cfg.kappa, N)
-    _check_memory(cfg.problem, N)
+    methods = cfg.methods[:1]
+    _check_n(cfg, methods, N)
     nx, ny_ = _integer(grid_spec["nx"], "nx"), _integer(grid_spec["ny"], "ny")
     if nx < 1 or ny_ < 1:
         raise ConfigError(f"the field grid needs nx, ny >= 1, got nx={nx}, ny={ny_}")
@@ -590,8 +582,9 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny_)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    bie = _assemble(cfg, method, N)
-    vals, far = nystrom.eval_field(bie, _solve(cfg, bie).solution, pts)
+    [(_, (vals, far))] = _on_each_system(
+        cfg, methods, N, lambda b: nystrom.eval_field(b, _solve(cfg, b).solution, pts)
+    )
     if cfg.problem == "helmholtz":
         vals = np.stack([vals.real, vals.imag], axis=1)
     else:

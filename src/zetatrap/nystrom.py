@@ -13,10 +13,13 @@ Each system is assembled in one pass of its combined kernel
 (:func:`~zetatrap.kernels.helmholtz_combined` or
 :func:`~zetatrap.kernels.stokes_combined`) into one dense matrix, with
 I/2 added to its diagonal in place; the off-curve evaluators sum the
-same combined kernels. A zeta-corrected system is one PTR fill per N
+same combined kernels. A corrected system is one PTR fill per N
 (:class:`PTRFill`), the plain trapezoidal matrix, with the sparse band
-and diagonal correction of its stencil applied on it; rules that share
-a grid can share the fill and apply their corrections in turn.
+and diagonal correction of its stencil applied on it. The stencil alone
+picks the rule: a zeta stencil and one read from an external table
+assemble the same way, for either system, and rules that share a grid
+can share the fill and apply their corrections in turn. Kress's
+spectral rule is the one rule without a stencil (Helmholtz only).
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ class DiscretizedBIE:
     """Dense Nystrom system A tau = rhs together with its grid data."""
 
     kind: str  # "helmholtz" or "stokes"
-    method: str  # "zeta", "kress", or "external"
     curve: ParametricCurve
     grid: quad.TrapezoidGrid
     data: CurveSamples
@@ -97,7 +99,7 @@ class PTRFill:
     """The plain trapezoidal (PTR) matrix of one system on an N-node grid,
     filled once and shared by the rules that correct it.
 
-    A zeta-corrected system differs from this fill only at the band and
+    A corrected system differs from this fill only at the band and
     diagonal of its stencil (a :class:`~zetatrap.quadrature.Correction`),
     where I/2 is also added. :meth:`system` applies both for the span of
     a ``with`` block and writes the overwritten entries back when the
@@ -128,14 +130,10 @@ class PTRFill:
         self.data = sample(curve, self.grid.nodes)
         self.matrix = quad._ptr_fill(self.kernel, self.data, self.grid.h, A)
 
-    def _apply(self, method: str, stencil: CorrectionStencil):
+    def _apply(self, stencil: CorrectionStencil):
         """Apply the correction of ``stencil`` and I/2 to the fill; return
         the system and the entries the correction overwrote."""
-        methods = ("zeta", "external") if self.kind == "helmholtz" else ("zeta",)
-        if method not in methods:
-            raise AssemblyError(f"unknown method {method!r} for a {self.kind} system")
-        if stencil is None:
-            raise AssemblyError(f"method {method!r} requires a correction stencil")
+        _check_stencil(stencil, self.grid.N)
         correction = quad._correction(self.kernel, self.data, self.grid.h, stencil)
         saved = correction.apply(self.matrix)
         # The correction wrote every entry of the diagonal, so its saved
@@ -143,7 +141,6 @@ class PTRFill:
         self.matrix[np.diag_indices_from(self.matrix)] += 0.5
         bie = DiscretizedBIE(
             kind=self.kind,
-            method=method,
             curve=self.curve,
             grid=self.grid,
             data=self.data,
@@ -153,15 +150,22 @@ class PTRFill:
         return bie, correction, saved
 
     @contextmanager
-    def system(self, method: str, stencil: CorrectionStencil):
+    def system(self, stencil: CorrectionStencil):
         """The system I/2 + fill + correction of ``stencil`` for the span of
         a ``with`` block. Its matrix is the fill's own, so it holds the
         system only inside the block."""
-        bie, correction, saved = self._apply(method, stencil)
+        bie, correction, saved = self._apply(stencil)
         try:
             yield bie
         finally:
             correction.restore(self.matrix, saved)
+
+
+def _check_stencil(stencil: CorrectionStencil | None, N: int):
+    """Raise unless ``stencil`` is a log stencil that fits N nodes."""
+    if stencil is None:
+        raise AssemblyError("a corrected system requires a correction stencil")
+    quad._check_stencil(stencil, N, "log")
 
 
 def assemble_helmholtz(
@@ -176,16 +180,13 @@ def assemble_helmholtz(
     D - i*eta*S is built in one pass of the combined kernel
     (:func:`~zetatrap.kernels.helmholtz_combined`), and I/2 is added to
     its diagonal in place. ``method`` selects the singular quadrature:
-    "zeta" (corrected trapezoidal, requires ``stencil``: a
-    :class:`PTRFill` with its correction applied) or "kress" (spectral
-    baseline). Externally ingested stencils go through the "zeta" path
-    with their own stencil object.
+    "zeta" (a :class:`PTRFill` with the correction of ``stencil``
+    applied, whatever the stencil's source) or "kress" (spectral
+    baseline, no stencil).
     """
-    if method in ("zeta", "external"):
-        if stencil is None:
-            raise AssemblyError(f"method {method!r} requires a correction stencil")
-        quad._check_stencil(stencil, N, "log")  # before the fill, not after
-        return PTRFill("helmholtz", curve, N, consts)._apply(method, stencil)[0]
+    if method == "zeta":
+        _check_stencil(stencil, N)  # before the fill, not after
+        return PTRFill("helmholtz", curve, N, consts)._apply(stencil)[0]
     if method != "kress":
         raise AssemblyError(f"unknown method {method!r}")
     grid = quad.make_grid(curve.period, N)
@@ -193,21 +194,12 @@ def assemble_helmholtz(
     A = quad.kress_helmholtz_operator(curve, grid, consts, "combined")
     A[np.diag_indices(N)] += 0.5
     return DiscretizedBIE(
-        kind="helmholtz",
-        method=method,
-        curve=curve,
-        grid=grid,
-        data=data,
-        matrix=A,
-        consts=consts,
+        kind="helmholtz", curve=curve, grid=grid, data=data, matrix=A, consts=consts
     )
 
 
 def assemble_stokes(
-    curve: ParametricCurve,
-    N: int,
-    stencil: CorrectionStencil,
-    method: str = "zeta",
+    curve: ParametricCurve, N: int, stencil: CorrectionStencil
 ) -> DiscretizedBIE:
     """Combined Stokes system I/2 + S + D (node-major 2N unknowns).
 
@@ -216,10 +208,8 @@ def assemble_stokes(
     a :class:`PTRFill` with the correction of ``stencil`` and I/2
     applied in place.
     """
-    if method != "zeta":
-        raise AssemblyError(f"unknown method {method!r} for the Stokes system")
-    quad._check_stencil(stencil, N, "log")  # before the fill, not after
-    return PTRFill("stokes", curve, N)._apply(method, stencil)[0]
+    _check_stencil(stencil, N)  # before the fill, not after
+    return PTRFill("stokes", curve, N)._apply(stencil)[0]
 
 
 def solve_direct(A: np.ndarray, rhs: np.ndarray) -> SolveReport:

@@ -98,50 +98,39 @@ def _solve_with_retry(nodes, moment_fn, K: int):
     raise last_exc
 
 
+def _build(kind: str, K: int, z: float | None, moment_fn, order) -> CorrectionStencil:
+    """The stencil of K+1 weights solving ``moment_fn``'s moment system,
+    cached under (kind, K) or (kind, K, z)."""
+    if not 0 <= K <= MAX_K:
+        raise StencilError(f"K must be in [0, {MAX_K}]")
+    key = (kind, K) if z is None else (kind, K, z)
+    with _cache_lock:
+        hit = _cache.get(key)
+    if hit is not None:
+        return hit
+    w = _solve_with_retry([j * j for j in range(K + 1)], moment_fn, K)
+    stencil = CorrectionStencil(
+        kind=kind, K=K, z=z, weights=tuple(float(v) for v in w), order=order
+    )
+    with _cache_lock:
+        _cache[key] = stencil
+    return stencil
+
+
 def build_log_stencil(K: int) -> CorrectionStencil:
     """Correction stencil for the -log|x| singularity.
 
     Labelled order 2K+2; the corrected rule's leading error term is
     h^(2K+3) (see :class:`CorrectionStencil`).
     """
-    if not 0 <= K <= MAX_K:
-        raise StencilError(f"K must be in [0, {MAX_K}]")
-    key = ("log", K)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    nodes = [j * j for j in range(K + 1)]
-    w = _solve_with_retry(nodes, lambda k: -_zeta_prime_neg_even_mp(k), K)
-    stencil = CorrectionStencil(
-        kind="log", K=K, z=None, weights=tuple(float(v) for v in w), order=2 * K + 2
-    )
-    with _cache_lock:
-        _cache[key] = stencil
-    return stencil
+    return _build("log", K, None, lambda k: -_zeta_prime_neg_even_mp(k), 2 * K + 2)
 
 
 def build_pow_stencil(K: int, z: float) -> CorrectionStencil:
     """Correction stencil for the |x|^-z singularity, -1 < z < 1."""
-    if not 0 <= K <= MAX_K:
-        raise StencilError(f"K must be in [0, {MAX_K}]")
     if not -1.0 < z < 1.0:
         raise StencilError("z must lie in (-1, 1)")
-    key = ("pow", K, float(z))
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    nodes = [j * j for j in range(K + 1)]
     zf = float(z)
-    w = _solve_with_retry(nodes, lambda k: -mpmath.zeta(mpmath.mpf(zf) - 2 * k), K)
-    stencil = CorrectionStencil(
-        kind="pow",
-        K=K,
-        z=zf,
-        weights=tuple(float(v) for v in w),
-        order=2 * K + 3 - zf,
+    return _build(
+        "pow", K, zf, lambda k: -mpmath.zeta(mpmath.mpf(zf) - 2 * k), 2 * K + 3 - zf
     )
-    with _cache_lock:
-        _cache[key] = stencil
-    return stencil

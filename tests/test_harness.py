@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zetatrap import cli, harness, kernels, nystrom, specfun
-from zetatrap.geometry import sample
+from zetatrap.geometry import InvalidGeometryError, sample
 from zetatrap.kernels import helmholtz_constants
 from zetatrap.zetaweights import build_log_stencil
 
@@ -37,6 +37,15 @@ grid: off
 0.5 0.25
 1.5 0.125
 """
+
+
+def _table_of(tmp_path, name, K):
+    # an on-grid table file holding the converged weights of zeta(2K+2)
+    lines = [f"name: {name}", f"order: {2 * K + 2}", "grid: on"]
+    lines += [f"{j} {w:.17e}" for j, w in enumerate(build_log_stencil(K).weights)]
+    path = tmp_path / f"{name}.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 # --- config -----------------------------------------------------------------
@@ -189,6 +198,15 @@ def test_run_convergence_helmholtz():
     assert eoc_rows[0][3] == "64;96;128"
 
 
+def _assembled(cfg, method, N):
+    # the system of one rule assembled on its own
+    if cfg.problem == "stokes":
+        return nystrom.assemble_stokes(cfg.curve, N, method.stencil)
+    name = "kress" if method.stencil is None else "zeta"
+    consts = helmholtz_constants(cfg.kappa)
+    return nystrom.assemble_helmholtz(cfg.curve, N, consts, name, method.stencil)
+
+
 def _method_outer_sweep(cfg):
     # the sweep as it ran before the PTR fill was shared: method by
     # method, each system assembled on its own
@@ -202,7 +220,7 @@ def _method_outer_sweep(cfg):
         order = "" if method.order is None else method.order
         errs = []
         for N in cfg.n_list:
-            bie = harness._assemble(cfg, method, N)
+            bie = _assembled(cfg, method, N)
             _, vals = harness._solve_and_eval(cfg, bie, cfg.targets)
             errs.append(float(np.abs(vals - ref).max()) / scale)
             rows.append((N, method.label, order, errs[-1]))
@@ -214,7 +232,7 @@ def _method_outer_sweep(cfg):
 def _method_outer_table1(cfg, N):
     rows = []
     for method in cfg.methods:
-        bie = harness._assemble(cfg, method, N)
+        bie = _assembled(cfg, method, N)
         pos = bie.data.pos
         rhs = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pos)
         rep = nystrom.solve_gmres(bie.matrix, rhs)
@@ -243,14 +261,10 @@ def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
         monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
         cfg = harness.default_stokes_config(N=[64, 96, 128])
     else:
-        table = tmp_path / "table.txt"
-        lines = ["name: mirror10", "order: 10", "grid: on"]
-        lines += [f"{j} {w:.17e}" for j, w in enumerate(build_log_stencil(4).weights)]
-        table.write_text("\n".join(lines) + "\n")
         methods = [
             {"name": "zeta", "K": 2},
             {"name": "kress"},
-            {"name": "external", "table": str(table)},
+            {"name": "external", "table": _table_of(tmp_path, "mirror10", 4)},
             {"name": "zeta", "K": 7},
         ]
         cfg = harness.default_helmholtz_config(kappa, methods=methods, N=[64, 96, 128])
@@ -271,19 +285,19 @@ def test_sweep_drops_the_fill_before_kress(monkeypatch):
     # matrices of one N are never alive together
     fills = []
     make_fill = nystrom.PTRFill
-    assemble = harness._assemble
+    assemble = nystrom.assemble_helmholtz
 
     def tracked_fill(*args):
         fill = make_fill(*args)
         fills.append(weakref.ref(fill.matrix))
         return fill
 
-    def checked_assemble(cfg, method, N):
+    def checked_assemble(*args):
         assert fills and all(f() is None for f in fills), "fill alive at Kress"
-        return assemble(cfg, method, N)
+        return assemble(*args)
 
     monkeypatch.setattr(nystrom, "PTRFill", tracked_fill)
-    monkeypatch.setattr(harness, "_assemble", checked_assemble)
+    monkeypatch.setattr(nystrom, "assemble_helmholtz", checked_assemble)
     methods = [{"name": "kress"}, {"name": "zeta", "K": 2}, {"name": "zeta", "K": 7}]
     cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 128, 256])
     rows, _ = harness.run_convergence(cfg)
@@ -430,7 +444,7 @@ def test_run_field_walks_the_grid_once(problem, monkeypatch):
     monkeypatch.undo()
 
     pts = rows[:, :2]
-    bie = harness._assemble(cfg, cfg.methods[0], 64)
+    bie = _assembled(cfg, cfg.methods[0], 64)
     rep = harness._solve(cfg, bie)
     if problem == "helmholtz":
         evaluate = nystrom.eval_helmholtz_potential
@@ -506,17 +520,12 @@ def test_ingest_parse_errors(tmp_path):
 
 def test_external_method_matches_zeta(tmp_path):
     # a table holding the converged order-6 weights reproduces zeta6 exactly
-    st = build_log_stencil(2)
-    lines = ["name: mirror6", "order: 6", "grid: on"]
-    lines += [f"{j} {w:.17e}" for j, w in enumerate(st.weights)]
-    p = tmp_path / "mirror.txt"
-    p.write_text("\n".join(lines) + "\n")
     cfg = harness.load_config(
         {
             "problem": "helmholtz",
             "kappa": 5.0,
             "methods": [
-                {"name": "external", "table": str(p)},
+                {"name": "external", "table": _table_of(tmp_path, "mirror6", 2)},
                 {"name": "zeta", "K": 2},
             ],
             "N": [64],
@@ -524,6 +533,35 @@ def test_external_method_matches_zeta(tmp_path):
     )
     rows, _ = harness.run_convergence(cfg)
     assert abs(rows[0][3] - rows[1][3]) <= 1e-14
+
+
+def test_external_table_runs_on_stokes(tmp_path, monkeypatch, capsys):
+    # a Stokes config with an external table passed load_config and then
+    # ended in an AssemblyError traceback; the stencil alone picks the
+    # rule, so a table of the zeta6 weights gives zeta6's numbers bit for bit
+    monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
+    raw = {
+        "problem": "stokes",
+        "methods": [
+            {"name": "external", "table": _table_of(tmp_path, "mirror6", 2)},
+            {"name": "zeta", "K": 2},
+        ],
+        "N": [64, 96, 128],
+    }
+    rows, eoc_rows = harness.run_convergence(harness.load_config(raw))
+    external = [(r[0], "zeta6", *r[2:4]) for r in rows if r[1] == "mirror6"]
+    assert len(external) == 3
+    assert external == [r[:4] for r in rows if r[1] == "zeta6"]
+    assert [r[0] for r in eoc_rows] == ["mirror6", "zeta6"]
+    np.testing.assert_equal(eoc_rows[0][1:], eoc_rows[1][1:])
+    assert eoc_rows[0][2] > 3.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["convergence", "--config", str(path)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 7 + 3
+    argv = ["field", "--config", str(path), "--N", "64", "--nx", "3", "--ny", "3"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 9
 
 
 # --- CLI --------------------------------------------------------------------
@@ -658,7 +696,7 @@ def test_cli_table1_over_the_svd_budget_exits_2(tmp_path, capsys, monkeypatch):
     def no_assembly(*args):
         raise AssertionError("table1 assembled a system over the SVD budget")
 
-    monkeypatch.setattr(harness, "_assemble", no_assembly)
+    monkeypatch.setattr(nystrom, "assemble_helmholtz", no_assembly)
     monkeypatch.setattr(nystrom, "PTRFill", no_assembly)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": "helmholtz", "kappa": 5.0}))
@@ -675,7 +713,7 @@ def test_memory_budget_refuses_large_n(tmp_path, capsys, monkeypatch):
     def no_assembly(*args):
         raise AssertionError("assembled a system over the memory budget")
 
-    monkeypatch.setattr(harness, "_assemble", no_assembly)
+    monkeypatch.setattr(nystrom, "assemble_helmholtz", no_assembly)
     monkeypatch.setattr(nystrom, "PTRFill", no_assembly)
     assert harness.MAX_SYSTEM_BYTES == 2 * 2**30
     for problem, largest in (("helmholtz", 11585), ("stokes", 8192)):
@@ -786,6 +824,63 @@ def test_config_rejects_empty_zero_and_malformed_values():
             harness.load_config({**base, **fields})
 
 
+def test_malformed_curve_and_method_entries_exit_2(tmp_path, capsys):
+    # a non-object curve or methods entry, and a string radius, ended in an
+    # AttributeError or TypeError traceback with exit 1; a NaN base passed
+    # config load and failed later with a near-field message
+    base = {"problem": "helmholtz", "kappa": 5.0, "N": [64]}
+    for fields, word in (
+        ({"curve": 5}, "curve"),
+        ({"curve": [1, 2]}, "curve"),
+        ({"curve": {"type": "circle", "radius": "inf"}}, "radius"),
+        ({"curve": {"type": "star", "base": math.nan}}, "base"),
+        ({"curve": {"type": "star", "amplitude": math.inf}}, "amplitude"),
+        ({"curve": {"type": "star", "lobes": 2.5}}, "lobes"),
+        # cos(-5t) = cos(5t): the radius reaches 1 - 1.5
+        ({"curve": {"type": "star", "amplitude": 1.5, "lobes": -5}}, "radius"),
+        ({"methods": [5]}, "methods"),
+        ({"methods": [["zeta", 2]]}, "methods"),
+        ({"methods": "kress"}, "methods"),
+        ({"methods": [{"name": "external", "table": 5}]}, "table"),
+    ):
+        raw = {**base, **fields}
+        with pytest.raises((harness.ConfigError, InvalidGeometryError), match=word):
+            harness.load_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and word in err
+
+
+def test_integer_fields_are_not_truncated(tmp_path, capsys):
+    # "K": 2.5 ran zeta6, "N": [64.7] ran N = 64 and "K": true ran zeta4,
+    # each with exit 0
+    base = {"problem": "helmholtz", "kappa": 5.0, "N": [64]}
+    for fields in (
+        {"methods": [{"name": "zeta", "K": 2.5}]},
+        {"methods": [{"name": "zeta", "K": True}]},
+        {"methods": [{"name": "zeta", "order": 6.5}]},
+        {"N": [64.7]},
+        {"N": [False]},
+        {"N": ["64"]},
+    ):
+        raw = {**base, **fields}
+        with pytest.raises(harness.ConfigError, match="integer"):
+            harness.load_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
+        assert "integer" in capsys.readouterr().err
+    # a float without a fractional part is the integer it spells
+    methods = [{"name": "zeta", "K": 2.0}]
+    cfg = harness.load_config({**base, "N": [64.0], "methods": methods})
+    assert cfg.n_list == (64,) and type(cfg.n_list[0]) is int
+    assert cfg.methods[0].label == "zeta6"
+    with pytest.raises(harness.ConfigError, match="integer"):
+        harness.run_field(cfg, {**_GRID, "nx": 2.5}, N=64)
+
+
 _GRID = {"nx": 2, "ny": 2, "xmin": 2.0, "xmax": 3.0, "ymin": -1.0, "ymax": 1.0}
 
 
@@ -824,7 +919,24 @@ _points = hst.one_of(hst.just([]), hst.lists(_point, min_size=1, max_size=3))
 _method = hst.one_of(
     hst.just("kress"),
     hst.fixed_dictionaries(
-        {"name": hst.just("zeta"), "K": hst.sampled_from([-1, 0, 1, 2])}
+        {"name": hst.just("zeta"), "K": hst.sampled_from([-1, 0, 1, 2, 1.5, True])}
+    ),
+    hst.sampled_from([5, None, [1, 2], "galerkin", {}]),
+)
+_curve = hst.one_of(
+    _number,
+    hst.lists(_number, max_size=2),
+    hst.fixed_dictionaries(
+        {"type": hst.just("circle")},
+        optional={"radius": hst.one_of(_number, hst.just("inf"))},
+    ),
+    hst.fixed_dictionaries(
+        {"type": hst.just("star")},
+        optional={
+            "base": _number,
+            "amplitude": _number,
+            "lobes": hst.sampled_from([-5, 0, 3, 2.5, math.nan, "5"]),
+        },
     ),
 )
 _config = hst.fixed_dictionaries(
@@ -836,7 +948,8 @@ _config = hst.fixed_dictionaries(
         "targets": _points,
         "shear_rate": _number,
         "N": hst.lists(hst.sampled_from([-16, 0, 16, 17, 24, 32]), max_size=2),
-        "methods": hst.lists(_method, min_size=0, max_size=2),
+        "methods": hst.one_of(hst.lists(_method, min_size=0, max_size=2), _number),
+        "curve": _curve,
     },
 )
 

@@ -33,7 +33,7 @@ def test_assembly_validation():
     with pytest.raises(ny.AssemblyError):
         ny.assemble_helmholtz(STAR, 64, consts, method="galerkin")
     with pytest.raises(ny.AssemblyError):
-        ny.assemble_stokes(STAR, 64, build_log_stencil(2), method="kress")
+        ny.assemble_stokes(STAR, 64, None)
 
 
 def test_solve_direct():
@@ -284,27 +284,29 @@ def _fresh_fill(kind, N, consts):
 )
 def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
     # each rule's system inside the holder is the assembled system bit for
-    # bit, and each exit leaves the fill as a fresh fill makes it
+    # bit, and each exit leaves the fill as a fresh fill makes it; a
+    # stencil read from a table is one more rule, on either system
     N = 96
     consts = None if kappa is None else helmholtz_constants(kappa)
     fill = ny.PTRFill(kind, STAR, N, consts)
     fresh = _fresh_fill(kind, N, consts)
     assert np.array_equal(fill.matrix, fresh)
-    rules = [("zeta", 2), ("zeta", 7), ("zeta", 20), ("zeta", 0)]
-    if kind == "helmholtz":
-        rules.insert(2, ("external", 4))
-    for method, K in rules:
-        stencil = build_log_stencil(K)
+    table = harness.ExternalStencilTable(
+        "table10", 10, True, tuple(enumerate(build_log_stencil(4).weights))
+    )
+    stencils = [build_log_stencil(K) for K in (2, 7, 20, 0)]
+    stencils.insert(2, harness.stencil_from_table(table))
+    for stencil in stencils:
         if kind == "helmholtz":
-            assembled = ny.assemble_helmholtz(STAR, N, consts, method, stencil)
+            assembled = ny.assemble_helmholtz(STAR, N, consts, "zeta", stencil)
         else:
             assembled = ny.assemble_stokes(STAR, N, stencil)
-        with fill.system(method, stencil) as bie:
-            assert bie.kind == kind and bie.method == method
+        with fill.system(stencil) as bie:
+            assert bie.kind == kind
             assert bie.matrix is fill.matrix
-            assert np.array_equal(bie.matrix, assembled.matrix), (method, K)
+            assert np.array_equal(bie.matrix, assembled.matrix), stencil
             assert np.array_equal(bie.data.pos, assembled.data.pos)
-        assert np.array_equal(fill.matrix, fresh), (method, K)
+        assert np.array_equal(fill.matrix, fresh), stencil
 
 
 def test_ptr_fill_is_restored_when_the_block_raises():
@@ -315,23 +317,19 @@ def test_ptr_fill_is_restored_when_the_block_raises():
     fill = ny.PTRFill("helmholtz", STAR, N, consts)
     fresh = _fresh_fill("helmholtz", N, consts)
     with pytest.raises(ny.NearFieldError):
-        with fill.system("zeta", build_log_stencil(2)) as bie:
+        with fill.system(build_log_stencil(2)) as bie:
             assert not np.array_equal(fill.matrix, fresh)
             ny.eval_helmholtz_potential(
                 bie, np.zeros(N, dtype=complex), np.array([[1.31, 0.0]])
             )
     assert np.array_equal(fill.matrix, fresh)
     with pytest.raises(ny.AssemblyError):  # refused before anything is applied
-        with fill.system("kress", None):
+        with fill.system(None):
             pass
     with pytest.raises(quad.GridError):
-        with fill.system("zeta", build_pow_stencil(2, 0.5)):
+        with fill.system(build_pow_stencil(2, 0.5)):
             pass
     assert np.array_equal(fill.matrix, fresh)
-    stokes = ny.PTRFill("stokes", STAR, N)
-    with pytest.raises(ny.AssemblyError):  # as assemble_stokes refuses it
-        with stokes.system("external", build_log_stencil(2)):
-            pass
     with pytest.raises(ny.AssemblyError):
         ny.PTRFill("laplace", STAR, N)
     # the assemblers refuse a stencil that does not fit before any fill
@@ -341,6 +339,8 @@ def test_ptr_fill_is_restored_when_the_block_raises():
                 ny.assemble_helmholtz(STAR, 40, consts, "zeta", stencil)
             with pytest.raises(quad.GridError):
                 ny.assemble_stokes(STAR, 40, stencil)
+        with pytest.raises(ny.AssemblyError):
+            ny.assemble_stokes(STAR, 40, None)
 
 
 def test_correction_touches_only_its_band_and_diagonal():

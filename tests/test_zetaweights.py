@@ -66,6 +66,7 @@ def test_cache_determinism():
     p1 = zw.build_pow_stencil(3, 0.5)
     p2 = zw.build_pow_stencil(3, -0.5)
     assert p1.weights != p2.weights  # cache keys include z
+    assert zw._cache[("log", 6)] is a and zw._cache[("pow", 3, 0.5)] is p1
 
 
 # --- pow/log link -----------------------------------------------------------
