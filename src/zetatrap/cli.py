@@ -11,17 +11,11 @@ import csv
 import sys
 
 from . import harness
-from .zetaweights import StencilError, build_log_stencil, build_pow_stencil
+from .zetaweights import StencilError, build_log_stencil, build_pow_stencil, order_to_k
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
-
-
-def _order_to_k(order: int) -> int:
-    if order < 2 or order % 2:
-        raise ValueError(f"--order must be an even integer >= 2, got {order}")
-    return (order - 2) // 2
 
 
 def _cmd_weights(args) -> int:
@@ -32,9 +26,9 @@ def _cmd_weights(args) -> int:
         print("error: --K or --order is required", file=sys.stderr)
         return EXIT_USAGE
     try:
-        K = args.K if args.K is not None else _order_to_k(args.order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        K = args.K if args.K is not None else order_to_k(args.order)
+    except StencilError as exc:
+        print(f"error: --order: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.kind == "log":

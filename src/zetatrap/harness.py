@@ -3,9 +3,10 @@ field evaluation, and external stencil-table ingestion.
 
 All drivers are pure functions from a :class:`ProblemConfig` to lists of
 CSV-ready rows; the CLI module handles argument parsing and file output.
-Method names live here only, to read a config and label rows: every
-driver checks each N with :func:`_check_n` and builds its systems with
-:func:`_on_each_system`, which hands each method's stencil to nystrom.
+Method names live here only, to read a config and label rows: a method
+is a label and a stencil, none for the Kress rule. Every driver checks
+each N with :func:`_check_n` and builds its systems with
+:func:`_on_each_system` on one :class:`~zetatrap.nystrom.PTRFill` per N.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import kernels, nystrom, quadrature
 from .geometry import ParametricCurve, curve_from_descriptor, sample
 from .kernels import helmholtz_constants
-from .zetaweights import CorrectionStencil, build_log_stencil
+from .zetaweights import CorrectionStencil, StencilError, build_log_stencil, order_to_k
 
 __all__ = [
     "ProblemConfig",
@@ -66,14 +67,13 @@ class OffGridTableError(StencilTableError):
 class QuadratureMethod:
     """One quadrature selection for a sweep.
 
-    ``name`` is "zeta", "kress", or "external"; zeta/external carry a
-    correction stencil. ``order`` is the stencil's nominal label, 2K+2
-    for the zeta rules (as in ``label``); their leading error term is
+    The zeta and external rules carry a correction stencil; the Kress
+    rule has none. ``order`` is the stencil's nominal label, 2K+2 for
+    the zeta rules (as in ``label``); their leading error term is
     h^(2K+3), so sweeps measure that order (see
     :class:`~zetatrap.zetaweights.CorrectionStencil`).
     """
 
-    name: str
     label: str
     stencil: CorrectionStencil | None = None
 
@@ -128,8 +128,12 @@ def _integer(value, what: str) -> int:
 
 
 def _finite(value, what: str, dtype=float) -> np.ndarray:
-    """``value`` as an array of ``dtype``, or ConfigError unless it converts
-    and every entry is finite."""
+    """``value`` as an array of ``dtype``, or ConfigError unless every
+    entry is a number and finite. A bool or a numeric string is refused:
+    numpy would read ``true`` as 1 and ``"12.5"`` as 12.5."""
+    for leaf in np.asarray(value, dtype=object).flat:
+        if isinstance(leaf, bool) or not isinstance(leaf, numbers.Number):
+            raise ConfigError(f"{what}: {leaf!r} is not a number")
     try:
         arr = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -193,9 +197,7 @@ def _kappa(raw, curve: ParametricCurve) -> complex:
 
 
 def _zeta_method(K: int) -> QuadratureMethod:
-    return QuadratureMethod(
-        name="zeta", label=f"zeta{2 * K + 2}", stencil=build_log_stencil(K)
-    )
+    return QuadratureMethod(label=f"zeta{2 * K + 2}", stencil=build_log_stencil(K))
 
 
 def _method_from_spec(spec) -> QuadratureMethod:
@@ -207,15 +209,15 @@ def _method_from_spec(spec) -> QuadratureMethod:
         )
     name = spec.get("name")
     if name == "kress":
-        return QuadratureMethod(name="kress", label="kress")
+        return QuadratureMethod(label="kress")
     if name == "zeta":
         if "K" in spec:
             K = _integer(spec["K"], "K")
         elif "order" in spec:
-            order = _integer(spec["order"], "order")
-            if order < 2 or order % 2:
-                raise ConfigError(f"zeta order must be even and >= 2, got {order}")
-            K = (order - 2) // 2
+            try:
+                K = order_to_k(_integer(spec["order"], "order"))
+            except StencilError as exc:
+                raise ConfigError(f"zeta {exc}") from None
         else:
             raise ConfigError("zeta method requires 'K' or 'order'")
         return _zeta_method(K)
@@ -224,9 +226,7 @@ def _method_from_spec(spec) -> QuadratureMethod:
         if not isinstance(path, str) or not path:
             raise ConfigError(f"external method requires a 'table' path, got {path!r}")
         table = ingest_stencil_table(path)
-        return QuadratureMethod(
-            name="external", label=table.name, stencil=stencil_from_table(table)
-        )
+        return QuadratureMethod(label=table.name, stencil=stencil_from_table(table))
     raise ConfigError(f"unknown quadrature method {name!r}")
 
 
@@ -248,7 +248,7 @@ def _check_n(cfg: ProblemConfig, methods, N: int):
     curve (Stokes and Re kappa = 0 pass), at most MAX_SYSTEM_BYTES."""
     for method in methods:
         try:
-            quadrature.check_grid(N, method.stencil, kress=method.name == "kress")
+            quadrature.check_grid(N, method.stencil, kress=method.stencil is None)
         except quadrature.GridError as exc:
             raise ConfigError(f"{method.label}: {exc}") from None
     kappa = cfg.kappa
@@ -298,7 +298,7 @@ def load_config(source) -> ProblemConfig:
     if not isinstance(m_raw, (list, tuple)) or not m_raw:
         raise ConfigError(f"methods must be a non-empty list, got {m_raw!r}")
     methods = tuple(_method_from_spec(m) for m in m_raw)
-    if problem == "stokes" and any(m.name == "kress" for m in methods):
+    if problem == "stokes" and any(m.stencil is None for m in methods):
         raise ConfigError("the Kress rule is built for Helmholtz only, not for Stokes")
     n_raw = raw.get("N", [64, 128, 256, 512])
     if not isinstance(n_raw, (list, tuple)) or not n_raw:
@@ -416,32 +416,30 @@ def _on_each_system(cfg: ProblemConfig, methods, N: int, measure) -> list:
     """(assemble seconds, ``measure(bie)``) for the system of each of
     ``methods`` at N, in their order.
 
-    The stencil rules share one PTR fill: each applies its correction for
-    the span of its measurement (:class:`~zetatrap.nystrom.PTRFill`), and
-    its seconds are the fill's plus its own. The fill is dropped before
-    the Kress rule is assembled, so that at most one dense matrix is
-    alive at a time.
+    The methods share one PTR fill (:class:`~zetatrap.nystrom.PTRFill`).
+    The stencil rules run first, each with its correction applied for the
+    span of its measurement; then a Kress rule corrects the fill for good
+    (:meth:`~zetatrap.nystrom.PTRFill.kress`), and a further Kress rule
+    takes a fresh fill once the spent one is dropped, so that at most one
+    dense matrix is alive at a time. A rule's seconds are its fill's plus
+    its own.
     """
     consts = None if cfg.kappa is None else helmholtz_constants(cfg.kappa)
     out = [None] * len(methods)
-    shared = [i for i, m in enumerate(methods) if m.stencil is not None]
-    if shared:
+    fill = None
+    for i in sorted(range(len(methods)), key=lambda i: methods[i].stencil is None):
+        if fill is None:
+            t0 = time.perf_counter()
+            fill = nystrom.PTRFill(cfg.problem, cfg.curve, N, consts)
+            fill_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        fill = nystrom.PTRFill(cfg.problem, cfg.curve, N, consts)
-        fill_s = time.perf_counter() - t0
-        for i in shared:
-            t0 = time.perf_counter()
+        if methods[i].stencil is None:
+            bie = fill.kress()
+            out[i] = (fill_s + time.perf_counter() - t0, measure(bie))
+            fill = bie = None
+        else:
             with fill.system(methods[i].stencil) as bie:
-                assemble_s = fill_s + time.perf_counter() - t0
-                out[i] = (assemble_s, measure(bie))
-        del fill, bie
-    for i, method in enumerate(methods):
-        if out[i] is None:
-            t0 = time.perf_counter()
-            bie = nystrom.assemble_helmholtz(cfg.curve, N, consts, method.name)
-            assemble_s = time.perf_counter() - t0
-            out[i] = (assemble_s, measure(bie))
-            del bie
+                out[i] = (fill_s + time.perf_counter() - t0, measure(bie))
     return out
 
 
@@ -477,7 +475,7 @@ def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray):
 
 def _stokes_reference(cfg: ProblemConfig) -> np.ndarray:
     """Self-converged reference velocity at the test targets."""
-    method = _zeta_method((STOKES_REFERENCE_ORDER - 2) // 2)
+    method = _zeta_method(order_to_k(STOKES_REFERENCE_ORDER))
 
     def measure(bie):
         return _solve_and_eval(cfg, bie, cfg.targets)[1]

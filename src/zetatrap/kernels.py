@@ -24,14 +24,11 @@ the pair (m, n) and its mirror (n, m):
   finite.
 - ``full_of(p, f)`` forms the kernel from those factors and the pairs'
   directions and normals; ``full(p)`` is ``full_of(p, radial(p))``.
-- ``phi_radial(p, f)`` gives the symmetric factors of phi: J0/J1 of
-  kappa r for Helmholtz, none for Laplace and Stokes. Given f =
-  ``radial(p)`` at real positive kappa, J0 and J1 are the real parts of
-  H0 and H1, which hold exactly the ``j0``/``j1`` bits, and no Bessel
-  routine runs; at coincident pairs they then hold J(kappa), not J(0).
-  With f None they are evaluated at kappa r, J(0) at coincident pairs.
+- ``phi_radial(p)`` gives the symmetric factors of phi in the same
+  sense: J0/J1 of kappa r for Helmholtz, J(0) at coincident pairs, and
+  none for Laplace and Stokes.
 - ``phi_of(p, g)`` forms phi from those factors; ``phi(p)`` is
-  ``phi_of(p, phi_radial(p, None))``.
+  ``phi_of(p, phi_radial(p))``.
 
 Neither ``full_of`` nor ``phi_of`` writes into its factors.
 
@@ -117,7 +114,7 @@ class Kernel(NamedTuple):
 
     radial: Callable[[Pairs], tuple]
     full_of: Callable[[Pairs, tuple], np.ndarray]
-    phi_radial: Callable[[Pairs, tuple | None], tuple]
+    phi_radial: Callable[[Pairs], tuple]
     phi_of: Callable[[Pairs, tuple], np.ndarray]
     limit: Callable[[CurveSamples], np.ndarray]
 
@@ -127,7 +124,7 @@ class Kernel(NamedTuple):
 
     def phi(self, p: Pairs) -> np.ndarray:
         """phi at every pair, phi(0) at coincident ones."""
-        return self.phi_of(p, self.phi_radial(p, None))
+        return self.phi_of(p, self.phi_radial(p))
 
 
 def pairs(targets, sources, src_normal=None, tgt_normal=None) -> Pairs:
@@ -167,7 +164,7 @@ def _tt(s: CurveSamples) -> np.ndarray:
 
 
 
-def _no_factors(p: Pairs, f=None) -> tuple:
+def _no_factors(p: Pairs) -> tuple:
     return ()
 
 
@@ -211,18 +208,6 @@ def _wavenumber(kappa: complex) -> complex | float:
     return k.real if k.imag == 0 and k.real > 0 else k
 
 
-def _bessel_j(k, p: Pairs, hankel: tuple | None, orders: tuple) -> tuple:
-    """J_n(kappa r) for each n of ``orders``.
-
-    On the real route they are the real parts of ``hankel``, the
-    H_n(kappa r) of the same orders, when it is given; otherwise they are
-    evaluated at kappa p.r.
-    """
-    if hankel is not None and isinstance(k, float):
-        return tuple(h.real for h in hankel)
-    return tuple(bessel_j_array(n, k * p.r) for n in orders)
-
-
 def _single_layer(h0):
     """(i/4) H0 from H0(kappa r)."""
     return 0.25j * h0
@@ -244,7 +229,7 @@ def helmholtz_s(kappa: complex) -> Kernel:
     return Kernel(
         radial=lambda p: (hankel1_array(0, k * p.r_safe),),
         full_of=lambda p, f: _single_layer(f[0]),
-        phi_radial=lambda p, f: _bessel_j(k, p, f, (0,)),
+        phi_radial=lambda p: (bessel_j_array(0, k * p.r),),
         phi_of=lambda p, g: g[0] / (2 * math.pi),
         limit=lambda s: np.full(s.speed.shape, c),
     )
@@ -259,7 +244,7 @@ def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
     return Kernel(
         radial=lambda p: (hankel1_array(1, k * p.r_safe),),
         full_of=lambda p, f: _normal_derivative(k, f[0], along(p)),
-        phi_radial=lambda p, f: _bessel_j(k, p, f, (1,)),
+        phi_radial=lambda p: (bessel_j_array(1, k * p.r),),
         phi_of=lambda p, g: k * g[0] * along(p) / (2 * math.pi),
         limit=lambda s: s.c0,
     )
@@ -316,7 +301,7 @@ def helmholtz_combined(kappa: complex) -> Kernel:
     return Kernel(
         radial=lambda p: hankel01(p.r_safe),
         full_of=full_of,
-        phi_radial=lambda p, f: _bessel_j(k, p, f, (0, 1)),
+        phi_radial=lambda p: tuple(bessel_j_array(n, k * p.r) for n in (0, 1)),
         phi_of=lambda p, g: d.phi_of(p, g[1:]) + coupling * s.phi_of(p, g[:1]),
         limit=lambda data: d.limit(data) + coupling * s.limit(data),
     )

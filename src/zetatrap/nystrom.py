@@ -19,7 +19,8 @@ and diagonal correction of its stencil applied on it. The stencil alone
 picks the rule: a zeta stencil and one read from an external table
 assemble the same way, for either system, and rules that share a grid
 can share the fill and apply their corrections in turn. Kress's
-spectral rule is the one rule without a stencil (Helmholtz only).
+spectral rule, the one rule without a stencil (Helmholtz only), is the
+fill's last correction: dense, and not undone (:meth:`PTRFill.kress`).
 """
 
 from __future__ import annotations
@@ -99,13 +100,15 @@ class PTRFill:
     """The plain trapezoidal (PTR) matrix of one system on an N-node grid,
     filled once and shared by the rules that correct it.
 
-    A corrected system differs from this fill only at the band and
+    A stencil rule's system differs from this fill only at the band and
     diagonal of its stencil (a :class:`~zetatrap.quadrature.Correction`),
     where I/2 is also added. :meth:`system` applies both for the span of
     a ``with`` block and writes the overwritten entries back when the
     block exits, whether it ends or raises, so each rule starts from the
-    same fill. ``kind`` is "helmholtz" (combined field, needs ``consts``)
-    or "stokes" (S + D, node-major 2N unknowns).
+    same fill. :meth:`kress` corrects every entry and writes none back:
+    it is the fill's last step, and a fill it has spent refuses both.
+    ``kind`` is "helmholtz" (combined field, needs ``consts``) or "stokes"
+    (S + D, node-major 2N unknowns).
     """
 
     def __init__(
@@ -123,31 +126,26 @@ class PTRFill:
             A = np.empty((2 * N, 2 * N))
         else:
             raise AssemblyError(f"unknown system {kind!r}")
-        self.kind = kind
-        self.curve = curve
-        self.consts = consts
         self.grid = quad.make_grid(curve.period, N)
         self.data = sample(curve, self.grid.nodes)
         self.matrix = quad._ptr_fill(self.kernel, self.data, self.grid.h, A)
+        # Every system of the fill is this one object: its matrix is the
+        # fill's own buffer.
+        self._bie = DiscretizedBIE(kind, curve, self.grid, self.data, A, consts)
+        self.spent = False
 
     def _apply(self, stencil: CorrectionStencil):
         """Apply the correction of ``stencil`` and I/2 to the fill; return
         the system and the entries the correction overwrote."""
+        if self.spent:
+            raise AssemblyError("the PTR fill was spent by the Kress rule")
         _check_stencil(stencil, self.grid.N)
         correction = quad._correction(self.kernel, self.data, self.grid.h, stencil)
         saved = correction.apply(self.matrix)
         # The correction wrote every entry of the diagonal, so its saved
         # entries undo this too.
         self.matrix[np.diag_indices_from(self.matrix)] += 0.5
-        bie = DiscretizedBIE(
-            kind=self.kind,
-            curve=self.curve,
-            grid=self.grid,
-            data=self.data,
-            matrix=self.matrix,
-            consts=self.consts,
-        )
-        return bie, correction, saved
+        return self._bie, correction, saved
 
     @contextmanager
     def system(self, stencil: CorrectionStencil):
@@ -159,6 +157,19 @@ class PTRFill:
             yield bie
         finally:
             correction.restore(self.matrix, saved)
+
+    def kress(self) -> DiscretizedBIE:
+        """The Kress system I/2 + fill + the dense Kress correction
+        (Helmholtz only, even N), in the fill's own buffer. It spends the
+        fill: a later :meth:`system` or :meth:`kress` raises AssemblyError."""
+        if self._bie.kind != "helmholtz":
+            raise AssemblyError("the Kress rule is built for Helmholtz only")
+        if self.spent:
+            raise AssemblyError("the PTR fill was spent by the Kress rule")
+        self.spent = True
+        quad._kress(self.kernel, self.data, self.grid.h, self.matrix)
+        self.matrix[np.diag_indices_from(self.matrix)] += 0.5
+        return self._bie
 
 
 def _check_stencil(stencil: CorrectionStencil | None, N: int):
@@ -182,20 +193,15 @@ def assemble_helmholtz(
     its diagonal in place. ``method`` selects the singular quadrature:
     "zeta" (a :class:`PTRFill` with the correction of ``stencil``
     applied, whatever the stencil's source) or "kress" (spectral
-    baseline, no stencil).
+    baseline, no stencil: :meth:`PTRFill.kress` on a fresh fill).
     """
     if method == "zeta":
         _check_stencil(stencil, N)  # before the fill, not after
         return PTRFill("helmholtz", curve, N, consts)._apply(stencil)[0]
     if method != "kress":
         raise AssemblyError(f"unknown method {method!r}")
-    grid = quad.make_grid(curve.period, N)
-    data = sample(curve, grid.nodes)
-    A = quad.kress_helmholtz_operator(curve, grid, consts, "combined")
-    A[np.diag_indices(N)] += 0.5
-    return DiscretizedBIE(
-        kind="helmholtz", curve=curve, grid=grid, data=data, matrix=A, consts=consts
-    )
+    quad.check_grid(N, kress=True)  # before the fill, not after
+    return PTRFill("helmholtz", curve, N, consts).kress()
 
 
 def assemble_stokes(

@@ -2,12 +2,11 @@
 
 Both rules turn a :class:`~zetatrap.kernels.Kernel` into the dense
 matrix that multiplies density samples at the grid nodes; they read the
-kernel's array functions and no formula of their own.
+kernel's array functions and no formula of their own. Each is the PTR
+fill, the punctured trapezoidal matrix kernel*speed*h, plus a correction.
 
-- corrected: one PTR fill per N, each rule a sparse correction on it.
-  The fill is the punctured trapezoidal matrix kernel*speed*h. A
-  :class:`Correction` holds the 2K+1 entries per row that one stencil
-  changes: on the +-j cyclic diagonals (j = 1..K) it adds
+- corrected: a :class:`Correction` holds the 2K+1 entries per row that
+  one stencil changes: on the +-j cyclic diagonals (j = 1..K) it adds
   h*w_j*phi*speed, and on the diagonal it writes
   h*speed*(L + phi(0)*(2 w_0 - log(speed*h))), where L is the coincident
   limit of the kernel's smooth part. ``apply`` returns the entries it
@@ -16,22 +15,23 @@ kernel's array functions and no formula of their own.
 - Kress: the split kernel = -(phi/2) log(4 sin^2((t-s)/2)) + smooth,
   with the log part through the circulant weights R and the smooth
   part through the plain PTR with the analytic diagonal
-  speed*(L - phi(0)*log speed).
+  speed*(L - phi(0)*log speed): a dense correction of the fill that
+  ``_kress`` adds in place and does not undo.
 
-The PTR fill and the Kress rule run one tile loop. The node range is
-cut into slabs of SLAB_ROWS; for each slab pair (I, J) with J >= I, in
-row-major order of (I, J), the loop forms the pairs once and evaluates
-the kernel's radial factors once (see :mod:`~zetatrap.kernels`). It
-writes tile (I, J) and then the mirror tile (J, I), which reads the same
+The PTR fill and the Kress correction run one tile loop. The node range
+is cut into slabs of SLAB_ROWS; for each slab pair (I, J) with J >= I,
+in row-major order of (I, J), the loop forms the pairs once and
+evaluates one set of symmetric factors once: the kernel's radial factors
+for the fill, phi's for Kress (see :mod:`~zetatrap.kernels`). It yields
+tile (I, J) and then the mirror tile (J, I), which reads the same
 factors transposed, with r_vec negated and the two normals exchanged,
-since r_mn = r_nm. The Kress rule also takes phi's factors per tile
-pair. Each tile is written with one slice assignment per component
-plane: a Stokes tile, a contiguous (2, 2, |I|, |J|) block, goes through
-the four (N, N) planes of the node-major 2N x 2N matrix. A correction
-evaluates phi on its N x 2K band pairs and the N diagonal pairs in one
-pass, and the Kress diagonal follows its tile loop. At most one tile
-pair of pair arrays, O(SLAB_ROWS^2), is alive at once, where a row slab
-held SLAB_ROWS x N.
+since r_mn = r_nm. Each fill tile is written with one slice assignment
+per component plane: a Stokes tile, a contiguous (2, 2, |I|, |J|) block,
+goes through the four (N, N) planes of the node-major 2N x 2N matrix. A
+:class:`Correction` evaluates phi on its N x 2K band pairs and the N
+diagonal pairs in one pass, and the Kress diagonal follows its tile
+loop. At most one tile pair of pair arrays, O(SLAB_ROWS^2), is alive at
+once, where a row slab held SLAB_ROWS x N.
 """
 
 from __future__ import annotations
@@ -146,13 +146,13 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
 
-def _tiles(kernel: kernels.Kernel, data: CurveSamples, with_phi: bool):
-    """(I, J, pairs, radial factors, phi factors) of every tile of the N x N
-    pair grid, I and J slices of at most SLAB_ROWS nodes.
+def _tiles(data: CurveSamples, factors):
+    """(I, J, pairs, ``factors(pairs)``) of every tile of the N x N pair
+    grid, I and J slices of at most SLAB_ROWS nodes.
 
-    The factors are evaluated for tiles with J >= I; the mirror tile (J, I)
-    follows at once with the same factors transposed. Without ``with_phi``
-    the phi factors are empty.
+    ``factors`` is evaluated for tiles with J >= I; the mirror tile (J, I)
+    follows at once with the same factors transposed, so they must be
+    symmetric under pair reversal (a kernel's ``radial`` or ``phi_radial``).
     """
     N = len(data.speed)
     edges = [slice(s, min(s + SLAB_ROWS, N)) for s in range(0, N, SLAB_ROWS)]
@@ -161,9 +161,8 @@ def _tiles(kernel: kernels.Kernel, data: CurveSamples, with_phi: bool):
             p = kernels.pairs(
                 data.pos[I, None], data.pos[J], data.normal[J], data.normal[I, None]
             )
-            f = kernel.radial(p)
-            g = kernel.phi_radial(p, f) if with_phi else ()
-            yield I, J, p, f, g
+            f = factors(p)
+            yield I, J, p, f
             if J != I:
                 mirror = kernels.Pairs(
                     -_swap(p.dx),
@@ -173,7 +172,7 @@ def _tiles(kernel: kernels.Kernel, data: CurveSamples, with_phi: bool):
                     data.normal[I],
                     data.normal[J, None],
                 )
-                yield J, I, mirror, tuple(map(_swap, f)), tuple(map(_swap, g))
+                yield J, I, mirror, tuple(map(_swap, f))
 
 
 def _components(A: np.ndarray, N: int) -> np.ndarray:
@@ -198,7 +197,7 @@ def _ptr_fill(kernel: kernels.Kernel, data, h, A: np.ndarray) -> np.ndarray:
     out = _components(A, N)
     lead = out.ndim - 2
     planes = _planes(out, lead)
-    for I, J, p, f, _ in _tiles(kernel, data, with_phi=False):
+    for I, J, p, f in _tiles(data, kernel.radial):
         block = kernel.full_of(p, f)
         block *= data.speed[J]
         block *= h
@@ -386,8 +385,10 @@ def kress_log_matrix(N: int) -> np.ndarray:
     return col[(d[:, None] - d[None, :]) % N]
 
 
-def _kress(kernel: kernels.Kernel, data, h, out) -> np.ndarray:
-    """Fill ``out`` (N, N) with the Kress discretization of ``kernel``."""
+def _kress(kernel: kernels.Kernel, data, h, A) -> np.ndarray:
+    """Correct the PTR fill ``A`` (N, N) of ``kernel`` to its Kress matrix,
+    in place: add phi*speed*(h*log(4 sin^2(pi d/N))/2 - R_d/2) at each
+    lag d off the diagonal, and write the diagonal."""
     N = len(data.speed)
     R = _kress_log_column(N)
     n = np.arange(N)
@@ -395,18 +396,16 @@ def _kress(kernel: kernels.Kernel, data, h, out) -> np.ndarray:
     # lags close to N keep their relative accuracy.
     d = np.minimum(n, N - n)
     logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
-    for I, J, p, f, g in _tiles(kernel, data, with_phi=True):
-        lag = (n[I, None] - n[J]) % N
+    weight = h * logsin / 2 - R / 2
+    for I, J, p, g in _tiles(data, kernel.phi_radial):
         phi_sp = kernel.phi_of(p, g) * data.speed[J]
-        out[I, J] = R[lag] * (-phi_sp / 2) + h * (
-            kernel.full_of(p, f) * data.speed[J] + phi_sp * logsin[lag] / 2
-        )
-    # The tiles' diagonal read the factors at r = 1; phi(0) replaces them.
+        A[I, J] += phi_sp * weight[(n[I, None] - n[J]) % N]
+    # The tiles' diagonal held the fill's placeholder; phi(0) replaces it.
     phi0, sp = kernel.phi(_node_pairs(data, n, n)), data.speed
-    out[n, n] = R[0] * (-phi0 * sp / 2) + h * sp * (
+    A[n, n] = R[0] * (-phi0 * sp / 2) + h * sp * (
         kernel.limit(data) - phi0 * np.log(sp)
     )
-    return out
+    return A
 
 
 def kress_helmholtz_operator(
@@ -424,10 +423,12 @@ def kress_helmholtz_operator(
     """
     kernel = _helmholtz_kernel(consts, which)
     data = sample(curve, grid.nodes)
-    return _kress(kernel, data, grid.h, np.empty((grid.N, grid.N), dtype=complex))
+    A = np.empty((grid.N, grid.N), dtype=complex)
+    return _kress(kernel, data, grid.h, _ptr_fill(kernel, data, grid.h, A))
 
 
 def kress_laplace_slp_matrix(curve: ParametricCurve, grid: TrapezoidGrid) -> np.ndarray:
     """Spectral Kress discretization of the Laplace SLP (reference use)."""
-    data = sample(curve, grid.nodes)
-    return _kress(kernels.laplace_s(), data, grid.h, np.empty((grid.N, grid.N)))
+    kernel, data = kernels.laplace_s(), sample(curve, grid.nodes)
+    A = _ptr_fill(kernel, data, grid.h, np.empty((grid.N, grid.N)))
+    return _kress(kernel, data, grid.h, A)

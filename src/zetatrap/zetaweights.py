@@ -23,6 +23,7 @@ __all__ = [
     "StencilError",
     "build_log_stencil",
     "build_pow_stencil",
+    "order_to_k",
 ]
 
 MAX_K = 20
@@ -124,6 +125,15 @@ def build_log_stencil(K: int) -> CorrectionStencil:
     h^(2K+3) (see :class:`CorrectionStencil`).
     """
     return _build("log", K, None, lambda k: -_zeta_prime_neg_even_mp(k), 2 * K + 2)
+
+
+def order_to_k(order: int) -> int:
+    """K of the log stencil labelled ``order`` = 2K+2 (see
+    :class:`CorrectionStencil`); StencilError unless ``order`` is even
+    and at least 2."""
+    if order < 2 or order % 2:
+        raise StencilError(f"order must be an even integer >= 2, got {order}")
+    return (order - 2) // 2
 
 
 def build_pow_stencil(K: int, z: float) -> CorrectionStencil:

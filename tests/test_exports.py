@@ -1,9 +1,14 @@
-"""Export surface: every exported name resolves, and each library module
-exports the public functions and classes it defines."""
+"""Export surface: every exported name resolves, each library module
+exports the public functions and classes it defines, and every zetatrap
+name that the benchmark in perfbench/ uses exists."""
 
+import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +46,40 @@ def test_specfun_exports_the_array_functions():
         "bessel_j_array",
         "hankel1_array",
     }
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_names_resolve(monkeypatch):
+    # spans.py wraps each (module, function) of TRACED, and a name it
+    # cannot find breaks `perfbench/run.py --trace 1`; workloads.py calls
+    # zetatrap through the modules it imports
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports reference
+    spans = _perfbench_module("spans", monkeypatch)
+    workloads = _perfbench_module("workloads", monkeypatch)
+    for module, function, *_ in spans.TRACED:
+        found = getattr(importlib.import_module(f"zetatrap.{module}"), function, None)
+        assert callable(found), (module, function)
+    modules = {
+        name: obj
+        for name, obj in vars(workloads).items()
+        if inspect.ismodule(obj) and obj.__name__.startswith("zetatrap.")
+    }
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(Path(workloads.__file__).read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {m for m, _ in used} == set(modules) == {"harness", "nystrom"}
+    assert sorted(u for u in used if not hasattr(modules[u[0]], u[1])) == []

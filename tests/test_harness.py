@@ -79,7 +79,7 @@ def test_complex_kappa_and_order_spelling():
     )
     assert cfg.kappa == 12.5 + 10.0j
     assert cfg.methods[0].stencil.K == 7
-    assert cfg.methods[1].name == "kress"
+    assert cfg.methods[1].label == "kress" and cfg.methods[1].stencil is None
 
 
 def test_wavelengths_consistency():
@@ -250,22 +250,37 @@ def _method_outer_table1(cfg, N):
     return rows
 
 
-@pytest.mark.parametrize("kappa", [12.5, 12.5 + 10j, None])
+# "mirror10" stands for an external table of the zeta10 weights
+_MIXED = [{"name": "zeta", "K": 2}, "kress", "mirror10", {"name": "zeta", "K": 7}]
+
+
+@pytest.mark.parametrize(
+    "kappa, methods",
+    [
+        pytest.param(12.5, _MIXED, id="12.5"),
+        pytest.param(12.5 + 10j, _MIXED, id="(12.5+10j)"),
+        pytest.param(
+            12.5, ["kress", {"name": "zeta", "K": 2}, "kress"], id="kress-twice"
+        ),
+        pytest.param(12.5 + 10j, ["kress"], id="kress-only"),
+        pytest.param(None, None, id="None"),
+    ],
+)
 def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
-    kappa, tmp_path, monkeypatch
+    kappa, methods, tmp_path, monkeypatch
 ):
-    # sharing the PTR fill across the stencil rules at each N changes no
-    # number: the sweep rows (but the two timing columns), the EOC rows and
-    # the table1 rows equal those of the method-outer loop
+    # sharing the PTR fill across the rules at each N, Kress last, changes
+    # no number: the sweep rows (but the two timing columns), the EOC rows
+    # and the table1 rows equal those of the method-outer loop
     if kappa is None:
         monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
         cfg = harness.default_stokes_config(N=[64, 96, 128])
     else:
         methods = [
-            {"name": "zeta", "K": 2},
-            {"name": "kress"},
-            {"name": "external", "table": _table_of(tmp_path, "mirror10", 4)},
-            {"name": "zeta", "K": 7},
+            {"name": "external", "table": _table_of(tmp_path, m, 4)}
+            if m == "mirror10"
+            else m
+            for m in methods
         ]
         cfg = harness.default_helmholtz_config(kappa, methods=methods, N=[64, 96, 128])
     rows, eoc_rows = harness.run_convergence(cfg)
@@ -279,30 +294,38 @@ def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
         assert harness.run_table1(cfg, N=96) == _method_outer_table1(cfg, 96)
 
 
-def test_sweep_drops_the_fill_before_kress(monkeypatch):
-    # no reference to the shared fill's matrix (the fill's own or a
-    # system's) is left when the Kress rule is assembled, so two dense
-    # matrices of one N are never alive together
-    fills = []
-    make_fill = nystrom.PTRFill
-    assemble = nystrom.assemble_helmholtz
+def test_sweep_runs_kress_last_on_the_shared_fill(monkeypatch):
+    # each N takes one PTR fill: the stencil rules correct it in turn, then
+    # the Kress rule corrects it for good, its system's matrix the fill's
+    # own buffer; a second Kress rule takes a fresh fill once the spent one
+    # is gone, so two dense matrices of one N are never alive together.
+    # Rows keep the config's order.
+    fills, steps = [], []
 
-    def tracked_fill(*args):
-        fill = make_fill(*args)
-        fills.append(weakref.ref(fill.matrix))
-        return fill
+    class TrackedFill(nystrom.PTRFill):
+        def __init__(self, *args):
+            assert all(f() is None for f in fills), "two fills alive"
+            super().__init__(*args)
+            fills.append(weakref.ref(self.matrix))
 
-    def checked_assemble(*args):
-        assert fills and all(f() is None for f in fills), "fill alive at Kress"
-        return assemble(*args)
+        def system(self, stencil):
+            steps.append((len(fills), stencil.K))
+            return super().system(stencil)
 
-    monkeypatch.setattr(nystrom, "PTRFill", tracked_fill)
-    monkeypatch.setattr(nystrom, "assemble_helmholtz", checked_assemble)
-    methods = [{"name": "kress"}, {"name": "zeta", "K": 2}, {"name": "zeta", "K": 7}]
-    cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 128, 256])
+        def kress(self):
+            bie = super().kress()
+            assert bie.matrix is self.matrix
+            steps.append((len(fills), "kress"))
+            return bie
+
+    monkeypatch.setattr(nystrom, "PTRFill", TrackedFill)
+    methods = ["kress", {"name": "zeta", "K": 2}, "kress", {"name": "zeta", "K": 7}]
+    cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 128])
     rows, _ = harness.run_convergence(cfg)
-    assert len(fills) == 3
-    assert [r[:2] for r in rows[:3]] == [(64, "kress"), (128, "kress"), (256, "kress")]
+    per_n = [(1, 2), (1, 7), (1, "kress"), (2, "kress")]
+    assert steps == per_n + [(n + 2, step) for n, step in per_n]
+    labels = ["kress", "zeta6", "kress", "zeta16"]
+    assert [r[1] for r in rows] == [label for label in labels for _ in range(2)]
 
 
 def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
@@ -881,6 +904,34 @@ def test_integer_fields_are_not_truncated(tmp_path, capsys):
         harness.run_field(cfg, {**_GRID, "nx": 2.5}, N=64)
 
 
+def test_bool_and_string_numbers_exit_2(tmp_path, capsys):
+    # numpy read true as 1 and "12.5" as 12.5: each of these ran with exit 0
+    base = {"problem": "helmholtz", "kappa": 5.0, "N": [64]}
+    for fields, word in (
+        ({"kappa": True}, "kappa"),
+        ({"kappa": "12.5"}, "kappa"),
+        ({"kappa": [True, False]}, "kappa"),
+        ({"kappa": None, "wavelengths": True}, "wavelengths"),
+        ({"strengths": [True, True, True]}, "strengths"),
+        ({"sources": [["0.1", "0.2"]], "strengths": [1.0]}, "sources"),
+        ({"targets": [[True, 2.0], [2.5, False]]}, "targets"),
+        ({"problem": "stokes", "shear_rate": True}, "shear_rate"),
+        ({"problem": "stokes", "shear_rate": "5"}, "shear_rate"),
+    ):
+        raw = {k: v for k, v in {**base, **fields}.items() if v is not None}
+        with pytest.raises(harness.ConfigError, match=word):
+            harness.load_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and word in err
+    # Python complex strengths, as a dict config may pass them, still load
+    strengths = [1 + 1j, 0.5, 2j]
+    cfg = harness.load_config({**base, "strengths": strengths})
+    assert cfg.strengths.tolist() == strengths
+
+
 _GRID = {"nx": 2, "ny": 2, "xmin": 2.0, "xmax": 3.0, "ymin": -1.0, "ymax": 1.0}
 
 
@@ -914,7 +965,9 @@ def test_field_grid_is_validated(tmp_path, capsys):
 
 _SPECIAL = [math.nan, math.inf, -math.inf, -1.5, 0.0]
 _number = hst.one_of(hst.sampled_from(_SPECIAL), hst.floats(-4.0, 4.0))
-_point = hst.lists(_number, min_size=0, max_size=3)
+# a bool or a numeric string where a number belongs
+_leaf = hst.one_of(_number, hst.sampled_from([True, False, "12.5"]))
+_point = hst.lists(_leaf, min_size=0, max_size=3)
 _points = hst.one_of(hst.just([]), hst.lists(_point, min_size=1, max_size=3))
 _method = hst.one_of(
     hst.just("kress"),
@@ -942,16 +995,23 @@ _curve = hst.one_of(
 _config = hst.fixed_dictionaries(
     {"problem": hst.sampled_from(["helmholtz", "stokes"])},
     optional={
-        "kappa": hst.one_of(_number, hst.lists(_number, min_size=0, max_size=3)),
+        "kappa": hst.one_of(_leaf, hst.lists(_leaf, min_size=0, max_size=3)),
+        "wavelengths": _leaf,
         "sources": _points,
-        "strengths": hst.lists(_number, min_size=0, max_size=3),
+        "strengths": hst.lists(_leaf, min_size=0, max_size=3),
         "targets": _points,
-        "shear_rate": _number,
+        "shear_rate": _leaf,
         "N": hst.lists(hst.sampled_from([-16, 0, 16, 17, 24, 32]), max_size=2),
         "methods": hst.one_of(hst.lists(_method, min_size=0, max_size=2), _number),
         "curve": _curve,
     },
 )
+
+
+def _not_a_number(value) -> bool:
+    if isinstance(value, list):
+        return any(_not_a_number(v) for v in value)
+    return isinstance(value, (bool, str))
 
 
 def _run_cli(argv):
@@ -972,7 +1032,14 @@ def test_fuzzed_configs_exit_0_or_2(raw):
         with open(path, "w") as fh:
             json.dump(raw, fh)
         argv = ["convergence", "--config", path, "--out", f"{tmp}/out.csv"]
-        assert _run_cli(argv) in (0, 2)
+        code = _run_cli(argv)
+    assert code in (0, 2)
+    # a bool or a string in a field the config reads is refused
+    read = ["sources", "strengths", "targets", "shear_rate"]
+    if raw["problem"] == "helmholtz":
+        read += ["kappa", "wavelengths"]
+    if any(_not_a_number(raw[field]) for field in read if field in raw):
+        assert code == 2
 
 
 @settings(max_examples=40, deadline=None)

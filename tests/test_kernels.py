@@ -156,9 +156,10 @@ def test_stokes_combined_is_s_plus_d():
 
 
 def test_radial_factors_are_symmetric_and_give_full_and_phi():
-    # radial(p) of the pairs (m, n) is, bit for bit, the transpose of that of
-    # (n, m); phi from radial(p)'s own factors equals phi(p) off the
-    # coincident pairs, with no Bessel call on the real route
+    # radial(p) and phi_radial(p) of the pairs (m, n) are, bit for bit, the
+    # transposes of those of (n, m), as the mirrored tiles of the PTR fill
+    # and of the Kress correction rely on; full formed from radial(p)
+    # equals full(p)
     N = 23
     t = np.linspace(0, 2 * math.pi, N, endpoint=False)
     data = sample(star_curve(1.0, 0.3, 5), t)
@@ -175,13 +176,10 @@ def test_radial_factors_are_symmetric_and_give_full_and_phi():
             kn.helmholtz_combined(kappa),
         ]
     for kernel in kernels:
-        f, f_rev = kernel.radial(fwd), kernel.radial(rev)
-        assert len(f) == len(f_rev)
-        for a, b in zip(f, f_rev):
-            assert np.array_equal(a, np.swapaxes(b, -1, -2))
+        for factors in (kernel.radial, kernel.phi_radial):
+            f, f_rev = factors(fwd), factors(rev)
+            assert len(f) == len(f_rev)
+            for a, b in zip(f, f_rev):
+                assert np.array_equal(a, np.swapaxes(b, -1, -2))
+        f = kernel.radial(fwd)
         assert np.array_equal(kernel.full_of(fwd, f), kernel.full(fwd))
-        phi = kernel.phi_of(fwd, kernel.phi_radial(fwd, f))
-        assert np.array_equal(phi, kernel.phi(fwd))
-    real = kn.helmholtz_combined(12.5)
-    f = real.radial(fwd)
-    assert all(np.shares_memory(j, h) for j, h in zip(real.phi_radial(fwd, f), f))

@@ -285,7 +285,9 @@ def _fresh_fill(kind, N, consts):
 def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
     # each rule's system inside the holder is the assembled system bit for
     # bit, and each exit leaves the fill as a fresh fill makes it; a
-    # stencil read from a table is one more rule, on either system
+    # stencil read from a table is one more rule, on either system. The
+    # Kress rule, last, is the assembled Kress system in the fill's buffer
+    # and spends the fill; a Stokes fill refuses it
     N = 96
     consts = None if kappa is None else helmholtz_constants(kappa)
     fill = ny.PTRFill(kind, STAR, N, consts)
@@ -307,6 +309,18 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
             assert np.array_equal(bie.matrix, assembled.matrix), stencil
             assert np.array_equal(bie.data.pos, assembled.data.pos)
         assert np.array_equal(fill.matrix, fresh), stencil
+    if kind == "stokes":
+        with pytest.raises(ny.AssemblyError, match="Helmholtz"):
+            fill.kress()
+        assert np.array_equal(fill.matrix, fresh)
+        return
+    assembled = ny.assemble_helmholtz(STAR, N, consts, "kress")
+    bie = fill.kress()
+    assert bie.matrix is fill.matrix
+    assert np.array_equal(bie.matrix, assembled.matrix)
+    for spent in (lambda: fill.system(stencils[0]).__enter__(), fill.kress):
+        with pytest.raises(ny.AssemblyError, match="spent"):
+            spent()
 
 
 def test_ptr_fill_is_restored_when_the_block_raises():
@@ -341,6 +355,8 @@ def test_ptr_fill_is_restored_when_the_block_raises():
                 ny.assemble_stokes(STAR, 40, stencil)
         with pytest.raises(ny.AssemblyError):
             ny.assemble_stokes(STAR, 40, None)
+        with pytest.raises(quad.GridError):
+            ny.assemble_helmholtz(STAR, 41, consts, "kress")
 
 
 def test_correction_touches_only_its_band_and_diagonal():

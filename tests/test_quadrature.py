@@ -288,12 +288,14 @@ def test_stokes_rotation_equivariance_on_circle():
 def test_tile_loop_evaluates_each_pair_once(monkeypatch):
     # Hankel01 sees each unordered pair once (whole diagonal tiles
     # included): at most N(N + SLAB_ROWS)/2 points, where a row-by-row fill
-    # reaches N^2; the real-kappa Kress rule takes J0/J1 from those values
-    # and calls bessel_j_array on the N diagonal pairs only
+    # reaches N^2. The Kress correction calls Hankel01 nowhere, only its
+    # fill does, and bessel_j_array for each order J0, J1 on each unordered
+    # pair once, and on the N diagonal pairs
     N, slab = 64, 7
     g = _grid(STAR, N)
     consts = helmholtz_constants(12.5)
-    hankel_points, bessel_sizes = [], []
+    bound = N * (N + slab) // 2
+    hankel_points, bessel_points = [], {0: 0, 1: 0}
     bessel_j = kernels.bessel_j_array
 
     class CountedHankel01(kernels.Hankel01):
@@ -302,19 +304,24 @@ def test_tile_loop_evaluates_each_pair_once(monkeypatch):
             return super().__call__(r)
 
     def counted_bessel_j(order, z):
-        bessel_sizes.append(np.size(z))
+        bessel_points[order] += np.size(z)
         return bessel_j(order, z)
 
     monkeypatch.setattr(kernels, "Hankel01", CountedHankel01)
     monkeypatch.setattr(kernels, "bessel_j_array", counted_bessel_j)
     monkeypatch.setattr(quad, "SLAB_ROWS", slab)
     quad.helmholtz_matrix(STAR, g, consts, build_log_stencil(3), "combined")
-    assert 0 < sum(hankel_points) <= N * (N + slab) // 2
+    assert 0 < sum(hankel_points) <= bound
     hankel_points.clear()
-    bessel_sizes.clear()
     quad.kress_helmholtz_operator(STAR, g, consts, "combined")
-    assert 0 < sum(hankel_points) <= N * (N + slab) // 2
-    assert bessel_sizes and max(bessel_sizes) <= N
+    assert 0 < sum(hankel_points) <= bound
+    kernel, data = kernels.helmholtz_combined(12.5), sample(STAR, g.nodes)
+    A = quad._ptr_fill(kernel, data, g.h, np.empty((N, N), dtype=complex))
+    hankel_points.clear()
+    bessel_points.update({0: 0, 1: 0})
+    quad._kress(kernel, data, g.h, A)
+    assert hankel_points == []
+    assert all(N < points <= bound + N for points in bessel_points.values())
 
 
 def _node_pairs(data, tgt, src):
@@ -353,6 +360,9 @@ def _row_by_row_corrected(kernel, data, h, stencil):
 
 
 def _row_by_row_kress(kernel, data, h):
+    # the Kress rule one target row at a time, from kernel.full and
+    # kernel.phi: plain PTR row, phi*speed*(h*log(4 sin^2)/2 - R/2) at
+    # each lag added to it, diagonal
     N = len(data.speed)
     R = quad.kress_log_matrix(N)
     n = np.arange(N)
@@ -361,12 +371,11 @@ def _row_by_row_kress(kernel, data, h):
     rows = []
     for m in range(N):
         p = _node_pairs(data, m, slice(None))
+        row = kernel.full(p) * data.speed
+        row *= h
         lag = (m - n) % N
-        phi_sp = kernel.phi(p) * data.speed
-        rows.append(
-            R[m] * (-phi_sp / 2)
-            + h * (kernel.full(p) * data.speed + phi_sp * logsin[lag] / 2)
-        )
+        row += kernel.phi(p) * data.speed * (h * logsin[lag] / 2 - R[m] / 2)
+        rows.append(row)
     A = np.stack(rows)
     phi0, sp = kernel.phi(_node_pairs(data, n, n)), data.speed
     A[n, n] = R[0, 0] * (-phi0 * sp / 2) + h * sp * (
