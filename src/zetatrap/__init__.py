@@ -35,6 +35,7 @@ from .nystrom import (
     cond_2norm,
     eval_helmholtz_potential,
     eval_stokes_velocity,
+    resample_density,
     solve_direct,
     solve_gmres,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "cond_2norm",
     "eval_helmholtz_potential",
     "eval_stokes_velocity",
+    "resample_density",
     "solve_direct",
     "solve_gmres",
     "TrapezoidGrid",

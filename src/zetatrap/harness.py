@@ -7,6 +7,9 @@ Method names live here only, to read a config and label rows: a method
 is a label and a stencil, none for the Kress rule. Every driver checks
 each N with :func:`_check_n` and builds its systems with
 :func:`_on_each_system` on one :class:`~zetatrap.nystrom.PTRFill` per N.
+A sweep warm-starts GMRES from each method's previous N; table1 and
+field solve cold, as their iteration counts are the conditioning
+measurement.
 """
 
 from __future__ import annotations
@@ -143,6 +146,16 @@ def _finite(value, what: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def _scalar(value, what: str, dtype=float):
+    """``value`` as one finite number of ``dtype``, or ConfigError. A list
+    is refused, one of a single number too: numpy cannot read ``[5.0]``
+    as a scalar."""
+    arr = _finite(value, what, dtype)
+    if arr.ndim != 0:
+        raise ConfigError(f"{what} must be a single number, got {value!r}")
+    return arr.item()
+
+
 def _points(value, what: str) -> np.ndarray:
     """``value`` as a finite (n, 2) array with n >= 1."""
     arr = _finite(value, what)
@@ -168,9 +181,9 @@ def _kappa(raw, curve: ParametricCurve) -> complex:
                 raise ConfigError(f"kappa as a list is [re, im], got {k!r}")
             kappa = complex(parts[0], parts[1])
         else:
-            kappa = complex(_finite(k, "kappa", complex))
+            kappa = complex(_scalar(k, "kappa", complex))
     if "wavelengths" in raw:
-        wavelengths = float(_finite(raw["wavelengths"], "wavelengths"))
+        wavelengths = _scalar(raw["wavelengths"], "wavelengths")
         if wavelengths <= 0:
             raise ConfigError(f"wavelengths must be positive, got {wavelengths}")
         implied = 2 * math.pi * wavelengths / _curve_diameter(curve)
@@ -311,7 +324,7 @@ def load_config(source) -> ProblemConfig:
     if strengths.shape != (len(sources),):
         raise ConfigError("strengths must list one number per source")
     targets = _points(raw.get("targets", _default_targets()), "targets")
-    shear_rate = float(_finite(raw.get("shear_rate", 5.0), "shear_rate"))
+    shear_rate = _scalar(raw.get("shear_rate", 5.0), "shear_rate")
     if problem == "stokes" and shear_rate == 0:
         raise ConfigError(
             "shear_rate must be nonzero: a zero flow has no relative error"
@@ -413,8 +426,8 @@ def fit_eoc(n_values, errors, floor: float = SATURATION_FLOOR):
 
 
 def _on_each_system(cfg: ProblemConfig, methods, N: int, measure) -> list:
-    """(assemble seconds, ``measure(bie)``) for the system of each of
-    ``methods`` at N, in their order.
+    """(assemble seconds, ``measure(i, bie)``) for the system ``bie`` of
+    each entry ``methods[i]`` at N, in their order.
 
     The methods share one PTR fill (:class:`~zetatrap.nystrom.PTRFill`).
     The stencil rules run first, each with its correction applied for the
@@ -435,11 +448,11 @@ def _on_each_system(cfg: ProblemConfig, methods, N: int, measure) -> list:
         t0 = time.perf_counter()
         if methods[i].stencil is None:
             bie = fill.kress()
-            out[i] = (fill_s + time.perf_counter() - t0, measure(bie))
+            out[i] = (fill_s + time.perf_counter() - t0, measure(i, bie))
             fill = bie = None
         else:
             with fill.system(methods[i].stencil) as bie:
-                out[i] = (fill_s + time.perf_counter() - t0, measure(bie))
+                out[i] = (fill_s + time.perf_counter() - t0, measure(i, bie))
     return out
 
 
@@ -448,22 +461,31 @@ def _shear_flow(cfg: ProblemConfig, points: np.ndarray) -> np.ndarray:
     return np.stack([cfg.shear_rate * points[:, 1], np.zeros(len(points))], axis=1)
 
 
-def _solve(cfg: ProblemConfig, bie) -> nystrom.SolveReport:
-    """Solve the BIE for the configured boundary data."""
+def _solve(cfg: ProblemConfig, bie, start=None) -> nystrom.SolveReport:
+    """Solve the BIE for the configured boundary data: cold, or warm from
+    ``start``, a density of the same problem on another grid, which
+    :func:`~zetatrap.nystrom.resample_density` carries to this one as
+    GMRES's x0 and which stops at GMRES_WARM_TOL."""
     if cfg.problem == "helmholtz":
         rhs = known_solution(cfg.kappa, cfg.sources, cfg.strengths, bie.data.pos)
     else:
         rhs = -_shear_flow(cfg, bie.data.pos).ravel()
-    return nystrom.solve_gmres(bie.matrix, rhs)
+    if start is None:
+        return nystrom.solve_gmres(bie.matrix, rhs)
+    # one row per node: (M, 2) for the node-major Stokes density
+    per_node = start.reshape(-1, len(rhs) // bie.grid.N)
+    x0 = nystrom.resample_density(per_node, bie.grid.N).ravel()
+    return nystrom.solve_gmres(bie.matrix, rhs, tol=nystrom.GMRES_WARM_TOL, x0=x0)
 
 
-def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray):
-    """Solve the BIE for the configured data and evaluate at the targets.
+def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray, start=None):
+    """Solve the BIE for the configured data, warm from ``start`` if given
+    (see :func:`_solve`), and evaluate at the targets.
 
     A target that the grid's near-field rule refuses is a ConfigError:
     the config's targets and N do not fit together.
     """
-    rep = _solve(cfg, bie)
+    rep = _solve(cfg, bie, start)
     try:
         if cfg.problem == "helmholtz":
             return rep, nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
@@ -473,12 +495,13 @@ def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray):
     return rep, flow + _shear_flow(cfg, targets)
 
 
-def _stokes_reference(cfg: ProblemConfig) -> np.ndarray:
-    """Self-converged reference velocity at the test targets."""
+def _stokes_reference(cfg: ProblemConfig, start=None) -> np.ndarray:
+    """Self-converged reference velocity at the test targets, solved warm
+    from the density ``start`` of another grid if given."""
     method = _zeta_method(order_to_k(STOKES_REFERENCE_ORDER))
 
-    def measure(bie):
-        return _solve_and_eval(cfg, bie, cfg.targets)[1]
+    def measure(i, bie):
+        return _solve_and_eval(cfg, bie, cfg.targets, start)[1]
 
     [(_, vals)] = _on_each_system(cfg, [method], STOKES_REFERENCE_N, measure)
     return vals
@@ -493,27 +516,38 @@ def run_convergence(cfg: ProblemConfig):
     'n1;n2;...'). The stencil rules at one N share one PTR fill, so a
     row's assemble_s is the fill's seconds plus that rule's correction
     (see :func:`_on_each_system`).
+
+    The sweep warm-starts: each method entry solves its first N cold and
+    every later N from its own density at the previous N, carried over by
+    trigonometric interpolation and solved to the tighter
+    GMRES_WARM_TOL (see :func:`_solve`). A warm row's solve_s is
+    therefore not that of a cold solve. The Stokes reference is solved
+    after the sweep, warm from the highest-K rule's density at the last
+    N, and the errors are taken last.
     """
+    densities = {}  # method entry -> its density at the last N solved
+
+    def measure(i, bie):
+        t0 = time.perf_counter()
+        rep, vals = _solve_and_eval(cfg, bie, cfg.targets, densities.get(i))
+        densities[i] = rep.solution
+        return vals, time.perf_counter() - t0
+
+    per_n = [_on_each_system(cfg, cfg.methods, N, measure) for N in cfg.n_list]
     if cfg.problem == "helmholtz":
         ref = known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
     else:
-        ref = _stokes_reference(cfg)
+        top = max(range(len(cfg.methods)), key=lambda i: cfg.methods[i].stencil.K)
+        ref = _stokes_reference(cfg, densities[top])
     scale = float(np.abs(ref).max())
-
-    def measure(bie):
-        t0 = time.perf_counter()
-        _, vals = _solve_and_eval(cfg, bie, cfg.targets)
-        solve_s = time.perf_counter() - t0
-        return float(np.abs(vals - ref).max()) / scale, solve_s
-
-    per_n = [_on_each_system(cfg, cfg.methods, N, measure) for N in cfg.n_list]
     rows = []
     eoc_rows = []
     for i, method in enumerate(cfg.methods):
         order = "" if method.order is None else method.order
         errs = []
         for N, results in zip(cfg.n_list, per_n):
-            assemble_s, (err, solve_s) = results[i]
+            assemble_s, (vals, solve_s) = results[i]
+            err = float(np.abs(vals - ref).max()) / scale
             errs.append(err)
             rows.append((N, method.label, order, err, assemble_s, solve_s))
         eoc, window = fit_eoc(cfg.n_list, errs)
@@ -539,7 +573,7 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
             f"N={N} exceeds the dense SVD budget of {nystrom.COND_MAX_DIM} unknowns"
         )
 
-    def measure(bie):
+    def measure(i, bie):
         cond = nystrom.cond_2norm(bie.matrix)
         rhs = known_solution(cfg.kappa, cfg.sources, cfg.strengths, bie.data.pos)
         rep = nystrom.solve_gmres(bie.matrix, rhs)
@@ -581,7 +615,10 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     ys = np.linspace(ymin, ymax, ny_)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     [(_, (vals, far))] = _on_each_system(
-        cfg, methods, N, lambda b: nystrom.eval_field(b, _solve(cfg, b).solution, pts)
+        cfg,
+        methods,
+        N,
+        lambda i, bie: nystrom.eval_field(bie, _solve(cfg, bie).solution, pts),
     )
     if cfg.problem == "helmholtz":
         vals = np.stack([vals.real, vals.imag], axis=1)

@@ -39,6 +39,14 @@ def test_module_exports_its_definitions(name):
     assert sorted(defined - set(module.__all__)) == []
 
 
+def test_warm_start_names_are_exported():
+    # a sweep warm-starts GMRES with the resampled density of the previous N
+    from zetatrap import nystrom
+
+    warm = {"solve_gmres", "resample_density"}
+    assert warm <= set(nystrom.__all__) and warm <= set(zetatrap.__all__)
+
+
 def test_specfun_exports_the_array_functions():
     assert set(specfun.__all__) == {
         "EULER_GAMMA",

@@ -207,23 +207,52 @@ def _assembled(cfg, method, N):
     return nystrom.assemble_helmholtz(cfg.curve, N, consts, name, method.stencil)
 
 
+def _warm_solve(cfg, bie, density):
+    # GMRES on the configured data, from the trigonometric interpolant of
+    # a coarser grid's density when one is given
+    pos = bie.data.pos
+    if cfg.problem == "helmholtz":
+        rhs = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pos)
+    else:
+        rhs = -harness._shear_flow(cfg, pos).ravel()
+    if density is None:
+        return nystrom.solve_gmres(bie.matrix, rhs)
+    per_node = density.reshape(-1, 1 if cfg.problem == "helmholtz" else 2)
+    x0 = nystrom.resample_density(per_node, bie.grid.N).ravel()
+    return nystrom.solve_gmres(bie.matrix, rhs, tol=nystrom.GMRES_WARM_TOL, x0=x0)
+
+
 def _method_outer_sweep(cfg):
     # the sweep as it ran before the PTR fill was shared: method by
-    # method, each system assembled on its own
+    # method, each system assembled on its own, each N after the first
+    # warm from the method's density at the previous N; the Stokes
+    # reference last, warm from the highest-K rule's finest density
+    values, finest = [], []  # finest: each method's density at the last N
+    for method in cfg.methods:
+        density = None
+        for N in cfg.n_list:
+            bie = _assembled(cfg, method, N)
+            rep = _warm_solve(cfg, bie, density)
+            density = rep.solution
+            if cfg.problem == "helmholtz":
+                vals = nystrom.eval_helmholtz_potential(bie, density, cfg.targets)
+            else:
+                vals = nystrom.eval_stokes_velocity(bie, density, cfg.targets)
+                vals += harness._shear_flow(cfg, cfg.targets)
+            values.append(vals)
+        finest.append(density)
     if cfg.problem == "helmholtz":
         ref = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
     else:
-        ref = harness._stokes_reference(cfg)
+        top = max(range(len(finest)), key=lambda i: cfg.methods[i].stencil.K)
+        ref = harness._stokes_reference(cfg, finest[top])
     scale = float(np.abs(ref).max())
+    errors = iter([float(np.abs(vals - ref).max()) / scale for vals in values])
     rows, eoc_rows = [], []
     for method in cfg.methods:
         order = "" if method.order is None else method.order
-        errs = []
-        for N in cfg.n_list:
-            bie = _assembled(cfg, method, N)
-            _, vals = harness._solve_and_eval(cfg, bie, cfg.targets)
-            errs.append(float(np.abs(vals - ref).max()) / scale)
-            rows.append((N, method.label, order, errs[-1]))
+        errs = [next(errors) for _ in cfg.n_list]
+        rows += [(N, method.label, order, e) for N, e in zip(cfg.n_list, errs)]
         eoc, window = harness.fit_eoc(cfg.n_list, errs)
         eoc_rows.append((method.label, order, eoc, ";".join(str(n) for n in window)))
     return rows, eoc_rows
@@ -326,6 +355,98 @@ def test_sweep_runs_kress_last_on_the_shared_fill(monkeypatch):
     assert steps == per_n + [(n + 2, step) for n, step in per_n]
     labels = ["kress", "zeta6", "kress", "zeta16"]
     assert [r[1] for r in rows] == [label for label in labels for _ in range(2)]
+
+
+def _record_solves(monkeypatch):
+    # every nystrom.solve_gmres call as (unknowns, x0, tol, report)
+    calls = []
+    solve = nystrom.solve_gmres
+
+    def recorded(A, rhs, tol=nystrom.GMRES_TOL, x0=None):
+        rep = solve(A, rhs, tol, x0=x0)
+        calls.append((len(rhs), x0, tol, rep))
+        return rep
+
+    monkeypatch.setattr(nystrom, "solve_gmres", recorded)
+    return calls
+
+
+def test_sweep_warm_starts_each_method_entry_from_its_own_density(monkeypatch):
+    # the first N of each entry is solved cold; every later N starts from
+    # the interpolant of that entry's own density at the previous N, the
+    # two Kress entries included, and stops at GMRES_WARM_TOL
+    calls = _record_solves(monkeypatch)
+    methods = ["kress", {"name": "zeta", "K": 2}, "kress", {"name": "zeta", "K": 7}]
+    cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 96, 128])
+    harness.run_convergence(cfg)
+    order = [1, 3, 0, 2]  # the entries' solves at one N: stencil rules, then Kress
+    assert [n for n, *_ in calls] == [N for N in cfg.n_list for _ in order]
+    density = {}
+    for (n, x0, tol, rep), i in zip(calls, order * len(cfg.n_list)):
+        if i not in density:
+            assert x0 is None and tol == nystrom.GMRES_TOL
+        else:
+            assert tol == nystrom.GMRES_WARM_TOL
+            assert np.array_equal(x0, nystrom.resample_density(density[i], n))
+        density[i] = rep.solution
+        assert rep.converged
+
+
+def test_stokes_reference_is_solved_after_the_sweep(monkeypatch):
+    # the N = STOKES_REFERENCE_N fill is built after every fill of the
+    # sweep, and its solve starts from the highest-K rule's density at the
+    # sweep's last N
+    monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
+    fills = []
+
+    class TrackedFill(nystrom.PTRFill):
+        def __init__(self, kind, curve, N, *args):
+            fills.append(N)
+            super().__init__(kind, curve, N, *args)
+
+    monkeypatch.setattr(nystrom, "PTRFill", TrackedFill)
+    calls = _record_solves(monkeypatch)
+    methods = [{"name": "zeta", "K": 7}, {"name": "zeta", "K": 2}]
+    cfg = harness.default_stokes_config(methods=methods, N=[64, 96, 128])
+    harness.run_convergence(cfg)
+    assert fills == [64, 96, 128, 384]
+    assert [n // 2 for n, *_ in calls] == [64, 64, 96, 96, 128, 128, 384]
+    assert [x0 is None for _, x0, *_ in calls] == [True, True] + [False] * 5
+    finest_zeta16 = calls[4][3].solution.reshape(128, 2)
+    want = nystrom.resample_density(finest_zeta16, 384).ravel()
+    assert np.array_equal(calls[-1][1], want)
+
+
+def test_table1_and_field_solve_cold(monkeypatch):
+    # their GMRES iteration counts are the conditioning measurement
+    calls = _record_solves(monkeypatch)
+    methods = [{"name": "zeta", "K": 2}, "kress"]
+    cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 96])
+    harness.run_table1(cfg, N=64)
+    harness.run_field(cfg, dict(_GRID), N=64)
+    harness.run_field(harness.default_stokes_config(N=[64]), dict(_GRID), N=64)
+    assert len(calls) == 4
+    assert all(x0 is None and tol == nystrom.GMRES_TOL for _, x0, tol, _ in calls)
+
+
+def test_warm_stop_changes_no_converged_flag(monkeypatch):
+    # the warm solves stop at GMRES_WARM_TOL but are judged by the cold
+    # contract, 10 GMRES_TOL: Kress at the decaying wave reports the same
+    # flags warm as cold at every N (its warm true residual at N = 1024 is
+    # ~4.6e-14, which a 10 GMRES_WARM_TOL verdict would call failed)
+    calls = _record_solves(monkeypatch)
+    N = [128, 256, 512, 1024]
+    cfg = harness.default_helmholtz_config(12.5 + 10j, methods=["kress"], N=N)
+    harness.run_convergence(cfg)
+    warm = [rep.converged for *_, rep in calls]
+    cold = []
+    consts = helmholtz_constants(cfg.kappa)
+    for n in N:
+        bie = nystrom.assemble_helmholtz(cfg.curve, n, consts, "kress")
+        pos = bie.data.pos
+        rhs = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pos)
+        cold.append(nystrom.solve_gmres(bie.matrix, rhs).converged)
+    assert warm == cold
 
 
 def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
@@ -820,6 +941,31 @@ def test_non_finite_config_values_exit_2(field, bad, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"problem": "stokes", "shear_rate": [5.0]}, "shear_rate"),
+        ({"problem": "helmholtz", "wavelengths": [4.0]}, "wavelengths"),
+        ({"problem": "helmholtz", "kappa": 5.0, "shear_rate": [5.0]}, "shear_rate"),
+    ],
+)
+def test_one_element_list_for_a_scalar_field_exits_2(raw, field, tmp_path, capsys):
+    # numpy refuses float() of a 1-d array: these ended in a TypeError
+    # traceback with exit 1
+    with pytest.raises(harness.ConfigError, match=f"{field} must be a single number"):
+        harness.load_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_non_list_kappa_must_be_a_scalar():
+    # [re, im] is the one list form; any other array is refused
+    with pytest.raises(harness.ConfigError, match="kappa must be a single number"):
+        harness.load_config({"problem": "helmholtz", "kappa": np.array([12.5])})
+
+
 def test_config_rejects_empty_zero_and_malformed_values():
     base = {
         "problem": "helmholtz",
@@ -969,6 +1115,8 @@ _number = hst.one_of(hst.sampled_from(_SPECIAL), hst.floats(-4.0, 4.0))
 _leaf = hst.one_of(_number, hst.sampled_from([True, False, "12.5"]))
 _point = hst.lists(_leaf, min_size=0, max_size=3)
 _points = hst.one_of(hst.just([]), hst.lists(_point, min_size=1, max_size=3))
+# a scalar field also drawn as a one-element list, which is refused
+_scalar = hst.one_of(_leaf, hst.lists(_leaf, min_size=1, max_size=1))
 _method = hst.one_of(
     hst.just("kress"),
     hst.fixed_dictionaries(
@@ -996,11 +1144,11 @@ _config = hst.fixed_dictionaries(
     {"problem": hst.sampled_from(["helmholtz", "stokes"])},
     optional={
         "kappa": hst.one_of(_leaf, hst.lists(_leaf, min_size=0, max_size=3)),
-        "wavelengths": _leaf,
+        "wavelengths": _scalar,
         "sources": _points,
         "strengths": hst.lists(_leaf, min_size=0, max_size=3),
         "targets": _points,
-        "shear_rate": _leaf,
+        "shear_rate": _scalar,
         "N": hst.lists(hst.sampled_from([-16, 0, 16, 17, 24, 32]), max_size=2),
         "methods": hst.one_of(hst.lists(_method, min_size=0, max_size=2), _number),
         "curve": _curve,
@@ -1039,6 +1187,10 @@ def test_fuzzed_configs_exit_0_or_2(raw):
     if raw["problem"] == "helmholtz":
         read += ["kappa", "wavelengths"]
     if any(_not_a_number(raw[field]) for field in read if field in raw):
+        assert code == 2
+    # so is a list in a scalar field
+    scalars = [field for field in read if field in ("shear_rate", "wavelengths")]
+    if any(isinstance(raw.get(field), list) for field in scalars):
         assert code == 2
 
 

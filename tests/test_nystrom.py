@@ -62,6 +62,89 @@ def test_gmres_zero_rhs():
     assert np.all(rep.solution == 0.0)
 
 
+def _random_system(seed, n=40):
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = np.eye(n) + 0.3 * noise / math.sqrt(n)
+    return A, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gmres_zero_start_is_the_cold_solve(dtype):
+    A, rhs = _random_system(5)
+    if dtype is float:
+        A, rhs = A.real, rhs.real
+    cold = ny.solve_gmres(A, rhs)
+    warm = ny.solve_gmres(A, rhs, x0=np.zeros(len(rhs)))
+    assert warm.iterations == cold.iterations > 0
+    assert np.array_equal(warm.solution, cold.solution)
+    assert warm.residual_norm == cold.residual_norm
+    assert warm.converged and cold.converged
+
+
+def test_gmres_counts_iterations_from_its_start():
+    A, rhs = _random_system(6)
+    exact = ny.solve_direct(A, rhs).solution
+    rep = ny.solve_gmres(A, rhs, x0=exact)
+    assert rep.iterations == 0 and rep.converged
+    assert np.array_equal(rep.solution, exact)
+    # a start near the solution needs fewer steps to the same stop, which
+    # stays relative to ||rhs||, not to the start's residual
+    near = exact + 1e-8 * np.random.default_rng(1).standard_normal(len(rhs))
+    warm = ny.solve_gmres(A, rhs, x0=near)
+    cold = ny.solve_gmres(A, rhs)
+    assert 0 < warm.iterations < cold.iterations
+    assert warm.converged
+    assert np.max(np.abs(warm.solution - exact)) <= 1e-12
+
+
+def test_gmres_zero_rhs_with_a_start():
+    # the solution of A x = 0 is zero, whatever the start; no division by
+    # the zero norm (RuntimeWarnings are errors in this suite)
+    A, _ = _random_system(8, n=6)
+    rep = ny.solve_gmres(A, np.zeros(6, dtype=complex), x0=np.ones(6))
+    assert rep.converged and rep.iterations == 0
+    assert np.all(rep.solution == 0) and rep.residual_norm == 0.0
+
+
+def _trig(N, seed, shape=()):
+    # a random trigonometric polynomial with the modes |k| <= 6 at N nodes
+    coef = np.random.default_rng(seed).standard_normal((13, *shape, 2))
+    coef = coef[..., 0] + 1j * coef[..., 1]
+    t = 2 * math.pi * np.arange(N) / N
+    waves = np.exp(1j * np.outer(t, np.arange(-6, 7)))
+    return np.tensordot(waves, coef, axes=1)
+
+
+@pytest.mark.parametrize("M", [13, 14, 16, 33, 48])
+@pytest.mark.parametrize("N", [13, 14, 15, 31, 64])
+def test_resample_density_reproduces_trig_polynomials(M, N):
+    # even and odd N, up and down: a polynomial that both grids resolve
+    # (|k| < min(M, N)/2) is carried over to rounding, complex (N,) and
+    # real node-major (N, 2) alike
+    complex_ = ny.resample_density(_trig(M, 1), N)
+    assert complex_.shape == (N,)
+    assert np.max(np.abs(complex_ - _trig(N, 1))) <= 1e-14 * np.max(np.abs(_trig(N, 1)))
+    real = ny.resample_density(_trig(M, 2, (2,)).real, N)
+    assert real.shape == (N, 2) and real.dtype == float
+    want = _trig(N, 2, (2,)).real
+    assert np.max(np.abs(real - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_resample_density_nyquist_mode():
+    # going up from an even M, the Nyquist samples cos(M t/2) are split
+    # between +M/2 and -M/2 and stay cos(M t/2); going down to an even N,
+    # the modes +-N/2 are dropped
+    def cos(k, N):
+        return np.cos(k * 2 * math.pi * np.arange(N) / N)
+
+    assert np.max(np.abs(ny.resample_density(cos(4, 8), 21) - cos(4, 21))) <= 1e-14
+    assert np.max(np.abs(ny.resample_density(cos(4, 8), 12) - cos(4, 12))) <= 1e-14
+    assert np.max(np.abs(ny.resample_density(cos(4, 20), 8))) <= 1e-14
+    same = cos(3, 8)
+    assert np.array_equal(ny.resample_density(same, 8), same)
+
+
 def test_gmres_matches_direct_complex():
     rng = np.random.default_rng(11)
     n = 40
@@ -388,12 +471,14 @@ def test_correction_touches_only_its_band_and_diagonal():
     K=hst.integers(0, 7),
     modulus=hst.floats(3.5, 14.0),
     arg=hst.one_of(hst.just(0.0), hst.floats(1e-3, math.pi / 2 - 1e-3)),
+    seed=hst.integers(0, 2**32 - 1),
 )
-@example(amplitude=0.3, lobes=5, K=7, modulus=16.0, arg=0.675)  # 12.5 + 10i
-def test_gmres_agrees_with_lu_on_random_stars(amplitude, lobes, K, modulus, arg):
+@example(amplitude=0.3, lobes=5, K=7, modulus=16.0, arg=0.675, seed=0)  # 12.5 + 10i
+def test_gmres_agrees_with_lu_on_random_stars(amplitude, lobes, K, modulus, arg, seed):
     # random star shapes, rules and wavenumbers, real (arg 0) and complex in
     # the first quadrant; |kappa| diameter > 4, so at complex kappa the
-    # Hankel table of the combined kernel takes part
+    # Hankel table of the combined kernel takes part. GMRES from zero and
+    # from a random start both agree with LU
     curve = star_curve(1.0, amplitude, lobes)
     kappa = modulus if arg == 0 else modulus * complex(math.cos(arg), math.sin(arg))
     table_points = []
@@ -412,10 +497,14 @@ def test_gmres_agrees_with_lu_on_random_stars(amplitude, lobes, K, modulus, arg)
         kappa, np.array([[0.1, -0.2]]), np.array([1.0 + 0.5j]), bie.data.pos
     )
     lu = ny.solve_direct(bie.matrix, rhs)
-    gmres = ny.solve_gmres(bie.matrix, rhs)
-    assert gmres.converged
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    x0 *= np.linalg.norm(lu.solution) / np.linalg.norm(x0)
     # both solve to a relative residual near GMRES_TOL; the condition
     # number bounds how far apart that leaves the solutions
     bound = 10 * ny.cond_2norm(bie.matrix) * ny.GMRES_TOL
-    err = np.linalg.norm(gmres.solution - lu.solution) / np.linalg.norm(lu.solution)
-    assert err <= bound
+    for start in (None, x0):
+        gmres = ny.solve_gmres(bie.matrix, rhs, x0=start)
+        assert gmres.converged
+        err = np.linalg.norm(gmres.solution - lu.solution)
+        assert err <= bound * np.linalg.norm(lu.solution)
