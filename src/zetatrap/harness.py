@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,31 +462,43 @@ def _shear_flow(cfg: ProblemConfig, points: np.ndarray) -> np.ndarray:
     return np.stack([cfg.shear_rate * points[:, 1], np.zeros(len(points))], axis=1)
 
 
-def _solve(cfg: ProblemConfig, bie, start=None) -> nystrom.SolveReport:
+def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveReport:
     """Solve the BIE for the configured boundary data: cold, or warm from
     ``start``, a density of the same problem on another grid, which
     :func:`~zetatrap.nystrom.resample_density` carries to this one as
-    GMRES's x0 and which stops at GMRES_WARM_TOL."""
+    GMRES's x0 and which stops at GMRES_WARM_TOL. Given the method's
+    ``label``, a solve that did not converge emits a RuntimeWarning that
+    names the label, N and the true relative residual."""
     if cfg.problem == "helmholtz":
         rhs = known_solution(cfg.kappa, cfg.sources, cfg.strengths, bie.data.pos)
     else:
         rhs = -_shear_flow(cfg, bie.data.pos).ravel()
     if start is None:
-        return nystrom.solve_gmres(bie.matrix, rhs)
-    # one row per node: (M, 2) for the node-major Stokes density
-    per_node = start.reshape(-1, len(rhs) // bie.grid.N)
-    x0 = nystrom.resample_density(per_node, bie.grid.N).ravel()
-    return nystrom.solve_gmres(bie.matrix, rhs, tol=nystrom.GMRES_WARM_TOL, x0=x0)
+        rep = nystrom.solve_gmres(bie.matrix, rhs)
+    else:
+        # one row per node: (M, 2) for the node-major Stokes density
+        per_node = start.reshape(-1, len(rhs) // bie.grid.N)
+        x0 = nystrom.resample_density(per_node, bie.grid.N).ravel()
+        rep = nystrom.solve_gmres(bie.matrix, rhs, tol=nystrom.GMRES_WARM_TOL, x0=x0)
+    if label is not None and not rep.converged:
+        relative = rep.residual_norm / float(np.linalg.norm(rhs))
+        warnings.warn(
+            f"{label} at N={bie.grid.N}: GMRES did not converge, "
+            f"relative residual {relative:.2e}",
+            RuntimeWarning,
+        )
+    return rep
 
 
-def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray, start=None):
-    """Solve the BIE for the configured data, warm from ``start`` if given
-    (see :func:`_solve`), and evaluate at the targets.
+def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray, label, start=None):
+    """Solve the BIE for the configured data, warm from ``start`` if given,
+    warning if the solve of method ``label`` did not converge (see
+    :func:`_solve`), and evaluate at the targets.
 
     A target that the grid's near-field rule refuses is a ConfigError:
     the config's targets and N do not fit together.
     """
-    rep = _solve(cfg, bie, start)
+    rep = _solve(cfg, bie, start, label)
     try:
         if cfg.problem == "helmholtz":
             return rep, nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
@@ -501,7 +514,8 @@ def _stokes_reference(cfg: ProblemConfig, start=None) -> np.ndarray:
     method = _zeta_method(order_to_k(STOKES_REFERENCE_ORDER))
 
     def measure(i, bie):
-        return _solve_and_eval(cfg, bie, cfg.targets, start)[1]
+        label = f"{method.label} reference"
+        return _solve_and_eval(cfg, bie, cfg.targets, label, start)[1]
 
     [(_, vals)] = _on_each_system(cfg, [method], STOKES_REFERENCE_N, measure)
     return vals
@@ -524,12 +538,17 @@ def run_convergence(cfg: ProblemConfig):
     therefore not that of a cold solve. The Stokes reference is solved
     after the sweep, warm from the highest-K rule's density at the last
     N, and the errors are taken last.
+
+    A solve that does not converge, the reference's too, emits a
+    RuntimeWarning naming its method, N and relative residual; its row is
+    kept.
     """
     densities = {}  # method entry -> its density at the last N solved
 
     def measure(i, bie):
         t0 = time.perf_counter()
-        rep, vals = _solve_and_eval(cfg, bie, cfg.targets, densities.get(i))
+        label = cfg.methods[i].label
+        rep, vals = _solve_and_eval(cfg, bie, cfg.targets, label, densities.get(i))
         densities[i] = rep.solution
         return vals, time.perf_counter() - t0
 

@@ -62,6 +62,9 @@ GMRES_TOL = 1e-14
 # 1.9e-15 at the finest N).
 GMRES_WARM_TOL = 1e-15
 GMRES_MAX_ITER = 2000
+# Rows of the first block of the GMRES basis; it doubles when full. The
+# sweeps' solves stop within 34 iterations.
+KRYLOV_BLOCK = 64
 COND_MAX_DIM = 4096
 NEAR_FIELD_FACTOR = 5.0
 
@@ -93,13 +96,19 @@ class DiscretizedBIE:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a linear solve."""
+    """Outcome of a linear solve.
+
+    ``history`` is GMRES's estimated relative residual ||b - A x|| / ||b||
+    after each of its ``iterations``, the value its stop reads; empty for
+    LU and for a start that already met the stop.
+    """
 
     solution: np.ndarray
     method: str  # "lu" or "gmres"
     converged: bool
     iterations: int
     residual_norm: float
+    history: tuple[float, ...] = ()
 
 
 class PTRFill:
@@ -240,7 +249,7 @@ def solve_gmres(
     max_iter: int = GMRES_MAX_ITER,
     x0: np.ndarray | None = None,
 ) -> SolveReport:
-    """Unrestarted GMRES with modified Gram-Schmidt and one reorthogonalization.
+    """Unrestarted GMRES with classical Gram-Schmidt run twice (CGS2).
 
     GMRES runs on the residual r0 = rhs - A x0 of the starting guess
     ``x0`` (zero by default) and returns x0 plus its correction; the
@@ -251,7 +260,8 @@ def solve_gmres(
     below 10 ``tol``, and never stricter than 10 GMRES_TOL: a tighter
     ``tol`` moves the stop, not the verdict. A zero ``rhs`` has the zero
     solution. A nonconverged run returns a report with
-    ``converged=False`` rather than raising.
+    ``converged=False`` rather than raising. The report's ``history``
+    holds the estimated relative residual after each iteration.
     """
     n = rhs.shape[0]
     dtype = np.result_type(A.dtype, rhs.dtype, float)
@@ -262,9 +272,9 @@ def solve_gmres(
     r0norm = float(np.linalg.norm(r0))
     if r0norm == 0.0 or r0norm / bnorm < tol:
         x = np.zeros(n, dtype=dtype) if x0 is None else np.array(x0, dtype=dtype)
-        iters = 0
+        history = []
     else:
-        x, iters = _krylov_correction(A, r0, r0norm, bnorm, tol, min(max_iter, n))
+        x, history = _krylov_correction(A, r0, r0norm, bnorm, tol, min(max_iter, n))
         if x0 is not None:
             x = x0 + x
     res = float(np.linalg.norm(A @ x - rhs))
@@ -272,62 +282,75 @@ def solve_gmres(
         solution=x,
         method="gmres",
         converged=res == 0.0 or res / bnorm < 10 * max(tol, GMRES_TOL),
-        iterations=iters,
+        iterations=len(history),
         residual_norm=res,
+        history=tuple(history),
     )
 
 
 def _krylov_correction(A, r0, r0norm: float, bnorm: float, tol: float, max_iter: int):
-    """(d, iterations): the GMRES correction d of A d = r0, stopped when
-    the estimated residual ||r0 - A d|| drops below ``tol`` * ``bnorm``."""
+    """(d, history): the GMRES correction d of A d = r0, stopped when the
+    estimated residual ||r0 - A d|| drops below ``tol`` * ``bnorm``, and that
+    estimate over ``bnorm`` after each iteration.
+
+    Each new direction is orthogonalized against the whole basis by
+    classical Gram-Schmidt run twice (CGS2), two matrix-vector products
+    with the basis a pass. The basis grows by blocks of KRYLOV_BLOCK rows
+    and doubles, so a short solve allocates no n x max_iter workspace; the
+    Givens rotations of the Hessenberg columns run on Python scalars.
+    """
     n = r0.shape[0]
     dtype = np.result_type(A.dtype, r0.dtype, float)
-    V = np.zeros((max_iter + 1, n), dtype=dtype)
-    H = np.zeros((max_iter + 1, max_iter), dtype=dtype)
-    cs = np.zeros(max_iter, dtype=dtype)
-    sn = np.zeros(max_iter, dtype=dtype)
-    g = np.zeros(max_iter + 1, dtype=dtype)
+    V = np.empty((min(KRYLOV_BLOCK, max_iter + 1), n), dtype=dtype)
     V[0] = r0 / r0norm
-    g[0] = r0norm
-    iters = 0
+    columns = []  # the rotated columns of H, R[: k + 1, k] each
+    cs, sn = [], []
+    g = [r0norm]
+    history = []
     for k in range(max_iter):
         w = A @ V[k]
-        for i in range(k + 1):
-            hik = np.vdot(V[i], w)
-            H[i, k] = hik
-            w -= hik * V[i]
-        for i in range(k + 1):  # one reorthogonalization pass
-            corr = np.vdot(V[i], w)
-            H[i, k] += corr
-            w -= corr * V[i]
-        hk1 = np.linalg.norm(w)
-        H[k + 1, k] = hk1
+        basis = V[: k + 1]
+        h = np.conj(basis @ np.conj(w))
+        w -= h @ basis
+        correction = np.conj(basis @ np.conj(w))  # the second pass
+        w -= correction @ basis
+        h += correction
+        hk1 = float(np.linalg.norm(w))
+        col = h.tolist() + [hk1]
         # Apply the accumulated Givens rotations to the new column.
         for i in range(k):
-            t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-            H[i + 1, k] = -np.conj(sn[i]) * H[i, k] + np.conj(cs[i]) * H[i + 1, k]
-            H[i, k] = t
-        denom = math.hypot(abs(H[k, k]), abs(H[k + 1, k]))
+            t = cs[i] * col[i] + sn[i] * col[i + 1]
+            col[i + 1] = -sn[i].conjugate() * col[i] + cs[i] * col[i + 1]
+            col[i] = t
+        diag = col[k]
+        denom = math.hypot(abs(diag), hk1)
         if denom == 0.0:
-            cs[k], sn[k] = 1.0, 0.0
-        elif H[k, k] == 0.0:
-            cs[k], sn[k] = 0.0, np.conj(H[k + 1, k]) / abs(H[k + 1, k])
+            c, s = 1.0, 0.0
+        elif diag == 0.0:
+            c, s = 0.0, 1.0
         else:
-            phase = H[k, k] / abs(H[k, k])
-            cs[k] = abs(H[k, k]) / denom
-            sn[k] = phase * np.conj(H[k + 1, k]) / denom
-        H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-        H[k + 1, k] = 0.0
-        g[k + 1] = -np.conj(sn[k]) * g[k]
-        g[k] = cs[k] * g[k]
-        iters = k + 1
-        if abs(g[k + 1]) / bnorm < tol:
+            c = abs(diag) / denom
+            s = diag / abs(diag) * hk1 / denom
+        cs.append(c)
+        sn.append(s)
+        col[k] = c * diag + s * hk1
+        columns.append(col[: k + 1])
+        g.append(-s.conjugate() * g[k])
+        g[k] = c * g[k]
+        history.append(abs(g[k + 1]) / bnorm)
+        if history[-1] < tol or hk1 == 0.0:
             break
-        if hk1 == 0.0:
-            break
+        if k + 1 == len(V):
+            grown = np.empty((min(2 * len(V), max_iter + 1), n), dtype=dtype)
+            grown[: len(V)] = V
+            V = grown
         V[k + 1] = w / hk1
-    y = np.linalg.solve(H[:iters, :iters], g[:iters])
-    return V[:iters].T @ y, iters
+    iters = len(columns)
+    R = np.zeros((iters, iters), dtype=dtype)
+    for j, col in enumerate(columns):
+        R[: j + 1, j] = col
+    y = np.linalg.solve(R, np.array(g[:iters], dtype=dtype))
+    return V[:iters].T @ y, history
 
 
 def resample_density(tau: np.ndarray, N: int) -> np.ndarray:

@@ -23,11 +23,13 @@ is cut into slabs of SLAB_ROWS; for each slab pair (I, J) with J >= I,
 in row-major order of (I, J), the loop forms the pairs once and
 evaluates one set of symmetric factors once: the kernel's radial factors
 for the fill, phi's for Kress (see :mod:`~zetatrap.kernels`). It yields
-tile (I, J) and then the mirror tile (J, I), which reads the same
-factors transposed, with r_vec negated and the two normals exchanged,
-since r_mn = r_nm. Each fill tile is written with one slice assignment
-per component plane: a Stokes tile, a contiguous (2, 2, |I|, |J|) block,
-goes through the four (N, N) planes of the node-major 2N x 2N matrix. A
+tile (I, J) and then the mirror tile (J, I), which reads the same pairs
+and factors in place, in the (I, J) layout, with r_vec negated and the
+two normals exchanged, since r_mn = r_nm; no transposed copy is made,
+and the rule writes the mirror's block transposed. Each fill tile is
+written with one slice assignment per component plane: a Stokes tile, a
+contiguous (2, 2, |I|, |J|) block, goes through the four (N, N) planes
+of the node-major 2N x 2N matrix. A
 :class:`Correction` evaluates phi on its N x 2K band pairs and the N
 diagonal pairs in one pass, and the Kress diagonal follows its tile
 loop. At most one tile pair of pair arrays, O(SLAB_ROWS^2), is alive at
@@ -141,18 +143,17 @@ def _planes(a: np.ndarray, lead: int) -> list:
     return [a[c] for c in np.ndindex(a.shape[:lead])]
 
 
-def _swap(a: np.ndarray) -> np.ndarray:
-    """``a`` with its last two axes swapped, C-contiguous."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
-
-
 def _tiles(data: CurveSamples, factors):
-    """(I, J, pairs, ``factors(pairs)``) of every tile of the N x N pair
-    grid, I and J slices of at most SLAB_ROWS nodes.
+    """(I, J, pairs, ``factors(pairs)``, mirrored) of every tile of the
+    N x N pair grid, I and J slices of at most SLAB_ROWS nodes.
 
-    ``factors`` is evaluated for tiles with J >= I; the mirror tile (J, I)
-    follows at once with the same factors transposed, so they must be
-    symmetric under pair reversal (a kernel's ``radial`` or ``phi_radial``).
+    ``factors`` is evaluated for tiles with J >= I, which come unmirrored:
+    targets I down the rows, sources J along the columns. The mirror tile
+    (J, I) follows at once in the same (I, J) layout, ``mirrored`` set:
+    targets J along the columns and sources I down the rows, with r_vec
+    negated, the normals exchanged and the same factors, so they must be
+    symmetric under pair reversal (a kernel's ``radial`` or
+    ``phi_radial``). Its caller writes it transposed.
     """
     N = len(data.speed)
     edges = [slice(s, min(s + SLAB_ROWS, N)) for s in range(0, N, SLAB_ROWS)]
@@ -162,17 +163,12 @@ def _tiles(data: CurveSamples, factors):
                 data.pos[I, None], data.pos[J], data.normal[J], data.normal[I, None]
             )
             f = factors(p)
-            yield I, J, p, f
+            yield I, J, p, f, False
             if J != I:
                 mirror = kernels.Pairs(
-                    -_swap(p.dx),
-                    -_swap(p.dy),
-                    _swap(p.r),
-                    _swap(p.r_safe),
-                    data.normal[I],
-                    data.normal[J, None],
+                    -p.dx, -p.dy, p.r, p.r_safe, data.normal[I, None], data.normal[J]
                 )
-                yield J, I, mirror, tuple(map(_swap, f))
+                yield I, J, mirror, f, True
 
 
 def _components(A: np.ndarray, N: int) -> np.ndarray:
@@ -197,12 +193,15 @@ def _ptr_fill(kernel: kernels.Kernel, data, h, A: np.ndarray) -> np.ndarray:
     out = _components(A, N)
     lead = out.ndim - 2
     planes = _planes(out, lead)
-    for I, J, p, f in _tiles(data, kernel.radial):
+    for I, J, p, f, mirrored in _tiles(data, kernel.radial):
         block = kernel.full_of(p, f)
-        block *= data.speed[J]
+        block *= data.speed[I, None] if mirrored else data.speed[J]
         block *= h
         for plane, tile in zip(planes, _planes(block, lead)):
-            plane[I, J] = tile
+            if mirrored:
+                plane[J, I] = tile.T
+            else:
+                plane[I, J] = tile
     return A
 
 
@@ -362,13 +361,15 @@ def stokes_matrices(
 
 
 def _kress_log_column(N: int) -> np.ndarray:
-    """First column of the circulant log-kernel quadrature matrix."""
+    """First column of the circulant log-kernel quadrature matrix:
+    R_d = -(4 pi/N) (sum_{1 <= m < N/2} cos(2 pi d m/N)/m + (-1)^d/N), the
+    sum the real part of the FFT of the sequence 1/m."""
     check_grid(N, kress=True)
-    h = 2 * math.pi / N
-    d = np.arange(N)
-    ms = np.arange(1, N // 2)
-    col = np.cos(np.outer(d * h, ms)) @ (1.0 / ms)
-    col += np.cos(math.pi * d) / N
+    m = np.arange(N)
+    inverse = np.zeros(N)
+    inverse[1 : N // 2] = 1.0 / m[1 : N // 2]
+    col = np.fft.fft(inverse).real
+    col += np.where(m % 2 == 0, 1.0, -1.0) / N
     col *= -4 * math.pi / N
     return col
 
@@ -397,9 +398,13 @@ def _kress(kernel: kernels.Kernel, data, h, A) -> np.ndarray:
     d = np.minimum(n, N - n)
     logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
     weight = h * logsin / 2 - R / 2
-    for I, J, p, g in _tiles(data, kernel.phi_radial):
-        phi_sp = kernel.phi_of(p, g) * data.speed[J]
-        A[I, J] += phi_sp * weight[(n[I, None] - n[J]) % N]
+    for I, J, p, g, mirrored in _tiles(data, kernel.phi_radial):
+        if mirrored:
+            phi_sp = kernel.phi_of(p, g) * data.speed[I, None]
+            A[J, I] += (phi_sp * weight[(n[J] - n[I, None]) % N]).T
+        else:
+            phi_sp = kernel.phi_of(p, g) * data.speed[J]
+            A[I, J] += phi_sp * weight[(n[I, None] - n[J]) % N]
     # The tiles' diagonal held the fill's placeholder; phi(0) replaces it.
     phi0, sp = kernel.phi(_node_pairs(data, n, n)), data.speed
     A[n, n] = R[0] * (-phi0 * sp / 2) + h * sp * (

@@ -282,7 +282,10 @@ def test_criterion_6_decaying_wave():
             "N": list(SWEEP_N),
         }
     )
-    rows, _ = harness.run_convergence(cfg)
+    # Kress does not converge at every N of the decaying wave; the sweep
+    # warns of each such solve, and of no zeta16 one
+    with pytest.warns(RuntimeWarning, match=r"^kress at N=\d+: GMRES did not converge"):
+        rows, _ = harness.run_convergence(cfg)
     zeta_best = min(r[3] for r in rows if r[1] == "zeta16")
     kress_best = min(r[3] for r in rows if r[1] == "kress")
     ok = zeta_best <= 1e-10 and kress_best >= 1e-8

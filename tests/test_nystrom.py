@@ -42,6 +42,7 @@ def test_solve_direct():
     rep = ny.solve_direct(A, rhs)
     assert rep.method == "lu"
     assert rep.converged
+    assert rep.history == ()
     assert np.allclose(A @ rep.solution, rhs, atol=1e-14)
     assert rep.residual_norm <= 1e-14
 
@@ -156,6 +157,40 @@ def test_gmres_matches_direct_complex():
     assert np.max(np.abs(it.solution - direct.solution)) <= 1e-10
 
 
+def test_gmres_workspace_grows_with_the_iterations_run():
+    # a warm solve that stops within a few iterations allocates a basis of
+    # one block, far below the (n + 1) x n of a basis sized for max_iter
+    n = 2000
+    rng = np.random.default_rng(3)
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
+    exact = rng.standard_normal(n)
+    rhs = A @ exact
+    x0 = exact + 1e-11 * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        rep = ny.solve_gmres(A, rhs, x0=x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and 0 < rep.iterations < 10
+    assert peak < (n + 1) * n * 8 / 8
+
+
+@pytest.mark.parametrize("coupling", [0.75, 0.75j])
+def test_gmres_crosses_basis_blocks(coupling):
+    # I + c * (lower shift) is nonnormal: GMRES needs more iterations than
+    # one basis block holds and still agrees with LU
+    n = 200
+    A = np.eye(n) + coupling * np.eye(n, k=-1)
+    rhs = np.random.default_rng(0).standard_normal(n)
+    rep = ny.solve_gmres(A, rhs)
+    lu = ny.solve_direct(A, rhs)
+    assert rep.converged and ny.KRYLOV_BLOCK < rep.iterations < n
+    bound = 10 * ny.cond_2norm(A) * ny.GMRES_TOL
+    err = np.linalg.norm(rep.solution - lu.solution)
+    assert err <= bound * np.linalg.norm(lu.solution)
+
+
 def test_gmres_nonconvergence_report():
     rng = np.random.default_rng(3)
     n = 60
@@ -163,7 +198,7 @@ def test_gmres_nonconvergence_report():
     rhs = rng.standard_normal(n)
     rep = ny.solve_gmres(A, rhs, max_iter=5)
     assert not rep.converged
-    assert rep.iterations == 5
+    assert rep.iterations == 5 == len(rep.history)
     assert rep.residual_norm > 0.0
 
 
@@ -501,10 +536,15 @@ def test_gmres_agrees_with_lu_on_random_stars(amplitude, lobes, K, modulus, arg,
     x0 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     x0 *= np.linalg.norm(lu.solution) / np.linalg.norm(x0)
     # both solve to a relative residual near GMRES_TOL; the condition
-    # number bounds how far apart that leaves the solutions
+    # number bounds how far apart that leaves the solutions. The history
+    # is the estimate the stop reads: one entry an iteration, falling to
+    # below the stop
     bound = 10 * ny.cond_2norm(bie.matrix) * ny.GMRES_TOL
     for start in (None, x0):
         gmres = ny.solve_gmres(bie.matrix, rhs, x0=start)
         assert gmres.converged
+        history = np.array(gmres.history)
+        assert len(history) == gmres.iterations > 0
+        assert np.all(np.diff(history) <= 0) and history[-1] < ny.GMRES_TOL
         err = np.linalg.norm(gmres.solution - lu.solution)
         assert err <= bound * np.linalg.norm(lu.solution)

@@ -3,6 +3,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,23 @@ def test_check_grid_rules():
             quad.check_grid(N, *args, **kw)
 
 
+def test_kress_log_column_matches_mpmath():
+    # R_d = -(4 pi/N)(sum_{1 <= m < N/2} cos(2 pi d m/N)/m + (-1)^d/N),
+    # summed in 30 digits, at lags spread over the column
+    N = 1024
+    col = quad._kress_log_column(N)
+    lags = [0, 1, 2, 3, 17, 255, 256, 511, 512, 513, 768, 1023]
+    exact = []
+    with mpmath.workdps(30):
+        for d in lags:
+            waves = mpmath.fsum(
+                mpmath.cospi(mpmath.mpf(2 * d * m) / N) / m for m in range(1, N // 2)
+            )
+            exact.append(-4 * mpmath.pi / N * (waves + (-1) ** d / mpmath.mpf(N)))
+    err = max(abs(float(e - mpmath.mpf(col[d]))) for d, e in zip(lags, exact))
+    assert err <= 5e-16 * np.abs(col).max()
+
+
 def test_kress_log_matrix_requires_even_n():
     with pytest.raises(quad.GridError):
         quad.kress_log_matrix(33)
@@ -322,6 +340,29 @@ def test_tile_loop_evaluates_each_pair_once(monkeypatch):
     quad._kress(kernel, data, g.h, A)
     assert hankel_points == []
     assert all(N < points <= bound + N for points in bessel_points.values())
+
+
+def test_mirror_tile_reads_its_pairs_in_place():
+    # the mirror tile (J, I) comes in the (I, J) layout of tile (I, J),
+    # with its distances and factors the very arrays of that tile: nothing
+    # is transposed or copied before the kernel
+    slab = 24
+    data = sample(STAR, _grid(STAR, 64).nodes)
+    with mock.patch.object(quad, "SLAB_ROWS", slab):
+        tiles = list(quad._tiles(data, lambda p: (p.r * 2,)))
+    blocks = 3  # 24 + 24 + 16 nodes
+    assert len(tiles) == blocks * blocks
+    mirrors = 0
+    for (I, J, p, f, flag), (I2, J2, q, g, mirrored) in zip(tiles, tiles[1:]):
+        if not mirrored:
+            continue
+        mirrors += 1
+        assert not flag and (I2, J2) == (I, J)
+        assert q.r is p.r and q.r_safe is p.r_safe and g is f
+        assert np.array_equal(q.dx, -p.dx) and np.array_equal(q.dy, -p.dy)
+        assert np.array_equal(q.src_normal, data.normal[I, None])
+        assert np.array_equal(q.tgt_normal, data.normal[J])
+    assert mirrors == blocks * (blocks - 1) // 2
 
 
 def _node_pairs(data, tgt, src):
