@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from . import harness
@@ -84,9 +85,7 @@ def _cmd_convergence(args) -> int:
         ["N", "method", "order", "max_rel_error", "assemble_s", "solve_s"],
         rows,
     )
-    eoc_path = None
-    if args.out:
-        eoc_path = args.out.rsplit(".", 1)[0] + "_eoc.csv"
+    eoc_path = os.path.splitext(args.out)[0] + "_eoc.csv" if args.out else None
     _write_csv(eoc_path, ["method", "order", "eoc", "fit_window"], eoc_rows)
     bad = [r for r in rows if not (r[3] == r[3])]  # NaN errors
     return EXIT_NUMERICAL if bad else EXIT_OK

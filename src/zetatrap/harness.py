@@ -5,8 +5,8 @@ All drivers are pure functions from a :class:`ProblemConfig` to lists of
 CSV-ready rows; the CLI module handles argument parsing and file output.
 Method names live here only, to read a config and label rows: a method
 is a label and a stencil, none for the Kress rule. Every driver checks
-each N with :func:`_check_n` and builds its systems with
-:func:`_on_each_system` on one :class:`~zetatrap.nystrom.PTRFill` per N.
+each N with :func:`_check_n` and builds its systems at each N with
+:func:`~zetatrap.nystrom.on_each_system`, on one PTR fill.
 A sweep warm-starts GMRES from each method's previous N; table1 and
 field solve cold, as their iteration counts are the conditioning
 measurement.
@@ -426,35 +426,11 @@ def fit_eoc(n_values, errors, floor: float = SATURATION_FLOOR):
     return float(-slope), [p[0] for p in pts]
 
 
-def _on_each_system(cfg: ProblemConfig, methods, N: int, measure) -> list:
-    """(assemble seconds, ``measure(i, bie)``) for the system ``bie`` of
-    each entry ``methods[i]`` at N, in their order.
-
-    The methods share one PTR fill (:class:`~zetatrap.nystrom.PTRFill`).
-    The stencil rules run first, each with its correction applied for the
-    span of its measurement; then a Kress rule corrects the fill for good
-    (:meth:`~zetatrap.nystrom.PTRFill.kress`), and a further Kress rule
-    takes a fresh fill once the spent one is dropped, so that at most one
-    dense matrix is alive at a time. A rule's seconds are its fill's plus
-    its own.
-    """
+def _systems(cfg: ProblemConfig, methods, N: int, measure) -> list:
+    """:func:`~zetatrap.nystrom.on_each_system` for the config's problem."""
     consts = None if cfg.kappa is None else helmholtz_constants(cfg.kappa)
-    out = [None] * len(methods)
-    fill = None
-    for i in sorted(range(len(methods)), key=lambda i: methods[i].stencil is None):
-        if fill is None:
-            t0 = time.perf_counter()
-            fill = nystrom.PTRFill(cfg.problem, cfg.curve, N, consts)
-            fill_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if methods[i].stencil is None:
-            bie = fill.kress()
-            out[i] = (fill_s + time.perf_counter() - t0, measure(i, bie))
-            fill = bie = None
-        else:
-            with fill.system(methods[i].stencil) as bie:
-                out[i] = (fill_s + time.perf_counter() - t0, measure(i, bie))
-    return out
+    stencils = [m.stencil for m in methods]
+    return nystrom.on_each_system(cfg.problem, cfg.curve, N, consts, stencils, measure)
 
 
 def _shear_flow(cfg: ProblemConfig, points: np.ndarray) -> np.ndarray:
@@ -517,7 +493,7 @@ def _stokes_reference(cfg: ProblemConfig, start=None) -> np.ndarray:
         label = f"{method.label} reference"
         return _solve_and_eval(cfg, bie, cfg.targets, label, start)[1]
 
-    [(_, vals)] = _on_each_system(cfg, [method], STOKES_REFERENCE_N, measure)
+    [(_, vals)] = _systems(cfg, [method], STOKES_REFERENCE_N, measure)
     return vals
 
 
@@ -529,7 +505,7 @@ def run_convergence(cfg: ProblemConfig):
     method, N ascending; EOC schema: (method, order, eoc, fit window as
     'n1;n2;...'). The stencil rules at one N share one PTR fill, so a
     row's assemble_s is the fill's seconds plus that rule's correction
-    (see :func:`_on_each_system`).
+    (see :func:`~zetatrap.nystrom.on_each_system`).
 
     The sweep warm-starts: each method entry solves its first N cold and
     every later N from its own density at the previous N, carried over by
@@ -552,7 +528,7 @@ def run_convergence(cfg: ProblemConfig):
         densities[i] = rep.solution
         return vals, time.perf_counter() - t0
 
-    per_n = [_on_each_system(cfg, cfg.methods, N, measure) for N in cfg.n_list]
+    per_n = [_systems(cfg, cfg.methods, N, measure) for N in cfg.n_list]
     if cfg.problem == "helmholtz":
         ref = known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
     else:
@@ -593,10 +569,8 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
         )
 
     def measure(i, bie):
-        cond = nystrom.cond_2norm(bie.matrix)
-        rhs = known_solution(cfg.kappa, cfg.sources, cfg.strengths, bie.data.pos)
-        rep = nystrom.solve_gmres(bie.matrix, rhs)
-        return cond, rep.iterations, rep.residual_norm
+        rep = _solve(cfg, bie)
+        return nystrom.cond_2norm(bie.matrix), rep.iterations, rep.residual_norm
 
     return [
         (
@@ -607,7 +581,7 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
             *result,
         )
         for method, (_, result) in zip(
-            cfg.methods, _on_each_system(cfg, cfg.methods, N, measure)
+            cfg.methods, _systems(cfg, cfg.methods, N, measure)
         )
     ]
 
@@ -624,16 +598,19 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     """
     methods = cfg.methods[:1]
     _check_n(cfg, methods, N)
+    keys = ("nx", "ny", "xmin", "xmax", "ymin", "ymax")
+    missing = [k for k in keys if k not in grid_spec]
+    if missing:
+        raise ConfigError(f"the field grid spec lacks {', '.join(missing)}")
     nx, ny_ = _integer(grid_spec["nx"], "nx"), _integer(grid_spec["ny"], "ny")
     if nx < 1 or ny_ < 1:
         raise ConfigError(f"the field grid needs nx, ny >= 1, got nx={nx}, ny={ny_}")
-    xmin, xmax, ymin, ymax = _finite(
-        [grid_spec[k] for k in ("xmin", "xmax", "ymin", "ymax")], "field grid bounds"
-    )
+    bounds = [grid_spec[k] for k in keys[2:]]
+    xmin, xmax, ymin, ymax = _finite(bounds, "field grid bounds")
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny_)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    [(_, (vals, far))] = _on_each_system(
+    [(_, (vals, far))] = _systems(
         cfg,
         methods,
         N,

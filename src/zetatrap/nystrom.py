@@ -13,21 +13,23 @@ Each system is assembled in one pass of its combined kernel
 (:func:`~zetatrap.kernels.helmholtz_combined` or
 :func:`~zetatrap.kernels.stokes_combined`) into one dense matrix, with
 I/2 added to its diagonal in place; the off-curve evaluators sum the
-same combined kernels. A corrected system is one PTR fill per N
-(:class:`PTRFill`), the plain trapezoidal matrix, with the sparse band
-and diagonal correction of its stencil applied on it. The stencil alone
-picks the rule: a zeta stencil and one read from an external table
-assemble the same way, for either system, and rules that share a grid
-can share the fill and apply their corrections in turn. Kress's
-spectral rule, the one rule without a stencil (Helmholtz only), is the
-fill's last correction: dense, and not undone (:meth:`PTRFill.kress`).
+kernel the system was assembled from. Every system is the PTR fill, the
+plain trapezoidal matrix, with its rule's correction applied on it. The
+stencil alone picks the rule: a zeta stencil and one read from an
+external table add the same sparse band and diagonal, for either
+system, and no stencil is Kress's spectral rule (Helmholtz only), a
+dense correction. :func:`on_each_system` builds every rule's system at
+one N on one fill: the stencil rules in turn, each written back after
+use, and Kress last, not undone. :func:`assemble_helmholtz` and
+:func:`assemble_stokes` build one system on a fill of its own.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,11 +41,11 @@ from .zetaweights import CorrectionStencil
 
 __all__ = [
     "DiscretizedBIE",
-    "PTRFill",
     "SolveReport",
     "AssemblyError",
     "NearFieldError",
     "ConditioningBudgetError",
+    "on_each_system",
     "assemble_helmholtz",
     "assemble_stokes",
     "solve_direct",
@@ -84,14 +86,16 @@ class ConditioningBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class DiscretizedBIE:
-    """Dense Nystrom system A tau = rhs together with its grid data."""
+    """Dense Nystrom system A tau = rhs together with its grid data and
+    the combined kernel it was assembled from, which the off-curve
+    evaluators sum."""
 
     kind: str  # "helmholtz" or "stokes"
     curve: ParametricCurve
     grid: quad.TrapezoidGrid
     data: CurveSamples
     matrix: np.ndarray
-    consts: HelmholtzConstants | None = None
+    kernel: kernels.Kernel
 
 
 @dataclass(frozen=True)
@@ -111,112 +115,123 @@ class SolveReport:
     history: tuple[float, ...] = ()
 
 
-class PTRFill:
-    """The plain trapezoidal (PTR) matrix of one system on an N-node grid,
-    filled once and shared by the rules that correct it.
+def _check_rule(kind: str, N: int, stencil: CorrectionStencil | None):
+    """Raise unless the rule of ``stencil`` runs on an N-node ``kind``
+    system: a log stencil that fits N, or None for Kress (Helmholtz only,
+    even N)."""
+    if kind not in ("helmholtz", "stokes"):
+        raise AssemblyError(f"unknown system {kind!r}")
+    if stencil is not None:
+        quad._check_stencil(stencil, N, "log")
+    elif kind != "helmholtz":
+        raise AssemblyError("the Kress rule is built for Helmholtz only")
+    else:
+        quad.check_grid(N, kress=True)
 
-    A stencil rule's system differs from this fill only at the band and
-    diagonal of its stencil (a :class:`~zetatrap.quadrature.Correction`),
-    where I/2 is also added. :meth:`system` applies both for the span of
-    a ``with`` block and writes the overwritten entries back when the
-    block exits, whether it ends or raises, so each rule starts from the
-    same fill. :meth:`kress` corrects every entry and writes none back:
-    it is the fill's last step, and a fill it has spent refuses both.
-    ``kind`` is "helmholtz" (combined field, needs ``consts``) or "stokes"
-    (S + D, node-major 2N unknowns).
+
+def _fill(
+    kind: str, curve: ParametricCurve, N: int, consts: HelmholtzConstants | None
+) -> DiscretizedBIE:
+    """The system whose matrix holds the plain trapezoidal (PTR) fill of
+    ``kind`` on N nodes: combined field (needs ``consts``) or Stokes S + D
+    (node-major 2N unknowns)."""
+    if kind == "helmholtz":
+        kernel = kernels.helmholtz_combined(consts.kappa)
+        A = np.empty((N, N), dtype=complex)
+    else:
+        kernel = kernels.stokes_combined()
+        A = np.empty((2 * N, 2 * N))
+    grid = quad.make_grid(curve.period, N)
+    data = sample(curve, grid.nodes)
+    quad._ptr_fill(kernel, data, grid.h, A)
+    return DiscretizedBIE(kind, curve, grid, data, A, kernel)
+
+
+def _correct(bie: DiscretizedBIE, stencil: CorrectionStencil | None):
+    """Turn the PTR fill of ``bie`` into the system of the rule of
+    ``stencil``, in place: its correction, then I/2 on the diagonal.
+
+    Returns a function that writes the fill back for a stencil rule, None
+    for Kress (stencil None), whose dense correction is not undone. The
+    stencil's correction wrote every entry of the diagonal, so the entries
+    it saved undo the I/2 too.
     """
-
-    def __init__(
-        self,
-        kind: str,
-        curve: ParametricCurve,
-        N: int,
-        consts: HelmholtzConstants | None = None,
-    ):
-        if kind == "helmholtz":
-            self.kernel = kernels.helmholtz_combined(consts.kappa)
-            A = np.empty((N, N), dtype=complex)
-        elif kind == "stokes":
-            self.kernel = kernels.stokes_combined()
-            A = np.empty((2 * N, 2 * N))
-        else:
-            raise AssemblyError(f"unknown system {kind!r}")
-        self.grid = quad.make_grid(curve.period, N)
-        self.data = sample(curve, self.grid.nodes)
-        self.matrix = quad._ptr_fill(self.kernel, self.data, self.grid.h, A)
-        # Every system of the fill is this one object: its matrix is the
-        # fill's own buffer.
-        self._bie = DiscretizedBIE(kind, curve, self.grid, self.data, A, consts)
-        self.spent = False
-
-    def _apply(self, stencil: CorrectionStencil):
-        """Apply the correction of ``stencil`` and I/2 to the fill; return
-        the system and the entries the correction overwrote."""
-        if self.spent:
-            raise AssemblyError("the PTR fill was spent by the Kress rule")
-        _check_stencil(stencil, self.grid.N)
-        correction = quad._correction(self.kernel, self.data, self.grid.h, stencil)
-        saved = correction.apply(self.matrix)
-        # The correction wrote every entry of the diagonal, so its saved
-        # entries undo this too.
-        self.matrix[np.diag_indices_from(self.matrix)] += 0.5
-        return self._bie, correction, saved
-
-    @contextmanager
-    def system(self, stencil: CorrectionStencil):
-        """The system I/2 + fill + correction of ``stencil`` for the span of
-        a ``with`` block. Its matrix is the fill's own, so it holds the
-        system only inside the block."""
-        bie, correction, saved = self._apply(stencil)
-        try:
-            yield bie
-        finally:
-            correction.restore(self.matrix, saved)
-
-    def kress(self) -> DiscretizedBIE:
-        """The Kress system I/2 + fill + the dense Kress correction
-        (Helmholtz only, even N), in the fill's own buffer. It spends the
-        fill: a later :meth:`system` or :meth:`kress` raises AssemblyError."""
-        if self._bie.kind != "helmholtz":
-            raise AssemblyError("the Kress rule is built for Helmholtz only")
-        if self.spent:
-            raise AssemblyError("the PTR fill was spent by the Kress rule")
-        self.spent = True
-        quad._kress(self.kernel, self.data, self.grid.h, self.matrix)
-        self.matrix[np.diag_indices_from(self.matrix)] += 0.5
-        return self._bie
-
-
-def _check_stencil(stencil: CorrectionStencil | None, N: int):
-    """Raise unless ``stencil`` is a log stencil that fits N nodes."""
+    kernel, data, h, A = bie.kernel, bie.data, bie.grid.h, bie.matrix
     if stencil is None:
-        raise AssemblyError("a corrected system requires a correction stencil")
-    quad._check_stencil(stencil, N, "log")
+        quad._kress(kernel, data, h, A)
+        restore = None
+    else:
+        correction = quad._correction(kernel, data, h, stencil)
+        restore = partial(correction.restore, A, correction.apply(A))
+    A[np.diag_indices_from(A)] += 0.5
+    return restore
+
+
+def on_each_system(
+    kind: str,
+    curve: ParametricCurve,
+    N: int,
+    consts: HelmholtzConstants | None,
+    stencils,
+    measure,
+) -> list:
+    """(assemble seconds, ``measure(i, bie)``) for the system ``bie`` of the
+    rule of each ``stencils[i]`` at N, in their order; None is Kress.
+
+    Every rule is checked before anything is filled. The rules share one
+    PTR fill: each stencil rule's correction and I/2 are applied for the
+    span of its ``measure`` and then written back, even if it raises. The
+    Kress rules run last, each on a fill of its own, taken once the one
+    before is dropped, so that at most one dense matrix is alive at a
+    time. A rule's seconds are its fill's plus its own; the matrix of
+    ``bie`` is the fill's buffer, so it holds the system only during
+    ``measure``.
+    """
+    for stencil in stencils:
+        _check_rule(kind, N, stencil)
+    out = [None] * len(stencils)
+    bie = None
+    for i in sorted(range(len(stencils)), key=lambda i: stencils[i] is None):
+        if bie is None:
+            t0 = time.perf_counter()
+            bie = _fill(kind, curve, N, consts)
+            fill_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        restore = _correct(bie, stencils[i])
+        assemble_s = fill_s + time.perf_counter() - t0
+        try:
+            out[i] = (assemble_s, measure(i, bie))
+        finally:
+            if restore is None:
+                bie = None  # Kress spent the fill
+            else:
+                restore()
+    return out
+
+
+def _assemble(kind, curve, N, consts, stencil) -> DiscretizedBIE:
+    """The system of the rule of ``stencil`` on a fill of its own."""
+    _check_rule(kind, N, stencil)  # before the fill, not after
+    bie = _fill(kind, curve, N, consts)
+    _correct(bie, stencil)
+    return bie
 
 
 def assemble_helmholtz(
     curve: ParametricCurve,
     N: int,
     consts: HelmholtzConstants,
-    method: str = "zeta",
     stencil: CorrectionStencil | None = None,
 ) -> DiscretizedBIE:
     """Combined-field system I/2 + D - i*eta*S on an N-node grid.
 
     D - i*eta*S is built in one pass of the combined kernel
-    (:func:`~zetatrap.kernels.helmholtz_combined`), and I/2 is added to
-    its diagonal in place. ``method`` selects the singular quadrature:
-    "zeta" (a :class:`PTRFill` with the correction of ``stencil``
-    applied, whatever the stencil's source) or "kress" (spectral
-    baseline, no stencil: :meth:`PTRFill.kress` on a fresh fill).
+    (:func:`~zetatrap.kernels.helmholtz_combined`), the PTR fill, which
+    the correction of ``stencil`` turns into its rule's matrix, whatever
+    the stencil's source; no stencil is the Kress spectral rule (even N).
+    I/2 is added to the diagonal in place.
     """
-    if method == "zeta":
-        _check_stencil(stencil, N)  # before the fill, not after
-        return PTRFill("helmholtz", curve, N, consts)._apply(stencil)[0]
-    if method != "kress":
-        raise AssemblyError(f"unknown method {method!r}")
-    quad.check_grid(N, kress=True)  # before the fill, not after
-    return PTRFill("helmholtz", curve, N, consts).kress()
+    return _assemble("helmholtz", curve, N, consts, stencil)
 
 
 def assemble_stokes(
@@ -226,11 +241,10 @@ def assemble_stokes(
 
     S + D is built in one pass of the combined kernel
     (:func:`~zetatrap.kernels.stokes_combined`) into one 2N x 2N matrix,
-    a :class:`PTRFill` with the correction of ``stencil`` and I/2
-    applied in place.
+    the PTR fill, with the correction of ``stencil`` and I/2 applied in
+    place.
     """
-    _check_stencil(stencil, N)  # before the fill, not after
-    return PTRFill("stokes", curve, N)._apply(stencil)[0]
+    return _assemble("stokes", curve, N, None, stencil)
 
 
 def solve_direct(A: np.ndarray, rhs: np.ndarray) -> SolveReport:
@@ -432,8 +446,8 @@ def eval_field(
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     weight = bie.data.speed * bie.grid.h
+    combined = bie.kernel
     if bie.kind == "helmholtz":
-        combined = kernels.helmholtz_combined(bie.consts.kappa)
         density = weight * tau
 
         def layer_sum(p):
@@ -441,7 +455,6 @@ def eval_field(
 
         values = np.full(len(targets), complex(np.nan, np.nan))
     else:
-        combined = kernels.stokes_combined()
         density = tau.reshape(-1, 2) * weight[:, None]
 
         def layer_sum(p):
@@ -478,7 +491,7 @@ def eval_helmholtz_potential(
     The far-field integrand is smooth, so the plain PTR applies. Targets
     that :func:`eval_field` refuses raise :class:`NearFieldError`.
     """
-    if bie.kind != "helmholtz" or bie.consts is None:
+    if bie.kind != "helmholtz":
         raise AssemblyError("eval_helmholtz_potential requires a Helmholtz system")
     return _accepted_field(bie, tau, targets)
 

@@ -11,7 +11,7 @@ fill, the punctured trapezoidal matrix kernel*speed*h, plus a correction.
   h*speed*(L + phi(0)*(2 w_0 - log(speed*h))), where L is the coincident
   limit of the kernel's smooth part. ``apply`` returns the entries it
   overwrote and ``restore`` writes them back, so rules that share a grid
-  can share one fill (see :class:`~zetatrap.nystrom.PTRFill`).
+  can share one fill (see :func:`~zetatrap.nystrom.on_each_system`).
 - Kress: the split kernel = -(phi/2) log(4 sin^2((t-s)/2)) + smooth,
   with the log part through the circulant weights R and the smooth
   part through the plain PTR with the analytic diagonal

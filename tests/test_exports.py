@@ -1,6 +1,6 @@
 """Export surface: every exported name resolves, each library module
 exports the public functions and classes it defines, and every zetatrap
-name that the benchmark in perfbench/ uses exists."""
+name that the benchmark in perfbench/ uses or traces exists."""
 
 import ast
 import importlib
@@ -67,16 +67,24 @@ def _perfbench_module(name, monkeypatch):
     return module
 
 
-def test_perfbench_names_resolve(monkeypatch):
-    # spans.py wraps each (module, function) of TRACED, and a name it
-    # cannot find breaks `perfbench/run.py --trace 1`; workloads.py calls
-    # zetatrap through the modules it imports
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports reference
+def test_traced_spans_resolve(monkeypatch):
+    # spans.py wraps each (module, attribute) of TRACED, looked up with
+    # getattr; a name it cannot find breaks `perfbench/run.py --trace 1`
     spans = _perfbench_module("spans", monkeypatch)
+    missing = [
+        (module, attr)
+        for module, attr, *_ in spans.TRACED
+        if not callable(
+            getattr(importlib.import_module(f"zetatrap.{module}"), attr, None)
+        )
+    ]
+    assert missing == []
+
+
+def test_perfbench_names_resolve(monkeypatch):
+    # workloads.py calls zetatrap through the modules it imports
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports reference
     workloads = _perfbench_module("workloads", monkeypatch)
-    for module, function, *_ in spans.TRACED:
-        found = getattr(importlib.import_module(f"zetatrap.{module}"), function, None)
-        assert callable(found), (module, function)
     modules = {
         name: obj
         for name, obj in vars(workloads).items()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from zetatrap import cli, harness, kernels, nystrom, specfun
+from zetatrap import cli, harness, kernels, nystrom, quadrature, specfun
 from zetatrap.geometry import InvalidGeometryError, sample
 from zetatrap.kernels import helmholtz_constants
 from zetatrap.zetaweights import build_log_stencil
@@ -203,9 +203,8 @@ def _assembled(cfg, method, N):
     # the system of one rule assembled on its own
     if cfg.problem == "stokes":
         return nystrom.assemble_stokes(cfg.curve, N, method.stencil)
-    name = "kress" if method.stencil is None else "zeta"
     consts = helmholtz_constants(cfg.kappa)
-    return nystrom.assemble_helmholtz(cfg.curve, N, consts, name, method.stencil)
+    return nystrom.assemble_helmholtz(cfg.curve, N, consts, method.stencil)
 
 
 def _warm_solve(cfg, bie, density):
@@ -334,29 +333,31 @@ def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
 
 def test_sweep_runs_kress_last_on_the_shared_fill(monkeypatch):
     # each N takes one PTR fill: the stencil rules correct it in turn, then
-    # the Kress rule corrects it for good, its system's matrix the fill's
-    # own buffer; a second Kress rule takes a fresh fill once the spent one
-    # is gone, so two dense matrices of one N are never alive together.
-    # Rows keep the config's order.
+    # the Kress rule corrects it for good, in the fill's own buffer; a
+    # second Kress rule takes a fresh fill once the spent one is gone, so
+    # two dense matrices of one N are never alive together. Rows keep the
+    # config's order.
     fills, steps = [], []
+    ptr_fill, kress = quadrature._ptr_fill, quadrature._kress
+    correction = quadrature._correction
 
-    class TrackedFill(nystrom.PTRFill):
-        def __init__(self, *args):
-            assert all(f() is None for f in fills), "two fills alive"
-            super().__init__(*args)
-            fills.append(weakref.ref(self.matrix))
+    def tracked_fill(kernel, data, h, A):
+        assert all(f() is None for f in fills), "two fills alive"
+        fills.append(weakref.ref(A))
+        return ptr_fill(kernel, data, h, A)
 
-        def system(self, stencil):
-            steps.append((len(fills), stencil.K))
-            return super().system(stencil)
+    def tracked_correction(kernel, data, h, stencil):
+        steps.append((len(fills), stencil.K))
+        return correction(kernel, data, h, stencil)
 
-        def kress(self):
-            bie = super().kress()
-            assert bie.matrix is self.matrix
-            steps.append((len(fills), "kress"))
-            return bie
+    def tracked_kress(kernel, data, h, A):
+        assert A is fills[-1]()
+        steps.append((len(fills), "kress"))
+        return kress(kernel, data, h, A)
 
-    monkeypatch.setattr(nystrom, "PTRFill", TrackedFill)
+    monkeypatch.setattr(quadrature, "_ptr_fill", tracked_fill)
+    monkeypatch.setattr(quadrature, "_correction", tracked_correction)
+    monkeypatch.setattr(quadrature, "_kress", tracked_kress)
     methods = ["kress", {"name": "zeta", "K": 2}, "kress", {"name": "zeta", "K": 7}]
     cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 128])
     rows, _ = harness.run_convergence(cfg)
@@ -407,13 +408,13 @@ def test_stokes_reference_is_solved_after_the_sweep(monkeypatch):
     # sweep's last N
     monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
     fills = []
+    ptr_fill = quadrature._ptr_fill
 
-    class TrackedFill(nystrom.PTRFill):
-        def __init__(self, kind, curve, N, *args):
-            fills.append(N)
-            super().__init__(kind, curve, N, *args)
+    def tracked_fill(kernel, data, h, A):
+        fills.append(len(data.speed))
+        return ptr_fill(kernel, data, h, A)
 
-    monkeypatch.setattr(nystrom, "PTRFill", TrackedFill)
+    monkeypatch.setattr(quadrature, "_ptr_fill", tracked_fill)
     calls = _record_solves(monkeypatch)
     methods = [{"name": "zeta", "K": 7}, {"name": "zeta", "K": 2}]
     cfg = harness.default_stokes_config(methods=methods, N=[64, 96, 128])
@@ -463,7 +464,7 @@ def test_warm_stop_changes_no_converged_flag(monkeypatch):
     cold = []
     consts = helmholtz_constants(cfg.kappa)
     for n in N:
-        bie = nystrom.assemble_helmholtz(cfg.curve, n, consts, "kress")
+        bie = nystrom.assemble_helmholtz(cfg.curve, n, consts)
         pos = bie.data.pos
         rhs = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pos)
         cold.append(nystrom.solve_gmres(bie.matrix, rhs).converged)
@@ -780,6 +781,24 @@ def test_cli_convergence_and_outputs(tmp_path, capsys):
     assert len(eoc_lines) == 2
 
 
+@pytest.mark.parametrize(
+    "out, eoc", [("./rows", "rows_eoc.csv"), ("runs.v2/rows", "runs.v2/rows_eoc.csv")]
+)
+def test_cli_convergence_eoc_file_sits_beside_the_rows(out, eoc, tmp_path, monkeypatch):
+    # the EOC file is the rows file with its extension, if any, replaced:
+    # a dot in a directory name or a leading ./ is not an extension
+    (tmp_path / "runs.v2").mkdir()
+    cfgp = tmp_path / "cfg.json"
+    raw = {"problem": "helmholtz", "kappa": 5.0, "methods": ["kress"], "N": [64, 96]}
+    cfgp.write_text(json.dumps(raw))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["convergence", "--config", str(cfgp), "--out", out]) == 0
+    assert (tmp_path / out).read_text().startswith("N,method,")
+    assert (tmp_path / eoc).read_text().startswith("method,order,eoc,fit_window")
+    assert not (tmp_path / "_eoc.csv").exists()
+    assert not (tmp_path / "runs_eoc.csv").exists()
+
+
 def test_cli_convergence_config_errors(tmp_path, capsys):
     assert cli.main(["convergence"]) == 2
     assert cli.main(["convergence", "--config", str(tmp_path / "nope.json")]) == 2
@@ -861,8 +880,7 @@ def test_cli_table1_over_the_svd_budget_exits_2(tmp_path, capsys, monkeypatch):
     def no_assembly(*args):
         raise AssertionError("table1 assembled a system over the SVD budget")
 
-    monkeypatch.setattr(nystrom, "assemble_helmholtz", no_assembly)
-    monkeypatch.setattr(nystrom, "PTRFill", no_assembly)
+    monkeypatch.setattr(quadrature, "_ptr_fill", no_assembly)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": "helmholtz", "kappa": 5.0}))
     N = nystrom.COND_MAX_DIM + 2
@@ -878,8 +896,7 @@ def test_memory_budget_refuses_large_n(tmp_path, capsys, monkeypatch):
     def no_assembly(*args):
         raise AssertionError("assembled a system over the memory budget")
 
-    monkeypatch.setattr(nystrom, "assemble_helmholtz", no_assembly)
-    monkeypatch.setattr(nystrom, "PTRFill", no_assembly)
+    monkeypatch.setattr(quadrature, "_ptr_fill", no_assembly)
     assert harness.MAX_SYSTEM_BYTES == 2 * 2**30
     for problem, largest in (("helmholtz", 11585), ("stokes", 8192)):
         raw = {"problem": problem, "kappa": 5.0}
@@ -1128,6 +1145,32 @@ def test_field_grid_is_validated(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error:")
     assert cli.main(_field_argv(str(path))) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("key", sorted(_GRID))
+def test_run_field_refuses_a_grid_spec_without_a_key(key):
+    cfg = harness.default_stokes_config(N=[64])
+    spec = {k: v for k, v in _GRID.items() if k != key}
+    with pytest.raises(harness.ConfigError, match=f"lacks {key}$"):
+        harness.run_field(cfg, spec, N=64)
+
+
+@pytest.mark.parametrize("kappa", [12.5, 12.5 + 10j])
+def test_run_field_builds_the_combined_kernel_once(kappa, monkeypatch):
+    # the evaluator sums the kernel the system was assembled from; at
+    # complex kappa a second kernel would build a second Hankel table
+    built = []
+    combined = kernels.helmholtz_combined
+
+    def counted(k):
+        built.append(k)
+        return combined(k)
+
+    monkeypatch.setattr(kernels, "helmholtz_combined", counted)
+    cfg = harness.default_helmholtz_config(kappa, methods=[{"name": "zeta", "K": 2}])
+    rows = harness.run_field(cfg, dict(_GRID), N=64)
+    assert built == [cfg.kappa]
+    assert all(r[4] == 0 for r in rows)
 
 
 _SPECIAL = [math.nan, math.inf, -math.inf, -1.5, 0.0]

@@ -27,13 +27,15 @@ def test_combined_field_coupling():
 
 
 def test_assembly_validation():
+    # no stencil is the Kress rule, which Stokes does not have; a stencil
+    # must be a log stencil
     consts = helmholtz_constants(5.0)
-    with pytest.raises(ny.AssemblyError):
-        ny.assemble_helmholtz(STAR, 64, consts, method="zeta", stencil=None)
-    with pytest.raises(ny.AssemblyError):
-        ny.assemble_helmholtz(STAR, 64, consts, method="galerkin")
-    with pytest.raises(ny.AssemblyError):
+    with pytest.raises(ny.AssemblyError, match="Helmholtz"):
         ny.assemble_stokes(STAR, 64, None)
+    with pytest.raises(quad.GridError):
+        ny.assemble_helmholtz(STAR, 64, consts, build_pow_stencil(2, 0.5))
+    with pytest.raises(ny.AssemblyError, match="laplace"):
+        ny.on_each_system("laplace", STAR, 64, None, [build_log_stencil(2)], None)
 
 
 def test_solve_direct():
@@ -296,7 +298,7 @@ def test_real_wavenumber_skips_complex_bessel(kappa, monkeypatch):
     consts = helmholtz_constants(kappa)
     stencil = build_log_stencil(2)
     grid = quad.make_grid(STAR.period, N)
-    bie = ny.assemble_helmholtz(STAR, N, consts, "zeta", stencil)
+    bie = ny.assemble_helmholtz(STAR, N, consts, stencil)
     tau = np.ones(N, dtype=complex)
     targets = np.array([[2.0, 0.5], [-1.5, 2.0]])
     sources, strengths = np.array([[0.1, 0.2]]), np.array([1.0])
@@ -304,6 +306,9 @@ def test_real_wavenumber_skips_complex_bessel(kappa, monkeypatch):
         "known_solution": lambda: harness.known_solution(
             kappa, sources, strengths, targets
         ),
+        "assemble_helmholtz": lambda: ny.assemble_helmholtz(
+            STAR, N, consts, stencil
+        ).matrix,
         "eval_helmholtz_potential": lambda: ny.eval_helmholtz_potential(
             bie, tau, targets
         ),
@@ -321,7 +326,9 @@ def test_real_wavenumber_skips_complex_bessel(kappa, monkeypatch):
         before = len(calls)
         assert np.all(np.isfinite(route())), name
         if not real:
-            assert len(calls) > before, name
+            # the evaluator sums the kernel of the assembled system, whose
+            # Hankel table was built with it
+            assert (len(calls) > before) == (name != "eval_helmholtz_potential"), name
 
 
 @pytest.mark.parametrize("kappa", [12.5, 12.5 + 10j])
@@ -333,13 +340,13 @@ def test_combined_system_matches_separate_operators(kappa):
     eta = kernels.combined_field_coupling(kappa)
     for K in (2, 7, None):
         if K is None:
-            method, stencil = "kress", None
+            stencil = None
             S, D = (quad.kress_helmholtz_operator(STAR, grid, consts, w) for w in "SD")
         else:
-            method, stencil = "zeta", build_log_stencil(K)
+            stencil = build_log_stencil(K)
             S, D = (quad.helmholtz_matrix(STAR, grid, consts, stencil, w) for w in "SD")
         ref = 0.5 * np.eye(N) + D - 1j * eta * S
-        bie = ny.assemble_helmholtz(STAR, N, consts, method, stencil)
+        bie = ny.assemble_helmholtz(STAR, N, consts, stencil)
         scale = np.abs(ref).max()
         if K is None and complex(kappa).imag > 0:
             # Kress entries sum terms of size |J0(kappa r)| ~ exp(Im kappa r)
@@ -347,13 +354,13 @@ def test_combined_system_matches_separate_operators(kappa):
             p = kernels.pairs(bie.data.pos[:, None], bie.data.pos, bie.data.normal)
             phi = kernels.helmholtz_combined(kappa).phi(p) * bie.data.speed
             scale = np.abs(quad.kress_log_matrix(N) * phi / 2).max()
-        assert np.abs(bie.matrix - ref).max() <= 1e-14 * scale, (method, K)
+        assert np.abs(bie.matrix - ref).max() <= 1e-14 * scale, K
     # the evaluator against the sum of the separate layer potentials
     rng = np.random.default_rng(5)
     tau = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     angle = np.linspace(0, 2 * math.pi, 12, endpoint=False)
     targets = 2.4 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    bie = ny.assemble_helmholtz(STAR, N, consts, "kress")
+    bie = ny.assemble_helmholtz(STAR, N, consts)
     p = kernels.pairs(targets[:, None], bie.data.pos, bie.data.normal)
     slp, dlp = kernels.helmholtz_s(kappa), kernels.helmholtz_d(kappa)
     weights = bie.data.speed * bie.grid.h
@@ -393,88 +400,99 @@ def test_assemble_stokes_allocates_one_matrix():
 # --- one PTR fill per N --------------------------------------------------------
 
 
-def _fresh_fill(kind, N, consts):
-    return ny.PTRFill(kind, STAR, N, consts).matrix
+def _assembled(kind, N, consts, stencil):
+    if kind == "helmholtz":
+        return ny.assemble_helmholtz(STAR, N, consts, stencil)
+    return ny.assemble_stokes(STAR, N, stencil)
 
 
 @pytest.mark.parametrize(
     "kind, kappa", [("helmholtz", 12.5), ("helmholtz", 12.5 + 10j), ("stokes", None)]
 )
 def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
-    # each rule's system inside the holder is the assembled system bit for
-    # bit, and each exit leaves the fill as a fresh fill makes it; a
-    # stencil read from a table is one more rule, on either system. The
-    # Kress rule, last, is the assembled Kress system in the fill's buffer
-    # and spends the fill; a Stokes fill refuses it
+    # each rule's system on the shared fill is the assembled system bit for
+    # bit, and the fill is written back after each stencil rule; a stencil
+    # read from a table is one more rule, on either system. The Kress rule
+    # runs last, in the fill's own buffer, whatever its place in the list;
+    # a Stokes system refuses it before anything is filled
     N = 96
     consts = None if kappa is None else helmholtz_constants(kappa)
-    fill = ny.PTRFill(kind, STAR, N, consts)
-    fresh = _fresh_fill(kind, N, consts)
-    assert np.array_equal(fill.matrix, fresh)
+    fresh = ny._fill(kind, STAR, N, consts).matrix
     table = harness.ExternalStencilTable(
         "table10", 10, True, tuple(enumerate(build_log_stencil(4).weights))
     )
     stencils = [build_log_stencil(K) for K in (2, 7, 20, 0)]
     stencils.insert(2, harness.stencil_from_table(table))
-    for stencil in stencils:
-        if kind == "helmholtz":
-            assembled = ny.assemble_helmholtz(STAR, N, consts, "zeta", stencil)
-        else:
-            assembled = ny.assemble_stokes(STAR, N, stencil)
-        with fill.system(stencil) as bie:
-            assert bie.kind == kind
-            assert bie.matrix is fill.matrix
-            assert np.array_equal(bie.matrix, assembled.matrix), stencil
-            assert np.array_equal(bie.data.pos, assembled.data.pos)
-        assert np.array_equal(fill.matrix, fresh), stencil
+    stencils.insert(1, None)
     if kind == "stokes":
-        with pytest.raises(ny.AssemblyError, match="Helmholtz"):
-            fill.kress()
-        assert np.array_equal(fill.matrix, fresh)
-        return
-    assembled = ny.assemble_helmholtz(STAR, N, consts, "kress")
-    bie = fill.kress()
-    assert bie.matrix is fill.matrix
-    assert np.array_equal(bie.matrix, assembled.matrix)
-    for spent in (lambda: fill.system(stencils[0]).__enter__(), fill.kress):
-        with pytest.raises(ny.AssemblyError, match="spent"):
-            spent()
+        with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
+            with pytest.raises(ny.AssemblyError, match="Helmholtz"):
+                ny.on_each_system(kind, STAR, N, consts, stencils, None)
+        del stencils[1]
+    buffers, order = [], []
+
+    def measure(i, bie):
+        assembled = _assembled(kind, N, consts, stencils[i])
+        assert bie.kind == kind
+        assert np.array_equal(bie.matrix, assembled.matrix), stencils[i]
+        assert np.array_equal(bie.data.pos, assembled.data.pos)
+        buffers.append(bie.matrix)
+        order.append(i)
+        return -i
+
+    out = ny.on_each_system(kind, STAR, N, consts, stencils, measure)
+    assert [result for _, result in out] == [-i for i in range(len(stencils))]
+    assert all(seconds > 0 for seconds, _ in out)
+    runs_last = [i for i, s in enumerate(stencils) if s is not None]
+    runs_last += [i for i, s in enumerate(stencils) if s is None]
+    assert order == runs_last
+    assert all(b is buffers[0] for b in buffers)
+    if kind == "stokes":
+        assert np.array_equal(buffers[0], fresh)
 
 
 def test_ptr_fill_is_restored_when_the_block_raises():
-    # a NearFieldError inside the block, as a sweep target too close to the
-    # curve raises it, still writes the saved entries back
+    # a NearFieldError inside a measurement, as a sweep target too close to
+    # the curve raises it, still writes the saved entries back
     N = 64
     consts = helmholtz_constants(5.0)
-    fill = ny.PTRFill("helmholtz", STAR, N, consts)
-    fresh = _fresh_fill("helmholtz", N, consts)
+    fresh = ny._fill("helmholtz", STAR, N, consts).matrix
+    buffers = []
+
+    def measure(i, bie):
+        buffers.append(bie.matrix)
+        assert not np.array_equal(bie.matrix, fresh)
+        ny.eval_helmholtz_potential(
+            bie, np.zeros(N, dtype=complex), np.array([[1.31, 0.0]])
+        )
+
     with pytest.raises(ny.NearFieldError):
-        with fill.system(build_log_stencil(2)) as bie:
-            assert not np.array_equal(fill.matrix, fresh)
-            ny.eval_helmholtz_potential(
-                bie, np.zeros(N, dtype=complex), np.array([[1.31, 0.0]])
-            )
-    assert np.array_equal(fill.matrix, fresh)
-    with pytest.raises(ny.AssemblyError):  # refused before anything is applied
-        with fill.system(None):
-            pass
-    with pytest.raises(quad.GridError):
-        with fill.system(build_pow_stencil(2, 0.5)):
-            pass
-    assert np.array_equal(fill.matrix, fresh)
-    with pytest.raises(ny.AssemblyError):
-        ny.PTRFill("laplace", STAR, N)
+        ny.on_each_system("helmholtz", STAR, N, consts, [build_log_stencil(2)], measure)
+    assert np.array_equal(buffers[0], fresh)
+    # every rule is checked before anything is filled, and a measurement
+    # that raises ends the run
+    with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
+        for stencils in (
+            [build_log_stencil(2), build_pow_stencil(2, 0.5)],
+            [build_log_stencil(2), build_log_stencil(20)],
+        ):
+            with pytest.raises(quad.GridError):
+                ny.on_each_system("helmholtz", STAR, 40, consts, stencils, None)
+        with pytest.raises(quad.GridError):  # Kress needs an even N
+            ny.on_each_system("helmholtz", STAR, 41, consts, [None], None)
+        with pytest.raises(ny.AssemblyError):
+            ny.on_each_system("laplace", STAR, N, consts, [build_log_stencil(2)], None)
     # the assemblers refuse a stencil that does not fit before any fill
     with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
         for stencil in (build_pow_stencil(2, 0.5), build_log_stencil(20)):
             with pytest.raises(quad.GridError):
-                ny.assemble_helmholtz(STAR, 40, consts, "zeta", stencil)
+                ny.assemble_helmholtz(STAR, 40, consts, stencil)
             with pytest.raises(quad.GridError):
                 ny.assemble_stokes(STAR, 40, stencil)
         with pytest.raises(ny.AssemblyError):
             ny.assemble_stokes(STAR, 40, None)
         with pytest.raises(quad.GridError):
-            ny.assemble_helmholtz(STAR, 41, consts, "kress")
+            ny.assemble_helmholtz(STAR, 41, consts)
 
 
 def test_correction_touches_only_its_band_and_diagonal():
@@ -482,7 +500,7 @@ def test_correction_touches_only_its_band_and_diagonal():
     # and returns their old values; restore writes exactly those back
     N, K = 48, 3
     for kind, consts in (("helmholtz", helmholtz_constants(5.0)), ("stokes", None)):
-        fill = ny.PTRFill(kind, STAR, N, consts)
+        fill = ny._fill(kind, STAR, N, consts)
         correction = quad._correction(
             fill.kernel, fill.data, fill.grid.h, build_log_stencil(K)
         )
