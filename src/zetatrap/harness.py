@@ -5,11 +5,12 @@ All drivers are pure functions from a :class:`ProblemConfig` to lists of
 CSV-ready rows; the CLI module handles argument parsing and file output.
 Method names live here only, to read a config and label rows: a method
 is a label and a stencil, none for the Kress rule. Every driver checks
-each N with :func:`_check_n` and builds its systems at each N with
-:func:`~zetatrap.nystrom.on_each_system`, on one PTR fill.
-A sweep warm-starts GMRES from each method's previous N; table1 and
-field solve cold, as their iteration counts are the conditioning
-measurement.
+each N with :func:`_check_n` and builds its systems with
+:func:`~zetatrap.nystrom.on_each_system`: a sweep passes its whole N
+list, whose largest fill the coarser N slice, table1, field and the
+Stokes reference one N. A sweep warm-starts GMRES from each method's
+previous N; table1 and field solve cold, as their iteration counts are
+the conditioning measurement.
 """
 
 from __future__ import annotations
@@ -165,10 +166,15 @@ def _points(value, what: str) -> np.ndarray:
     return arr
 
 
-# The kernels take log(kappa/2), and H1(z) ~ -2i/(pi z) overflows a double
-# below |z| ~ 3.5e-309: at kappa = 2.2e-309 a sweep met inf * 0 and ended
-# in a traceback. 1e-300 keeps kappa r finite for pair distances to 1e-8.
-MIN_KAPPA = 1e-300
+# The low-frequency breakdown of the combined-field equation: as kappa -> 0
+# its condition number grows like 1/|kappa|, and so does the error of a
+# resolved grid. On the default star the zeta16 error at N = 512 reads
+# 6.3e-12 at kappa = 1e-6 and 6.5e-11 at 1e-7, about 6e-18/|kappa| from
+# kappa = 1e-4 to 1e-10 (4.6e-12 at kappa = 1e-6 i). The floor is the
+# smallest power of ten that keeps it below SATURATION_FLOOR, where
+# fit_eoc stops reading an error as discretization error; at 1e-300 a
+# sweep had exited 0 with a relative error of 1.5e4.
+MIN_KAPPA = 1e-6
 
 
 def _kappa(raw, curve: ParametricCurve) -> complex:
@@ -199,8 +205,9 @@ def _kappa(raw, curve: ParametricCurve) -> complex:
         raise ConfigError("helmholtz config requires 'kappa' or 'wavelengths'")
     if abs(kappa) < MIN_KAPPA:
         raise ConfigError(
-            f"|kappa| must be at least {MIN_KAPPA:g}, got {kappa}: the kernels "
-            "take log(kappa/2), and H1(kappa r) overflows below it"
+            f"|kappa| must be at least {MIN_KAPPA:g}, got {kappa}: below it the "
+            "combined-field equation breaks down at low frequency, and a "
+            f"resolved grid's error exceeds {SATURATION_FLOOR:g}"
         )
     if kappa.imag < 0:
         raise ConfigError(
@@ -251,7 +258,8 @@ MIN_POINTS_PER_WAVELENGTH = 2.0
 
 # Bytes one dense system of N nodes may take: 16 N^2 for the complex
 # N x N Helmholtz matrix, 32 N^2 for the real 2N x 2N Stokes matrix. At
-# N = 20000 a Helmholtz system would take 6.4 GB.
+# N = 20000 a Helmholtz system would take 6.4 GB. A sweep is held to it
+# too, for what it holds at once (nystrom.held_bytes).
 MAX_SYSTEM_BYTES = 2 * 2**30
 
 
@@ -276,11 +284,19 @@ def _check_n(cfg: ProblemConfig, methods, N: int):
                 f"a curve of length {length:.4g}; at least "
                 f"{MIN_POINTS_PER_WAVELENGTH:g} are needed"
             )
-    size = (16 if cfg.problem == "helmholtz" else 32) * N * N
-    if size > MAX_SYSTEM_BYTES:
+    _check_memory(cfg, methods, [N])
+
+
+def _check_memory(cfg: ProblemConfig, methods, n_list):
+    """Raise ConfigError unless the dense systems that the run of
+    ``methods`` over ``n_list`` holds at once fit in MAX_SYSTEM_BYTES."""
+    stencils = [m.stencil for m in methods]
+    held = nystrom.held_bytes(cfg.problem, n_list, stencils)
+    if held > MAX_SYSTEM_BYTES:
         raise ConfigError(
-            f"N={N} needs a dense {cfg.problem} system of {size / 2**30:.3g} GiB, "
-            f"over the budget of {MAX_SYSTEM_BYTES / 2**30:g} GiB"
+            f"N={list(n_list)} needs {held / 2**30:.3g} GiB of dense "
+            f"{cfg.problem} systems at once, over the budget of "
+            f"{MAX_SYSTEM_BYTES / 2**30:g} GiB"
         )
 
 
@@ -343,6 +359,11 @@ def load_config(source) -> ProblemConfig:
     )
     for n in n_list:
         _check_n(cfg, methods, n)
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(
+            f"N must ascend strictly, got {list(n_list)}: a repeated N is one "
+            "grid fitted as two points"
+        )
     _validate_points(cfg)
     return cfg
 
@@ -426,11 +447,13 @@ def fit_eoc(n_values, errors, floor: float = SATURATION_FLOOR):
     return float(-slope), [p[0] for p in pts]
 
 
-def _systems(cfg: ProblemConfig, methods, N: int, measure) -> list:
+def _systems(cfg: ProblemConfig, methods, n_list, measure) -> list:
     """:func:`~zetatrap.nystrom.on_each_system` for the config's problem."""
     consts = None if cfg.kappa is None else helmholtz_constants(cfg.kappa)
     stencils = [m.stencil for m in methods]
-    return nystrom.on_each_system(cfg.problem, cfg.curve, N, consts, stencils, measure)
+    return nystrom.on_each_system(
+        cfg.problem, cfg.curve, n_list, consts, stencils, measure
+    )
 
 
 def _shear_flow(cfg: ProblemConfig, points: np.ndarray) -> np.ndarray:
@@ -493,7 +516,7 @@ def _stokes_reference(cfg: ProblemConfig, start=None) -> np.ndarray:
         label = f"{method.label} reference"
         return _solve_and_eval(cfg, bie, cfg.targets, label, start)[1]
 
-    [(_, vals)] = _systems(cfg, [method], STOKES_REFERENCE_N, measure)
+    [[(_, vals)]] = _systems(cfg, [method], [STOKES_REFERENCE_N], measure)
     return vals
 
 
@@ -503,9 +526,15 @@ def run_convergence(cfg: ProblemConfig):
     Returns (rows, eoc_rows). Row schema:
     (N, method, order, max_rel_error, assemble_s, solve_s), method by
     method, N ascending; EOC schema: (method, order, eoc, fit window as
-    'n1;n2;...'). The stencil rules at one N share one PTR fill, so a
-    row's assemble_s is the fill's seconds plus that rule's correction
-    (see :func:`~zetatrap.nystrom.on_each_system`).
+    'n1;n2;...'). The sweep's systems come from
+    :func:`~zetatrap.nystrom.on_each_system`: the stencil rules at one N
+    share one PTR fill, and an N below the largest N_max by a power of
+    two takes its fill as a slice of N_max's, filled first. A row's
+    assemble_s is its fill's seconds, or its slice's, plus that rule's
+    correction, so the N_max rows carry the whole N_max fill, which the
+    coarser rows slice. A sweep whose fill, systems and kept Kress factor
+    would take more than MAX_SYSTEM_BYTES at once is a ConfigError,
+    raised before anything is filled.
 
     The sweep warm-starts: each method entry solves its first N cold and
     every later N from its own density at the previous N, carried over by
@@ -528,7 +557,8 @@ def run_convergence(cfg: ProblemConfig):
         densities[i] = rep.solution
         return vals, time.perf_counter() - t0
 
-    per_n = [_systems(cfg, cfg.methods, N, measure) for N in cfg.n_list]
+    _check_memory(cfg, cfg.methods, cfg.n_list)
+    per_n = _systems(cfg, cfg.methods, cfg.n_list, measure)
     if cfg.problem == "helmholtz":
         ref = known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
     else:
@@ -581,7 +611,7 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
             *result,
         )
         for method, (_, result) in zip(
-            cfg.methods, _systems(cfg, cfg.methods, N, measure)
+            cfg.methods, _systems(cfg, cfg.methods, [N], measure)[0]
         )
     ]
 
@@ -610,10 +640,10 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny_)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    [(_, (vals, far))] = _systems(
+    [[(_, (vals, far))]] = _systems(
         cfg,
         methods,
-        N,
+        [N],
         lambda i, bie: nystrom.eval_field(bie, _solve(cfg, bie).solution, pts),
     )
     if cfg.problem == "helmholtz":

@@ -29,6 +29,11 @@ the pair (m, n) and its mirror (n, m):
   none for Laplace and Stokes.
 - ``phi_of(p, g)`` forms phi from those factors; ``phi(p)`` is
   ``phi_of(p, phi_radial(p))``.
+- ``phi_in_radial(f)``, where a kernel has it (else None), reads phi's
+  factors off ``radial``'s: at real positive kappa the combined-field
+  kernel's H0 and H1 are J + iY, so J0 and J1 are their real parts. They
+  are ``phi_radial``'s bit for bit at every pair but the coincident
+  ones, where ``radial`` takes r = 1.
 
 Neither ``full_of`` nor ``phi_of`` writes into its factors.
 
@@ -117,6 +122,7 @@ class Kernel(NamedTuple):
     phi_radial: Callable[[Pairs], tuple]
     phi_of: Callable[[Pairs, tuple], np.ndarray]
     limit: Callable[[CurveSamples], np.ndarray]
+    phi_in_radial: Callable[[tuple], tuple] | None = None
 
     def full(self, p: Pairs) -> np.ndarray:
         """The kernel at every pair."""
@@ -278,6 +284,10 @@ def combined_field_coupling(kappa: complex) -> float:
     return k.real if k.real != 0.0 else abs(k)
 
 
+def _real_parts(f: tuple) -> tuple:
+    return tuple(x.real for x in f)
+
+
 def helmholtz_combined(kappa: complex) -> Kernel:
     """Combined-field kernel D - i eta S, eta = combined_field_coupling(kappa).
 
@@ -285,7 +295,8 @@ def helmholtz_combined(kappa: complex) -> Kernel:
     :class:`~zetatrap.specfun.Hankel01` made with the kernel (at complex
     kappa that builds the Hankel table of its ray), and those of phi are
     J0 and J1; phi and the limit are those of :func:`helmholtz_d` and
-    :func:`helmholtz_s`, combined.
+    :func:`helmholtz_s`, combined. At real positive kappa the real route
+    gives H = J + iY, and ``phi_in_radial`` takes J0 and J1 from it.
     """
     k = _wavenumber(kappa)
     hankel01 = Hankel01(k)
@@ -304,6 +315,7 @@ def helmholtz_combined(kappa: complex) -> Kernel:
         phi_radial=lambda p: tuple(bessel_j_array(n, k * p.r) for n in (0, 1)),
         phi_of=lambda p, g: d.phi_of(p, g[1:]) + coupling * s.phi_of(p, g[:1]),
         limit=lambda data: d.limit(data) + coupling * s.limit(data),
+        phi_in_radial=_real_parts if isinstance(k, float) else None,
     )
 
 

@@ -19,9 +19,15 @@ stencil alone picks the rule: a zeta stencil and one read from an
 external table add the same sparse band and diagonal, for either
 system, and no stencil is Kress's spectral rule (Helmholtz only), a
 dense correction. :func:`on_each_system` builds every rule's system at
-one N on one fill: the stencil rules in turn, each written back after
-use, and Kress last, not undone. :func:`assemble_helmholtz` and
-:func:`assemble_stokes` build one system on a fill of its own.
+each N of a list on one fill: the stencil rules in turn, each written
+back after use, and Kress last, not undone. The fill at N is the fill at
+2N read at every other row and column, times 2, bit for bit, so it fills
+the largest N first and takes the fill of every N below it by a power of
+two as one strided copy; with Kress, that fill's tile loop also keeps
+Kress's pair factor phi*speed for those N. It holds the largest fill, one
+other system and that factor at once (:func:`held_bytes`).
+:func:`assemble_helmholtz` and :func:`assemble_stokes` build one system
+on a fill of its own.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "NearFieldError",
     "ConditioningBudgetError",
     "on_each_system",
+    "held_bytes",
     "assemble_helmholtz",
     "assemble_stokes",
     "solve_direct",
@@ -129,36 +136,70 @@ def _check_rule(kind: str, N: int, stencil: CorrectionStencil | None):
         quad.check_grid(N, kress=True)
 
 
+def _nodes(curve: ParametricCurve, N: int):
+    """The N-node trapezoidal grid of ``curve`` and the curve's samples at
+    its nodes."""
+    grid = quad.make_grid(curve.period, N)
+    return grid, sample(curve, grid.nodes)
+
+
 def _fill(
-    kind: str, curve: ParametricCurve, N: int, consts: HelmholtzConstants | None
+    kind: str,
+    curve: ParametricCurve,
+    N: int,
+    consts: HelmholtzConstants | None,
+    phi_sp: np.ndarray | None = None,
 ) -> DiscretizedBIE:
     """The system whose matrix holds the plain trapezoidal (PTR) fill of
     ``kind`` on N nodes: combined field (needs ``consts``) or Stokes S + D
-    (node-major 2N unknowns)."""
+    (node-major 2N unknowns). Given ``phi_sp``, the fill also keeps the
+    Kress factor phi*speed in it (see
+    :func:`~zetatrap.quadrature._ptr_fill`)."""
     if kind == "helmholtz":
         kernel = kernels.helmholtz_combined(consts.kappa)
         A = np.empty((N, N), dtype=complex)
     else:
         kernel = kernels.stokes_combined()
         A = np.empty((2 * N, 2 * N))
-    grid = quad.make_grid(curve.period, N)
-    data = sample(curve, grid.nodes)
-    quad._ptr_fill(kernel, data, grid.h, A)
+    grid, data = _nodes(curve, N)
+    quad._ptr_fill(kernel, data, grid.h, A, phi_sp)
     return DiscretizedBIE(kind, curve, grid, data, A, kernel)
 
 
-def _correct(bie: DiscretizedBIE, stencil: CorrectionStencil | None):
+def _slice(top: DiscretizedBIE, N: int) -> DiscretizedBIE:
+    """The system holding the PTR fill at N, read off the fill ``top`` at
+    M = s N nodes, s a power of two: one strided copy of every s-th row
+    and column, times s, taken on the node-major (M, 2, M, 2) view for
+    Stokes.
+
+    h = period/M is period/N over s exactly, so node n at N is node s n
+    at M, the same float, and so are its samples and every pair's kernel
+    value; times s, kernel*speed*h rounds as it does at N. At any other
+    s it does not: 3 * fill_384[::3, ::3] misses fill_128 by 7e-15.
+    """
+    M = top.grid.N
+    s = M // N
+    if top.kind == "helmholtz":
+        A = top.matrix[::s, ::s] * s
+    else:
+        A = (top.matrix.reshape(M, 2, M, 2)[::s, :, ::s] * s).reshape(2 * N, 2 * N)
+    grid, data = _nodes(top.curve, N)
+    return DiscretizedBIE(top.kind, top.curve, grid, data, A, top.kernel)
+
+
+def _correct(bie: DiscretizedBIE, stencil: CorrectionStencil | None, kress):
     """Turn the PTR fill of ``bie`` into the system of the rule of
     ``stencil``, in place: its correction, then I/2 on the diagonal.
+    Kress (stencil None) is ``kress(kernel, data, h, A)``.
 
     Returns a function that writes the fill back for a stencil rule, None
-    for Kress (stencil None), whose dense correction is not undone. The
-    stencil's correction wrote every entry of the diagonal, so the entries
-    it saved undo the I/2 too.
+    for Kress, whose dense correction is not undone. The stencil's
+    correction wrote every entry of the diagonal, so the entries it saved
+    undo the I/2 too.
     """
     kernel, data, h, A = bie.kernel, bie.data, bie.grid.h, bie.matrix
     if stencil is None:
-        quad._kress(kernel, data, h, A)
+        kress(kernel, data, h, A)
         restore = None
     else:
         correction = quad._correction(kernel, data, h, stencil)
@@ -167,37 +208,61 @@ def _correct(bie: DiscretizedBIE, stencil: CorrectionStencil | None):
     return restore
 
 
-def on_each_system(
-    kind: str,
-    curve: ParametricCurve,
-    N: int,
-    consts: HelmholtzConstants | None,
-    stencils,
-    measure,
-) -> list:
-    """(assemble seconds, ``measure(i, bie)``) for the system ``bie`` of the
-    rule of each ``stencils[i]`` at N, in their order; None is Kress.
+def _timed(make, *args):
+    t0 = time.perf_counter()
+    return make(*args), time.perf_counter() - t0
 
-    Every rule is checked before anything is filled. The rules share one
-    PTR fill: each stencil rule's correction and I/2 are applied for the
-    span of its ``measure`` and then written back, even if it raises. The
-    Kress rules run last, each on a fill of its own, taken once the one
-    before is dropped, so that at most one dense matrix is alive at a
-    time. A rule's seconds are its fill's plus its own; the matrix of
-    ``bie`` is the fill's buffer, so it holds the system only during
-    ``measure``.
+
+def _power_of_two(x: float) -> bool:
+    return math.frexp(x)[0] == 0.5
+
+
+def _nested(n_list, stencils):
+    """(N_max, the N of ``n_list`` whose fill is a slice of N_max's, the N
+    at which the N_max fill keeps the Kress factor, or None).
+
+    An N is sliced when N_max/N is a power of two above 1 (see
+    :func:`_slice`). The Kress factor is kept, when a rule is Kress, at
+    the largest sliced N: every smaller one is its slice too.
     """
-    for stencil in stencils:
-        _check_rule(kind, N, stencil)
+    top = max(n_list)
+    sliced = [N for N in n_list if N < top and _power_of_two(top / N)]
+    kress = any(stencil is None for stencil in stencils)
+    return top, sliced, max(sliced) if kress and sliced else None
+
+
+def held_bytes(kind: str, n_list, stencils) -> int:
+    """The bytes of dense matrices that :func:`on_each_system` may hold at
+    once on these arguments, at 16 N^2 per Helmholtz and 32 N^2 per Stokes
+    system: with an N to slice, the N_max fill, the largest system of
+    another N and the kept Kress factor (16 bytes a pair); else the
+    largest system."""
+    def system(N):
+        return (16 if kind == "helmholtz" else 32) * N * N
+
+    top, sliced, kept = _nested(n_list, stencils)
+    if not sliced:
+        return system(top)
+    coarse = max(system(N) for N in n_list if N != top)
+    return system(top) + coarse + (0 if kept is None else 16 * kept * kept)
+
+
+def _rules(fill, first: list, kress, stencils, measure) -> list:
+    """(assemble seconds, ``measure(i, bie)``) for the system of each
+    ``stencils[i]`` at one N: the stencil rules in turn on one fill, each
+    written back after its ``measure``, even if it raises, then the Kress
+    rules, each on a fill of its own.
+
+    A fill is ``first.pop()``, a (system, seconds) taken before, while
+    ``first`` holds one, and ``fill()`` timed after; Kress is ``kress``.
+    """
     out = [None] * len(stencils)
     bie = None
     for i in sorted(range(len(stencils)), key=lambda i: stencils[i] is None):
         if bie is None:
-            t0 = time.perf_counter()
-            bie = _fill(kind, curve, N, consts)
-            fill_s = time.perf_counter() - t0
+            bie, fill_s = first.pop() if first else _timed(fill)
         t0 = time.perf_counter()
-        restore = _correct(bie, stencils[i])
+        restore = _correct(bie, stencils[i], kress)
         assemble_s = fill_s + time.perf_counter() - t0
         try:
             out[i] = (assemble_s, measure(i, bie))
@@ -209,11 +274,68 @@ def on_each_system(
     return out
 
 
+def on_each_system(
+    kind: str,
+    curve: ParametricCurve,
+    n_list,
+    consts: HelmholtzConstants | None,
+    stencils,
+    measure,
+) -> list:
+    """One list per N of ``n_list``, strictly ascending, in its order: the
+    (assemble seconds, ``measure(i, bie)``) of the system ``bie`` of the
+    rule of each ``stencils[i]`` at that N, in their order; None is Kress.
+
+    Every rule is checked at every N before anything is filled. At one N
+    the rules share one PTR fill: each stencil rule's correction and I/2
+    are applied for the span of its ``measure`` and then written back,
+    even if it raises. The Kress rules run last, each on a fill of its
+    own, taken once the one before is dropped.
+
+    The N whose fill is a slice of the fill at N_max = max(``n_list``)
+    (N_max/N a power of two, see :func:`_slice`) share that fill: it is
+    taken first and held until N_max, and each of its fills is one
+    strided copy. When a rule is Kress, the N_max fill's tile loop also
+    keeps phi*speed on the pairs of the largest sliced N, and the Kress
+    correction of every sliced N reads its slice of it instead of a tile
+    loop of its own. Any other N fills afresh. At most the N_max fill, the
+    system of one other N and the kept factor are alive at once (see
+    :func:`held_bytes`). A rule's seconds are its fill's, or its slice's,
+    plus its correction's: the N_max rows carry the whole N_max fill.
+    The matrix of ``bie`` holds the system only during ``measure``.
+    """
+    n_list = list(n_list)
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise AssemblyError(f"N must ascend strictly, got {n_list}")
+    for N in n_list:
+        for stencil in stencils:
+            _check_rule(kind, N, stencil)
+    top, sliced, kept = _nested(n_list, stencils)
+    phi_sp = None if kept is None else np.empty((kept, kept), dtype=complex)
+    # The N_max fill and its seconds; the first rule at N_max pops it, so
+    # that nothing else keeps it once a Kress rule has spent it.
+    held = [_timed(_fill, kind, curve, top, consts, phi_sp)] if sliced else []
+    out = []
+    for N in n_list:
+        kress = quad._kress
+        if N in sliced:
+            fill = partial(_slice, held[0][0], N)
+            if phi_sp is not None:
+                s = kept // N
+                kress = partial(quad._kress_from_phi, phi_sp[::s, ::s])
+        else:
+            fill = partial(_fill, kind, curve, N, consts)
+        out.append(_rules(fill, held if N == top else [], kress, stencils, measure))
+        if N == kept:
+            phi_sp = None
+    return out
+
+
 def _assemble(kind, curve, N, consts, stencil) -> DiscretizedBIE:
     """The system of the rule of ``stencil`` on a fill of its own."""
     _check_rule(kind, N, stencil)  # before the fill, not after
     bie = _fill(kind, curve, N, consts)
-    _correct(bie, stencil)
+    _correct(bie, stencil, quad._kress)
     return bie
 
 

@@ -18,8 +18,8 @@ fill, the punctured trapezoidal matrix kernel*speed*h, plus a correction.
   speed*(L - phi(0)*log speed): a dense correction of the fill that
   ``_kress`` adds in place and does not undo.
 
-The PTR fill and the Kress correction run one tile loop. The node range
-is cut into slabs of SLAB_ROWS; for each slab pair (I, J) with J >= I,
+The PTR fill and the Kress correction each run one tile loop. The node
+range is cut into slabs of SLAB_ROWS; for each slab pair (I, J), J >= I,
 in row-major order of (I, J), the loop forms the pairs once and
 evaluates one set of symmetric factors once: the kernel's radial factors
 for the fill, phi's for Kress (see :mod:`~zetatrap.kernels`). It yields
@@ -34,6 +34,16 @@ of the node-major 2N x 2N matrix. A
 diagonal pairs in one pass, and the Kress diagonal follows its tile
 loop. At most one tile pair of pair arrays, O(SLAB_ROWS^2), is alive at
 once, where a row slab held SLAB_ROWS x N.
+
+Nested grids. The nodes at every s-th index of N nodes are those of N/s
+nodes, the same floats when s is a power of two, so the fill's tile loop
+can also keep, in an (N/s, N/s) buffer, the Kress factor phi*speed of
+their pairs, sliced from its tiles' pairs: at real kappa phi's J0 and J1
+are the real parts of the fill's own H0 and H1 (the kernel's
+``phi_in_radial``), and otherwise phi's factors are evaluated on those
+pairs. :func:`_kress_from_phi` then corrects the fill at N/s, or at any
+smaller N that the buffer's slice reaches, to its Kress matrix with no
+tile loop (see :func:`~zetatrap.nystrom.on_each_system`).
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .geometry import CurveSamples, ParametricCurve, sample
@@ -183,16 +194,23 @@ def _components(A: np.ndarray, N: int) -> np.ndarray:
     return A.reshape(N, 2, N, 2).transpose(1, 3, 0, 2)
 
 
-def _ptr_fill(kernel: kernels.Kernel, data, h, A: np.ndarray) -> np.ndarray:
+def _ptr_fill(
+    kernel: kernels.Kernel, data, h, A: np.ndarray, phi_sp=None
+) -> np.ndarray:
     """Fill ``A`` with the punctured trapezoidal matrix kernel*speed*h.
 
     The diagonal holds a finite placeholder, the kernel's factors at
-    r = 1, that every :class:`Correction` overwrites.
+    r = 1, that every :class:`Correction` overwrites. Given ``phi_sp``, an
+    (N/s, N/s) array, the same tile loop also writes phi*speed of the
+    pairs of the nodes s m and s n at (m, n): the pair factors of the
+    Kress rule on the nodes at every s-th index (see
+    :func:`_kress_from_phi`).
     """
     N = len(data.speed)
     out = _components(A, N)
     lead = out.ndim - 2
     planes = _planes(out, lead)
+    g = None
     for I, J, p, f, mirrored in _tiles(data, kernel.radial):
         block = kernel.full_of(p, f)
         block *= data.speed[I, None] if mirrored else data.speed[J]
@@ -202,7 +220,42 @@ def _ptr_fill(kernel: kernels.Kernel, data, h, A: np.ndarray) -> np.ndarray:
                 plane[J, I] = tile.T
             else:
                 plane[I, J] = tile
+        if phi_sp is not None:
+            g = _keep_phi_sp(kernel, data, I, J, p, f, g, mirrored, phi_sp)
     return A
+
+
+def _keep_phi_sp(kernel, data, I, J, p, f, g, mirrored, phi_sp):
+    """Write phi*speed of the pairs of tile (I, J) whose two nodes sit at
+    multiples of s = N/len(``phi_sp``) into ``phi_sp``, at (m/s, n/s).
+
+    Returns phi's factors on those pairs; a tile's mirror reuses them,
+    given back as ``g``. They are read off the fill's factors ``f`` where
+    the kernel has ``phi_in_radial``, and evaluated on the pairs
+    otherwise.
+    """
+    s = len(data.speed) // len(phi_sp)
+    a, b = slice(-I.start % s, None, s), slice(-J.start % s, None, s)
+    rows, cols = np.arange(I.start, I.stop)[a], np.arange(J.start, J.stop)[b]
+    if not (rows.size and cols.size):
+        return g
+    normals = data.normal[cols], data.normal[rows, None]
+    q = kernels.Pairs(
+        p.dx[a, b], p.dy[a, b], p.r[a, b], p.r_safe[a, b],
+        *(normals[::-1] if mirrored else normals),
+    )
+    if not mirrored:
+        if kernel.phi_in_radial is None:
+            g = kernel.phi_radial(q)
+        else:
+            g = kernel.phi_in_radial(tuple(x[a, b] for x in f))
+    R = slice(rows[0] // s, rows[-1] // s + 1)
+    C = slice(cols[0] // s, cols[-1] // s + 1)
+    if mirrored:
+        phi_sp[C, R] = (kernel.phi_of(q, g) * data.speed[rows, None]).T
+    else:
+        phi_sp[R, C] = kernel.phi_of(q, g) * data.speed[cols]
+    return g
 
 
 @dataclass(frozen=True)
@@ -374,6 +427,15 @@ def _kress_log_column(N: int) -> np.ndarray:
     return col
 
 
+def _by_lag(values: np.ndarray) -> np.ndarray:
+    """The (N, N) circulant view of the N ``values`` whose entry (m, n) is
+    values[(m - n) % N]: row m is values reversed, then rolled by m + 1,
+    a window of the reversed values laid twice."""
+    N = len(values)
+    twice = np.concatenate([values[::-1], values[::-1]])
+    return sliding_window_view(twice, N)[::-1][1:]
+
+
 def kress_log_matrix(N: int) -> np.ndarray:
     """Circulant quadrature matrix for the kernel log(4 sin^2((t-s)/2)).
 
@@ -381,35 +443,59 @@ def kress_log_matrix(N: int) -> np.ndarray:
     R @ cos(m s) = -(2 pi / m) cos(m t) for 1 <= m <= N/2-1, R @ 1 = 0,
     with the Nyquist mode integrated exactly against the truncated series.
     """
-    col = _kress_log_column(N)
-    d = np.arange(N)
-    return col[(d[:, None] - d[None, :]) % N]
+    return _by_lag(_kress_log_column(N)).copy()
 
 
-def _kress(kernel: kernels.Kernel, data, h, A) -> np.ndarray:
-    """Correct the PTR fill ``A`` (N, N) of ``kernel`` to its Kress matrix,
-    in place: add phi*speed*(h*log(4 sin^2(pi d/N))/2 - R_d/2) at each
-    lag d off the diagonal, and write the diagonal."""
-    N = len(data.speed)
+def _kress_weights(N: int, h: float):
+    """(R, weight): the Kress log column on N nodes, and the weight
+    h*log(4 sin^2(pi d/N))/2 - R_d/2 of phi*speed at each lag d."""
     R = _kress_log_column(N)
     n = np.arange(N)
     # log(4 sin^2(pi d/N)) at lag d, from the nearer of d and N - d so that
     # lags close to N keep their relative accuracy.
     d = np.minimum(n, N - n)
     logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
-    weight = h * logsin / 2 - R / 2
-    for I, J, p, g, mirrored in _tiles(data, kernel.phi_radial):
-        if mirrored:
-            phi_sp = kernel.phi_of(p, g) * data.speed[I, None]
-            A[J, I] += (phi_sp * weight[(n[J] - n[I, None]) % N]).T
-        else:
-            phi_sp = kernel.phi_of(p, g) * data.speed[J]
-            A[I, J] += phi_sp * weight[(n[I, None] - n[J]) % N]
-    # The tiles' diagonal held the fill's placeholder; phi(0) replaces it.
+    return R, h * logsin / 2 - R / 2
+
+
+def _kress_diagonal(kernel: kernels.Kernel, data, h, R, A):
+    """Write the Kress diagonal of ``A``, over whatever it held."""
+    n = np.arange(len(data.speed))
     phi0, sp = kernel.phi(_node_pairs(data, n, n)), data.speed
     A[n, n] = R[0] * (-phi0 * sp / 2) + h * sp * (
         kernel.limit(data) - phi0 * np.log(sp)
     )
+
+
+def _kress(kernel: kernels.Kernel, data, h, A) -> np.ndarray:
+    """Correct the PTR fill ``A`` (N, N) of ``kernel`` to its Kress matrix,
+    in place: add phi*speed*(h*log(4 sin^2(pi d/N))/2 - R_d/2) at each
+    lag d off the diagonal, and write the diagonal."""
+    R, weight = _kress_weights(len(data.speed), h)
+    lagged = _by_lag(weight)
+    for I, J, p, g, mirrored in _tiles(data, kernel.phi_radial):
+        if mirrored:
+            phi_sp = kernel.phi_of(p, g) * data.speed[I, None]
+            A[J, I] += phi_sp.T * lagged[J, I]
+        else:
+            phi_sp = kernel.phi_of(p, g) * data.speed[J]
+            A[I, J] += phi_sp * lagged[I, J]
+    # The tiles' diagonal held the fill's placeholder; phi(0) replaces it.
+    _kress_diagonal(kernel, data, h, R, A)
+    return A
+
+
+def _kress_from_phi(phi_sp, kernel: kernels.Kernel, data, h, A) -> np.ndarray:
+    """:func:`_kress` with phi*speed at every pair given, the (N, N)
+    ``phi_sp`` that :func:`_ptr_fill` keeps: the same sums, without a
+    tile loop. Whatever its diagonal holds is overwritten."""
+    N = len(data.speed)
+    R, weight = _kress_weights(N, h)
+    lagged = _by_lag(weight)
+    for start in range(0, N, SLAB_ROWS):
+        rows = slice(start, start + SLAB_ROWS)
+        A[rows] += phi_sp[rows] * lagged[rows]
+    _kress_diagonal(kernel, data, h, R, A)
     return A
 
 

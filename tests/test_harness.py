@@ -332,39 +332,62 @@ def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
 
 
 def test_sweep_runs_kress_last_on_the_shared_fill(monkeypatch):
-    # each N takes one PTR fill: the stencil rules correct it in turn, then
-    # the Kress rule corrects it for good, in the fill's own buffer; a
-    # second Kress rule takes a fresh fill once the spent one is gone, so
-    # two dense matrices of one N are never alive together. Rows keep the
-    # config's order.
-    fills, steps = [], []
+    # the sweep fills N_max = 128 once, first, and keeps the Kress factor of
+    # N = 64 in the same tile loop: N = 64 takes its systems as slices of
+    # that fill and its Kress correction from the kept factor, with no
+    # fill and no Kress tile loop of its own; N = 96 does not divide 128
+    # and fills afresh. At each N the stencil rules correct the fill in
+    # turn, then the Kress rules, a second one on a fresh fill or slice.
+    # Beside the N_max fill at most one system is alive, and the N_max
+    # fill is spent by the last N. Rows keep the config's order.
+    fills, steps, alive = [], [], []
     ptr_fill, kress = quadrature._ptr_fill, quadrature._kress
-    correction = quadrature._correction
+    correction, kress_from_phi = quadrature._correction, quadrature._kress_from_phi
+    matrices = []  # weak references to every fill and every measured system
 
-    def tracked_fill(kernel, data, h, A):
-        assert all(f() is None for f in fills), "two fills alive"
-        fills.append(weakref.ref(A))
-        return ptr_fill(kernel, data, h, A)
+    def tracked_fill(kernel, data, h, A, phi_sp=None):
+        fills.append((len(data.speed), None if phi_sp is None else len(phi_sp)))
+        matrices.append(weakref.ref(A))
+        return ptr_fill(kernel, data, h, A, phi_sp)
 
     def tracked_correction(kernel, data, h, stencil):
-        steps.append((len(fills), stencil.K))
+        steps.append((len(data.speed), stencil.K))
         return correction(kernel, data, h, stencil)
 
     def tracked_kress(kernel, data, h, A):
-        assert A is fills[-1]()
-        steps.append((len(fills), "kress"))
+        steps.append((len(data.speed), "kress"))
         return kress(kernel, data, h, A)
+
+    def tracked_kress_from_phi(phi_sp, kernel, data, h, A):
+        steps.append((len(data.speed), "kress from the kept factor"))
+        return kress_from_phi(phi_sp, kernel, data, h, A)
+
+    solve = harness._solve
+
+    def tracked_solve(cfg, bie, *args):
+        matrices.append(weakref.ref(bie.matrix))
+        others = [m() for m in matrices if m() is not bie.matrix]
+        alive.append([m.shape[0] for m in others if m is not None])
+        return solve(cfg, bie, *args)
 
     monkeypatch.setattr(quadrature, "_ptr_fill", tracked_fill)
     monkeypatch.setattr(quadrature, "_correction", tracked_correction)
     monkeypatch.setattr(quadrature, "_kress", tracked_kress)
+    monkeypatch.setattr(quadrature, "_kress_from_phi", tracked_kress_from_phi)
+    monkeypatch.setattr(harness, "_solve", tracked_solve)
     methods = ["kress", {"name": "zeta", "K": 2}, "kress", {"name": "zeta", "K": 7}]
-    cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 128])
+    cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 96, 128])
     rows, _ = harness.run_convergence(cfg)
-    per_n = [(1, 2), (1, 7), (1, "kress"), (2, "kress")]
-    assert steps == per_n + [(n + 2, step) for n, step in per_n]
+    assert fills == [(128, 64), (96, None), (96, None), (128, None)]
+    sliced = "kress from the kept factor"
+    per_n = {64: [2, 7, sliced, sliced], 96: [2, 7, "kress", "kress"]}
+    per_n[128] = [2, 7, "kress", "kress"]
+    assert steps == [(N, step) for N in (64, 96, 128) for step in per_n[N]]
+    # the N_max fill beside each coarse system, then nothing beside the
+    # N = 128 systems: the first Kress rule spent the fill in place
+    assert alive == [[128]] * 8 + [[]] * 4
     labels = ["kress", "zeta6", "kress", "zeta16"]
-    assert [r[1] for r in rows] == [label for label in labels for _ in range(2)]
+    assert [r[1] for r in rows] == [label for label in labels for _ in range(3)]
 
 
 def _record_solves(monkeypatch):
@@ -404,22 +427,23 @@ def test_sweep_warm_starts_each_method_entry_from_its_own_density(monkeypatch):
 
 def test_stokes_reference_is_solved_after_the_sweep(monkeypatch):
     # the N = STOKES_REFERENCE_N fill is built after every fill of the
-    # sweep, and its solve starts from the highest-K rule's density at the
-    # sweep's last N
+    # sweep, once the sweep's N_max fill is spent, and its solve starts
+    # from the highest-K rule's density at the sweep's last N
     monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
     fills = []
     ptr_fill = quadrature._ptr_fill
 
-    def tracked_fill(kernel, data, h, A):
+    def tracked_fill(kernel, data, h, A, phi_sp=None):
         fills.append(len(data.speed))
-        return ptr_fill(kernel, data, h, A)
+        return ptr_fill(kernel, data, h, A, phi_sp)
 
     monkeypatch.setattr(quadrature, "_ptr_fill", tracked_fill)
     calls = _record_solves(monkeypatch)
     methods = [{"name": "zeta", "K": 7}, {"name": "zeta", "K": 2}]
     cfg = harness.default_stokes_config(methods=methods, N=[64, 96, 128])
     harness.run_convergence(cfg)
-    assert fills == [64, 96, 128, 384]
+    # N = 64 is a slice of the N = 128 fill, taken first; N = 96 fills afresh
+    assert fills == [128, 96, 384]
     assert [n // 2 for n, *_ in calls] == [64, 64, 96, 96, 128, 128, 384]
     assert [x0 is None for _, x0, *_ in calls] == [True, True] + [False] * 5
     finest_zeta16 = calls[4][3].solution.reshape(128, 2)
@@ -919,6 +943,72 @@ def test_memory_budget_refuses_large_n(tmp_path, capsys, monkeypatch):
     # the Stokes reference and the largest table1 system fit
     assert 32 * harness.STOKES_REFERENCE_N**2 <= harness.MAX_SYSTEM_BYTES
     assert 16 * nystrom.COND_MAX_DIM**2 <= harness.MAX_SYSTEM_BYTES
+
+
+def test_sweep_budget_counts_what_the_sweep_holds(tmp_path, capsys, monkeypatch):
+    # N = 5792 and 11584 each fit the budget alone, but the sweep holds the
+    # N = 11584 fill while it measures the N = 5792 slice: 2.5 GiB. The
+    # config loads; its sweep is refused before any fill, with exit 2
+    def no_assembly(*args):
+        raise AssertionError("assembled a sweep over the memory budget")
+
+    monkeypatch.setattr(quadrature, "_ptr_fill", no_assembly)
+    raw = {
+        "problem": "helmholtz",
+        "kappa": 5.0,
+        "methods": [{"name": "zeta", "K": 2}],
+        "N": [5792, 11584],
+    }
+    cfg = harness.load_config(raw)
+    with pytest.raises(harness.ConfigError, match=r"5792, 11584.*budget"):
+        harness.run_convergence(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert "budget" in capsys.readouterr().err
+    # the N_max fill, the largest other system and, with Kress, the factor
+    # kept at the largest slice, 16 bytes a pair
+    zeta = cfg.methods[0].stencil
+    held = nystrom.held_bytes
+    assert held("helmholtz", [5792, 11584], [zeta]) == 16 * (5792**2 + 11584**2)
+    assert held("helmholtz", [128, 256, 512, 1024], [zeta, None]) == 16 * (
+        1024**2 + 2 * 512**2
+    )
+    assert held("stokes", [256, 384, 512], [zeta]) == 32 * (512**2 + 384**2)
+    # with no N to slice, one system at a time, as before
+    assert held("stokes", [96, 128], [zeta]) == 32 * 128**2
+    assert held("helmholtz", [11585], [zeta]) == 16 * 11585**2
+
+
+def test_n_list_must_ascend_strictly(tmp_path, capsys):
+    # N = [128, 128, 256] exited 0 with its EOC fitted on 128;128;256: three
+    # points from two grids
+    raw = {"problem": "helmholtz", "kappa": 5.0, "methods": [{"name": "zeta", "K": 2}]}
+    harness.load_config({**raw, "N": [128, 256]})
+    for n_list in ([128, 128, 256], [256, 128], [128, 256, 192]):
+        with pytest.raises(harness.ConfigError, match=re.escape(str(n_list))):
+            harness.load_config({**raw, "N": n_list})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "N": [128, 128, 256]}))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert "ascend" in capsys.readouterr().err
+
+
+def test_kappa_floor_is_the_low_frequency_breakdown():
+    # below MIN_KAPPA = 1e-6 a resolved grid's error passes SATURATION_FLOOR
+    # (6.5e-11 at kappa = 1e-7); at the floor the zeta16 error at N = 256 is
+    # 6.7e-12, below it, though GMRES stalls above its own tolerance there
+    # and says so
+    assert harness.MIN_KAPPA == 1e-6
+    raw = {"problem": "helmholtz", "methods": [{"name": "zeta", "K": 7}]}
+    for kappa in (0.99e-6, [0.0, 0.99e-6], [0.7e-6, 0.7e-6], 1e-300):
+        with pytest.raises(harness.ConfigError, match="low frequency"):
+            harness.load_config({**raw, "kappa": kappa, "N": [64]})
+    cfg = harness.load_config({**raw, "kappa": 1e-6, "N": [128, 256]})
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        rows, _ = harness.run_convergence(cfg)
+    assert rows[-1][3] < harness.SATURATION_FLOOR
+    harness.load_config({**raw, "kappa": [0.0, 1.01e-6], "N": [64]})
 
 
 def test_cli_ingest_check(tmp_path, capsys):

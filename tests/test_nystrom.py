@@ -1,5 +1,6 @@
 """Assembly, linear-solve, and off-curve evaluation contracts."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import strategies as hst
 from zetatrap import harness, kernels, specfun
 from zetatrap import nystrom as ny
 from zetatrap import quadrature as quad
-from zetatrap.geometry import circle_curve, star_curve
+from zetatrap.geometry import circle_curve, sample, star_curve
 from zetatrap.kernels import helmholtz_constants
 from zetatrap.zetaweights import build_log_stencil, build_pow_stencil
 
@@ -35,7 +36,7 @@ def test_assembly_validation():
     with pytest.raises(quad.GridError):
         ny.assemble_helmholtz(STAR, 64, consts, build_pow_stencil(2, 0.5))
     with pytest.raises(ny.AssemblyError, match="laplace"):
-        ny.on_each_system("laplace", STAR, 64, None, [build_log_stencil(2)], None)
+        ny.on_each_system("laplace", STAR, [64], None, [build_log_stencil(2)], None)
 
 
 def test_solve_direct():
@@ -427,7 +428,7 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
     if kind == "stokes":
         with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
             with pytest.raises(ny.AssemblyError, match="Helmholtz"):
-                ny.on_each_system(kind, STAR, N, consts, stencils, None)
+                ny.on_each_system(kind, STAR, [N], consts, stencils, None)
         del stencils[1]
     buffers, order = [], []
 
@@ -440,7 +441,7 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
         order.append(i)
         return -i
 
-    out = ny.on_each_system(kind, STAR, N, consts, stencils, measure)
+    [out] = ny.on_each_system(kind, STAR, [N], consts, stencils, measure)
     assert [result for _, result in out] == [-i for i in range(len(stencils))]
     assert all(seconds > 0 for seconds, _ in out)
     runs_last = [i for i, s in enumerate(stencils) if s is not None]
@@ -449,6 +450,48 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
     assert all(b is buffers[0] for b in buffers)
     if kind == "stokes":
         assert np.array_equal(buffers[0], fresh)
+
+
+@pytest.mark.parametrize(
+    "kind, kappa", [("helmholtz", 12.5), ("helmholtz", 12.5 + 10j), ("stokes", None)]
+)
+def test_nested_systems_equal_assembled_ones(kind, kappa):
+    # N = 48 and 96 take their fills as slices of the N = 192 fill, and
+    # their Kress factor as slices of what its tile loop kept at N = 96;
+    # N = 32 and 64 (192/N = 6 and 3) and N = 80 fill afresh. Every system
+    # measured is the one assembled on a fill of its own, bit for bit, on
+    # the samples of a fresh grid, in ascending N
+    n_list = [32, 48, 64, 80, 96, 192]
+    consts = None if kappa is None else helmholtz_constants(kappa)
+    table = harness.ExternalStencilTable(
+        "table6", 6, True, tuple(enumerate(build_log_stencil(2).weights))
+    )
+    stencils = [build_log_stencil(7), harness.stencil_from_table(table)]
+    if kind == "helmholtz":
+        stencils.append(None)
+    seen = []
+
+    def measure(i, bie):
+        seen.append((bie.grid.N, i, bie.matrix.copy(), bie.data))
+        return bie.grid.N
+
+    with mock.patch.object(quad, "_ptr_fill", wraps=quad._ptr_fill) as fill:
+        out = ny.on_each_system(kind, STAR, n_list, consts, stencils, measure)
+    filled = [(len(c.args[1].speed), c.args[4] is not None) for c in fill.mock_calls]
+    assert filled == [(192, kind == "helmholtz"), (32, False), (64, False), (80, False)]
+    assert [[r for _, r in rows] for rows in out] == [
+        [N] * len(stencils) for N in n_list
+    ]
+    assert [(N, i) for N, i, *_ in seen] == [
+        (N, i) for N in n_list for i in range(len(stencils))
+    ]
+    for N, i, matrix, data in seen:
+        assembled = ny._assemble(kind, STAR, N, consts, stencils[i])
+        assert np.array_equal(matrix, assembled.matrix), (N, stencils[i])
+        fresh = sample(STAR, quad.make_grid(STAR.period, N).nodes)
+        for field in dataclasses.fields(fresh):
+            name = field.name
+            assert np.array_equal(getattr(data, name), getattr(fresh, name)), name
 
 
 def test_ptr_fill_is_restored_when_the_block_raises():
@@ -467,21 +510,28 @@ def test_ptr_fill_is_restored_when_the_block_raises():
         )
 
     with pytest.raises(ny.NearFieldError):
-        ny.on_each_system("helmholtz", STAR, N, consts, [build_log_stencil(2)], measure)
+        ny.on_each_system(
+            "helmholtz", STAR, [N], consts, [build_log_stencil(2)], measure
+        )
     assert np.array_equal(buffers[0], fresh)
-    # every rule is checked before anything is filled, and a measurement
-    # that raises ends the run
+    # every rule is checked at every N before anything is filled, and a
+    # measurement that raises ends the run
     with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
         for stencils in (
             [build_log_stencil(2), build_pow_stencil(2, 0.5)],
             [build_log_stencil(2), build_log_stencil(20)],
         ):
             with pytest.raises(quad.GridError):
-                ny.on_each_system("helmholtz", STAR, 40, consts, stencils, None)
+                ny.on_each_system("helmholtz", STAR, [40, 80], consts, stencils, None)
         with pytest.raises(quad.GridError):  # Kress needs an even N
-            ny.on_each_system("helmholtz", STAR, 41, consts, [None], None)
+            ny.on_each_system("helmholtz", STAR, [64, 65, 128], consts, [None], None)
         with pytest.raises(ny.AssemblyError):
-            ny.on_each_system("laplace", STAR, N, consts, [build_log_stencil(2)], None)
+            ny.on_each_system(
+                "laplace", STAR, [N], consts, [build_log_stencil(2)], None
+            )
+        for n_list in ([64, 64], [128, 64]):  # one grid is one point of a sweep
+            with pytest.raises(ny.AssemblyError, match="ascend"):
+                ny.on_each_system("helmholtz", STAR, n_list, consts, [None], None)
     # the assemblers refuse a stencil that does not fit before any fill
     with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
         for stencil in (build_pow_stencil(2, 0.5), build_log_stencil(20)):
