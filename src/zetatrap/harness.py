@@ -258,8 +258,9 @@ MIN_POINTS_PER_WAVELENGTH = 2.0
 
 # Bytes one dense system of N nodes may take: 16 N^2 for the complex
 # N x N Helmholtz matrix, 32 N^2 for the real 2N x 2N Stokes matrix. At
-# N = 20000 a Helmholtz system would take 6.4 GB. A sweep is held to it
-# too, for what it holds at once (nystrom.held_bytes).
+# N = 20000 a Helmholtz system would take 6.4 GB. A run is held to it for
+# what it holds at once (nystrom.held_bytes): a Kress fill's factor adds
+# 16 N^2, and a sweep holds its largest fill beside the other systems.
 MAX_SYSTEM_BYTES = 2 * 2**30
 
 
@@ -532,7 +533,7 @@ def run_convergence(cfg: ProblemConfig):
     two takes its fill as a slice of N_max's, filled first. A row's
     assemble_s is its fill's seconds, or its slice's, plus that rule's
     correction, so the N_max rows carry the whole N_max fill, which the
-    coarser rows slice. A sweep whose fill, systems and kept Kress factor
+    coarser rows slice. A sweep whose fills, systems and Kress factors
     would take more than MAX_SYSTEM_BYTES at once is a ConfigError,
     raised before anything is filled.
 

@@ -18,14 +18,16 @@ plain trapezoidal matrix, with its rule's correction applied on it. The
 stencil alone picks the rule: a zeta stencil and one read from an
 external table add the same sparse band and diagonal, for either
 system, and no stencil is Kress's spectral rule (Helmholtz only), a
-dense correction. :func:`on_each_system` builds every rule's system at
-each N of a list on one fill: the stencil rules in turn, each written
-back after use, and Kress last, not undone. The fill at N is the fill at
-2N read at every other row and column, times 2, bit for bit, so it fills
-the largest N first and takes the fill of every N below it by a power of
-two as one strided copy; with Kress, that fill's tile loop also keeps
-Kress's pair factor phi*speed for those N. It holds the largest fill, one
-other system and that factor at once (:func:`held_bytes`).
+dense correction that reads Kress's pair factor phi*speed, which a fill
+keeps beside its matrix when a rule at its N is Kress.
+:func:`on_each_system` builds every rule's system at each N of a list
+on one fill: the stencil rules in turn, each written back after use,
+and Kress last, not undone. The fill at N is the fill at 2N read at
+every other row and column, times 2, bit for bit, so it fills the
+largest N first and takes the fill of every N below it by a power of
+two as one strided copy, and its factor as a strided view of the
+largest fill's. It holds the largest fill and its factor, and one other
+system and its own factor, at once (:func:`held_bytes`).
 :func:`assemble_helmholtz` and :func:`assemble_stokes` build one system
 on a fill of its own.
 """
@@ -148,49 +150,53 @@ def _fill(
     curve: ParametricCurve,
     N: int,
     consts: HelmholtzConstants | None,
-    phi_sp: np.ndarray | None = None,
-) -> DiscretizedBIE:
-    """The system whose matrix holds the plain trapezoidal (PTR) fill of
-    ``kind`` on N nodes: combined field (needs ``consts``) or Stokes S + D
-    (node-major 2N unknowns). Given ``phi_sp``, the fill also keeps the
-    Kress factor phi*speed in it (see
-    :func:`~zetatrap.quadrature._ptr_fill`)."""
+    kress: bool = False,
+):
+    """(system, Kress factor): the system whose matrix holds the plain
+    trapezoidal (PTR) fill of ``kind`` on N nodes, combined field (needs
+    ``consts``) or Stokes S + D (node-major 2N unknowns), and, if
+    ``kress``, the (N, N) phi*speed that the fill kept for the Kress rule
+    (see :func:`~zetatrap.quadrature._ptr_fill`), else None."""
     if kind == "helmholtz":
         kernel = kernels.helmholtz_combined(consts.kappa)
         A = np.empty((N, N), dtype=complex)
     else:
         kernel = kernels.stokes_combined()
         A = np.empty((2 * N, 2 * N))
+    phi_sp = np.empty((N, N), dtype=complex) if kress else None
     grid, data = _nodes(curve, N)
     quad._ptr_fill(kernel, data, grid.h, A, phi_sp)
-    return DiscretizedBIE(kind, curve, grid, data, A, kernel)
+    return DiscretizedBIE(kind, curve, grid, data, A, kernel), phi_sp
 
 
-def _slice(top: DiscretizedBIE, N: int) -> DiscretizedBIE:
-    """The system holding the PTR fill at N, read off the fill ``top`` at
-    M = s N nodes, s a power of two: one strided copy of every s-th row
-    and column, times s, taken on the node-major (M, 2, M, 2) view for
-    Stokes.
+def _slice(top, N: int):
+    """(system, Kress factor) at N, read off the fill ``top``, a (system,
+    factor) at M = s N nodes, s a power of two. The system holds the PTR
+    fill at N, one strided copy of every s-th row and column, times s,
+    taken on the node-major (M, 2, M, 2) view for Stokes; the factor is
+    the view of every s-th row and column of ``top``'s, or None.
 
     h = period/M is period/N over s exactly, so node n at N is node s n
     at M, the same float, and so are its samples and every pair's kernel
     value; times s, kernel*speed*h rounds as it does at N. At any other
     s it does not: 3 * fill_384[::3, ::3] misses fill_128 by 7e-15.
     """
-    M = top.grid.N
+    bie, phi_sp = top
+    M = bie.grid.N
     s = M // N
-    if top.kind == "helmholtz":
-        A = top.matrix[::s, ::s] * s
+    if bie.kind == "helmholtz":
+        A = bie.matrix[::s, ::s] * s
     else:
-        A = (top.matrix.reshape(M, 2, M, 2)[::s, :, ::s] * s).reshape(2 * N, 2 * N)
-    grid, data = _nodes(top.curve, N)
-    return DiscretizedBIE(top.kind, top.curve, grid, data, A, top.kernel)
+        A = (bie.matrix.reshape(M, 2, M, 2)[::s, :, ::s] * s).reshape(2 * N, 2 * N)
+    grid, data = _nodes(bie.curve, N)
+    system = DiscretizedBIE(bie.kind, bie.curve, grid, data, A, bie.kernel)
+    return system, None if phi_sp is None else phi_sp[::s, ::s]
 
 
-def _correct(bie: DiscretizedBIE, stencil: CorrectionStencil | None, kress):
+def _correct(bie: DiscretizedBIE, stencil: CorrectionStencil | None, phi_sp):
     """Turn the PTR fill of ``bie`` into the system of the rule of
     ``stencil``, in place: its correction, then I/2 on the diagonal.
-    Kress (stencil None) is ``kress(kernel, data, h, A)``.
+    Kress (stencil None) reads the factor ``phi_sp`` that the fill kept.
 
     Returns a function that writes the fill back for a stencil rule, None
     for Kress, whose dense correction is not undone. The stencil's
@@ -199,7 +205,7 @@ def _correct(bie: DiscretizedBIE, stencil: CorrectionStencil | None, kress):
     """
     kernel, data, h, A = bie.kernel, bie.data, bie.grid.h, bie.matrix
     if stencil is None:
-        kress(kernel, data, h, A)
+        quad._kress(phi_sp, kernel, data, h, A)
         restore = None
     else:
         correction = quad._correction(kernel, data, h, stencil)
@@ -217,58 +223,57 @@ def _power_of_two(x: float) -> bool:
     return math.frexp(x)[0] == 0.5
 
 
-def _nested(n_list, stencils):
-    """(N_max, the N of ``n_list`` whose fill is a slice of N_max's, the N
-    at which the N_max fill keeps the Kress factor, or None).
-
-    An N is sliced when N_max/N is a power of two above 1 (see
-    :func:`_slice`). The Kress factor is kept, when a rule is Kress, at
-    the largest sliced N: every smaller one is its slice too.
-    """
+def _nested(n_list):
+    """(N_max, the N of ``n_list`` whose fill is a slice of N_max's): those
+    with N_max/N a power of two above 1 (see :func:`_slice`)."""
     top = max(n_list)
-    sliced = [N for N in n_list if N < top and _power_of_two(top / N)]
-    kress = any(stencil is None for stencil in stencils)
-    return top, sliced, max(sliced) if kress and sliced else None
+    return top, [N for N in n_list if N < top and _power_of_two(top / N)]
 
 
 def held_bytes(kind: str, n_list, stencils) -> int:
     """The bytes of dense matrices that :func:`on_each_system` may hold at
     once on these arguments, at 16 N^2 per Helmholtz and 32 N^2 per Stokes
-    system: with an N to slice, the N_max fill, the largest system of
-    another N and the kept Kress factor (16 bytes a pair); else the
-    largest system."""
+    system, and, when a rule is Kress, 16 N^2 for the factor of each fill
+    (a slice's factor is a view of N_max's): with an N to slice, the N_max
+    fill, and the largest system of another N; else the largest fill."""
+    kress = any(stencil is None for stencil in stencils)
+
     def system(N):
         return (16 if kind == "helmholtz" else 32) * N * N
 
-    top, sliced, kept = _nested(n_list, stencils)
+    def fill(N):
+        return system(N) + (16 * N * N if kress else 0)
+
+    top, sliced = _nested(n_list)
     if not sliced:
-        return system(top)
-    coarse = max(system(N) for N in n_list if N != top)
-    return system(top) + coarse + (0 if kept is None else 16 * kept * kept)
+        return fill(top)
+    coarse = max(system(N) if N in sliced else fill(N) for N in n_list if N != top)
+    return fill(top) + coarse
 
 
-def _rules(fill, first: list, kress, stencils, measure) -> list:
+def _rules(fill, first: list, stencils, measure) -> list:
     """(assemble seconds, ``measure(i, bie)``) for the system of each
     ``stencils[i]`` at one N: the stencil rules in turn on one fill, each
     written back after its ``measure``, even if it raises, then the Kress
-    rules, each on a fill of its own.
+    rules, each on a fill of its own, which it corrects from the fill's
+    factor.
 
-    A fill is ``first.pop()``, a (system, seconds) taken before, while
-    ``first`` holds one, and ``fill()`` timed after; Kress is ``kress``.
+    A fill is a (system, Kress factor), ``first.pop()``, a (fill, seconds)
+    taken before, while ``first`` holds one, and ``fill()`` timed after.
     """
     out = [None] * len(stencils)
     bie = None
     for i in sorted(range(len(stencils)), key=lambda i: stencils[i] is None):
         if bie is None:
-            bie, fill_s = first.pop() if first else _timed(fill)
+            (bie, phi_sp), fill_s = first.pop() if first else _timed(fill)
         t0 = time.perf_counter()
-        restore = _correct(bie, stencils[i], kress)
+        restore = _correct(bie, stencils[i], phi_sp)
         assemble_s = fill_s + time.perf_counter() - t0
         try:
             out[i] = (assemble_s, measure(i, bie))
         finally:
             if restore is None:
-                bie = None  # Kress spent the fill
+                bie = phi_sp = None  # Kress spent the fill
             else:
                 restore()
     return out
@@ -290,19 +295,19 @@ def on_each_system(
     the rules share one PTR fill: each stencil rule's correction and I/2
     are applied for the span of its ``measure`` and then written back,
     even if it raises. The Kress rules run last, each on a fill of its
-    own, taken once the one before is dropped.
+    own, taken once the one before is dropped. When a rule is Kress,
+    every fill keeps phi*speed at its N in the same tile loop, and the
+    Kress correction reads it.
 
     The N whose fill is a slice of the fill at N_max = max(``n_list``)
     (N_max/N a power of two, see :func:`_slice`) share that fill: it is
-    taken first and held until N_max, and each of its fills is one
-    strided copy. When a rule is Kress, the N_max fill's tile loop also
-    keeps phi*speed on the pairs of the largest sliced N, and the Kress
-    correction of every sliced N reads its slice of it instead of a tile
-    loop of its own. Any other N fills afresh. At most the N_max fill, the
-    system of one other N and the kept factor are alive at once (see
-    :func:`held_bytes`). A rule's seconds are its fill's, or its slice's,
-    plus its correction's: the N_max rows carry the whole N_max fill.
-    The matrix of ``bie`` holds the system only during ``measure``.
+    taken first and held until N_max, each of its fills is one strided
+    copy, and its Kress factor a strided view of N_max's. Any other N
+    fills afresh. At most the N_max fill and the system of one other N,
+    each with its factor, are alive at once (see :func:`held_bytes`). A
+    rule's seconds are its fill's, or its slice's, plus its correction's:
+    the N_max rows carry the whole N_max fill. The matrix of ``bie``
+    holds the system only during ``measure``.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -310,32 +315,26 @@ def on_each_system(
     for N in n_list:
         for stencil in stencils:
             _check_rule(kind, N, stencil)
-    top, sliced, kept = _nested(n_list, stencils)
-    phi_sp = None if kept is None else np.empty((kept, kept), dtype=complex)
+    top, sliced = _nested(n_list)
+    kress = any(stencil is None for stencil in stencils)
     # The N_max fill and its seconds; the first rule at N_max pops it, so
     # that nothing else keeps it once a Kress rule has spent it.
-    held = [_timed(_fill, kind, curve, top, consts, phi_sp)] if sliced else []
+    held = [_timed(_fill, kind, curve, top, consts, kress)] if sliced else []
     out = []
     for N in n_list:
-        kress = quad._kress
         if N in sliced:
             fill = partial(_slice, held[0][0], N)
-            if phi_sp is not None:
-                s = kept // N
-                kress = partial(quad._kress_from_phi, phi_sp[::s, ::s])
         else:
-            fill = partial(_fill, kind, curve, N, consts)
-        out.append(_rules(fill, held if N == top else [], kress, stencils, measure))
-        if N == kept:
-            phi_sp = None
+            fill = partial(_fill, kind, curve, N, consts, kress)
+        out.append(_rules(fill, held if N == top else [], stencils, measure))
     return out
 
 
 def _assemble(kind, curve, N, consts, stencil) -> DiscretizedBIE:
     """The system of the rule of ``stencil`` on a fill of its own."""
     _check_rule(kind, N, stencil)  # before the fill, not after
-    bie = _fill(kind, curve, N, consts)
-    _correct(bie, stencil, quad._kress)
+    bie, phi_sp = _fill(kind, curve, N, consts, stencil is None)
+    _correct(bie, stencil, phi_sp)
     return bie
 
 

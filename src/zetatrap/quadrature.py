@@ -16,34 +16,28 @@ fill, the punctured trapezoidal matrix kernel*speed*h, plus a correction.
   with the log part through the circulant weights R and the smooth
   part through the plain PTR with the analytic diagonal
   speed*(L - phi(0)*log speed): a dense correction of the fill that
-  ``_kress`` adds in place and does not undo.
+  ``_kress`` adds in place and does not undo. It reads phi*speed at
+  every pair, which the fill keeps for it.
 
-The PTR fill and the Kress correction each run one tile loop. The node
-range is cut into slabs of SLAB_ROWS; for each slab pair (I, J), J >= I,
-in row-major order of (I, J), the loop forms the pairs once and
-evaluates one set of symmetric factors once: the kernel's radial factors
-for the fill, phi's for Kress (see :mod:`~zetatrap.kernels`). It yields
+The PTR fill runs the one tile loop. The node range is cut into slabs
+of SLAB_ROWS; for each slab pair (I, J), J >= I, in row-major order of
+(I, J), the loop forms the pairs once and evaluates one set of
+symmetric factors once: the kernel's radial factors, and phi's when the
+fill keeps the Kress factor (see :mod:`~zetatrap.kernels`). It yields
 tile (I, J) and then the mirror tile (J, I), which reads the same pairs
 and factors in place, in the (I, J) layout, with r_vec negated and the
 two normals exchanged, since r_mn = r_nm; no transposed copy is made,
-and the rule writes the mirror's block transposed. Each fill tile is
+and the fill writes the mirror's block transposed. Each fill tile is
 written with one slice assignment per component plane: a Stokes tile, a
 contiguous (2, 2, |I|, |J|) block, goes through the four (N, N) planes
-of the node-major 2N x 2N matrix. A
+of the node-major 2N x 2N matrix. For the combined-field kernel at real
+kappa phi's J0 and J1 are the real parts of the fill's own H0 and H1 (the
+kernel's ``phi_in_radial``), so its Kress fill evaluates no Bessel
+function. A
 :class:`Correction` evaluates phi on its N x 2K band pairs and the N
-diagonal pairs in one pass, and the Kress diagonal follows its tile
-loop. At most one tile pair of pair arrays, O(SLAB_ROWS^2), is alive at
-once, where a row slab held SLAB_ROWS x N.
-
-Nested grids. The nodes at every s-th index of N nodes are those of N/s
-nodes, the same floats when s is a power of two, so the fill's tile loop
-can also keep, in an (N/s, N/s) buffer, the Kress factor phi*speed of
-their pairs, sliced from its tiles' pairs: at real kappa phi's J0 and J1
-are the real parts of the fill's own H0 and H1 (the kernel's
-``phi_in_radial``), and otherwise phi's factors are evaluated on those
-pairs. :func:`_kress_from_phi` then corrects the fill at N/s, or at any
-smaller N that the buffer's slice reaches, to its Kress matrix with no
-tile loop (see :func:`~zetatrap.nystrom.on_each_system`).
+diagonal pairs in one pass, and the Kress diagonal its N diagonal pairs.
+At most one tile pair of pair arrays, O(SLAB_ROWS^2), is alive at once,
+where a row slab held SLAB_ROWS x N.
 """
 
 from __future__ import annotations
@@ -201,61 +195,39 @@ def _ptr_fill(
 
     The diagonal holds a finite placeholder, the kernel's factors at
     r = 1, that every :class:`Correction` overwrites. Given ``phi_sp``, an
-    (N/s, N/s) array, the same tile loop also writes phi*speed of the
-    pairs of the nodes s m and s n at (m, n): the pair factors of the
-    Kress rule on the nodes at every s-th index (see
-    :func:`_kress_from_phi`).
+    (N, N) array, the same tile loop also writes phi*speed of every pair
+    into it, the factor that :func:`_kress` reads: phi's factors are read
+    off the fill's where the kernel has ``phi_in_radial``, and evaluated on
+    the tile's pairs otherwise. Its diagonal holds a finite placeholder
+    too.
     """
     N = len(data.speed)
     out = _components(A, N)
     lead = out.ndim - 2
     planes = _planes(out, lead)
-    g = None
-    for I, J, p, f, mirrored in _tiles(data, kernel.radial):
+
+    def factors(p):
+        f = kernel.radial(p)
+        if phi_sp is None:
+            return f, None
+        if kernel.phi_in_radial is None:
+            return f, kernel.phi_radial(p)
+        return f, kernel.phi_in_radial(f)
+
+    for I, J, p, (f, g), mirrored in _tiles(data, factors):
+        speed = data.speed[I, None] if mirrored else data.speed[J]
         block = kernel.full_of(p, f)
-        block *= data.speed[I, None] if mirrored else data.speed[J]
+        block *= speed
         block *= h
-        for plane, tile in zip(planes, _planes(block, lead)):
+        tiles = list(zip(planes, _planes(block, lead)))
+        if phi_sp is not None:
+            tiles.append((phi_sp, kernel.phi_of(p, g) * speed))
+        for plane, tile in tiles:
             if mirrored:
                 plane[J, I] = tile.T
             else:
                 plane[I, J] = tile
-        if phi_sp is not None:
-            g = _keep_phi_sp(kernel, data, I, J, p, f, g, mirrored, phi_sp)
     return A
-
-
-def _keep_phi_sp(kernel, data, I, J, p, f, g, mirrored, phi_sp):
-    """Write phi*speed of the pairs of tile (I, J) whose two nodes sit at
-    multiples of s = N/len(``phi_sp``) into ``phi_sp``, at (m/s, n/s).
-
-    Returns phi's factors on those pairs; a tile's mirror reuses them,
-    given back as ``g``. They are read off the fill's factors ``f`` where
-    the kernel has ``phi_in_radial``, and evaluated on the pairs
-    otherwise.
-    """
-    s = len(data.speed) // len(phi_sp)
-    a, b = slice(-I.start % s, None, s), slice(-J.start % s, None, s)
-    rows, cols = np.arange(I.start, I.stop)[a], np.arange(J.start, J.stop)[b]
-    if not (rows.size and cols.size):
-        return g
-    normals = data.normal[cols], data.normal[rows, None]
-    q = kernels.Pairs(
-        p.dx[a, b], p.dy[a, b], p.r[a, b], p.r_safe[a, b],
-        *(normals[::-1] if mirrored else normals),
-    )
-    if not mirrored:
-        if kernel.phi_in_radial is None:
-            g = kernel.phi_radial(q)
-        else:
-            g = kernel.phi_in_radial(tuple(x[a, b] for x in f))
-    R = slice(rows[0] // s, rows[-1] // s + 1)
-    C = slice(cols[0] // s, cols[-1] // s + 1)
-    if mirrored:
-        phi_sp[C, R] = (kernel.phi_of(q, g) * data.speed[rows, None]).T
-    else:
-        phi_sp[R, C] = kernel.phi_of(q, g) * data.speed[cols]
-    return g
 
 
 @dataclass(frozen=True)
@@ -446,18 +418,6 @@ def kress_log_matrix(N: int) -> np.ndarray:
     return _by_lag(_kress_log_column(N)).copy()
 
 
-def _kress_weights(N: int, h: float):
-    """(R, weight): the Kress log column on N nodes, and the weight
-    h*log(4 sin^2(pi d/N))/2 - R_d/2 of phi*speed at each lag d."""
-    R = _kress_log_column(N)
-    n = np.arange(N)
-    # log(4 sin^2(pi d/N)) at lag d, from the nearer of d and N - d so that
-    # lags close to N keep their relative accuracy.
-    d = np.minimum(n, N - n)
-    logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
-    return R, h * logsin / 2 - R / 2
-
-
 def _kress_diagonal(kernel: kernels.Kernel, data, h, R, A):
     """Write the Kress diagonal of ``A``, over whatever it held."""
     n = np.arange(len(data.speed))
@@ -467,36 +427,35 @@ def _kress_diagonal(kernel: kernels.Kernel, data, h, R, A):
     )
 
 
-def _kress(kernel: kernels.Kernel, data, h, A) -> np.ndarray:
+def _kress(phi_sp, kernel: kernels.Kernel, data, h, A) -> np.ndarray:
     """Correct the PTR fill ``A`` (N, N) of ``kernel`` to its Kress matrix,
-    in place: add phi*speed*(h*log(4 sin^2(pi d/N))/2 - R_d/2) at each
-    lag d off the diagonal, and write the diagonal."""
-    R, weight = _kress_weights(len(data.speed), h)
-    lagged = _by_lag(weight)
-    for I, J, p, g, mirrored in _tiles(data, kernel.phi_radial):
-        if mirrored:
-            phi_sp = kernel.phi_of(p, g) * data.speed[I, None]
-            A[J, I] += phi_sp.T * lagged[J, I]
-        else:
-            phi_sp = kernel.phi_of(p, g) * data.speed[J]
-            A[I, J] += phi_sp * lagged[I, J]
-    # The tiles' diagonal held the fill's placeholder; phi(0) replaces it.
-    _kress_diagonal(kernel, data, h, R, A)
-    return A
-
-
-def _kress_from_phi(phi_sp, kernel: kernels.Kernel, data, h, A) -> np.ndarray:
-    """:func:`_kress` with phi*speed at every pair given, the (N, N)
-    ``phi_sp`` that :func:`_ptr_fill` keeps: the same sums, without a
-    tile loop. Whatever its diagonal holds is overwritten."""
+    in place, given ``phi_sp``, phi*speed at every pair as
+    :func:`_ptr_fill` keeps it: add phi*speed*(h*log(4 sin^2(pi d/N))/2
+    - R_d/2) at each lag d off the diagonal, and write the diagonal over
+    whatever it held."""
     N = len(data.speed)
-    R, weight = _kress_weights(N, h)
-    lagged = _by_lag(weight)
+    R = _kress_log_column(N)
+    n = np.arange(N)
+    # log(4 sin^2(pi d/N)) at lag d, from the nearer of d and N - d so that
+    # lags close to N keep their relative accuracy.
+    d = np.minimum(n, N - n)
+    logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
+    lagged = _by_lag(h * logsin / 2 - R / 2)
     for start in range(0, N, SLAB_ROWS):
         rows = slice(start, start + SLAB_ROWS)
         A[rows] += phi_sp[rows] * lagged[rows]
     _kress_diagonal(kernel, data, h, R, A)
     return A
+
+
+def _kress_matrix(kernel: kernels.Kernel, curve, grid, dtype) -> np.ndarray:
+    """The Kress matrix of ``kernel`` on ``grid``: the PTR fill, keeping
+    phi*speed, then :func:`_kress`."""
+    data = sample(curve, grid.nodes)
+    A = np.empty((grid.N, grid.N), dtype=dtype)
+    phi_sp = np.empty_like(A)
+    _ptr_fill(kernel, data, grid.h, A, phi_sp)
+    return _kress(phi_sp, kernel, data, grid.h, A)
 
 
 def kress_helmholtz_operator(
@@ -512,14 +471,9 @@ def kress_helmholtz_operator(
     J0/J1 smooth factors as K1; K1 goes through the circulant log rule,
     K2 through the plain PTR with analytic diagonal limits.
     """
-    kernel = _helmholtz_kernel(consts, which)
-    data = sample(curve, grid.nodes)
-    A = np.empty((grid.N, grid.N), dtype=complex)
-    return _kress(kernel, data, grid.h, _ptr_fill(kernel, data, grid.h, A))
+    return _kress_matrix(_helmholtz_kernel(consts, which), curve, grid, complex)
 
 
 def kress_laplace_slp_matrix(curve: ParametricCurve, grid: TrapezoidGrid) -> np.ndarray:
     """Spectral Kress discretization of the Laplace SLP (reference use)."""
-    kernel, data = kernels.laplace_s(), sample(curve, grid.nodes)
-    A = _ptr_fill(kernel, data, grid.h, np.empty((grid.N, grid.N)))
-    return _kress(kernel, data, grid.h, A)
+    return _kress_matrix(kernels.laplace_s(), curve, grid, float)

@@ -332,60 +332,72 @@ def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
 
 
 def test_sweep_runs_kress_last_on_the_shared_fill(monkeypatch):
-    # the sweep fills N_max = 128 once, first, and keeps the Kress factor of
-    # N = 64 in the same tile loop: N = 64 takes its systems as slices of
-    # that fill and its Kress correction from the kept factor, with no
-    # fill and no Kress tile loop of its own; N = 96 does not divide 128
-    # and fills afresh. At each N the stencil rules correct the fill in
-    # turn, then the Kress rules, a second one on a fresh fill or slice.
-    # Beside the N_max fill at most one system is alive, and the N_max
-    # fill is spent by the last N. Rows keep the config's order.
-    fills, steps, alive = [], [], []
-    ptr_fill, kress = quadrature._ptr_fill, quadrature._kress
-    correction, kress_from_phi = quadrature._correction, quadrature._kress_from_phi
+    # the sweep fills N_max = 128 once, first, keeping its Kress factor in
+    # the same tile loop: N = 64 takes its systems as slices of that fill
+    # and its Kress factor as a view of that factor, with no fill of its
+    # own; N = 96 does not divide 128 and fills afresh, keeping its own.
+    # At each N the stencil rules correct the fill in turn, then the Kress
+    # rules, a second one on a fresh fill or slice. Beside the N_max fill
+    # at most one system is alive, the N_max fill and its factor are spent
+    # by the last N, and a spent fill's factor is dropped before the next
+    # fill. Rows keep the config's order.
+    fills, steps, alive, factors = [], [], [], []
+    ptr_fill, kress, correction = (
+        quadrature._ptr_fill,
+        quadrature._kress,
+        quadrature._correction,
+    )
     matrices = []  # weak references to every fill and every measured system
 
+    def kept():  # the fills whose factors are alive
+        return [j for j, f in enumerate(factors) if f() is not None]
+
     def tracked_fill(kernel, data, h, A, phi_sp=None):
-        fills.append((len(data.speed), None if phi_sp is None else len(phi_sp)))
+        fills.append((len(data.speed), kept()))
         matrices.append(weakref.ref(A))
+        factors.append(weakref.ref(phi_sp))
         return ptr_fill(kernel, data, h, A, phi_sp)
 
     def tracked_correction(kernel, data, h, stencil):
         steps.append((len(data.speed), stencil.K))
         return correction(kernel, data, h, stencil)
 
-    def tracked_kress(kernel, data, h, A):
-        steps.append((len(data.speed), "kress"))
-        return kress(kernel, data, h, A)
-
-    def tracked_kress_from_phi(phi_sp, kernel, data, h, A):
-        steps.append((len(data.speed), "kress from the kept factor"))
-        return kress_from_phi(phi_sp, kernel, data, h, A)
+    def tracked_kress(phi_sp, kernel, data, h, A):
+        # which fill's factor it reads, and whether as a view of it
+        viewed = phi_sp.base is not None
+        base = phi_sp.base if viewed else phi_sp
+        [j] = [j for j, f in enumerate(factors) if f() is base]
+        steps.append((len(data.speed), ("kress", j, viewed)))
+        return kress(phi_sp, kernel, data, h, A)
 
     solve = harness._solve
 
     def tracked_solve(cfg, bie, *args):
         matrices.append(weakref.ref(bie.matrix))
         others = [m() for m in matrices if m() is not bie.matrix]
-        alive.append([m.shape[0] for m in others if m is not None])
+        alive.append(([m.shape[0] for m in others if m is not None], kept()))
         return solve(cfg, bie, *args)
 
     monkeypatch.setattr(quadrature, "_ptr_fill", tracked_fill)
     monkeypatch.setattr(quadrature, "_correction", tracked_correction)
     monkeypatch.setattr(quadrature, "_kress", tracked_kress)
-    monkeypatch.setattr(quadrature, "_kress_from_phi", tracked_kress_from_phi)
     monkeypatch.setattr(harness, "_solve", tracked_solve)
     methods = ["kress", {"name": "zeta", "K": 2}, "kress", {"name": "zeta", "K": 7}]
     cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 96, 128])
     rows, _ = harness.run_convergence(cfg)
-    assert fills == [(128, 64), (96, None), (96, None), (128, None)]
-    sliced = "kress from the kept factor"
-    per_n = {64: [2, 7, sliced, sliced], 96: [2, 7, "kress", "kress"]}
-    per_n[128] = [2, 7, "kress", "kress"]
+    assert fills == [(128, []), (96, [0]), (96, [0]), (128, [])]
+    per_n = {
+        64: [2, 7, ("kress", 0, True), ("kress", 0, True)],
+        96: [2, 7, ("kress", 1, False), ("kress", 2, False)],
+        128: [2, 7, ("kress", 0, False), ("kress", 3, False)],
+    }
     assert steps == [(N, step) for N in (64, 96, 128) for step in per_n[N]]
     # the N_max fill beside each coarse system, then nothing beside the
     # N = 128 systems: the first Kress rule spent the fill in place
-    assert alive == [[128]] * 8 + [[]] * 4
+    assert [systems for systems, _ in alive] == [[128]] * 8 + [[]] * 4
+    assert [held for _, held in alive] == (
+        [[0]] * 4 + [[0, 1]] * 3 + [[0, 2]] + [[0]] * 3 + [[3]]
+    )
     labels = ["kress", "zeta6", "kress", "zeta16"]
     assert [r[1] for r in rows] == [label for label in labels for _ in range(3)]
 
@@ -966,18 +978,47 @@ def test_sweep_budget_counts_what_the_sweep_holds(tmp_path, capsys, monkeypatch)
     path.write_text(json.dumps(raw))
     assert cli.main(["convergence", "--config", str(path)]) == 2
     assert "budget" in capsys.readouterr().err
-    # the N_max fill, the largest other system and, with Kress, the factor
-    # kept at the largest slice, 16 bytes a pair
+    # the N_max fill and the largest other system; with Kress, each fill
+    # keeps its factor, 16 bytes a pair, and a slice's is a view of N_max's
     zeta = cfg.methods[0].stencil
     held = nystrom.held_bytes
     assert held("helmholtz", [5792, 11584], [zeta]) == 16 * (5792**2 + 11584**2)
     assert held("helmholtz", [128, 256, 512, 1024], [zeta, None]) == 16 * (
-        1024**2 + 2 * 512**2
+        2 * 1024**2 + 512**2
     )
+    assert held("helmholtz", [384, 512, 1024], [zeta, None]) == 32 * (
+        1024**2 + 384**2
+    )
+    assert held("helmholtz", [8192], [None]) == harness.MAX_SYSTEM_BYTES
     assert held("stokes", [256, 384, 512], [zeta]) == 32 * (512**2 + 384**2)
     # with no N to slice, one system at a time, as before
     assert held("stokes", [96, 128], [zeta]) == 32 * 128**2
     assert held("helmholtz", [11585], [zeta]) == 16 * 11585**2
+
+
+def test_kress_budget_counts_the_kept_factor(tmp_path, capsys, monkeypatch):
+    # a Kress fill keeps phi*speed beside its matrix, 32 N^2 bytes at one
+    # N: N = 8192 takes the whole budget and reaches the fill, N = 8194
+    # (16 N^2 alone would fit) exits 2 before it
+    def no_assembly(*args):
+        raise AssertionError("filled")
+
+    monkeypatch.setattr(quadrature, "_ptr_fill", no_assembly)
+    raw = {"problem": "helmholtz", "kappa": 5.0, "methods": ["kress"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "N": [8192]}))
+    harness.load_config({**raw, "N": [8192]})
+    with pytest.raises(AssertionError, match="filled"):
+        cli.main(["convergence", "--config", str(path)])
+    with pytest.raises(harness.ConfigError, match="budget"):
+        harness.load_config({**raw, "N": [8194]})
+    path.write_text(json.dumps({**raw, "N": [8194]}))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert "budget" in capsys.readouterr().err
+    path.write_text(json.dumps({**raw, "N": [64]}))
+    argv = ["field", "--config", str(path), "--N", "8194", "--nx", "2", "--ny", "2"]
+    assert cli.main(argv) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_n_list_must_ascend_strictly(tmp_path, capsys):

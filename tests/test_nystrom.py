@@ -414,11 +414,12 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
     # each rule's system on the shared fill is the assembled system bit for
     # bit, and the fill is written back after each stencil rule; a stencil
     # read from a table is one more rule, on either system. The Kress rule
-    # runs last, in the fill's own buffer, whatever its place in the list;
-    # a Stokes system refuses it before anything is filled
+    # runs last, in the fill's own buffer, whatever its place in the list,
+    # from the factor that fill kept; a Stokes system refuses it before
+    # anything is filled, and its fill keeps no factor
     N = 96
     consts = None if kappa is None else helmholtz_constants(kappa)
-    fresh = ny._fill(kind, STAR, N, consts).matrix
+    fresh = ny._fill(kind, STAR, N, consts)[0].matrix
     table = harness.ExternalStencilTable(
         "table10", 10, True, tuple(enumerate(build_log_stencil(4).weights))
     )
@@ -441,7 +442,12 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
         order.append(i)
         return -i
 
-    [out] = ny.on_each_system(kind, STAR, [N], consts, stencils, measure)
+    with mock.patch.object(quad, "_ptr_fill", wraps=quad._ptr_fill) as fill:
+        [out] = ny.on_each_system(kind, STAR, [N], consts, stencils, measure)
+    phi_sp = fill.mock_calls[0].args[4]  # the shared fill; measure fills after it
+    assert (phi_sp is not None) == (kind == "helmholtz")
+    if phi_sp is not None:
+        assert phi_sp.shape == (N, N) and phi_sp.dtype == complex
     assert [result for _, result in out] == [-i for i in range(len(stencils))]
     assert all(seconds > 0 for seconds, _ in out)
     runs_last = [i for i, s in enumerate(stencils) if s is not None]
@@ -457,8 +463,9 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
 )
 def test_nested_systems_equal_assembled_ones(kind, kappa):
     # N = 48 and 96 take their fills as slices of the N = 192 fill, and
-    # their Kress factor as slices of what its tile loop kept at N = 96;
-    # N = 32 and 64 (192/N = 6 and 3) and N = 80 fill afresh. Every system
+    # their Kress factor as views of the one its tile loop kept at N = 192;
+    # N = 32 and 64 (192/N = 6 and 3) and N = 80 fill afresh, each keeping
+    # its own factor when a rule is Kress. Every system
     # measured is the one assembled on a fill of its own, bit for bit, on
     # the samples of a fresh grid, in ascending N
     n_list = [32, 48, 64, 80, 96, 192]
@@ -478,7 +485,8 @@ def test_nested_systems_equal_assembled_ones(kind, kappa):
     with mock.patch.object(quad, "_ptr_fill", wraps=quad._ptr_fill) as fill:
         out = ny.on_each_system(kind, STAR, n_list, consts, stencils, measure)
     filled = [(len(c.args[1].speed), c.args[4] is not None) for c in fill.mock_calls]
-    assert filled == [(192, kind == "helmholtz"), (32, False), (64, False), (80, False)]
+    kress = kind == "helmholtz"
+    assert filled == [(N, kress) for N in (192, 32, 64, 80)]
     assert [[r for _, r in rows] for rows in out] == [
         [N] * len(stencils) for N in n_list
     ]
@@ -499,7 +507,7 @@ def test_ptr_fill_is_restored_when_the_block_raises():
     # the curve raises it, still writes the saved entries back
     N = 64
     consts = helmholtz_constants(5.0)
-    fresh = ny._fill("helmholtz", STAR, N, consts).matrix
+    fresh = ny._fill("helmholtz", STAR, N, consts)[0].matrix
     buffers = []
 
     def measure(i, bie):
@@ -550,7 +558,7 @@ def test_correction_touches_only_its_band_and_diagonal():
     # and returns their old values; restore writes exactly those back
     N, K = 48, 3
     for kind, consts in (("helmholtz", helmholtz_constants(5.0)), ("stokes", None)):
-        fill = ny._fill(kind, STAR, N, consts)
+        fill, _ = ny._fill(kind, STAR, N, consts)
         correction = quad._correction(
             fill.kernel, fill.data, fill.grid.h, build_log_stencil(K)
         )

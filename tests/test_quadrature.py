@@ -306,15 +306,20 @@ def test_stokes_rotation_equivariance_on_circle():
 def test_tile_loop_evaluates_each_pair_once(monkeypatch):
     # Hankel01 sees each unordered pair once (whole diagonal tiles
     # included): at most N(N + SLAB_ROWS)/2 points, where a row-by-row fill
-    # reaches N^2. The Kress correction calls Hankel01 nowhere, only its
-    # fill does, and bessel_j_array for each order J0, J1 on each unordered
-    # pair once, and on the N diagonal pairs
+    # reaches N^2. A Kress build keeps phi*speed in the same tile loop: at
+    # real kappa it reads J0 and J1 off the fill's H0 and H1 and calls
+    # bessel_j_array only on the N diagonal pairs, in _kress_diagonal; at
+    # complex kappa it calls it for each order on each tile's pairs once,
+    # the unordered pairs and the diagonal tiles' pairs in both orders,
+    # and on the N diagonal pairs
     N, slab = 64, 7
     g = _grid(STAR, N)
-    consts = helmholtz_constants(12.5)
     bound = N * (N + slab) // 2
-    hankel_points, bessel_points = [], {0: 0, 1: 0}
-    bessel_j = kernels.bessel_j_array
+    tiles = [min(slab, N - s) for s in range(0, N, slab)]
+    tile_pairs = (N * N + sum(n * n for n in tiles)) // 2
+    hankel_points, bessel_points = [], []
+    bessel_j, diagonal = kernels.bessel_j_array, quad._kress_diagonal
+    in_diagonal = []
 
     class CountedHankel01(kernels.Hankel01):
         def __call__(self, r):
@@ -322,24 +327,51 @@ def test_tile_loop_evaluates_each_pair_once(monkeypatch):
             return super().__call__(r)
 
     def counted_bessel_j(order, z):
-        bessel_points[order] += np.size(z)
+        bessel_points.append((order, np.size(z), bool(in_diagonal)))
         return bessel_j(order, z)
+
+    def tracked_diagonal(*args):
+        in_diagonal.append(True)
+        try:
+            return diagonal(*args)
+        finally:
+            in_diagonal.pop()
 
     monkeypatch.setattr(kernels, "Hankel01", CountedHankel01)
     monkeypatch.setattr(kernels, "bessel_j_array", counted_bessel_j)
+    monkeypatch.setattr(quad, "_kress_diagonal", tracked_diagonal)
     monkeypatch.setattr(quad, "SLAB_ROWS", slab)
+    consts = helmholtz_constants(12.5)
     quad.helmholtz_matrix(STAR, g, consts, build_log_stencil(3), "combined")
     assert 0 < sum(hankel_points) <= bound
-    hankel_points.clear()
-    quad.kress_helmholtz_operator(STAR, g, consts, "combined")
-    assert 0 < sum(hankel_points) <= bound
-    kernel, data = kernels.helmholtz_combined(12.5), sample(STAR, g.nodes)
-    A = quad._ptr_fill(kernel, data, g.h, np.empty((N, N), dtype=complex))
-    hankel_points.clear()
-    bessel_points.update({0: 0, 1: 0})
-    quad._kress(kernel, data, g.h, A)
-    assert hankel_points == []
-    assert all(N < points <= bound + N for points in bessel_points.values())
+    for kappa in (12.5, 12.5 + 10j):
+        hankel_points.clear()
+        bessel_points.clear()
+        consts = helmholtz_constants(kappa)
+        quad.kress_helmholtz_operator(STAR, g, consts, "combined")
+        assert 0 < sum(hankel_points) <= bound
+        off = [(n, size) for n, size, inside in bessel_points if not inside]
+        on = [(n, size) for n, size, inside in bessel_points if inside]
+        assert sorted(on) == [(0, N), (1, N)]
+        for order in (0, 1):
+            points = sum(size for n, size in off if n == order)
+            assert points == (0 if kappa == 12.5 else tile_pairs)
+
+
+def test_kress_factor_read_off_the_fill_is_phi_radial(monkeypatch):
+    # at real kappa the fill keeps phi*speed from the real parts of its own
+    # H0 and H1 (phi_in_radial) at every pair: the Kress matrix is bit for
+    # bit the one with J0 and J1 evaluated on the pairs, on whole, partial
+    # and mirrored tiles (SLAB_ROWS = 7 does not divide N = 300)
+    N = 300
+    monkeypatch.setattr(quad, "SLAB_ROWS", 7)
+    g, consts = _grid(STAR, N), helmholtz_constants(12.5)
+    kernel = kernels.helmholtz_combined(12.5)
+    assert kernel.phi_in_radial is not None
+    A = quad.kress_helmholtz_operator(STAR, g, consts, "combined")
+    evaluated = kernel._replace(phi_in_radial=None)
+    monkeypatch.setattr(kernels, "helmholtz_combined", lambda kappa: evaluated)
+    assert np.array_equal(A, quad.kress_helmholtz_operator(STAR, g, consts, "combined"))
 
 
 def test_mirror_tile_reads_its_pairs_in_place():
