@@ -2,6 +2,10 @@
 
 Subcommands: weights, convergence, table1, field, ingest-check.
 Exit codes: 0 success, 1 numerical failure, 2 usage or config error.
+
+A command returns 0 or 1, or raises: :func:`main` alone turns an error
+of ``_PREFIXES`` into exit 2 and a stderr line with its prefix. Output
+paths are checked, not opened, before the config is loaded and run.
 """
 
 from __future__ import annotations
@@ -19,32 +23,29 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 
+class UsageError(ValueError):
+    """A command-line argument that the command cannot use."""
+
+
+# The stderr prefix of each error that exits 2, a subclass before its base.
+_PREFIXES = (
+    (harness.OffGridTableError, "not supported"),
+    (harness.StencilTableError, "parse error"),
+    (harness.ConfigError, "config error"),
+    ((StencilError, UsageError), "error"),
+)
+
+
 def _cmd_weights(args) -> int:
-    if args.K is not None and args.order is not None:
-        print("error: give either --K or --order, not both", file=sys.stderr)
-        return EXIT_USAGE
-    if args.K is None and args.order is None:
-        print("error: --K or --order is required", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        K = args.K if args.K is not None else order_to_k(args.order)
-    except StencilError as exc:
-        print(f"error: --order: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.kind == "log":
-            if args.z is not None:
-                print("error: --z only applies to --kind pow", file=sys.stderr)
-                return EXIT_USAGE
-            stencil = build_log_stencil(K)
-        else:
-            if args.z is None:
-                print("error: --kind pow requires --z", file=sys.stderr)
-                return EXIT_USAGE
-            stencil = build_pow_stencil(K, args.z)
-    except StencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    K = args.K if args.K is not None else order_to_k(args.order)
+    if args.kind == "log":
+        if args.z is not None:
+            raise UsageError("--z only applies to --kind pow")
+        stencil = build_log_stencil(K)
+    else:
+        if args.z is None:
+            raise UsageError("--kind pow requires --z")
+        stencil = build_pow_stencil(K, args.z)
     for j, w in enumerate(stencil.weights):
         print(f"{j} {w:.15e}")
     print(f"# order {stencil.order:g}")
@@ -62,42 +63,41 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _load_config_or_exit(args):
-    if not args.config:
-        print("error: --config is required", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+def _load_config(args, *paths):
+    """The config of ``args`` once every output path in ``paths`` (None is
+    stdout) is known to be writable: an existing file or a new name in an
+    existing directory. Nothing is opened, so no file is truncated. An
+    unreadable or malformed config is a ConfigError."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        target = path if os.path.exists(path) else folder
+        if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+            target, os.W_OK
+        ):
+            raise UsageError(f"--out: cannot write {path}")
     try:
         return harness.load_config(args.config)
-    except (harness.ConfigError, harness.StencilTableError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    except (OSError, ValueError) as exc:
+        raise harness.ConfigError(exc) from exc
 
 
 def _cmd_convergence(args) -> int:
-    cfg = _load_config_or_exit(args)
-    try:
-        rows, eoc_rows = harness.run_convergence(cfg)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    eoc_path = os.path.splitext(args.out)[0] + "_eoc.csv" if args.out else None
+    cfg = _load_config(args, args.out, eoc_path)
+    rows, eoc_rows = harness.run_convergence(cfg)
     _write_csv(
         args.out,
         ["N", "method", "order", "max_rel_error", "assemble_s", "solve_s"],
         rows,
     )
-    eoc_path = os.path.splitext(args.out)[0] + "_eoc.csv" if args.out else None
     _write_csv(eoc_path, ["method", "order", "eoc", "fit_window"], eoc_rows)
     bad = [r for r in rows if not (r[3] == r[3])]  # NaN errors
     return EXIT_NUMERICAL if bad else EXIT_OK
 
 
 def _cmd_table1(args) -> int:
-    cfg = _load_config_or_exit(args)
-    try:
-        rows = harness.run_table1(cfg, N=args.N)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _load_config(args, args.out)
+    rows = harness.run_table1(cfg, N=args.N)
     _write_csv(
         args.out,
         ["method", "order", "re_kappa", "im_kappa", "cond2", "iterations", "residual"],
@@ -109,7 +109,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    cfg = _load_config_or_exit(args)
+    cfg = _load_config(args, args.out)
     grid_spec = {
         "xmin": args.xmin,
         "xmax": args.xmax,
@@ -118,11 +118,7 @@ def _cmd_field(args) -> int:
         "nx": args.nx,
         "ny": args.ny,
     }
-    try:
-        rows = harness.run_field(cfg, grid_spec, N=args.N)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = harness.run_field(cfg, grid_spec, N=args.N)
     if cfg.problem == "helmholtz":
         header = ["x", "y", "re_u", "im_u", "mask"]
     else:
@@ -134,13 +130,9 @@ def _cmd_field(args) -> int:
 def _cmd_ingest_check(args) -> int:
     try:
         table = harness.ingest_stencil_table(args.table)
-        stencil = harness.stencil_from_table(table)
-    except harness.OffGridTableError as exc:
-        print(f"not supported: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (harness.StencilTableError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except OSError as exc:
+        raise harness.StencilTableError(exc) from exc
+    stencil = harness.stencil_from_table(table)
     print(f"name: {table.name}")
     print(f"order: {table.order}")
     print(f"grid: {'on' if table.on_grid else 'off'}")
@@ -157,19 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("weights", help="print correction weights")
-    w.add_argument("--K", type=int, default=None)
-    w.add_argument("--order", type=int, default=None)
+    size = w.add_mutually_exclusive_group(required=True)
+    size.add_argument("--K", type=int, default=None)
+    size.add_argument("--order", type=int, default=None)
     w.add_argument("--kind", choices=["log", "pow"], default="log")
     w.add_argument("--z", type=float, default=None)
     w.set_defaults(func=_cmd_weights)
 
     c = sub.add_parser("convergence", help="run a convergence sweep")
-    c.add_argument("--config", required=False)
+    c.add_argument("--config", required=True)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_convergence)
 
     t = sub.add_parser("table1", help="conditioning and GMRES iteration table")
-    t.add_argument("--config", required=False)
+    t.add_argument("--config", required=True)
     t.add_argument("--out", default=None)
     t.add_argument("--N", type=int, default=512)
     t.set_defaults(func=_cmd_table1)
@@ -179,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the solved field on a grid; points inside the curve or "
         "within 5 grid spacings of it get mask 1 and NaN values",
     )
-    f.add_argument("--config", required=False)
+    f.add_argument("--config", required=True)
     f.add_argument("--out", default=None)
     f.add_argument("--N", type=int, default=512)
     f.add_argument("--xmin", type=float, default=-3.0)
@@ -205,8 +198,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
+    except Exception as exc:
+        for error, prefix in _PREFIXES:
+            if isinstance(exc, error):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+        raise
 
 
 if __name__ == "__main__":

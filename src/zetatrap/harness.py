@@ -265,14 +265,15 @@ MAX_SYSTEM_BYTES = 2 * 2**30
 
 
 def _check_n(cfg: ProblemConfig, methods, N: int):
-    """Raise ConfigError unless each of ``methods`` can run on N nodes: the
-    rules of :func:`~zetatrap.quadrature.check_grid`, at least
-    MIN_POINTS_PER_WAVELENGTH per wavelength 2 pi/|Re kappa| along the
-    curve (Stokes and Re kappa = 0 pass), at most MAX_SYSTEM_BYTES."""
+    """Raise ConfigError unless each of ``methods`` can run on N nodes: its
+    rule fits N and the problem (:func:`~zetatrap.nystrom._check_rule`),
+    at least MIN_POINTS_PER_WAVELENGTH per wavelength 2 pi/|Re kappa|
+    along the curve (Stokes and Re kappa = 0 pass), at most
+    MAX_SYSTEM_BYTES."""
     for method in methods:
         try:
-            quadrature.check_grid(N, method.stencil, kress=method.stencil is None)
-        except quadrature.GridError as exc:
+            nystrom._check_rule(cfg.problem, N, method.stencil)
+        except (quadrature.GridError, nystrom.AssemblyError) as exc:
             raise ConfigError(f"{method.label}: {exc}") from None
     kappa = cfg.kappa
     if kappa is not None and kappa.real != 0:
@@ -329,8 +330,6 @@ def load_config(source) -> ProblemConfig:
     if not isinstance(m_raw, (list, tuple)) or not m_raw:
         raise ConfigError(f"methods must be a non-empty list, got {m_raw!r}")
     methods = tuple(_method_from_spec(m) for m in m_raw)
-    if problem == "stokes" and any(m.stencil is None for m in methods):
-        raise ConfigError("the Kress rule is built for Helmholtz only, not for Stokes")
     n_raw = raw.get("N", [64, 128, 256, 512])
     if not isinstance(n_raw, (list, tuple)) or not n_raw:
         raise ConfigError(f"N must be a non-empty list of grid sizes, got {n_raw!r}")

@@ -30,8 +30,8 @@ the pair (m, n) and its mirror (n, m):
 - ``phi_of(p, g)`` forms phi from those factors; ``phi(p)`` is
   ``phi_of(p, phi_radial(p))``.
 - ``phi_in_radial(f)``, where a kernel has it (else None), reads phi's
-  factors off ``radial``'s: at real positive kappa the combined-field
-  kernel's H0 and H1 are J + iY, so J0 and J1 are their real parts. They
+  factors off ``radial``'s: at real positive kappa the Helmholtz
+  kernels' H0 and H1 are J + iY, so J0 and J1 are their real parts. They
   are ``phi_radial``'s bit for bit at every pair but the coincident
   ones, where ``radial`` takes r = 1.
 
@@ -214,6 +214,10 @@ def _wavenumber(kappa: complex) -> complex | float:
     return k.real if k.imag == 0 and k.real > 0 else k
 
 
+def _real_parts(f: tuple) -> tuple:
+    return tuple(x.real for x in f)
+
+
 def _single_layer(h0):
     """(i/4) H0 from H0(kappa r)."""
     return 0.25j * h0
@@ -238,6 +242,7 @@ def helmholtz_s(kappa: complex) -> Kernel:
         phi_radial=lambda p: (bessel_j_array(0, k * p.r),),
         phi_of=lambda p, g: g[0] / (2 * math.pi),
         limit=lambda s: np.full(s.speed.shape, c),
+        phi_in_radial=_real_parts if isinstance(k, float) else None,
     )
 
 
@@ -253,6 +258,7 @@ def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
         phi_radial=lambda p: (bessel_j_array(1, k * p.r),),
         phi_of=lambda p, g: k * g[0] * along(p) / (2 * math.pi),
         limit=lambda s: s.c0,
+        phi_in_radial=_real_parts if isinstance(k, float) else None,
     )
 
 
@@ -282,10 +288,6 @@ def combined_field_coupling(kappa: complex) -> float:
     """
     k = complex(kappa)
     return k.real if k.real != 0.0 else abs(k)
-
-
-def _real_parts(f: tuple) -> tuple:
-    return tuple(x.real for x in f)
 
 
 def helmholtz_combined(kappa: complex) -> Kernel:

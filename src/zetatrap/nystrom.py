@@ -19,10 +19,12 @@ stencil alone picks the rule: a zeta stencil and one read from an
 external table add the same sparse band and diagonal, for either
 system, and no stencil is Kress's spectral rule (Helmholtz only), a
 dense correction that reads Kress's pair factor phi*speed, which a fill
-keeps beside its matrix when a rule at its N is Kress.
+keeps beside its matrix when a rule at its N is Kress. :func:`_check_rule`
+is the one check of which rule fits which N, before anything is filled.
 :func:`on_each_system` builds every rule's system at each N of a list
 on one fill: the stencil rules in turn, each written back after use,
-and Kress last, not undone. The fill at N is the fill at 2N read at
+then the Kress system once, not undone, which every Kress rule at that
+N measures. The fill at N is the fill at 2N read at
 every other row and column, times 2, bit for bit, so it fills the
 largest N first and takes the fill of every N below it by a power of
 two as one strided copy, and its factor as a strided view of the
@@ -131,7 +133,7 @@ def _check_rule(kind: str, N: int, stencil: CorrectionStencil | None):
     if kind not in ("helmholtz", "stokes"):
         raise AssemblyError(f"unknown system {kind!r}")
     if stencil is not None:
-        quad._check_stencil(stencil, N, "log")
+        quad._check_stencil(stencil, N)
     elif kind != "helmholtz":
         raise AssemblyError("the Kress rule is built for Helmholtz only")
     else:
@@ -172,9 +174,9 @@ def _fill(
 def _slice(top, N: int):
     """(system, Kress factor) at N, read off the fill ``top``, a (system,
     factor) at M = s N nodes, s a power of two. The system holds the PTR
-    fill at N, one strided copy of every s-th row and column, times s,
-    taken on the node-major (M, 2, M, 2) view for Stokes; the factor is
-    the view of every s-th row and column of ``top``'s, or None.
+    fill at N, one strided copy of every s-th node's c x c block, times s,
+    c the unknowns per node (2 for node-major Stokes); the factor is the
+    view of every s-th row and column of ``top``'s, or None.
 
     h = period/M is period/N over s exactly, so node n at N is node s n
     at M, the same float, and so are its samples and every pair's kernel
@@ -184,10 +186,8 @@ def _slice(top, N: int):
     bie, phi_sp = top
     M = bie.grid.N
     s = M // N
-    if bie.kind == "helmholtz":
-        A = bie.matrix[::s, ::s] * s
-    else:
-        A = (bie.matrix.reshape(M, 2, M, 2)[::s, :, ::s] * s).reshape(2 * N, 2 * N)
+    c = len(bie.matrix) // M
+    A = (bie.matrix.reshape(M, c, M, c)[::s, :, ::s] * s).reshape(c * N, c * N)
     grid, data = _nodes(bie.curve, N)
     system = DiscretizedBIE(bie.kind, bie.curve, grid, data, A, bie.kernel)
     return system, None if phi_sp is None else phi_sp[::s, ::s]
@@ -235,7 +235,8 @@ def held_bytes(kind: str, n_list, stencils) -> int:
     once on these arguments, at 16 N^2 per Helmholtz and 32 N^2 per Stokes
     system, and, when a rule is Kress, 16 N^2 for the factor of each fill
     (a slice's factor is a view of N_max's): with an N to slice, the N_max
-    fill, and the largest system of another N; else the largest fill."""
+    fill, and the largest system of another N; else the largest fill. Every
+    rule at one N, Kress included, runs on that N's one fill."""
     kress = any(stencil is None for stencil in stencils)
 
     def system(N):
@@ -251,31 +252,27 @@ def held_bytes(kind: str, n_list, stencils) -> int:
     return fill(top) + coarse
 
 
-def _rules(fill, first: list, stencils, measure) -> list:
+def _rules(fill, stencils, measure) -> list:
     """(assemble seconds, ``measure(i, bie)``) for the system of each
-    ``stencils[i]`` at one N: the stencil rules in turn on one fill, each
-    written back after its ``measure``, even if it raises, then the Kress
-    rules, each on a fill of its own, which it corrects from the fill's
-    factor.
-
-    A fill is a (system, Kress factor), ``first.pop()``, a (fill, seconds)
-    taken before, while ``first`` holds one, and ``fill()`` timed after.
-    """
+    ``stencils[i]`` at one N, from ``fill``, a ((system, Kress factor),
+    seconds): the stencil rules in turn, each written back after its
+    ``measure``, even if it raises, then the Kress system, corrected once
+    from the fill's factor, which each Kress rule measures. A rule's
+    seconds are the fill's plus its correction's."""
+    (bie, phi_sp), fill_s = fill
     out = [None] * len(stencils)
-    bie = None
-    for i in sorted(range(len(stencils)), key=lambda i: stencils[i] is None):
-        if bie is None:
-            (bie, phi_sp), fill_s = first.pop() if first else _timed(fill)
-        t0 = time.perf_counter()
-        restore = _correct(bie, stencils[i], phi_sp)
-        assemble_s = fill_s + time.perf_counter() - t0
-        try:
-            out[i] = (assemble_s, measure(i, bie))
-        finally:
-            if restore is None:
-                bie = phi_sp = None  # Kress spent the fill
-            else:
+    for i, stencil in enumerate(stencils):
+        if stencil is not None:
+            restore, correct_s = _timed(_correct, bie, stencil, phi_sp)
+            try:
+                out[i] = (fill_s + correct_s, measure(i, bie))
+            finally:
                 restore()
+    kress = [i for i, stencil in enumerate(stencils) if stencil is None]
+    if kress:
+        _, correct_s = _timed(_correct, bie, None, phi_sp)
+        for i in kress:
+            out[i] = (fill_s + correct_s, measure(i, bie))
     return out
 
 
@@ -294,10 +291,10 @@ def on_each_system(
     Every rule is checked at every N before anything is filled. At one N
     the rules share one PTR fill: each stencil rule's correction and I/2
     are applied for the span of its ``measure`` and then written back,
-    even if it raises. The Kress rules run last, each on a fill of its
-    own, taken once the one before is dropped. When a rule is Kress,
-    every fill keeps phi*speed at its N in the same tile loop, and the
-    Kress correction reads it.
+    even if it raises. The Kress system comes last, corrected once on the
+    same fill and not undone, and every Kress rule measures it. When a
+    rule is Kress, every fill keeps phi*speed at its N in the same tile
+    loop, and the Kress correction reads it.
 
     The N whose fill is a slice of the fill at N_max = max(``n_list``)
     (N_max/N a power of two, see :func:`_slice`) share that fill: it is
@@ -306,8 +303,9 @@ def on_each_system(
     fills afresh. At most the N_max fill and the system of one other N,
     each with its factor, are alive at once (see :func:`held_bytes`). A
     rule's seconds are its fill's, or its slice's, plus its correction's:
-    the N_max rows carry the whole N_max fill. The matrix of ``bie``
-    holds the system only during ``measure``.
+    the N_max rows carry the whole N_max fill, and the Kress rules at one
+    N the same seconds. The matrix of ``bie`` holds the system only during
+    ``measure``, which must not write to it.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -317,17 +315,18 @@ def on_each_system(
             _check_rule(kind, N, stencil)
     top, sliced = _nested(n_list)
     kress = any(stencil is None for stencil in stencils)
-    # The N_max fill and its seconds; the first rule at N_max pops it, so
-    # that nothing else keeps it once a Kress rule has spent it.
-    held = [_timed(_fill, kind, curve, top, consts, kress)] if sliced else []
-    out = []
-    for N in n_list:
+    # the N_max fill and its seconds, taken first when an N slices it
+    held = _timed(_fill, kind, curve, top, consts, kress) if sliced else None
+
+    def fill(N):
         if N in sliced:
-            fill = partial(_slice, held[0][0], N)
-        else:
-            fill = partial(_fill, kind, curve, N, consts, kress)
-        out.append(_rules(fill, held if N == top else [], stencils, measure))
-    return out
+            return _timed(_slice, held[0], N)
+        if N == top and held is not None:
+            return held
+        return _timed(_fill, kind, curve, N, consts, kress)
+
+    # each N's fill lives only for its own _rules call
+    return [_rules(fill(N), stencils, measure) for N in n_list]
 
 
 def _assemble(kind, curve, N, consts, stencil) -> DiscretizedBIE:

@@ -30,12 +30,12 @@ two normals exchanged, since r_mn = r_nm; no transposed copy is made,
 and the fill writes the mirror's block transposed. Each fill tile is
 written with one slice assignment per component plane: a Stokes tile, a
 contiguous (2, 2, |I|, |J|) block, goes through the four (N, N) planes
-of the node-major 2N x 2N matrix. For the combined-field kernel at real
+of the node-major 2N x 2N matrix. For every Helmholtz kernel at real
 kappa phi's J0 and J1 are the real parts of the fill's own H0 and H1 (the
 kernel's ``phi_in_radial``), so its Kress fill evaluates no Bessel
-function. A
-:class:`Correction` evaluates phi on its N x 2K band pairs and the N
-diagonal pairs in one pass, and the Kress diagonal its N diagonal pairs.
+function off the diagonal. A :class:`Correction` evaluates phi on its
+N x 2K band pairs and the N diagonal pairs in one pass, and the Kress
+diagonal its N diagonal pairs.
 At most one tile pair of pair arrays, O(SLAB_ROWS^2), is alive at once,
 where a row slab held SLAB_ROWS x N.
 """
@@ -125,9 +125,10 @@ def slabs(n: int):
         yield np.arange(start, min(start + SLAB_ROWS, n))
 
 
-def _check_stencil(stencil: CorrectionStencil, N: int, kind: str):
-    if stencil.kind != kind:
-        raise GridError(f"stencil kind {stencil.kind!r}, expected {kind!r}")
+def _check_stencil(stencil: CorrectionStencil, N: int):
+    """Raise GridError unless ``stencil`` is a log stencil that fits N."""
+    if stencil.kind != "log":
+        raise GridError(f"stencil kind {stencil.kind!r}, expected 'log'")
     check_grid(N, stencil)
 
 
@@ -279,7 +280,7 @@ def _correction(kernel: kernels.Kernel, data, h, stencil) -> Correction:
     on the +-j cyclic diagonals, h*speed*(L + phi(0)*(2 w_0 - log(speed*h)))
     on the diagonal."""
     N = len(data.speed)
-    _check_stencil(stencil, N, "log")
+    _check_stencil(stencil, N)
     w = np.asarray(stencil.weights)
     j = np.arange(1, stencil.K + 1)
     n = np.arange(N)

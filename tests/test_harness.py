@@ -336,11 +336,11 @@ def test_sweep_runs_kress_last_on_the_shared_fill(monkeypatch):
     # the same tile loop: N = 64 takes its systems as slices of that fill
     # and its Kress factor as a view of that factor, with no fill of its
     # own; N = 96 does not divide 128 and fills afresh, keeping its own.
-    # At each N the stencil rules correct the fill in turn, then the Kress
-    # rules, a second one on a fresh fill or slice. Beside the N_max fill
-    # at most one system is alive, the N_max fill and its factor are spent
-    # by the last N, and a spent fill's factor is dropped before the next
-    # fill. Rows keep the config's order.
+    # At each N the stencil rules correct the fill in turn, then one Kress
+    # correction, whose system both Kress entries measure. Beside the N_max
+    # fill at most one system is alive, the N_max fill and its factor are
+    # spent by the last N, and a fill's factor is dropped with its fill.
+    # Rows keep the config's order.
     fills, steps, alive, factors = [], [], [], []
     ptr_fill, kress, correction = (
         quadrature._ptr_fill,
@@ -385,19 +385,17 @@ def test_sweep_runs_kress_last_on_the_shared_fill(monkeypatch):
     methods = ["kress", {"name": "zeta", "K": 2}, "kress", {"name": "zeta", "K": 7}]
     cfg = harness.default_helmholtz_config(12.5, methods=methods, N=[64, 96, 128])
     rows, _ = harness.run_convergence(cfg)
-    assert fills == [(128, []), (96, [0]), (96, [0]), (128, [])]
+    assert fills == [(128, []), (96, [0])]
     per_n = {
-        64: [2, 7, ("kress", 0, True), ("kress", 0, True)],
-        96: [2, 7, ("kress", 1, False), ("kress", 2, False)],
-        128: [2, 7, ("kress", 0, False), ("kress", 3, False)],
+        64: [2, 7, ("kress", 0, True)],
+        96: [2, 7, ("kress", 1, False)],
+        128: [2, 7, ("kress", 0, False)],
     }
     assert steps == [(N, step) for N in (64, 96, 128) for step in per_n[N]]
     # the N_max fill beside each coarse system, then nothing beside the
-    # N = 128 systems: the first Kress rule spent the fill in place
+    # N = 128 systems, which are that fill itself
     assert [systems for systems, _ in alive] == [[128]] * 8 + [[]] * 4
-    assert [held for _, held in alive] == (
-        [[0]] * 4 + [[0, 1]] * 3 + [[0, 2]] + [[0]] * 3 + [[3]]
-    )
+    assert [held for _, held in alive] == [[0]] * 4 + [[0, 1]] * 4 + [[0]] * 4
     labels = ["kress", "zeta6", "kress", "zeta16"]
     assert [r[1] for r in rows] == [label for label in labels for _ in range(3)]
 
@@ -922,6 +920,49 @@ def test_cli_table1_over_the_svd_budget_exits_2(tmp_path, capsys, monkeypatch):
     N = nystrom.COND_MAX_DIM + 2
     assert cli.main(["table1", "--config", str(path), "--N", str(N)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["convergence", "table1", "field"])
+def test_cli_unwritable_out_exits_2_before_any_fill(
+    command, tmp_path, capsys, monkeypatch
+):
+    # an --out in a missing directory ran the whole job and then ended in a
+    # FileNotFoundError traceback with exit 1; it is refused before the fill
+    def no_fill(*args):
+        raise AssertionError(f"{command} filled a system it could not write")
+
+    monkeypatch.setattr(quadrature, "_ptr_fill", no_fill)
+    path = tmp_path / "cfg.json"
+    raw = {"problem": "helmholtz", "kappa": 5.0, "N": [64]}
+    path.write_text(json.dumps({**raw, "methods": [{"name": "zeta", "K": 2}]}))
+    out = tmp_path / "missing" / "out.csv"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert not out.parent.exists()
+
+
+def test_cli_refused_run_leaves_existing_out_untouched(tmp_path, capsys):
+    # the refusal comes after the config loads, and the file is not opened
+    path = tmp_path / "cfg.json"
+    raw = {"problem": "helmholtz", "kappa": 5.0, "N": [64]}
+    path.write_text(json.dumps({**raw, "methods": [{"name": "zeta", "K": 20}]}))
+    out = tmp_path / "cond.csv"
+    out.write_bytes(b"an earlier table\n")
+    argv = ["table1", "--config", str(path), "--N", "32", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert out.read_bytes() == b"an earlier table\n"
+
+
+def test_cli_stokes_kress_is_a_config_error(tmp_path, capsys):
+    # nystrom's rule check refuses it at config load
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "stokes", "methods": ["kress"], "N": [64]}))
+    with pytest.raises(harness.ConfigError, match="Helmholtz only"):
+        harness.load_config(str(path))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Helmholtz only" in err
 
 
 def test_memory_budget_refuses_large_n(tmp_path, capsys, monkeypatch):
