@@ -9,6 +9,7 @@ numpy arrays as well as scalars.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,11 +61,13 @@ class CurveSamples:
 
 
 def _parameter(value, name: str) -> float:
-    """``value`` as a finite float, or InvalidGeometryError naming it."""
+    """``value`` as a finite float, or InvalidGeometryError naming it. A
+    bool or a numeric string is refused, as in every other config field."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        x = math.nan
+        x = float(value) if number else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise InvalidGeometryError(f"curve {name}: {value!r} is not a finite number")
     return x
@@ -126,18 +129,22 @@ def curve_from_descriptor(desc: dict) -> ParametricCurve:
     """Build a curve from a JSON-style descriptor.
 
     Supported: {"type": "star", "base": b, "amplitude": a, "lobes": n}
-    and {"type": "circle", "radius": r}.
+    and {"type": "circle", "radius": r}; any other key is an error.
     """
     if not isinstance(desc, dict):
         raise InvalidGeometryError(f"curve must be an object, got {desc!r}")
     kind = desc.get("type")
+    keys = {"star": ("type", "base", "amplitude", "lobes"), "circle": ("type", "radius")}
+    if not isinstance(kind, str) or kind not in keys:
+        raise InvalidGeometryError(f"unknown curve type {kind!r}")
+    unknown = [key for key in desc if key not in keys[kind]]
+    if unknown:
+        raise InvalidGeometryError(f"curve {kind}: unknown key {unknown[0]!r}")
     if kind == "star":
         return star_curve(
             desc.get("base", 1.0), desc.get("amplitude", 0.3), desc.get("lobes", 5)
         )
-    if kind == "circle":
-        return circle_curve(desc.get("radius", 1.0))
-    raise InvalidGeometryError(f"unknown curve type {kind!r}")
+    return circle_curve(desc.get("radius", 1.0))
 
 
 def sample(curve: ParametricCurve, t: np.ndarray) -> CurveSamples:

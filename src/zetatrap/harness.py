@@ -10,7 +10,9 @@ each N with :func:`_check_n` and builds its systems with
 list, whose largest fill the coarser N slice, table1, field and the
 Stokes reference one N. A sweep warm-starts GMRES from each method's
 previous N; table1 and field solve cold, as their iteration counts are
-the conditioning measurement.
+the conditioning measurement. :func:`load_config` places a config's
+targets and sources with :func:`~zetatrap.nystrom.locate`, the test the
+evaluator applies, so a config that loads has no target a sweep refuses.
 """
 
 from __future__ import annotations
@@ -110,6 +112,21 @@ class ProblemConfig:
     strengths: np.ndarray  # (ns,), complex
     targets: np.ndarray  # (nt, 2) test locations
     shear_rate: float = 5.0  # Stokes: u_inf = (shear_rate * x2, 0)
+
+
+# The keys of a config, whatever its problem.
+_CONFIG_KEYS = (
+    "problem",
+    "curve",
+    "kappa",
+    "wavelengths",
+    "methods",
+    "N",
+    "sources",
+    "strengths",
+    "targets",
+    "shear_rate",
+)
 
 
 def _default_sources() -> np.ndarray:
@@ -221,6 +238,21 @@ def _zeta_method(K: int) -> QuadratureMethod:
     return QuadratureMethod(label=f"zeta{2 * K + 2}", stencil=build_log_stencil(K))
 
 
+def _check_keys(raw: dict, keys, what: str):
+    """Raise ConfigError naming the first key of ``raw`` not in ``keys``:
+    ignored, a misspelled key would run its field's default."""
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise ConfigError(f"{what}: unknown key {unknown[0]!r}")
+
+
+_METHOD_KEYS = {
+    "kress": ("name",),
+    "zeta": ("name", "K", "order"),
+    "external": ("name", "table"),
+}
+
+
 def _method_from_spec(spec) -> QuadratureMethod:
     if isinstance(spec, str):
         spec = {"name": spec}
@@ -229,6 +261,9 @@ def _method_from_spec(spec) -> QuadratureMethod:
             f"a methods entry is a name or an object with 'name', got {spec!r}"
         )
     name = spec.get("name")
+    if not isinstance(name, str) or name not in _METHOD_KEYS:
+        raise ConfigError(f"unknown quadrature method {name!r}")
+    _check_keys(spec, _METHOD_KEYS[name], f"{name} method")
     if name == "kress":
         return QuadratureMethod(label="kress")
     if name == "zeta":
@@ -242,13 +277,11 @@ def _method_from_spec(spec) -> QuadratureMethod:
         else:
             raise ConfigError("zeta method requires 'K' or 'order'")
         return _zeta_method(K)
-    if name == "external":
-        path = spec.get("table")
-        if not isinstance(path, str) or not path:
-            raise ConfigError(f"external method requires a 'table' path, got {path!r}")
-        table = ingest_stencil_table(path)
-        return QuadratureMethod(label=table.name, stencil=stencil_from_table(table))
-    raise ConfigError(f"unknown quadrature method {name!r}")
+    path = spec.get("table")
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"external method requires a 'table' path, got {path!r}")
+    table = ingest_stencil_table(path)
+    return QuadratureMethod(label=table.name, stencil=stencil_from_table(table))
 
 
 # Below this many nodes per wavelength a grid cannot resolve the boundary
@@ -311,7 +344,17 @@ def _curve_diameter(curve: ParametricCurve) -> float:
 
 
 def load_config(source) -> ProblemConfig:
-    """Build a config from a JSON file path, JSON string, or dict."""
+    """Build a config from a JSON file path, JSON string, or dict.
+
+    Anything a run cannot use is a ConfigError, raised here: a key that
+    no config reads (at the top level, in the curve or in a methods
+    entry), a value of the wrong kind or range, an N that a method, the
+    wavelength or the memory budget rules out, and a point that
+    :func:`_check_points` refuses: a target that
+    :func:`~zetatrap.nystrom.locate` finds unusable at an N where a sweep
+    evaluates it, STOKES_REFERENCE_N included, or a Helmholtz source
+    that it finds outside the curve at the largest N.
+    """
     if isinstance(source, dict):
         raw = source
     else:
@@ -321,6 +364,9 @@ def load_config(source) -> ProblemConfig:
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config is a JSON object, got {raw!r}")
+    _check_keys(raw, _CONFIG_KEYS, "config")
     problem = raw.get("problem")
     if problem not in ("helmholtz", "stokes"):
         raise ConfigError(f"problem must be 'helmholtz' or 'stokes', got {problem!r}")
@@ -364,21 +410,25 @@ def load_config(source) -> ProblemConfig:
             f"N must ascend strictly, got {list(n_list)}: a repeated N is one "
             "grid fitted as two points"
         )
-    _validate_points(cfg)
+    _check_points(cfg)
     return cfg
 
 
-def _validate_points(cfg: ProblemConfig):
-    data = sample(cfg.curve, np.linspace(0, cfg.curve.period, 512, endpoint=False))
-    rad = np.hypot(data.pos[:, 0], data.pos[:, 1])
-    tmin, tmax = rad.min(), rad.max()
-    tr = np.hypot(cfg.targets[:, 0], cfg.targets[:, 1])
-    if np.any(tr <= tmax):
-        raise ConfigError("test targets must lie strictly outside the curve")
+def _check_points(cfg: ProblemConfig):
+    """Raise ConfigError unless a sweep can use the config's targets and
+    sources (see :func:`load_config`)."""
+    reference = (STOKES_REFERENCE_N,) if cfg.problem == "stokes" else ()
+    for N in sorted({*cfg.n_list, *reference}):
+        _, usable = nystrom.locate(cfg.curve, N, cfg.targets)
+        if not usable.all():
+            raise ConfigError(
+                f"N={N}: target {cfg.targets[~usable][0]} lies inside the curve "
+                f"or within {nystrom.NEAR_FIELD_FACTOR:g} grid spacings of it"
+            )
     if cfg.problem == "helmholtz":
-        sr = np.hypot(cfg.sources[:, 0], cfg.sources[:, 1])
-        if np.any(sr >= tmin):
-            raise ConfigError("sources must lie strictly inside the curve")
+        outside, _ = nystrom.locate(cfg.curve, max(cfg.n_list), cfg.sources)
+        if outside.any():
+            raise ConfigError(f"source {cfg.sources[outside][0]} lies outside the curve")
         ref = known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
         if not np.abs(ref).max() > 0:
             raise ConfigError(
@@ -492,18 +542,11 @@ def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveRepo
 def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray, label, start=None):
     """Solve the BIE for the configured data, warm from ``start`` if given,
     warning if the solve of method ``label`` did not converge (see
-    :func:`_solve`), and evaluate at the targets.
-
-    A target that the grid's near-field rule refuses is a ConfigError:
-    the config's targets and N do not fit together.
-    """
+    :func:`_solve`), and evaluate at the targets."""
     rep = _solve(cfg, bie, start, label)
-    try:
-        if cfg.problem == "helmholtz":
-            return rep, nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
-        flow = nystrom.eval_stokes_velocity(bie, rep.solution, targets)
-    except nystrom.NearFieldError as exc:
-        raise ConfigError(f"N={bie.grid.N}: {exc}") from None
+    if cfg.problem == "helmholtz":
+        return rep, nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
+    flow = nystrom.eval_stokes_velocity(bie, rep.solution, targets)
     return rep, flow + _shear_flow(cfg, targets)
 
 

@@ -31,7 +31,8 @@ two as one strided copy, and its factor as a strided view of the
 largest fill's. It holds the largest fill and its factor, and one other
 system and its own factor, at once (:func:`held_bytes`).
 :func:`assemble_helmholtz` and :func:`assemble_stokes` build one system
-on a fill of its own.
+on a fill of its own. :func:`locate` is the one test of where a point
+lies; :func:`eval_field` and the harness's config check apply it.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
     "solve_gmres",
     "resample_density",
     "cond_2norm",
+    "locate",
     "eval_field",
     "eval_helmholtz_potential",
     "eval_stokes_velocity",
@@ -75,9 +77,6 @@ GMRES_TOL = 1e-14
 # 1.9e-15 at the finest N).
 GMRES_WARM_TOL = 1e-15
 GMRES_MAX_ITER = 2000
-# Rows of the first block of the GMRES basis; it doubles when full. The
-# sweeps' solves stop within 34 iterations.
-KRYLOV_BLOCK = 64
 COND_MAX_DIM = 4096
 NEAR_FIELD_FACTOR = 5.0
 
@@ -429,13 +428,15 @@ def _krylov_correction(A, r0, r0norm: float, bnorm: float, tol: float, max_iter:
 
     Each new direction is orthogonalized against the whole basis by
     classical Gram-Schmidt run twice (CGS2), two matrix-vector products
-    with the basis a pass. The basis grows by blocks of KRYLOV_BLOCK rows
-    and doubles, so a short solve allocates no n x max_iter workspace; the
-    Givens rotations of the Hessenberg columns run on Python scalars.
+    with the basis a pass. The basis is allocated once, (max_iter + 1) x n:
+    memory holds only the pages of the rows written (2 MiB pages where
+    numpy asks for huge pages, on arrays of 4 MiB or more), so a short
+    solve keeps no n x max_iter workspace resident. The Givens rotations
+    of the Hessenberg columns run on Python scalars.
     """
     n = r0.shape[0]
     dtype = np.result_type(A.dtype, r0.dtype, float)
-    V = np.empty((min(KRYLOV_BLOCK, max_iter + 1), n), dtype=dtype)
+    V = np.empty((max_iter + 1, n), dtype=dtype)
     V[0] = r0 / r0norm
     columns = []  # the rotated columns of H, R[: k + 1, k] each
     cs, sn = [], []
@@ -474,10 +475,6 @@ def _krylov_correction(A, r0, r0norm: float, bnorm: float, tol: float, max_iter:
         history.append(abs(g[k + 1]) / bnorm)
         if history[-1] < tol or hk1 == 0.0:
             break
-        if k + 1 == len(V):
-            grown = np.empty((min(2 * len(V), max_iter + 1), n), dtype=dtype)
-            grown[: len(V)] = V
-            V = grown
         V[k + 1] = w / hk1
     iters = len(columns)
     R = np.zeros((iters, iters), dtype=dtype)
@@ -523,11 +520,9 @@ def cond_2norm(A: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _target_slabs(bie: DiscretizedBIE, targets: np.ndarray):
-    """Yield (rows, accepted, pairs of the accepted targets with every
-    node) per slab of targets; see :func:`eval_field` for which targets
-    are accepted."""
-    data, h = bie.data, bie.grid.h
+def _target_slabs(data: CurveSamples, h: float, targets: np.ndarray):
+    """Yield (rows, outside, usable, pairs of the usable targets with every
+    node) per slab of targets, on the nodes ``data``; see :func:`locate`."""
     for rows in quad.slabs(len(targets)):
         p = kernels.pairs(targets[rows, None], data.pos, data.normal)
         nearest = p.r.argmin(axis=1)
@@ -536,12 +531,28 @@ def _target_slabs(bie: DiscretizedBIE, targets: np.ndarray):
         )
         # Winding number: the Laplace double layer integrates to -2 pi inside.
         winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
-        ok = far & (np.abs(winding) < 0.5)
+        outside = np.abs(winding) < 0.5
+        ok = outside & far
         if not ok.all():  # rebinding p frees the whole slab's pairs before the yield
             p = replace(
                 p, dx=p.dx[ok], dy=p.dy[ok], r=p.r[ok], r_safe=p.r_safe[ok]
             )
-        yield rows, ok, p
+        yield rows, outside, ok, p
+
+
+def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarray]:
+    """(outside, usable) for each of ``points`` on the N-node grid of
+    ``curve``: outside when the winding number, the trapezoidal sum of the
+    Laplace double layer over the nodes, is below 1/2, and usable when
+    also at least NEAR_FIELD_FACTOR local arclength spacings from its
+    closest node, where the plain PTR holds."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    grid, data = _nodes(curve, N)
+    outside = np.empty(len(points), dtype=bool)
+    usable = np.empty(len(points), dtype=bool)
+    for rows, out, ok, _ in _target_slabs(data, grid.h, points):
+        outside[rows], usable[rows] = out, ok
+    return outside, usable
 
 
 def eval_field(
@@ -550,12 +561,8 @@ def eval_field(
     """The representation's field at the targets, and which targets it
     accepts.
 
-    A target is accepted when it lies outside the curve and at least
-    NEAR_FIELD_FACTOR local arclength spacings from its closest node.
-    Nearer targets need a near-field scheme; inside the curve the
-    exterior representation is not the solution. "Outside" is decided by
-    the winding number, the trapezoidal sum of the Laplace double layer
-    over the nodes.
+    It accepts the targets that :func:`locate` finds usable on its nodes:
+    inside the curve the exterior representation is not the solution.
 
     One pass over the targets decides acceptance and sums the layer
     potentials with the plain PTR at the accepted targets; the value at a
@@ -582,7 +589,7 @@ def eval_field(
 
         values = np.full((len(targets), 2), np.nan)
     accepted = np.empty(len(targets), dtype=bool)
-    for rows, ok, p in _target_slabs(bie, targets):
+    for rows, _, ok, p in _target_slabs(bie.data, bie.grid.h, targets):
         accepted[rows] = ok
         if ok.any():
             values[rows[ok]] = layer_sum(p)

@@ -113,11 +113,11 @@ def test_config_validation_errors():
         harness.load_config({"problem": "stokes", "N": [8]})
     with pytest.raises(harness.ConfigError, match="Im kappa < 0"):
         harness.load_config({"problem": "helmholtz", "kappa": [12.5, -1e-3]})
-    with pytest.raises(harness.ConfigError):
+    with pytest.raises(harness.ConfigError, match=r"N=64: target \[0.5 0. *\] lies inside"):
         harness.load_config(
             {"problem": "helmholtz", "kappa": 5.0, "targets": [[0.5, 0.0]]}
         )
-    with pytest.raises(harness.ConfigError):
+    with pytest.raises(harness.ConfigError, match=r"source \[2. 0.\] lies outside"):
         harness.load_config(
             {"problem": "helmholtz", "kappa": 5.0, "sources": [[2.0, 0.0]]}
         )
@@ -134,7 +134,9 @@ def test_stencil_and_grid_must_fit():
     for methods, ns in cases:
         with pytest.raises(harness.ConfigError):
             harness.load_config({**helm, "methods": methods, "N": ns})
-    widest = {**helm, "methods": [{"name": "zeta", "K": 15}], "N": [32]}
+    # targets beyond 5 node spacings of the N = 32 grid (up to 1.8 on the star)
+    far = [[4.0, 0.0], [0.0, -4.0]]
+    widest = {**helm, "methods": [{"name": "zeta", "K": 15}], "N": [32], "targets": far}
     assert harness.load_config(widest).n_list == (32,)
     # the N given to table1 and field is checked too
     cfg = harness.load_config({**helm, "methods": [{"name": "zeta", "K": 20}, "kress"]})
@@ -634,9 +636,9 @@ def test_run_field_walks_the_grid_once(problem, monkeypatch):
     walked = []
     target_slabs = nystrom._target_slabs
 
-    def counted(bie, targets):
+    def counted(data, h, targets):
         walked.append(len(targets))
-        return target_slabs(bie, targets)
+        return target_slabs(data, h, targets)
 
     monkeypatch.setattr(nystrom, "_target_slabs", counted)
     rows = np.array(harness.run_field(cfg, spec, N=64))
@@ -668,6 +670,81 @@ def test_run_field_walks_the_grid_once(problem, monkeypatch):
         ref = ref + harness._shear_flow(cfg, pts[far])
     np.testing.assert_array_equal(rows[far, 2:4], ref)
     assert np.all(np.isnan(rows[~far, 2]))
+
+
+# --- where a point lies ------------------------------------------------------
+
+_HELM = {"problem": "helmholtz", "kappa": 12.5, "methods": [{"name": "zeta", "K": 7}]}
+
+
+def test_target_between_lobes_loads_and_runs(tmp_path, capsys):
+    # radius 1.1, between two lobes where the curve is at radius 0.7: the old
+    # radial bound (radius above the curve's largest, 1.3) refused it, while
+    # the evaluator accepts it at N = 256 and 512
+    raw = {**_HELM, "targets": [[0.890, 0.647]], "N": [256, 512]}
+    assert harness.load_config(raw).targets.tolist() == [[0.890, 0.647]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["convergence", "--config", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:3]  # N = 256, 512
+    assert [row.split(",")[:2] for row in rows] == [["256", "zeta16"], ["512", "zeta16"]]
+    assert float(rows[-1].split(",")[3]) < 1e-10
+
+
+def test_target_near_the_curve_exits_2_before_any_fill(tmp_path, capsys, monkeypatch):
+    # 0.05 outside the curve: usable at no N of the list; the sweep used to
+    # fill N = 256 and solve N = 64 before it refused the target
+    def no_fill(*args):
+        raise AssertionError("filled a system for a config that cannot run")
+
+    monkeypatch.setattr(quadrature, "_ptr_fill", no_fill)
+    raw = {**_HELM, "targets": [[2.0, 0.0], [1.35, 0.0]], "N": [64, 128, 256]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: N=64: target [1.35 0.  ]")
+    assert "within 5 grid spacings" in err
+
+
+def test_sources_are_placed_by_the_winding_number(tmp_path, capsys):
+    # (1.0, 0) lies inside a lobe, beyond the curve's smallest radius 0.7,
+    # which the old radial bound required of every source
+    raw = {**_HELM, "sources": [[1.0, 0.0]], "strengths": [1.0]}
+    assert harness.load_config(raw).sources.tolist() == [[1.0, 0.0]]
+    rows, _ = harness.run_convergence(harness.load_config({**raw, "N": [256, 512]}))
+    assert rows[-1][3] < 1e-10
+    for outside in ([1.35, 0.0], [0.890, 0.647]):
+        raw["sources"] = [[0.1, 0.0], outside]
+        raw["strengths"] = [1.0, 1.0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: source {np.array(outside)}")
+
+
+@pytest.mark.parametrize("problem", ["helmholtz", "stokes"])
+def test_load_accepts_the_targets_the_field_mask_accepts(problem, monkeypatch):
+    # on the 81-point grid of the grid-walk test: a one-target config loads at
+    # N exactly when run_field's evaluator accepts that point at N
+    raw = {"problem": problem, "kappa": 5.0, "methods": [{"name": "zeta", "K": 2}]}
+    spec = {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0, "nx": 9, "ny": 9}
+    for N in (64, 128):
+        # a Stokes config's targets are checked at the reference N as well
+        monkeypatch.setattr(harness, "STOKES_REFERENCE_N", N)
+        rows = np.array(harness.run_field(harness.load_config(raw), spec, N=N))
+
+        def loads(point):
+            try:
+                harness.load_config({**raw, "N": [N], "targets": [point.tolist()]})
+            except harness.ConfigError:
+                return False
+            return True
+
+        accepted = rows[:, 4] == 0
+        assert accepted.any() and not accepted.all()
+        np.testing.assert_array_equal([loads(p) for p in rows[:, :2]], accepted)
 
 
 # --- stencil-table ingestion ------------------------------------------------
@@ -1206,12 +1283,18 @@ def test_config_rejects_empty_zero_and_malformed_values():
 def test_malformed_curve_and_method_entries_exit_2(tmp_path, capsys):
     # a non-object curve or methods entry, and a string radius, ended in an
     # AttributeError or TypeError traceback with exit 1; a NaN base passed
-    # config load and failed later with a near-field message
+    # config load and failed later with a near-field message; a numeric
+    # string ran as its number with exit 0, and an integer beyond the float
+    # range ended in an OverflowError traceback
     base = {"problem": "helmholtz", "kappa": 5.0, "N": [64]}
     for fields, word in (
         ({"curve": 5}, "curve"),
         ({"curve": [1, 2]}, "curve"),
         ({"curve": {"type": "circle", "radius": "inf"}}, "radius"),
+        ({"curve": {"type": "star", "base": "1.0"}}, "base"),
+        ({"curve": {"type": "star", "lobes": "5"}}, "lobes"),
+        ({"curve": {"type": "circle", "radius": "1"}}, "radius"),
+        ({"curve": {"type": "circle", "radius": 10**400}}, "radius"),
         ({"curve": {"type": "star", "base": math.nan}}, "base"),
         ({"curve": {"type": "star", "amplitude": math.inf}}, "amplitude"),
         ({"curve": {"type": "star", "lobes": 2.5}}, "lobes"),
@@ -1230,6 +1313,43 @@ def test_malformed_curve_and_method_entries_exit_2(tmp_path, capsys):
         assert cli.main(["convergence", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and word in err
+
+
+def test_unknown_config_keys_exit_2(tmp_path, capsys):
+    # each key was ignored and its field's default run, with exit 0: the first
+    # config ran zeta16 over N = 64...512, the second zeta6, the third a unit
+    # circle
+    base = {"problem": "helmholtz", "kappa": 12.5, "N": [64]}
+    for fields, key in (
+        ({"N": None, "method": [{"name": "kress"}], "n": [64]}, "method"),
+        ({"methods": [{"name": "zeta", "K": 2, "oder": 8}]}, "oder"),
+        ({"curve": {"type": "circle", "base": 2.0}}, "base"),
+        ({"curve": {"type": "star", "radius": 2.0}}, "radius"),
+        ({"methods": [{"name": "kress", "K": 2}]}, "K"),
+        ({"methods": [{"name": "external", "table": "t.txt", "order": 6}]}, "order"),
+    ):
+        raw = {k: v for k, v in {**base, **fields}.items() if v is not None}
+        match = f"unknown key '{key}'"
+        with pytest.raises((harness.ConfigError, InvalidGeometryError), match=match):
+            harness.load_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and match in err
+    # a config that is not an object ended in an AttributeError traceback
+    path.write_text("[1, 2]")
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_readme_configs_use_only_known_keys():
+    # every JSON config the README shows loads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    configs = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert configs
+    for text in configs:
+        harness.load_config(text)
 
 
 def test_integer_fields_are_not_truncated(tmp_path, capsys):
