@@ -119,24 +119,19 @@ def _cmd_field(args) -> int:
         "ny": args.ny,
     }
     rows = harness.run_field(cfg, grid_spec, N=args.N)
-    if cfg.problem == "helmholtz":
-        header = ["x", "y", "re_u", "im_u", "mask"]
-    else:
-        header = ["x", "y", "u1", "u2", "mask"]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, ["x", "y", *cfg.data.header, "mask"], rows)
     return EXIT_OK
 
 
 def _cmd_ingest_check(args) -> int:
     try:
-        table = harness.ingest_stencil_table(args.table)
+        method = harness.ingest_stencil_table(args.table)
     except OSError as exc:
         raise harness.StencilTableError(exc) from exc
-    stencil = harness.stencil_from_table(table)
-    print(f"name: {table.name}")
-    print(f"order: {table.order}")
-    print(f"grid: {'on' if table.on_grid else 'off'}")
-    for j, w in enumerate(stencil.weights):
+    print(f"name: {method.label}")
+    print(f"order: {int(method.order)}")
+    print("grid: on")  # an off-grid table is refused
+    for j, w in enumerate(method.stencil.weights):
         print(f"{j} {w:.15e}")
     return EXIT_OK
 

@@ -4,7 +4,9 @@ field evaluation, and external stencil-table ingestion.
 All drivers are pure functions from a :class:`ProblemConfig` to lists of
 CSV-ready rows; the CLI module handles argument parsing and file output.
 Method names live here only, to read a config and label rows: a method
-is a label and a stencil, none for the Kress rule. Every driver checks
+is a label and a stencil, none for the Kress rule. A problem's boundary
+data is one object (:class:`PointSources`, :class:`ShearFlow`), so no
+driver asks which problem it runs. Every driver checks
 each N with :func:`_check_n` and builds its systems with
 :func:`~zetatrap.nystrom.on_each_system`: a sweep passes its whole N
 list, whose largest fill the coarser N slice, table1, field and the
@@ -33,8 +35,9 @@ from .zetaweights import CorrectionStencil, StencilError, build_log_stencil, ord
 
 __all__ = [
     "ProblemConfig",
+    "PointSources",
+    "ShearFlow",
     "QuadratureMethod",
-    "ExternalStencilTable",
     "ConfigError",
     "StencilTableError",
     "OffGridTableError",
@@ -47,7 +50,6 @@ __all__ = [
     "run_table1",
     "run_field",
     "ingest_stencil_table",
-    "stencil_from_table",
 ]
 
 SATURATION_FLOOR = 1e-11
@@ -90,43 +92,114 @@ class QuadratureMethod:
 
 
 @dataclass(frozen=True)
-class ExternalStencilTable:
-    """Parsed external correction-weight table."""
+class PointSources:
+    """Helmholtz boundary data: the field of interior point sources, the
+    exact exterior solution (:func:`known_solution`). A data object has
+    its config ``keys``, ``read`` and ``check``, its Dirichlet data
+    ``boundary``, its ``exact`` field or None, its total ``field`` at
+    accepted targets, and a field row's two ``columns`` and ``header``.
+    """
 
-    name: str
-    order: int
-    on_grid: bool
-    rows: tuple[tuple[float, float], ...]  # (node offset, weight)
+    kappa: complex
+    sources: np.ndarray  # (ns, 2)
+    strengths: np.ndarray  # (ns,), complex
+
+    keys = ("kappa", "wavelengths", "sources", "strengths")
+    header = ("re_u", "im_u")
+
+    @classmethod
+    def read(cls, raw: dict, curve: ParametricCurve) -> PointSources:
+        kappa = _kappa(raw, curve)
+        sources = _points(raw.get("sources", _default_sources()), "sources")
+        strengths = _finite(
+            raw.get("strengths", np.ones(len(sources))), "strengths", complex
+        )
+        if strengths.shape != (len(sources),):
+            raise ConfigError("strengths must list one number per source")
+        return cls(kappa, sources, strengths)
+
+    def check(self, curve: ParametricCurve, N: int, targets: np.ndarray):
+        """Raise ConfigError unless every source lies inside the N-node
+        curve and the field is nonzero at some target."""
+        outside, _ = nystrom.locate(curve, N, self.sources)
+        if outside.any():
+            raise ConfigError(f"source {self.sources[outside][0]} lies outside the curve")
+        if not np.abs(self.exact(targets)).max() > 0:
+            raise ConfigError(
+                "the known solution vanishes at every target: no relative "
+                "error can be measured"
+            )
+
+    def exact(self, points: np.ndarray) -> np.ndarray:
+        return known_solution(self.kappa, self.sources, self.strengths, points)
+
+    boundary = exact  # the exact field is its own Dirichlet data
+
+    def field(self, bie, tau: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        return nystrom.eval_helmholtz_potential(bie, tau, targets)
+
+    def columns(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.stack([values.real, values.imag], axis=1)
+
+
+@dataclass(frozen=True)
+class ShearFlow:
+    """Stokes boundary data: the background shear flow (rate * y, 0) past
+    the body at rest, with no exact field (see :class:`PointSources`)."""
+
+    rate: float
+
+    keys = ("shear_rate",)
+    header = ("u1", "u2")
+    kappa = None
+    exact = None
+
+    @classmethod
+    def read(cls, raw: dict, curve: ParametricCurve) -> ShearFlow:
+        rate = _scalar(raw.get("shear_rate", 5.0), "shear_rate")
+        if rate == 0:
+            raise ConfigError(
+                "shear_rate must be nonzero: a zero flow has no relative error"
+            )
+        return cls(rate)
+
+    def check(self, curve: ParametricCurve, N: int, targets: np.ndarray):
+        """Nothing to place: the flow has no sources."""
+
+    def _background(self, points: np.ndarray) -> np.ndarray:
+        return np.stack([self.rate * points[:, 1], np.zeros(len(points))], axis=1)
+
+    def boundary(self, points: np.ndarray) -> np.ndarray:
+        return -self._background(points).ravel()
+
+    def field(self, bie, tau: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        flow = nystrom.eval_stokes_velocity(bie, tau, targets)
+        return flow + self._background(targets)
+
+    def columns(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return values + self._background(points)
 
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Full experiment description (JSON-loadable)."""
+    """Full experiment description (JSON-loadable): the BIE ``problem``
+    that nystrom assembles, and the boundary ``data`` it is solved for."""
 
     problem: str  # "helmholtz" or "stokes"
     curve: ParametricCurve
-    kappa: complex | None
+    data: PointSources | ShearFlow
     methods: tuple[QuadratureMethod, ...]
     n_list: tuple[int, ...]
-    sources: np.ndarray  # (ns, 2), Helmholtz known-solution mode
-    strengths: np.ndarray  # (ns,), complex
     targets: np.ndarray  # (nt, 2) test locations
-    shear_rate: float = 5.0  # Stokes: u_inf = (shear_rate * x2, 0)
+
+    @property
+    def kappa(self) -> complex | None:
+        """The wavenumber of the data, None for Stokes."""
+        return self.data.kappa
 
 
-# The keys of a config, whatever its problem.
-_CONFIG_KEYS = (
-    "problem",
-    "curve",
-    "kappa",
-    "wavelengths",
-    "methods",
-    "N",
-    "sources",
-    "strengths",
-    "targets",
-    "shear_rate",
-)
+# The keys of a config besides those its data reads.
+_CONFIG_KEYS = ("problem", "curve", "methods", "N", "targets")
 
 
 def _default_sources() -> np.ndarray:
@@ -280,8 +353,7 @@ def _method_from_spec(spec) -> QuadratureMethod:
     path = spec.get("table")
     if not isinstance(path, str) or not path:
         raise ConfigError(f"external method requires a 'table' path, got {path!r}")
-    table = ingest_stencil_table(path)
-    return QuadratureMethod(label=table.name, stencil=stencil_from_table(table))
+    return ingest_stencil_table(path)
 
 
 # Below this many nodes per wavelength a grid cannot resolve the boundary
@@ -346,14 +418,14 @@ def _curve_diameter(curve: ParametricCurve) -> float:
 def load_config(source) -> ProblemConfig:
     """Build a config from a JSON file path, JSON string, or dict.
 
-    Anything a run cannot use is a ConfigError, raised here: a key that
-    no config reads (at the top level, in the curve or in a methods
-    entry), a value of the wrong kind or range, an N that a method, the
-    wavelength or the memory budget rules out, and a point that
-    :func:`_check_points` refuses: a target that
-    :func:`~zetatrap.nystrom.locate` finds unusable at an N where a sweep
-    evaluates it, STOKES_REFERENCE_N included, or a Helmholtz source
-    that it finds outside the curve at the largest N.
+    The problem picks the boundary data, and the keys are _CONFIG_KEYS
+    plus the data's. Anything a run cannot use is a ConfigError, raised
+    here: a key that the problem does not read (at the top level, in the
+    curve or in a methods entry), a value of the wrong kind or range, an
+    N that a method, the wavelength or the memory budget rules out, a
+    target that :func:`~zetatrap.nystrom.locate` finds unusable at an N
+    where a sweep evaluates it (STOKES_REFERENCE_N too, for data without
+    an exact field), and data whose ``check`` fails at the largest N.
     """
     if isinstance(source, dict):
         raw = source
@@ -366,12 +438,13 @@ def load_config(source) -> ProblemConfig:
                 raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"a config is a JSON object, got {raw!r}")
-    _check_keys(raw, _CONFIG_KEYS, "config")
     problem = raw.get("problem")
     if problem not in ("helmholtz", "stokes"):
         raise ConfigError(f"problem must be 'helmholtz' or 'stokes', got {problem!r}")
+    data_type = PointSources if problem == "helmholtz" else ShearFlow
+    _check_keys(raw, _CONFIG_KEYS + data_type.keys, f"{problem} config")
     curve = curve_from_descriptor(raw.get("curve", {"type": "star"}))
-    kappa = _kappa(raw, curve) if problem == "helmholtz" else None
+    data = data_type.read(raw, curve)
     m_raw = raw.get("methods", [{"name": "zeta", "K": 7}])
     if not isinstance(m_raw, (list, tuple)) or not m_raw:
         raise ConfigError(f"methods must be a non-empty list, got {m_raw!r}")
@@ -380,29 +453,8 @@ def load_config(source) -> ProblemConfig:
     if not isinstance(n_raw, (list, tuple)) or not n_raw:
         raise ConfigError(f"N must be a non-empty list of grid sizes, got {n_raw!r}")
     n_list = tuple(_integer(n, "N") for n in n_raw)
-    sources = _points(raw.get("sources", _default_sources()), "sources")
-    strengths = _finite(
-        raw.get("strengths", np.ones(len(sources))), "strengths", complex
-    )
-    if strengths.shape != (len(sources),):
-        raise ConfigError("strengths must list one number per source")
     targets = _points(raw.get("targets", _default_targets()), "targets")
-    shear_rate = _scalar(raw.get("shear_rate", 5.0), "shear_rate")
-    if problem == "stokes" and shear_rate == 0:
-        raise ConfigError(
-            "shear_rate must be nonzero: a zero flow has no relative error"
-        )
-    cfg = ProblemConfig(
-        problem=problem,
-        curve=curve,
-        kappa=kappa,
-        methods=methods,
-        n_list=n_list,
-        sources=sources,
-        strengths=strengths,
-        targets=targets,
-        shear_rate=shear_rate,
-    )
+    cfg = ProblemConfig(problem, curve, data, methods, n_list, targets)
     for n in n_list:
         _check_n(cfg, methods, n)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -416,8 +468,8 @@ def load_config(source) -> ProblemConfig:
 
 def _check_points(cfg: ProblemConfig):
     """Raise ConfigError unless a sweep can use the config's targets and
-    sources (see :func:`load_config`)."""
-    reference = (STOKES_REFERENCE_N,) if cfg.problem == "stokes" else ()
+    data (see :func:`load_config`)."""
+    reference = (STOKES_REFERENCE_N,) if cfg.data.exact is None else ()
     for N in sorted({*cfg.n_list, *reference}):
         _, usable = nystrom.locate(cfg.curve, N, cfg.targets)
         if not usable.all():
@@ -425,16 +477,7 @@ def _check_points(cfg: ProblemConfig):
                 f"N={N}: target {cfg.targets[~usable][0]} lies inside the curve "
                 f"or within {nystrom.NEAR_FIELD_FACTOR:g} grid spacings of it"
             )
-    if cfg.problem == "helmholtz":
-        outside, _ = nystrom.locate(cfg.curve, max(cfg.n_list), cfg.sources)
-        if outside.any():
-            raise ConfigError(f"source {cfg.sources[outside][0]} lies outside the curve")
-        ref = known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
-        if not np.abs(ref).max() > 0:
-            raise ConfigError(
-                "the known solution vanishes at every target: no relative "
-                "error can be measured"
-            )
+    cfg.data.check(cfg.curve, max(cfg.n_list), cfg.targets)
 
 
 def default_helmholtz_config(kappa: complex, **overrides) -> ProblemConfig:
@@ -506,11 +549,6 @@ def _systems(cfg: ProblemConfig, methods, n_list, measure) -> list:
     )
 
 
-def _shear_flow(cfg: ProblemConfig, points: np.ndarray) -> np.ndarray:
-    """The background Stokes flow (shear_rate * y, 0) at the points."""
-    return np.stack([cfg.shear_rate * points[:, 1], np.zeros(len(points))], axis=1)
-
-
 def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveReport:
     """Solve the BIE for the configured boundary data: cold, or warm from
     ``start``, a density of the same problem on another grid, which
@@ -518,10 +556,7 @@ def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveRepo
     GMRES's x0 and which stops at GMRES_WARM_TOL. Given the method's
     ``label``, a solve that did not converge emits a RuntimeWarning that
     names the label, N and the true relative residual."""
-    if cfg.problem == "helmholtz":
-        rhs = known_solution(cfg.kappa, cfg.sources, cfg.strengths, bie.data.pos)
-    else:
-        rhs = -_shear_flow(cfg, bie.data.pos).ravel()
+    rhs = cfg.data.boundary(bie.data.pos)
     if start is None:
         rep = nystrom.solve_gmres(bie.matrix, rhs)
     else:
@@ -539,25 +574,14 @@ def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveRepo
     return rep
 
 
-def _solve_and_eval(cfg: ProblemConfig, bie, targets: np.ndarray, label, start=None):
-    """Solve the BIE for the configured data, warm from ``start`` if given,
-    warning if the solve of method ``label`` did not converge (see
-    :func:`_solve`), and evaluate at the targets."""
-    rep = _solve(cfg, bie, start, label)
-    if cfg.problem == "helmholtz":
-        return rep, nystrom.eval_helmholtz_potential(bie, rep.solution, targets)
-    flow = nystrom.eval_stokes_velocity(bie, rep.solution, targets)
-    return rep, flow + _shear_flow(cfg, targets)
-
-
 def _stokes_reference(cfg: ProblemConfig, start=None) -> np.ndarray:
-    """Self-converged reference velocity at the test targets, solved warm
+    """Self-converged reference field at the test targets, solved warm
     from the density ``start`` of another grid if given."""
     method = _zeta_method(order_to_k(STOKES_REFERENCE_ORDER))
 
     def measure(i, bie):
-        label = f"{method.label} reference"
-        return _solve_and_eval(cfg, bie, cfg.targets, label, start)[1]
+        rep = _solve(cfg, bie, start, f"{method.label} reference")
+        return cfg.data.field(bie, rep.solution, cfg.targets)
 
     [[(_, vals)]] = _systems(cfg, [method], [STOKES_REFERENCE_N], measure)
     return vals
@@ -583,9 +607,10 @@ def run_convergence(cfg: ProblemConfig):
     every later N from its own density at the previous N, carried over by
     trigonometric interpolation and solved to the tighter
     GMRES_WARM_TOL (see :func:`_solve`). A warm row's solve_s is
-    therefore not that of a cold solve. The Stokes reference is solved
-    after the sweep, warm from the highest-K rule's density at the last
-    N, and the errors are taken last.
+    therefore not that of a cold solve. The errors are taken last, from
+    the data's exact field, or for data without one the reference at
+    STOKES_REFERENCE_N, solved after the sweep, warm from the highest-K
+    rule's density at the last N.
 
     A solve that does not converge, the reference's too, emits a
     RuntimeWarning naming its method, N and relative residual; its row is
@@ -595,15 +620,15 @@ def run_convergence(cfg: ProblemConfig):
 
     def measure(i, bie):
         t0 = time.perf_counter()
-        label = cfg.methods[i].label
-        rep, vals = _solve_and_eval(cfg, bie, cfg.targets, label, densities.get(i))
+        rep = _solve(cfg, bie, densities.get(i), cfg.methods[i].label)
+        vals = cfg.data.field(bie, rep.solution, cfg.targets)
         densities[i] = rep.solution
         return vals, time.perf_counter() - t0
 
     _check_memory(cfg, cfg.methods, cfg.n_list)
     per_n = _systems(cfg, cfg.methods, cfg.n_list, measure)
-    if cfg.problem == "helmholtz":
-        ref = known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
+    if cfg.data.exact is not None:
+        ref = cfg.data.exact(cfg.targets)
     else:
         top = max(range(len(cfg.methods)), key=lambda i: cfg.methods[i].stencil.K)
         ref = _stokes_reference(cfg, densities[top])
@@ -629,11 +654,11 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
     """Conditioning and GMRES iteration table at fixed N.
 
     Row schema: (method, order, Re kappa, Im kappa, cond2, iterations,
-    residual). An N above the dense SVD budget
-    :data:`~zetatrap.nystrom.COND_MAX_DIM` is a ConfigError, raised
-    before anything is assembled. The stencil rules share one PTR fill.
+    residual). Data without a wavenumber, and an N above the dense SVD
+    budget :data:`~zetatrap.nystrom.COND_MAX_DIM`, are a ConfigError,
+    raised before anything is assembled. The rules share one PTR fill.
     """
-    if cfg.problem != "helmholtz":
+    if cfg.kappa is None:
         raise ConfigError("the conditioning table is a Helmholtz experiment")
     _check_n(cfg, cfg.methods, N)
     if N > nystrom.COND_MAX_DIM:
@@ -663,8 +688,9 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     """Field values on a rectangular grid; near-curve and interior points
     are masked.
 
-    Row schema, Helmholtz: (x, y, Re u, Im u, mask); Stokes:
-    (x, y, u1, u2, mask). mask=1 flags points inside the curve or within
+    Row schema: (x, y, the data's two ``columns``, mask), (x, y, Re u,
+    Im u, mask) for Helmholtz and (x, y, u1, u2, mask) for Stokes, the
+    velocity with the background flow added. mask=1 flags points inside the curve or within
     the near-field cutoff (see :func:`nystrom.eval_field`), whose values
     are emitted as NaN. Only the first configured method runs. The grid
     needs nx, ny >= 1 and finite bounds; anything else is a ConfigError.
@@ -689,34 +715,33 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
         [N],
         lambda i, bie: nystrom.eval_field(bie, _solve(cfg, bie).solution, pts),
     )
-    if cfg.problem == "helmholtz":
-        vals = np.stack([vals.real, vals.imag], axis=1)
-    else:
-        vals += _shear_flow(cfg, pts)
+    vals = cfg.data.columns(pts, vals)
     return [
         (p[0], p[1], v[0], v[1], 0 if ok else 1) for p, v, ok in zip(pts, vals, far)
     ]
 
 
-def ingest_stencil_table(path: str) -> ExternalStencilTable:
-    """Parse an external correction-weight table.
+def ingest_stencil_table(path: str) -> QuadratureMethod:
+    """Read an external correction-weight table as a method labelled with
+    the table's name.
 
     Format: UTF-8 text with header lines ``name:``, ``order:``,
     ``grid: on|off``, followed by whitespace-separated ``offset weight``
-    pairs; ``#`` starts a comment.
+    pairs; ``#`` starts a comment. A malformed line anywhere in the file
+    is a StencilTableError; then a table declaring ``grid: off``
+    (Alpert-style auxiliary nodes) is an OffGridTableError, as assembly
+    only supports corrections on the trapezoidal grid itself; then so is
+    a non-integer or negative offset. The weights of a repeated offset
+    add up.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    name = None
-    order = None
-    grid_flag = None
+    name = order = grid_flag = None
     rows = []
-    seen_content = False
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        seen_content = True
         low = body.lower()
         if low.startswith("name:"):
             name = body[5:].strip()
@@ -728,61 +753,40 @@ def ingest_stencil_table(path: str) -> ExternalStencilTable:
         elif low.startswith("grid:"):
             val = body[5:].strip().lower()
             if val not in ("on", "off"):
-                raise StencilTableError(
-                    f"line {lineno}: grid flag must be 'on' or 'off'"
-                )
+                raise StencilTableError(f"line {lineno}: grid flag must be 'on' or 'off'")
             grid_flag = val
         else:
             parts = body.split()
             if len(parts) != 2:
-                raise StencilTableError(
-                    f"line {lineno}: expected 'offset weight' pair"
-                )
+                raise StencilTableError(f"line {lineno}: expected 'offset weight' pair")
             try:
                 off, w = float(parts[0]), float(parts[1])
             except ValueError as exc:
-                raise StencilTableError(
-                    f"line {lineno}: non-numeric entry"
-                ) from exc
+                raise StencilTableError(f"line {lineno}: non-numeric entry") from exc
             if not (math.isfinite(off) and math.isfinite(w)):
                 raise StencilTableError(f"line {lineno}: non-finite entry")
             rows.append((off, w))
-    if not seen_content:
+    if not rows and (name, order, grid_flag) == (None, None, None):
         raise StencilTableError("empty stencil table file")
     if name is None or order is None or grid_flag is None:
-        raise StencilTableError(
-            "missing required header line (name:, order:, grid:)"
-        )
+        raise StencilTableError("missing required header line (name:, order:, grid:)")
     if order < 2:
         raise StencilTableError(f"order must be >= 2, got {order}")
     if not rows:
         raise StencilTableError("no weight rows in stencil table")
-    return ExternalStencilTable(
-        name=name, order=order, on_grid=(grid_flag == "on"), rows=tuple(rows)
-    )
-
-
-def stencil_from_table(table: ExternalStencilTable) -> CorrectionStencil:
-    """Convert an on-grid table to an assembly-ready correction stencil.
-
-    Off-grid tables (Alpert-style auxiliary nodes) are rejected: assembly
-    only supports corrections supported on the trapezoidal grid itself.
-    """
-    if not table.on_grid:
+    if grid_flag == "off":
         raise OffGridTableError(
-            f"table {table.name!r} declares 'grid: off'; off-grid correction "
+            f"table {name!r} declares 'grid: off'; off-grid correction "
             "nodes are not supported"
         )
     offsets = {}
-    for off, w in table.rows:
+    for off, w in rows:
         j = round(off)
         if abs(off - j) > 1e-12 or j < 0:
             raise StencilTableError(
                 f"on-grid table has non-integer or negative offset {off}"
             )
-        offsets[int(j)] = offsets.get(int(j), 0.0) + w
+        offsets[j] = offsets.get(j, 0.0) + w
     K = max(offsets)
     weights = tuple(offsets.get(j, 0.0) for j in range(K + 1))
-    return CorrectionStencil(
-        kind="log", K=K, z=None, weights=weights, order=float(table.order)
-    )
+    return QuadratureMethod(name, CorrectionStencil("log", K, None, weights, float(order)))

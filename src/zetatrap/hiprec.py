@@ -14,7 +14,6 @@ from __future__ import annotations
 import mpmath
 
 DEFAULT_DIGITS = 60
-MAX_K = 25
 RESIDUAL_EXPONENT = -40  # normalized residual bound 1e-40
 
 __all__ = [
@@ -45,8 +44,6 @@ def solve_dual_vandermonde(nodes, moments, digits: int = DEFAULT_DIGITS):
     if len(nodes) != len(moments):
         raise ValueError("nodes and moments must have equal length")
     n = len(nodes)
-    if n - 1 > MAX_K:
-        raise ValueError(f"K={n - 1} exceeds supported maximum {MAX_K}")
     with mpmath.workdps(digits):
         xs = [mpmath.mpf(x) for x in nodes]
         bs = [mpmath.mpf(b) for b in moments]

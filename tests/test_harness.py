@@ -212,11 +212,7 @@ def _assembled(cfg, method, N):
 def _warm_solve(cfg, bie, density):
     # GMRES on the configured data, from the trigonometric interpolant of
     # a coarser grid's density when one is given
-    pos = bie.data.pos
-    if cfg.problem == "helmholtz":
-        rhs = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pos)
-    else:
-        rhs = -harness._shear_flow(cfg, pos).ravel()
+    rhs = cfg.data.boundary(bie.data.pos)
     if density is None:
         return nystrom.solve_gmres(bie.matrix, rhs)
     per_node = density.reshape(-1, 1 if cfg.problem == "helmholtz" else 2)
@@ -236,15 +232,10 @@ def _method_outer_sweep(cfg):
             bie = _assembled(cfg, method, N)
             rep = _warm_solve(cfg, bie, density)
             density = rep.solution
-            if cfg.problem == "helmholtz":
-                vals = nystrom.eval_helmholtz_potential(bie, density, cfg.targets)
-            else:
-                vals = nystrom.eval_stokes_velocity(bie, density, cfg.targets)
-                vals += harness._shear_flow(cfg, cfg.targets)
-            values.append(vals)
+            values.append(cfg.data.field(bie, density, cfg.targets))
         finest.append(density)
-    if cfg.problem == "helmholtz":
-        ref = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, cfg.targets)
+    if cfg.data.exact is not None:
+        ref = cfg.data.exact(cfg.targets)
     else:
         top = max(range(len(finest)), key=lambda i: cfg.methods[i].stencil.K)
         ref = harness._stokes_reference(cfg, finest[top])
@@ -264,9 +255,7 @@ def _method_outer_table1(cfg, N):
     rows = []
     for method in cfg.methods:
         bie = _assembled(cfg, method, N)
-        pos = bie.data.pos
-        rhs = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pos)
-        rep = nystrom.solve_gmres(bie.matrix, rhs)
+        rep = nystrom.solve_gmres(bie.matrix, cfg.data.boundary(bie.data.pos))
         rows.append(
             (
                 method.label,
@@ -501,8 +490,7 @@ def test_warm_stop_changes_no_converged_flag(monkeypatch):
     consts = helmholtz_constants(cfg.kappa)
     for n in N:
         bie = nystrom.assemble_helmholtz(cfg.curve, n, consts)
-        pos = bie.data.pos
-        rhs = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pos)
+        rhs = cfg.data.boundary(bie.data.pos)
         cold.append(nystrom.solve_gmres(bie.matrix, rhs).converged)
     assert warm == cold
 
@@ -581,7 +569,7 @@ def test_run_field_masks_interior_points():
     )
     pts, mask = rows[:, :2], rows[:, 4]
     clear = mask == 0
-    ref = harness.known_solution(cfg.kappa, cfg.sources, cfg.strengths, pts[clear])
+    ref = cfg.data.exact(pts[clear])
     vals = rows[clear, 2] + 1j * rows[clear, 3]
     assert clear.sum() > 100
     assert np.abs(vals - ref).max() <= 1e-8 * np.abs(ref).max()
@@ -612,7 +600,7 @@ def test_masked_helmholtz_rows_are_nan_in_both_columns(tmp_path, capsys):
     argv += ["--xmin", "-0.1", "--xmax", "0.1", "--ymin", "-0.1", "--ymax", "0.1"]
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5
+    assert lines[0] == "x,y,re_u,im_u,mask" and len(lines) == 5
     assert all(line.split(",")[2:] == ["nan", "nan", "1"] for line in lines[1:])
 
 
@@ -667,7 +655,7 @@ def test_run_field_walks_the_grid_once(problem, monkeypatch):
     if problem == "helmholtz":
         ref = np.stack([ref.real, ref.imag], axis=1)
     else:
-        ref = ref + harness._shear_flow(cfg, pts[far])
+        ref = ref + np.stack([cfg.data.rate * pts[far, 1], np.zeros(far.sum())], axis=1)
     np.testing.assert_array_equal(rows[far, 2:4], ref)
     assert np.all(np.isnan(rows[~far, 2]))
 
@@ -711,7 +699,7 @@ def test_sources_are_placed_by_the_winding_number(tmp_path, capsys):
     # (1.0, 0) lies inside a lobe, beyond the curve's smallest radius 0.7,
     # which the old radial bound required of every source
     raw = {**_HELM, "sources": [[1.0, 0.0]], "strengths": [1.0]}
-    assert harness.load_config(raw).sources.tolist() == [[1.0, 0.0]]
+    assert harness.load_config(raw).data.sources.tolist() == [[1.0, 0.0]]
     rows, _ = harness.run_convergence(harness.load_config({**raw, "N": [256, 512]}))
     assert rows[-1][3] < 1e-10
     for outside in ([1.35, 0.0], [0.890, 0.647]):
@@ -728,7 +716,9 @@ def test_sources_are_placed_by_the_winding_number(tmp_path, capsys):
 def test_load_accepts_the_targets_the_field_mask_accepts(problem, monkeypatch):
     # on the 81-point grid of the grid-walk test: a one-target config loads at
     # N exactly when run_field's evaluator accepts that point at N
-    raw = {"problem": problem, "kappa": 5.0, "methods": [{"name": "zeta", "K": 2}]}
+    raw = {"problem": problem, "methods": [{"name": "zeta", "K": 2}]}
+    if problem == "helmholtz":
+        raw["kappa"] = 5.0
     spec = {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0, "nx": 9, "ny": 9}
     for N in (64, 128):
         # a Stokes config's targets are checked at the reference N as well
@@ -747,30 +737,53 @@ def test_load_accepts_the_targets_the_field_mask_accepts(problem, monkeypatch):
         np.testing.assert_array_equal([loads(p) for p in rows[:, :2]], accepted)
 
 
+def test_targets_of_data_without_an_exact_field_are_checked_at_the_reference_n(
+    monkeypatch,
+):
+    # a shear-flow sweep is measured against the reference solved at
+    # STOKES_REFERENCE_N, so its targets must be usable there as well; (1.7, 0)
+    # is 0.4 from the star's tip, beyond 5 spacings at N = 128, within at 32
+    monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 32)
+    raw = {"methods": [{"name": "zeta", "K": 2}], "N": [128], "targets": [[1.7, 0.0]]}
+    harness.load_config({**raw, "problem": "helmholtz", "kappa": 5.0})
+    with pytest.raises(harness.ConfigError, match=r"N=32: target \[1.7 0. \]"):
+        harness.load_config({**raw, "problem": "stokes"})
+
+
 # --- stencil-table ingestion ------------------------------------------------
 
 
 def test_ingest_on_grid_table(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text(ON_GRID_TABLE)
-    table = harness.ingest_stencil_table(str(p))
-    assert table.name == "tabulated6"
-    assert table.order == 6
-    assert table.on_grid
-    st = harness.stencil_from_table(table)
+    method = harness.ingest_stencil_table(str(p))
+    assert method.label == "tabulated6"
+    assert method.order == 6.0
+    st = method.stencil
     assert st.K == 2
     assert st.kind == "log"
-    assert st.order == 6.0
+    assert st.weights == (0.9096419217159841, 0.0289516566730613, -0.0014457290795897)
+    # a repeated offset adds its weights
+    p.write_text("name: twice\norder: 4\ngrid: on\n0 0.5\n2 1e-3\n0 0.25\n")
+    assert harness.ingest_stencil_table(str(p)).stencil.weights == (0.75, 0.0, 1e-3)
 
 
 def test_ingest_off_grid_table_rejected(tmp_path):
+    # a parse error anywhere in the file comes first, then the off-grid
+    # refusal, then a non-integer or negative offset
     p = tmp_path / "t.txt"
     p.write_text(OFF_GRID_TABLE)
-    table = harness.ingest_stencil_table(str(p))
-    assert not table.on_grid
     with pytest.raises(harness.OffGridTableError) as exc:
-        harness.stencil_from_table(table)
+        harness.ingest_stencil_table(str(p))
     assert "grid: off" in str(exc.value)
+    p.write_text(OFF_GRID_TABLE + "2.5 0.1 0.2\n")
+    with pytest.raises(harness.StencilTableError, match="line 6") as exc:
+        harness.ingest_stencil_table(str(p))
+    assert not isinstance(exc.value, harness.OffGridTableError)
+    for offset in ("0.5", "-1"):
+        p.write_text(f"name: x\norder: 6\ngrid: on\n0 1.0\n{offset} 0.5\n")
+        with pytest.raises(harness.StencilTableError, match="non-integer or negative"):
+            harness.ingest_stencil_table(str(p))
 
 
 def test_ingest_parse_errors(tmp_path):
@@ -838,7 +851,8 @@ def test_external_table_runs_on_stokes(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 7 + 3
     argv = ["field", "--config", str(path), "--N", "64", "--nx", "3", "--ny", "3"]
     assert cli.main(argv) == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 9
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "x,y,u1,u2,mask" and len(lines) == 1 + 9
 
 
 # --- CLI --------------------------------------------------------------------
@@ -984,6 +998,19 @@ def test_benchmark_configs_load(small, monkeypatch):
     for workload in workloads.WORKLOADS.values():
         raw = workload(seed=1, small=small).config()
         assert harness.load_config(raw).n_list == tuple(raw["N"])
+    if not small:
+        return
+    # setup() loads the config and, for the weight fault, replaces its
+    # methods on a copy; cfg.kappa is the config's wavenumber, None for Stokes
+    for workload in workloads.WORKLOADS.values():
+        raw = workload(seed=1, small=True).config()
+        kappa = None if "kappa" not in raw else complex(*raw["kappa"])
+        for fault in (None, "weight"):
+            run = workload(seed=1, small=True, fault=fault)
+            run.setup()
+            assert run.cfg.kappa == kappa
+            clean = harness.load_config(raw).methods
+            assert (run.cfg.methods == clean) == (fault is None)
 
 
 def test_cli_table1_over_the_svd_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -1052,8 +1079,11 @@ def test_memory_budget_refuses_large_n(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_ptr_fill", no_assembly)
     assert harness.MAX_SYSTEM_BYTES == 2 * 2**30
-    for problem, largest in (("helmholtz", 11585), ("stokes", 8192)):
-        raw = {"problem": problem, "kappa": 5.0}
+    for raw, largest in (
+        ({"problem": "helmholtz", "kappa": 5.0}, 11585),
+        ({"problem": "stokes"}, 8192),
+    ):
+        problem = raw["problem"]
         harness.load_config({**raw, "N": [64, largest]})
         with pytest.raises(harness.ConfigError, match="budget"):
             harness.load_config({**raw, "N": [64, largest + 1]})
@@ -1210,8 +1240,11 @@ def test_non_finite_config_values_exit_2(field, bad, tmp_path, capsys):
         "sources": [[0.1, 0.0], [0.0, 0.2]],
         "strengths": [1.0, 0.5],
         "targets": [[2.0, 0.0], [0.0, 2.5]],
-        "shear_rate": 5.0,
     }
+    if field == "shear_rate":  # a Stokes key, on a Stokes config
+        for key in ("kappa", "sources", "strengths"):
+            del raw[key]
+        raw["problem"] = "stokes"
     if field == "kappa":
         raw["kappa"] = bad
     elif field == "shear_rate":
@@ -1233,7 +1266,6 @@ def test_non_finite_config_values_exit_2(field, bad, tmp_path, capsys):
     [
         ({"problem": "stokes", "shear_rate": [5.0]}, "shear_rate"),
         ({"problem": "helmholtz", "wavelengths": [4.0]}, "wavelengths"),
-        ({"problem": "helmholtz", "kappa": 5.0, "shear_rate": [5.0]}, "shear_rate"),
     ],
 )
 def test_one_element_list_for_a_scalar_field_exits_2(raw, field, tmp_path, capsys):
@@ -1254,10 +1286,12 @@ def test_non_list_kappa_must_be_a_scalar():
 
 
 def test_config_rejects_empty_zero_and_malformed_values():
+    # at N = 64, where the default targets are usable, so that zero
+    # strengths reach the check of a vanishing known solution
     base = {
         "problem": "helmholtz",
         "kappa": 5.0,
-        "N": [32],
+        "N": [64],
         "methods": [{"name": "zeta", "K": 1}],
     }
     for fields in (
@@ -1274,10 +1308,12 @@ def test_config_rejects_empty_zero_and_malformed_values():
         {"N": []},
         {"N": [math.inf]},
         {"methods": [{"name": "zeta", "K": math.inf}]},
-        {"problem": "stokes", "shear_rate": 0.0},
     ):
         with pytest.raises(harness.ConfigError):
             harness.load_config({**base, **fields})
+    stokes = {"problem": "stokes", "N": [64], "shear_rate": 0.0}
+    with pytest.raises(harness.ConfigError, match="shear_rate must be nonzero"):
+        harness.load_config(stokes)
 
 
 def test_malformed_curve_and_method_entries_exit_2(tmp_path, capsys):
@@ -1343,6 +1379,54 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+_STOKES = {"problem": "stokes", "methods": [{"name": "zeta", "K": 2}], "N": [64]}
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({**_STOKES, "kappa": 5.0}, "kappa"),
+        ({**_STOKES, "wavelengths": 4.0}, "wavelengths"),
+        ({**_STOKES, "sources": [[0.1, 0.0]]}, "sources"),
+        ({**_STOKES, "strengths": [1.0]}, "strengths"),
+        (
+            {
+                "problem": "stokes",
+                "kappa": "abc",
+                "wavelengths": [1, 2],
+                "sources": [[5.0, 0.0]],
+                "N": [64],
+            },
+            "kappa",
+        ),
+        ({**_HELM, "N": [64], "shear_rate": 0.0}, "shear_rate"),
+        ({"problem": "helmholtz", "kappa": 5.0, "shear_rate": [5.0]}, "shear_rate"),
+    ],
+    ids=[
+        "stokes-kappa",
+        "stokes-wavelengths",
+        "stokes-sources",
+        "stokes-strengths",
+        "stokes-helmholtz-keys",
+        "helmholtz-shear_rate",
+        "helmholtz-shear_rate-list",
+    ],
+)
+def test_a_key_of_the_other_problem_exits_2(raw, key, tmp_path, capsys):
+    # each problem reads its own boundary data: every one of these loaded,
+    # and the key was ignored
+    match = f"{raw['problem']} config: unknown key '{key}'"
+    with pytest.raises(harness.ConfigError, match=match):
+        harness.load_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {match}\n"
+    # without the other problem's keys the config loads
+    other = {"helmholtz": harness.ShearFlow, "stokes": harness.PointSources}
+    harness.load_config({k: v for k, v in raw.items() if k not in other[raw["problem"]].keys})
+
+
 def test_readme_configs_use_only_known_keys():
     # every JSON config the README shows loads
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1391,8 +1475,8 @@ def test_bool_and_string_numbers_exit_2(tmp_path, capsys):
         ({"strengths": [True, True, True]}, "strengths"),
         ({"sources": [["0.1", "0.2"]], "strengths": [1.0]}, "sources"),
         ({"targets": [[True, 2.0], [2.5, False]]}, "targets"),
-        ({"problem": "stokes", "shear_rate": True}, "shear_rate"),
-        ({"problem": "stokes", "shear_rate": "5"}, "shear_rate"),
+        ({"problem": "stokes", "kappa": None, "shear_rate": True}, "shear_rate"),
+        ({"problem": "stokes", "kappa": None, "shear_rate": "5"}, "shear_rate"),
     ):
         raw = {k: v for k, v in {**base, **fields}.items() if v is not None}
         with pytest.raises(harness.ConfigError, match=word):
@@ -1405,7 +1489,7 @@ def test_bool_and_string_numbers_exit_2(tmp_path, capsys):
     # Python complex strengths, as a dict config may pass them, still load
     strengths = [1 + 1j, 0.5, 2j]
     cfg = harness.load_config({**base, "strengths": strengths})
-    assert cfg.strengths.tolist() == strengths
+    assert cfg.data.strengths.tolist() == strengths
 
 
 _GRID = {"nx": 2, "ny": 2, "xmin": 2.0, "xmax": 3.0, "ymin": -1.0, "ymax": 1.0}
@@ -1496,20 +1580,38 @@ _curve = hst.one_of(
         },
     ),
 )
-_config = hst.fixed_dictionaries(
-    {"problem": hst.sampled_from(["helmholtz", "stokes"])},
-    optional={
+_common = {
+    "targets": _points,
+    "N": hst.lists(hst.sampled_from([-16, 0, 16, 17, 24, 32]), max_size=2),
+    "methods": hst.one_of(hst.lists(_method, min_size=0, max_size=2), _number),
+    "curve": _curve,
+}
+# the keys each problem's boundary data reads
+_read = {
+    "helmholtz": {
         "kappa": hst.one_of(_leaf, hst.lists(_leaf, min_size=0, max_size=3)),
         "wavelengths": _scalar,
         "sources": _points,
         "strengths": hst.lists(_leaf, min_size=0, max_size=3),
-        "targets": _points,
-        "shear_rate": _scalar,
-        "N": hst.lists(hst.sampled_from([-16, 0, 16, 17, 24, 32]), max_size=2),
-        "methods": hst.one_of(hst.lists(_method, min_size=0, max_size=2), _number),
-        "curve": _curve,
     },
-)
+    "stokes": {"shear_rate": _scalar},
+}
+
+
+def _config_of(problem):
+    # a config of the problem's own keys, in about half the examples with
+    # keys that only the other problem reads
+    foreign = {k: v for p, keys in _read.items() if p != problem for k, v in keys.items()}
+    return hst.builds(
+        lambda own, other: {**own, **other},
+        hst.fixed_dictionaries(
+            {"problem": hst.just(problem)}, optional={**_common, **_read[problem]}
+        ),
+        hst.one_of(hst.just({}), hst.fixed_dictionaries({}, optional=foreign)),
+    )
+
+
+_config = hst.one_of(_config_of("helmholtz"), _config_of("stokes"))
 
 
 def _not_a_number(value) -> bool:
@@ -1538,10 +1640,11 @@ def test_fuzzed_configs_exit_0_or_2(raw):
         argv = ["convergence", "--config", path, "--out", f"{tmp}/out.csv"]
         code = _run_cli(argv)
     assert code in (0, 2)
-    # a bool or a string in a field the config reads is refused
-    read = ["sources", "strengths", "targets", "shear_rate"]
-    if raw["problem"] == "helmholtz":
-        read += ["kappa", "wavelengths"]
+    # a key that the config's problem does not read is refused
+    read = ["targets", *_read[raw["problem"]]]
+    if any(key not in ["problem", *_common, *read] for key in raw):
+        assert code == 2
+    # so is a bool or a string in a field the config reads
     if any(_not_a_number(raw[field]) for field in read if field in raw):
         assert code == 2
     # so is a list in a scalar field
@@ -1559,7 +1662,11 @@ def test_fuzzed_configs_exit_0_or_2(raw):
     problem=hst.sampled_from(["helmholtz", "stokes"]),
 )
 def test_fuzzed_field_grids_exit_0_or_2(N, nx, ny, bounds, problem):
-    raw = {"problem": problem, "kappa": 5.0, "methods": [{"name": "zeta", "K": 2}]}
+    raw = {"problem": problem, "methods": [{"name": "zeta", "K": 2}]}
+    if problem == "helmholtz":
+        raw["kappa"] = 5.0
+    # the config loads, so each example reaches run_field's grid checks
+    harness.load_config(raw)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/cfg.json"
         with open(path, "w") as fh:

@@ -17,7 +17,7 @@ from zetatrap import nystrom as ny
 from zetatrap import quadrature as quad
 from zetatrap.geometry import circle_curve, sample, star_curve
 from zetatrap.kernels import helmholtz_constants
-from zetatrap.zetaweights import build_log_stencil, build_pow_stencil
+from zetatrap.zetaweights import CorrectionStencil, build_log_stencil, build_pow_stencil
 
 STAR = star_curve(1.0, 0.3, 5)
 
@@ -438,11 +438,9 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
     N = 96
     consts = None if kappa is None else helmholtz_constants(kappa)
     fresh = ny._fill(kind, STAR, N, consts)[0].matrix
-    table = harness.ExternalStencilTable(
-        "table10", 10, True, tuple(enumerate(build_log_stencil(4).weights))
-    )
+    table = CorrectionStencil("log", 4, None, build_log_stencil(4).weights, 10.0)
     stencils = [build_log_stencil(K) for K in (2, 7, 20, 0)]
-    stencils.insert(2, harness.stencil_from_table(table))
+    stencils.insert(2, table)
     stencils.insert(1, None)
     if kind == "stokes":
         with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
@@ -488,10 +486,8 @@ def test_nested_systems_equal_assembled_ones(kind, kappa):
     # the samples of a fresh grid, in ascending N
     n_list = [32, 48, 64, 80, 96, 192]
     consts = None if kappa is None else helmholtz_constants(kappa)
-    table = harness.ExternalStencilTable(
-        "table6", 6, True, tuple(enumerate(build_log_stencil(2).weights))
-    )
-    stencils = [build_log_stencil(7), harness.stencil_from_table(table)]
+    table = CorrectionStencil("log", 2, None, build_log_stencil(2).weights, 6.0)
+    stencils = [build_log_stencil(7), table]
     if kind == "helmholtz":
         stencils.append(None)
     seen = []
