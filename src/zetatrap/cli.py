@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import harness
-from .zetaweights import StencilError, build_log_stencil, build_pow_stencil, order_to_k
+from .zetaweights import StencilError, build_log_stencil, build_pow_stencil
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -37,15 +37,14 @@ _PREFIXES = (
 
 
 def _cmd_weights(args) -> int:
-    K = args.K if args.K is not None else order_to_k(args.order)
     if args.kind == "log":
         if args.z is not None:
             raise UsageError("--z only applies to --kind pow")
-        stencil = build_log_stencil(K)
+        stencil = build_log_stencil(args.K)
     else:
         if args.z is None:
             raise UsageError("--kind pow requires --z")
-        stencil = build_pow_stencil(K, args.z)
+        stencil = build_pow_stencil(args.K, args.z)
     for j, w in enumerate(stencil.weights):
         print(f"{j} {w:.15e}")
     print(f"# order {stencil.order:g}")
@@ -144,9 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("weights", help="print correction weights")
-    size = w.add_mutually_exclusive_group(required=True)
-    size.add_argument("--K", type=int, default=None)
-    size.add_argument("--order", type=int, default=None)
+    w.add_argument("--K", type=int, required=True)
     w.add_argument("--kind", choices=["log", "pow"], default="log")
     w.add_argument("--z", type=float, default=None)
     w.set_defaults(func=_cmd_weights)

@@ -4,10 +4,11 @@ field evaluation, and external stencil-table ingestion.
 All drivers are pure functions from a :class:`ProblemConfig` to lists of
 CSV-ready rows; the CLI module handles argument parsing and file output.
 Method names live here only, to read a config and label rows: a method
-is a label and a stencil, none for the Kress rule. A problem's boundary
-data is one object (:class:`PointSources`, :class:`ShearFlow`), so no
-driver asks which problem it runs. Every driver checks
-each N with :func:`_check_n` and builds its systems with
+is a label and a stencil, none for the Kress rule, and a zeta rule is
+chosen by its K alone. A problem's boundary data is one object
+(:class:`PointSources`, :class:`ShearFlow`) that names its problem, so
+no driver asks which problem it runs. Every driver checks each N with
+:func:`_check_n` and builds its systems with
 :func:`~zetatrap.nystrom.on_each_system`: a sweep passes its whole N
 list, whose largest fill the coarser N slice, table1, field and the
 Stokes reference one N. A sweep warm-starts GMRES from each method's
@@ -31,7 +32,7 @@ import numpy as np
 from . import kernels, nystrom, quadrature
 from .geometry import ParametricCurve, curve_from_descriptor, sample
 from .kernels import helmholtz_constants
-from .zetaweights import CorrectionStencil, StencilError, build_log_stencil, order_to_k
+from .zetaweights import CorrectionStencil, build_log_stencil
 
 __all__ = [
     "ProblemConfig",
@@ -57,7 +58,7 @@ MIN_FIT_POINTS = 3
 DEFAULT_SOURCE_RADIUS = 0.4
 DEFAULT_TARGET_RADIUS = 2.0
 STOKES_REFERENCE_N = 2000
-STOKES_REFERENCE_ORDER = 16
+STOKES_REFERENCE_K = 7
 
 
 class ConfigError(ValueError):
@@ -95,21 +96,22 @@ class QuadratureMethod:
 class PointSources:
     """Helmholtz boundary data: the field of interior point sources, the
     exact exterior solution (:func:`known_solution`). A data object has
-    its config ``keys``, ``read`` and ``check``, its Dirichlet data
-    ``boundary``, its ``exact`` field or None, its total ``field`` at
-    accepted targets, and a field row's two ``columns`` and ``header``.
+    its ``problem``, config ``keys``, ``read``, ``check``, Dirichlet data
+    ``boundary``, ``exact`` field or None, total ``field`` at accepted
+    targets, and a field row's two ``columns`` and ``header``.
     """
 
     kappa: complex
     sources: np.ndarray  # (ns, 2)
     strengths: np.ndarray  # (ns,), complex
 
-    keys = ("kappa", "wavelengths", "sources", "strengths")
+    problem = "helmholtz"
+    keys = ("kappa", "sources", "strengths")
     header = ("re_u", "im_u")
 
     @classmethod
-    def read(cls, raw: dict, curve: ParametricCurve) -> PointSources:
-        kappa = _kappa(raw, curve)
+    def read(cls, raw: dict) -> PointSources:
+        kappa = _kappa(raw)
         sources = _points(raw.get("sources", _default_sources()), "sources")
         strengths = _finite(
             raw.get("strengths", np.ones(len(sources))), "strengths", complex
@@ -149,13 +151,14 @@ class ShearFlow:
 
     rate: float
 
+    problem = "stokes"
     keys = ("shear_rate",)
     header = ("u1", "u2")
     kappa = None
     exact = None
 
     @classmethod
-    def read(cls, raw: dict, curve: ParametricCurve) -> ShearFlow:
+    def read(cls, raw: dict) -> ShearFlow:
         rate = _scalar(raw.get("shear_rate", 5.0), "shear_rate")
         if rate == 0:
             raise ConfigError(
@@ -182,15 +185,19 @@ class ShearFlow:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Full experiment description (JSON-loadable): the BIE ``problem``
-    that nystrom assembles, and the boundary ``data`` it is solved for."""
+    """Full experiment description (JSON-loadable): the boundary ``data``
+    a BIE is solved for, which names the ``problem`` nystrom assembles."""
 
-    problem: str  # "helmholtz" or "stokes"
     curve: ParametricCurve
     data: PointSources | ShearFlow
     methods: tuple[QuadratureMethod, ...]
     n_list: tuple[int, ...]
     targets: np.ndarray  # (nt, 2) test locations
+
+    @property
+    def problem(self) -> str:
+        """The problem the data names, "helmholtz" or "stokes"."""
+        return self.data.problem
 
     @property
     def kappa(self) -> complex | None:
@@ -267,32 +274,18 @@ def _points(value, what: str) -> np.ndarray:
 MIN_KAPPA = 1e-6
 
 
-def _kappa(raw, curve: ParametricCurve) -> complex:
+def _kappa(raw) -> complex:
     """The wavenumber of a Helmholtz config, finite and nonzero."""
-    kappa = None
-    if "kappa" in raw:
-        k = raw["kappa"]
-        if isinstance(k, (list, tuple)):
-            parts = _finite(k, "kappa")
-            if parts.shape != (2,):
-                raise ConfigError(f"kappa as a list is [re, im], got {k!r}")
-            kappa = complex(parts[0], parts[1])
-        else:
-            kappa = complex(_scalar(k, "kappa", complex))
-    if "wavelengths" in raw:
-        wavelengths = _scalar(raw["wavelengths"], "wavelengths")
-        if wavelengths <= 0:
-            raise ConfigError(f"wavelengths must be positive, got {wavelengths}")
-        implied = 2 * math.pi * wavelengths / _curve_diameter(curve)
-        if kappa is None:
-            kappa = complex(implied)
-        elif abs(kappa.real - implied) > 0.05 * implied:
-            raise ConfigError(
-                f"kappa {kappa} inconsistent with wavelengths spec "
-                f"(implies Re kappa = {implied:.4g})"
-            )
-    if kappa is None:
-        raise ConfigError("helmholtz config requires 'kappa' or 'wavelengths'")
+    if "kappa" not in raw:
+        raise ConfigError("helmholtz config requires 'kappa'")
+    k = raw["kappa"]
+    if isinstance(k, (list, tuple)):
+        parts = _finite(k, "kappa")
+        if parts.shape != (2,):
+            raise ConfigError(f"kappa as a list is [re, im], got {k!r}")
+        kappa = complex(parts[0], parts[1])
+    else:
+        kappa = complex(_scalar(k, "kappa", complex))
     if abs(kappa) < MIN_KAPPA:
         raise ConfigError(
             f"|kappa| must be at least {MIN_KAPPA:g}, got {kappa}: below it the "
@@ -321,7 +314,7 @@ def _check_keys(raw: dict, keys, what: str):
 
 _METHOD_KEYS = {
     "kress": ("name",),
-    "zeta": ("name", "K", "order"),
+    "zeta": ("name", "K"),
     "external": ("name", "table"),
 }
 
@@ -340,16 +333,9 @@ def _method_from_spec(spec) -> QuadratureMethod:
     if name == "kress":
         return QuadratureMethod(label="kress")
     if name == "zeta":
-        if "K" in spec:
-            K = _integer(spec["K"], "K")
-        elif "order" in spec:
-            try:
-                K = order_to_k(_integer(spec["order"], "order"))
-            except StencilError as exc:
-                raise ConfigError(f"zeta {exc}") from None
-        else:
-            raise ConfigError("zeta method requires 'K' or 'order'")
-        return _zeta_method(K)
+        if "K" not in spec:
+            raise ConfigError("zeta method requires 'K'")
+        return _zeta_method(_integer(spec["K"], "K"))
     path = spec.get("table")
     if not isinstance(path, str) or not path:
         raise ConfigError(f"external method requires a 'table' path, got {path!r}")
@@ -366,6 +352,7 @@ MIN_POINTS_PER_WAVELENGTH = 2.0
 # N = 20000 a Helmholtz system would take 6.4 GB. A run is held to it for
 # what it holds at once (nystrom.held_bytes): a Kress fill's factor adds
 # 16 N^2, and a sweep holds its largest fill beside the other systems.
+# A field grid is held to it for its points' arrays and rows.
 MAX_SYSTEM_BYTES = 2 * 2**30
 
 
@@ -407,25 +394,18 @@ def _check_memory(cfg: ProblemConfig, methods, n_list):
         )
 
 
-def _curve_diameter(curve: ParametricCurve) -> float:
-    pos = sample(curve, np.linspace(0, curve.period, 256, endpoint=False)).pos
-    d = np.hypot(
-        pos[:, None, 0] - pos[None, :, 0], pos[:, None, 1] - pos[None, :, 1]
-    )
-    return float(d.max())
-
-
 def load_config(source) -> ProblemConfig:
     """Build a config from a JSON file path, JSON string, or dict.
 
-    The problem picks the boundary data, and the keys are _CONFIG_KEYS
-    plus the data's. Anything a run cannot use is a ConfigError, raised
-    here: a key that the problem does not read (at the top level, in the
-    curve or in a methods entry), a value of the wrong kind or range, an
-    N that a method, the wavelength or the memory budget rules out, a
-    target that :func:`~zetatrap.nystrom.locate` finds unusable at an N
-    where a sweep evaluates it (STOKES_REFERENCE_N too, for data without
-    an exact field), and data whose ``check`` fails at the largest N.
+    The data class that ``problem`` names reads the boundary data, and
+    the keys are _CONFIG_KEYS plus the data's. Anything a run cannot use
+    is a ConfigError, raised here: a key that the problem does not read
+    (at the top level, in the curve or in a methods entry), a value of
+    the wrong kind or range, an N that a method, the wavelength or the
+    memory budget rules out, a target that
+    :func:`~zetatrap.nystrom.locate` finds unusable at an N where a sweep
+    evaluates it (STOKES_REFERENCE_N too, for data without an exact
+    field), and data whose ``check`` fails at the largest N.
     """
     if isinstance(source, dict):
         raw = source
@@ -439,12 +419,12 @@ def load_config(source) -> ProblemConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"a config is a JSON object, got {raw!r}")
     problem = raw.get("problem")
-    if problem not in ("helmholtz", "stokes"):
+    if problem not in (PointSources.problem, ShearFlow.problem):
         raise ConfigError(f"problem must be 'helmholtz' or 'stokes', got {problem!r}")
-    data_type = PointSources if problem == "helmholtz" else ShearFlow
+    data_type = PointSources if problem == PointSources.problem else ShearFlow
     _check_keys(raw, _CONFIG_KEYS + data_type.keys, f"{problem} config")
     curve = curve_from_descriptor(raw.get("curve", {"type": "star"}))
-    data = data_type.read(raw, curve)
+    data = data_type.read(raw)
     m_raw = raw.get("methods", [{"name": "zeta", "K": 7}])
     if not isinstance(m_raw, (list, tuple)) or not m_raw:
         raise ConfigError(f"methods must be a non-empty list, got {m_raw!r}")
@@ -454,7 +434,7 @@ def load_config(source) -> ProblemConfig:
         raise ConfigError(f"N must be a non-empty list of grid sizes, got {n_raw!r}")
     n_list = tuple(_integer(n, "N") for n in n_raw)
     targets = _points(raw.get("targets", _default_targets()), "targets")
-    cfg = ProblemConfig(problem, curve, data, methods, n_list, targets)
+    cfg = ProblemConfig(curve, data, methods, n_list, targets)
     for n in n_list:
         _check_n(cfg, methods, n)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -577,7 +557,7 @@ def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveRepo
 def _stokes_reference(cfg: ProblemConfig, start=None) -> np.ndarray:
     """Self-converged reference field at the test targets, solved warm
     from the density ``start`` of another grid if given."""
-    method = _zeta_method(order_to_k(STOKES_REFERENCE_ORDER))
+    method = _zeta_method(STOKES_REFERENCE_K)
 
     def measure(i, bie):
         rep = _solve(cfg, bie, start, f"{method.label} reference")
@@ -693,7 +673,8 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     velocity with the background flow added. mask=1 flags points inside the curve or within
     the near-field cutoff (see :func:`nystrom.eval_field`), whose values
     are emitted as NaN. Only the first configured method runs. The grid
-    needs nx, ny >= 1 and finite bounds; anything else is a ConfigError.
+    needs nx, ny >= 1, finite bounds and at most MAX_SYSTEM_BYTES for its
+    points; anything else is a ConfigError, raised before the grid is made.
     """
     methods = cfg.methods[:1]
     _check_n(cfg, methods, N)
@@ -704,6 +685,12 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     nx, ny_ = _integer(grid_spec["nx"], "nx"), _integer(grid_spec["ny"], "ny")
     if nx < 1 or ny_ < 1:
         raise ConfigError(f"the field grid needs nx, ny >= 1, got nx={nx}, ny={ny_}")
+    # a point's arrays and row peak below 224 bytes (tracemalloc, to 1000 x 1000)
+    if 224 * nx * ny_ > MAX_SYSTEM_BYTES:
+        raise ConfigError(
+            f"a field grid of {nx} x {ny_} points needs {224 * nx * ny_ / 2**30:.3g} "
+            f"GiB, over the budget of {MAX_SYSTEM_BYTES / 2**30:g} GiB"
+        )
     bounds = [grid_spec[k] for k in keys[2:]]
     xmin, xmax, ymin, ymax = _finite(bounds, "field grid bounds")
     xs = np.linspace(xmin, xmax, nx)

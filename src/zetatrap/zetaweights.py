@@ -23,7 +23,6 @@ __all__ = [
     "StencilError",
     "build_log_stencil",
     "build_pow_stencil",
-    "order_to_k",
 ]
 
 MAX_K = 20
@@ -42,12 +41,12 @@ class CorrectionStencil:
 
     ``order`` is 2K+3-z for the pow kind, the exponent of its leading
     error term. For the log kind it is 2K+2, the nominal label shared by
-    the method names (``zeta6`` ... ``zeta42``), ``zetatrap weights
-    --order`` and external stencil tables. The log rule's leading error
-    term is h^(2K+3), the z -> 0 limit of the pow kind: the punctured
-    trapezoidal error on -log|x| phi(x) expands in h^(2k+1) zeta'(-2k)
-    phi^(2k)(0), the h log h terms vanish for k >= 1 because
-    zeta(-2k) = 0, and the K+1 weights cancel the terms k = 0..K.
+    the method names (``zeta6`` ... ``zeta42``) and external stencil
+    tables; configs and ``zetatrap weights`` select a rule by K. The log
+    rule's leading error term is h^(2K+3), the z -> 0 limit of the pow
+    kind: the punctured trapezoidal error on -log|x| phi(x) expands in
+    h^(2k+1) zeta'(-2k) phi^(2k)(0), the h log h terms vanish for k >= 1
+    because zeta(-2k) = 0, and the K+1 weights cancel the terms k = 0..K.
     """
 
     kind: str  # "log" or "pow"
@@ -125,15 +124,6 @@ def build_log_stencil(K: int) -> CorrectionStencil:
     h^(2K+3) (see :class:`CorrectionStencil`).
     """
     return _build("log", K, None, lambda k: -_zeta_prime_neg_even_mp(k), 2 * K + 2)
-
-
-def order_to_k(order: int) -> int:
-    """K of the log stencil labelled ``order`` = 2K+2 (see
-    :class:`CorrectionStencil`); StencilError unless ``order`` is even
-    and at least 2."""
-    if order < 2 or order % 2:
-        raise StencilError(f"order must be an even integer >= 2, got {order}")
-    return (order - 2) // 2
 
 
 def build_pow_stencil(K: int, z: float) -> CorrectionStencil:

@@ -1,12 +1,15 @@
 """Config loading, experiment drivers, stencil-table ingestion, and CLI."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
 import math
 import re
+import shlex
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -70,43 +73,34 @@ def test_load_config_from_dict_json_and_path(tmp_path):
     assert harness.load_config(str(p)).kappa == 5.0 + 0.0j
 
 
-def test_complex_kappa_and_order_spelling():
+def test_complex_kappa_and_kress_method():
     cfg = harness.load_config(
         {
             "problem": "helmholtz",
             "kappa": [12.5, 10.0],
-            "methods": [{"name": "zeta", "order": 16}, "kress"],
+            "methods": [{"name": "zeta", "K": 7}, "kress"],
         }
     )
     assert cfg.kappa == 12.5 + 10.0j
-    assert cfg.methods[0].stencil.K == 7
+    assert cfg.methods[0].stencil.K == 7 and cfg.methods[0].label == "zeta16"
     assert cfg.methods[1].label == "kress" and cfg.methods[1].stencil is None
-
-
-def test_wavelengths_consistency():
-    base = {"problem": "helmholtz", "methods": [{"name": "zeta", "K": 2}]}
-    cfg = harness.load_config({**base, "wavelengths": 4.0})
-    diam = 2.6  # star_curve(1.0, 0.3, 5) diameter
-    assert abs(cfg.kappa.real - 2 * math.pi * 4.0 / diam) <= 0.05 * cfg.kappa.real
-    with pytest.raises(harness.ConfigError):
-        harness.load_config({**base, "kappa": 50.0, "wavelengths": 4.0})
 
 
 def test_config_validation_errors():
     with pytest.raises(harness.ConfigError):
         harness.load_config({"problem": "poisson"})
-    with pytest.raises(harness.ConfigError):
-        harness.load_config({"problem": "helmholtz"})  # no kappa
-    with pytest.raises(harness.ConfigError):
+    with pytest.raises(harness.ConfigError, match="requires 'kappa'$"):
+        harness.load_config({"problem": "helmholtz"})
+    with pytest.raises(harness.ConfigError, match="requires 'K'$"):
         harness.load_config(
             {"problem": "helmholtz", "kappa": 5.0, "methods": [{"name": "zeta"}]}
         )
-    with pytest.raises(harness.ConfigError):
+    with pytest.raises(harness.ConfigError, match="K must be an integer"):
         harness.load_config(
             {
                 "problem": "helmholtz",
                 "kappa": 5.0,
-                "methods": [{"name": "zeta", "order": 7}],
+                "methods": [{"name": "zeta", "K": "7"}],
             }
         )
     with pytest.raises(harness.ConfigError):
@@ -868,8 +862,7 @@ def test_cli_weights(capsys):
 
 def test_cli_weights_usage_errors(capsys):
     assert cli.main(["weights"]) == 2
-    assert cli.main(["weights", "--K", "1", "--order", "4"]) == 2
-    assert cli.main(["weights", "--order", "7"]) == 2
+    assert cli.main(["weights", "--kind", "pow", "--z", "0.5"]) == 2
     assert cli.main(["weights", "--K", "1", "--kind", "pow"]) == 2
     assert cli.main(["weights", "--K", "1", "--z", "0.5"]) == 2
     assert cli.main(["weights", "--K", "99"]) == 2
@@ -1265,7 +1258,6 @@ def test_non_finite_config_values_exit_2(field, bad, tmp_path, capsys):
     "raw, field",
     [
         ({"problem": "stokes", "shear_rate": [5.0]}, "shear_rate"),
-        ({"problem": "helmholtz", "wavelengths": [4.0]}, "wavelengths"),
     ],
 )
 def test_one_element_list_for_a_scalar_field_exits_2(raw, field, tmp_path, capsys):
@@ -1304,7 +1296,6 @@ def test_config_rejects_empty_zero_and_malformed_values():
         {"kappa": 2.225073858507203e-309},  # H1(kappa r) overflows: inf * 0
         {"kappa": [12.5]},
         {"kappa": None},
-        {"wavelengths": -2.0},
         {"N": []},
         {"N": [math.inf]},
         {"methods": [{"name": "zeta", "K": math.inf}]},
@@ -1386,14 +1377,12 @@ _STOKES = {"problem": "stokes", "methods": [{"name": "zeta", "K": 2}], "N": [64]
     "raw, key",
     [
         ({**_STOKES, "kappa": 5.0}, "kappa"),
-        ({**_STOKES, "wavelengths": 4.0}, "wavelengths"),
         ({**_STOKES, "sources": [[0.1, 0.0]]}, "sources"),
         ({**_STOKES, "strengths": [1.0]}, "strengths"),
         (
             {
                 "problem": "stokes",
                 "kappa": "abc",
-                "wavelengths": [1, 2],
                 "sources": [[5.0, 0.0]],
                 "N": [64],
             },
@@ -1404,7 +1393,6 @@ _STOKES = {"problem": "stokes", "methods": [{"name": "zeta", "K": 2}], "N": [64]
     ],
     ids=[
         "stokes-kappa",
-        "stokes-wavelengths",
         "stokes-sources",
         "stokes-strengths",
         "stokes-helmholtz-keys",
@@ -1436,6 +1424,82 @@ def test_readme_configs_use_only_known_keys():
         harness.load_config(text)
 
 
+def _readme_block(after: str, fence: str) -> str:
+    # the first fenced block of kind ``fence`` after the line ``after``
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    pattern = rf"^{re.escape(after)}$.*?```{fence}\n(.*?)```"
+    return re.search(pattern, readme, re.S | re.M)[1]
+
+
+def test_readme_examples_run():
+    # the Quick start, the JSON config's sweep and every CLI line
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_readme_block("## Quick start", "python"), {})
+    assert float(out.getvalue()) < 1e-12
+    after = "Config files are JSON; minimal Helmholtz example:"
+    cfg = harness.load_config(_readme_block(after, "json"))
+    with pytest.warns(RuntimeWarning) as record:
+        rows, _ = harness.run_convergence(cfg)
+    # as the README says, Kress at kappa = 12.5+10i warns at every N
+    warned = {str(w.message).split(":")[0] for w in record}
+    assert warned == {f"kress at N={n}" for n in cfg.n_list}
+    zeta = [r for r in rows if r[1] == "zeta16"]
+    assert len(rows) == 8 and zeta[-1][3] < 1e-11
+    lines = _readme_block("### CLI", "").splitlines()
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "zetatrap"
+        cli.build_parser().parse_args(argv[1:])
+
+
+def test_second_spellings_of_kappa_and_k_exit_2(tmp_path, capsys):
+    # kappa is read only from "kappa" and a zeta rule only from "K": a
+    # config with "wavelengths" or a zeta "order", and weights --order,
+    # each ran with exit 0
+    base = {"problem": "helmholtz", "N": [64], "methods": [{"name": "zeta", "K": 2}]}
+    path = tmp_path / "cfg.json"
+    for raw, line in (
+        ({**base, "wavelengths": 2.0}, "helmholtz config: unknown key 'wavelengths'"),
+        (
+            {**base, "kappa": 5.0, "methods": [{"name": "zeta", "order": 6}]},
+            "zeta method: unknown key 'order'",
+        ),
+    ):
+        path.write_text(json.dumps(raw))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+    # argparse reports a missing required flag before an unknown one
+    assert cli.main(["weights", "--order", "16"]) == 2
+    assert "required: --K" in capsys.readouterr().err
+    assert cli.main(["weights", "--K", "7", "--order", "16"]) == 2
+    assert "unrecognized arguments: --order 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", ["helmholtz", "stokes"])
+def test_the_problem_is_stored_once_on_its_data(problem):
+    raw = {"problem": problem, "N": [64], "methods": [{"name": "zeta", "K": 2}]}
+    if problem == "helmholtz":
+        raw["kappa"] = 5.0
+    cfg = harness.load_config(raw)
+    assert cfg.problem == type(cfg.data).problem == problem
+    fields = [f.name for f in dataclasses.fields(cfg)]
+    assert fields == ["curve", "data", "methods", "n_list", "targets"]
+    with pytest.raises(AttributeError):
+        cfg.problem = "stokes"
+    assert dataclasses.replace(cfg, methods=cfg.methods * 2).problem == problem
+
+
+@pytest.mark.parametrize("problem", [["helmholtz"], {"a": 1}, "poisson"])
+def test_a_problem_that_is_not_a_name_exits_2(problem, tmp_path, capsys):
+    # a lookup by an unhashable value would end in a TypeError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": problem, "kappa": 5.0}))
+    assert cli.main(["convergence", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: problem must be")
+
+
 def test_integer_fields_are_not_truncated(tmp_path, capsys):
     # "K": 2.5 ran zeta6, "N": [64.7] ran N = 64 and "K": true ran zeta4,
     # each with exit 0
@@ -1443,7 +1507,6 @@ def test_integer_fields_are_not_truncated(tmp_path, capsys):
     for fields in (
         {"methods": [{"name": "zeta", "K": 2.5}]},
         {"methods": [{"name": "zeta", "K": True}]},
-        {"methods": [{"name": "zeta", "order": 6.5}]},
         {"N": [64.7]},
         {"N": [False]},
         {"N": ["64"]},
@@ -1471,7 +1534,6 @@ def test_bool_and_string_numbers_exit_2(tmp_path, capsys):
         ({"kappa": True}, "kappa"),
         ({"kappa": "12.5"}, "kappa"),
         ({"kappa": [True, False]}, "kappa"),
-        ({"kappa": None, "wavelengths": True}, "wavelengths"),
         ({"strengths": [True, True, True]}, "strengths"),
         ({"sources": [["0.1", "0.2"]], "strengths": [1.0]}, "sources"),
         ({"targets": [[True, 2.0], [2.5, False]]}, "targets"),
@@ -1521,6 +1583,37 @@ def test_field_grid_is_validated(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error:")
     assert cli.main(_field_argv(str(path))) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+
+def test_field_grid_over_the_memory_budget_exits_2_before_it_is_made(tmp_path, capsys):
+    # run_field made every point and row of a grid: 10^10 points would take
+    # about 2 TB, and the run died with a MemoryError or was killed
+    cfg = harness.default_stokes_config(N=[64])
+    tracemalloc.start()
+    try:
+        with pytest.raises(harness.ConfigError, match="100000 x 100000 points"):
+            harness.run_field(cfg, {**_GRID, "nx": 100000, "ny": 100000}, N=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "stokes", "N": [64]}))
+    assert cli.main(_field_argv(str(path), nx=100000, ny=100000)) == 2
+    assert capsys.readouterr().err.startswith("config error: a field grid of")
+
+
+def test_field_grid_budget_covers_what_a_run_holds():
+    # the bound's 224 bytes a point against the peak of a 300 x 300 grid
+    cfg = harness.default_stokes_config(N=[64])
+    grid = {**_GRID, "nx": 300, "ny": 300}
+    tracemalloc.start()
+    try:
+        rows = harness.run_field(cfg, grid, N=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 300 * 300 and peak < 224 * len(rows)
 
 
 @pytest.mark.parametrize("key", sorted(_GRID))
@@ -1590,7 +1683,6 @@ _common = {
 _read = {
     "helmholtz": {
         "kappa": hst.one_of(_leaf, hst.lists(_leaf, min_size=0, max_size=3)),
-        "wavelengths": _scalar,
         "sources": _points,
         "strengths": hst.lists(_leaf, min_size=0, max_size=3),
     },
@@ -1648,8 +1740,7 @@ def test_fuzzed_configs_exit_0_or_2(raw):
     if any(_not_a_number(raw[field]) for field in read if field in raw):
         assert code == 2
     # so is a list in a scalar field
-    scalars = [field for field in read if field in ("shear_rate", "wavelengths")]
-    if any(isinstance(raw.get(field), list) for field in scalars):
+    if isinstance(raw.get("shear_rate"), list) and "shear_rate" in read:
         assert code == 2
 
 
