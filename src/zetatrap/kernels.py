@@ -34,6 +34,10 @@ the pair (m, n) and its mirror (n, m):
   kernels' H0 and H1 are J + iY, so J0 and J1 are their real parts. They
   are ``phi_radial``'s bit for bit at every pair but the coincident
   ones, where ``radial`` takes r = 1.
+- ``wavenumber``: the kappa of the kernel's radial wave e^{i kappa r}, 0
+  for Laplace and Stokes. Along the curve the kernel oscillates with
+  Re kappa and decays with Im kappa; the off-curve evaluator reads both
+  to bound the kernel's Fourier modes at a target.
 
 Neither ``full_of`` nor ``phi_of`` writes into its factors.
 
@@ -123,6 +127,7 @@ class Kernel(NamedTuple):
     phi_of: Callable[[Pairs, tuple], np.ndarray]
     limit: Callable[[CurveSamples], np.ndarray]
     phi_in_radial: Callable[[tuple], tuple] | None = None
+    wavenumber: complex = 0.0
 
     def full(self, p: Pairs) -> np.ndarray:
         """The kernel at every pair."""
@@ -243,6 +248,7 @@ def helmholtz_s(kappa: complex) -> Kernel:
         phi_of=lambda p, g: g[0] / (2 * math.pi),
         limit=lambda s: np.full(s.speed.shape, c),
         phi_in_radial=_real_parts if isinstance(k, float) else None,
+        wavenumber=complex(kappa),
     )
 
 
@@ -259,6 +265,7 @@ def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
         phi_of=lambda p, g: k * g[0] * along(p) / (2 * math.pi),
         limit=lambda s: s.c0,
         phi_in_radial=_real_parts if isinstance(k, float) else None,
+        wavenumber=complex(kappa),
     )
 
 
@@ -283,11 +290,16 @@ def helmholtz_dstar(kappa: complex) -> Kernel:
 def combined_field_coupling(kappa: complex) -> float:
     """Real coupling eta of the combined-field representation D - i eta S.
 
-    eta = Re kappa, or |kappa| for purely imaginary kappa: a real eta
-    keeps the system uniformly well conditioned when Im kappa > 0.
+    eta = max(Re kappa, 1), or max(|kappa|, 1) for purely imaginary
+    kappa: a real eta keeps the system uniformly well conditioned when
+    Im kappa > 0, and the floor 1 keeps the -i eta S term as kappa -> 0,
+    where I/2 + D alone has a null space on a closed curve. At
+    Re kappa >= 1, eta is Re kappa. At Re kappa < 0 the floor keeps the
+    sign of Re kappa, so eta is Re kappa at Re kappa <= -1.
     """
     k = complex(kappa)
-    return k.real if k.real != 0.0 else abs(k)
+    eta = k.real if k.real != 0.0 else abs(k)
+    return math.copysign(max(abs(eta), 1.0), eta)
 
 
 def helmholtz_combined(kappa: complex) -> Kernel:
@@ -318,6 +330,7 @@ def helmholtz_combined(kappa: complex) -> Kernel:
         phi_of=lambda p, g: d.phi_of(p, g[1:]) + coupling * s.phi_of(p, g[:1]),
         limit=lambda data: d.limit(data) + coupling * s.limit(data),
         phi_in_radial=_real_parts if isinstance(k, float) else None,
+        wavenumber=complex(kappa),
     )
 
 

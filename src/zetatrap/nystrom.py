@@ -4,7 +4,7 @@ Exterior Dirichlet Helmholtz uses the combined-field representation
 u = D[tau] - i*eta*S[tau], giving the second-kind system
 (I/2 + D - i*eta*S) tau = f. The coupling eta must be real for the
 operator to stay uniformly well conditioned when Im kappa > 0; we take
-eta = Re kappa (falling back to |kappa| for purely imaginary kappa), see
+eta = max(Re kappa, 1) (max(|kappa|, 1) for purely imaginary kappa), see
 :func:`~zetatrap.kernels.combined_field_coupling`.
 Exterior Stokes flow past a body uses the combined single-plus-double
 representation with the system (I/2 + S + D) tau = -u_inf.
@@ -33,6 +33,8 @@ system and its own factor, at once (:func:`held_bytes`).
 :func:`assemble_helmholtz` and :func:`assemble_stokes` build one system
 on a fill of its own. :func:`locate` is the one test of where a point
 lies; :func:`eval_field` and the harness's config check apply it.
+:func:`eval_field` sums a far target over every s-th node, with s from
+the target's distance and the density's spectrum (:func:`_strides`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -521,8 +523,12 @@ def cond_2norm(A: np.ndarray) -> float:
 
 
 def _target_slabs(data: CurveSamples, h: float, targets: np.ndarray):
-    """Yield (rows, outside, usable, pairs of the usable targets with every
-    node) per slab of targets, on the nodes ``data``; see :func:`locate`."""
+    """Yield (rows, outside, usable, pairs, nearest) per slab of targets,
+    on the nodes ``data``: the pairs of every target of the slab with every
+    node, and the index of each target's nearest node; see :func:`locate`.
+    A target that is not finite is neither outside nor usable."""
+    # inf - x is inf and inf/inf NaN with a warning; NaN passes quietly
+    targets = np.where(np.isfinite(targets), targets, np.nan)
     for rows in quad.slabs(len(targets)):
         p = kernels.pairs(targets[rows, None], data.pos, data.normal)
         nearest = p.r.argmin(axis=1)
@@ -532,12 +538,14 @@ def _target_slabs(data: CurveSamples, h: float, targets: np.ndarray):
         # Winding number: the Laplace double layer integrates to -2 pi inside.
         winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
         outside = np.abs(winding) < 0.5
-        ok = outside & far
-        if not ok.all():  # rebinding p frees the whole slab's pairs before the yield
-            p = replace(
-                p, dx=p.dx[ok], dy=p.dy[ok], r=p.r[ok], r_safe=p.r_safe[ok]
-            )
-        yield rows, outside, ok, p
+        yield rows, outside, outside & far, p, nearest
+
+
+def _rows(p: kernels.Pairs, keep: np.ndarray) -> kernels.Pairs:
+    """The pairs of the rows ``keep`` of ``p``, or ``p`` if it keeps all."""
+    if keep.all():
+        return p
+    return replace(p, dx=p.dx[keep], dy=p.dy[keep], r=p.r[keep], r_safe=p.r_safe[keep])
 
 
 def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -545,14 +553,107 @@ def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarr
     ``curve``: outside when the winding number, the trapezoidal sum of the
     Laplace double layer over the nodes, is below 1/2, and usable when
     also at least NEAR_FIELD_FACTOR local arclength spacings from its
-    closest node, where the plain PTR holds."""
+    closest node, where the plain PTR holds. A point that is not finite
+    is neither."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     grid, data = _nodes(curve, N)
     outside = np.empty(len(points), dtype=bool)
     usable = np.empty(len(points), dtype=bool)
-    for rows, out, ok, _ in _target_slabs(data, grid.h, points):
+    for rows, out, ok, _, _ in _target_slabs(data, grid.h, points):
         outside[rows], usable[rows] = out, ok
     return outside, usable
+
+
+def _alias_power(power: np.ndarray, s: int) -> np.ndarray:
+    """The sources' ``power`` |w_m|^2 at each distance r = 0..N/2 from the
+    frequencies j N/s, j = 1..s-1, that a sum over every s-th of the N
+    nodes aliases onto the mean, summed over j (each mode once per j)."""
+    N = len(power)
+    r = np.arange(N // 2 + 1)
+    alias = np.arange(1, s)[:, None] * (N // s)
+    out = (power[(alias + r) % N] + power[(alias - r) % N]).sum(axis=0)
+    out[0] /= 2
+    out[-1] /= 2  # N is even: +N/2 and -N/2 are one mode
+    return out
+
+
+def _aliases(data: CurveSamples, density: np.ndarray):
+    """``alias(s)``, :func:`_alias_power` of the power spectrum of the
+    sources w, w*n_x and w*n_y, w the ``density`` at the nodes ``data``
+    (tau*speed*h), from one FFT; each s is computed once, when first asked.
+
+    The kernel is linear in the source normal n, and its other factors
+    depend on the target and the node's position alone, so its sum
+    multiplies those three. The normal carries the curve's own
+    singularities (1/speed), which no target distance shows.
+    """
+    N = len(density)
+    sources = np.einsum("n...,nc->n...c", density, np.column_stack([np.ones(N), data.normal]))
+    power = (np.abs(np.fft.fft(sources, axis=0) / N) ** 2).reshape(N, -1).sum(axis=1)
+    return lru_cache(maxsize=None)(partial(_alias_power, power))
+
+
+def _strides(bie: DiscretizedBIE, tol: float, alias, p: kernels.Pairs, at, nearest):
+    """The stride s (1, 2, 4, ... dividing N) of each target of the rows
+    ``at`` of ``p``, whose nearest nodes are ``nearest``: the largest s at
+    which the sum over every s-th node, weights times s, is predicted to
+    differ from the sum over all N nodes by at most ``tol``. ``alias(s)``
+    gives the density's power at each distance r = 0..N/2 from the
+    frequencies that stride s aliases (:func:`_alias_power`).
+
+    That difference is exactly the sum over j = 1..s-1 of the discrete
+    Fourier coefficient at j N/s of kernel times density along the nodes:
+    the convolution of their spectra. The kernel's is bounded at each
+    target from its analyticity strip in the curve parameter t. A target
+    at distance d from a node of speed v and curvature k > 0 (convex
+    toward it) sees the kernel's singularity at |Im t| = log(1 + k d)/(k v),
+    that of the osculating circle, and at d/v where k <= 0. The kernel's
+    modes then decay like exp(-alpha q), alpha = 2 pi |Im t|/period,
+    beyond the q0 = |Re kappa| v period/(2 pi) of its oscillation along
+    the curve, and on the strip it grows by exp(Im kappa d), where it no
+    longer decays with Im kappa. No mode exceeds the kernel's l1 norm
+    over the nodes, its size K at the nearest node times
+    sum_n exp(-Im kappa (r_n - d)). So the envelope at q is
+    min(l1, N K exp(Im kappa d - alpha (q - q0)+)), and the prediction is
+    the root-sum-square over the density's modes m and the j N/s of
+    |w_m| times the envelope at |j N/s - m|: the modes near j N/s are
+    mostly rounding noise, of unrelated phases.
+    """
+    data, N, period = bie.data, bie.grid.N, bie.curve.period
+    kappa = complex(bie.kernel.wavenumber)
+    d = p.r[at, nearest]
+    v = data.speed[nearest]
+    kd = np.maximum(data.curvature[nearest], 0.0) * d
+    strip = d / v * np.where(kd > 0, np.log1p(kd) / np.where(kd > 0, kd, 1.0), 1.0)
+    alpha = 2 * math.pi / period * strip
+    q0 = abs(kappa.real) * v * period / (2 * math.pi)
+    closest = kernels.Pairs(
+        p.dx[at, nearest], p.dy[at, nearest], d, p.r_safe[at, nearest],
+        data.normal[nearest],
+    )
+    size = np.abs(bie.kernel.full(closest)).reshape(-1, len(at)).max(axis=0)
+    size = np.maximum(size, np.finfo(float).tiny)
+    decay = p.r[at]  # exp(-Im kappa (r_n - d)) at each node, in place
+    decay -= d[:, None]
+    decay *= -kappa.imag
+    np.exp(decay, out=decay)
+    l1 = size * decay.sum(axis=1)
+    # the squared envelope at q = 0..N/2, built in place from its log
+    square = np.arange(N // 2 + 1) - q0[:, None]
+    np.maximum(square, 0.0, out=square)
+    square *= -2 * alpha[:, None]
+    square += 2 * (np.log(N * size) + kappa.imag * d)[:, None]
+    np.minimum(square, 2 * np.log(l1)[:, None], out=square)
+    np.exp(square, out=square)
+    stride = np.ones(len(at), dtype=int)
+    s = 2
+    while N % s == 0 and s < N:
+        up = (stride == s // 2) & (np.sqrt(square @ alias(s)) <= tol)
+        if not up.any():
+            break
+        stride[up] = s
+        s *= 2
+    return stride
 
 
 def eval_field(
@@ -563,36 +664,68 @@ def eval_field(
 
     It accepts the targets that :func:`locate` finds usable on its nodes:
     inside the curve the exterior representation is not the solution.
+    The field is u = D[tau] - i*eta*S[tau] for a Helmholtz system, an (M,)
+    complex array, and the velocity S[tau] + D[tau] for a Stokes system,
+    an (M, 2) array; the value at a refused target is NaN, in both parts
+    of a complex value.
 
-    One pass over the targets decides acceptance and sums the layer
-    potentials with the plain PTR at the accepted targets; the value at a
-    refused target is NaN, in both parts of a complex value. The field is
-    u = D[tau] - i*eta*S[tau] for a Helmholtz system, an (M,) complex
-    array, and the velocity S[tau] + D[tau] for a Stokes system, an
-    (M, 2) array.
+    One pass over the targets and all N nodes decides acceptance and
+    gives each accepted target a stride s, 1, 2, 4, ... dividing N: the
+    largest at which the plain PTR over every s-th node, weights times s,
+    is predicted to differ from the sum over all N by at most the
+    rounding level eps * max|tau| of the density, the scale of the field
+    on the curve, where it is (I/2 + ...) tau. The rule (:func:`_strides`)
+    reads two things: the kernel's Fourier decay at the target, from its
+    distance to the nearest node, that node's speed and curvature and the
+    kernel's wavenumber kappa, and the density's own spectrum, from one
+    FFT per call of tau*speed*h and its products with the source normal.
+    At real kappa the kernel does not decay
+    away from the curve, so the density's tail near N/s, times the
+    kernel's full size, keeps s at 1; where the kernel decays (Im kappa > 0)
+    far targets take s = 2 or more. The tolerance is absolute: where the
+    whole field is below it, far out in a decaying wave, s reaches N/2.
+    The stride-1 targets are summed in the same pass; each other stride's
+    targets are summed after it, on the contiguous copy of every s-th node.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    weight = bie.data.speed * bie.grid.h
+    data, N, h = bie.data, bie.grid.N, bie.grid.h
+    weight = data.speed * h
     combined = bie.kernel
     if bie.kind == "helmholtz":
         density = weight * tau
 
-        def layer_sum(p):
+        def layer_sum(p, density):
             return combined.full(p) @ density
 
         values = np.full(len(targets), complex(np.nan, np.nan))
     else:
         density = tau.reshape(-1, 2) * weight[:, None]
 
-        def layer_sum(p):
+        def layer_sum(p, density):
             return np.einsum("ijmn,nj->mi", combined.full(p), density)
 
         values = np.full((len(targets), 2), np.nan)
+    alias = _aliases(data, density)
+    tol = np.finfo(float).eps * np.abs(tau).max()
     accepted = np.empty(len(targets), dtype=bool)
-    for rows, _, ok, p in _target_slabs(bie.data, bie.grid.h, targets):
+    stride = np.zeros(len(targets), dtype=int)  # 0 where refused
+    for rows, _, ok, p, nearest in _target_slabs(data, h, targets):
         accepted[rows] = ok
-        if ok.any():
-            values[rows[ok]] = layer_sum(p)
+        at = np.flatnonzero(ok)
+        if not len(at):
+            continue
+        stride[rows[at]] = _strides(bie, tol, alias, p, at, nearest[at])
+        here = stride[rows] == 1
+        if here.any():
+            values[rows[here]] = layer_sum(_rows(p, here), density)
+    for s in np.unique(stride[stride > 1]):
+        at = np.flatnonzero(stride == s)
+        pos = np.ascontiguousarray(data.pos[::s])
+        normal = np.ascontiguousarray(data.normal[::s])
+        coarse = density[::s] * s
+        for rows in quad.slabs(len(at)):
+            p = kernels.pairs(targets[at[rows], None], pos, normal)
+            values[at[rows]] = layer_sum(p, coarse)
     return values, accepted
 
 

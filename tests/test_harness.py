@@ -10,6 +10,7 @@ import re
 import shlex
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -1177,19 +1178,20 @@ def test_n_list_must_ascend_strictly(tmp_path, capsys):
 
 
 def test_kappa_floor_is_the_low_frequency_breakdown():
-    # below MIN_KAPPA = 1e-6 a resolved grid's error passes SATURATION_FLOOR
-    # (6.5e-11 at kappa = 1e-7); at the floor the zeta16 error at N = 256 is
-    # 6.7e-12, below it, though GMRES stalls above its own tolerance there
-    # and says so
+    # MIN_KAPPA = 1e-6 stays the floor of a config; with the coupling
+    # eta = max(Re kappa, 1) a sweep at the floor converges without a
+    # warning and its finest error is at rounding (4.2e-16 at N = 256)
     assert harness.MIN_KAPPA == 1e-6
     raw = {"problem": "helmholtz", "methods": [{"name": "zeta", "K": 7}]}
     for kappa in (0.99e-6, [0.0, 0.99e-6], [0.7e-6, 0.7e-6], 1e-300):
         with pytest.raises(harness.ConfigError, match="low frequency"):
             harness.load_config({**raw, "kappa": kappa, "N": [64]})
-    cfg = harness.load_config({**raw, "kappa": 1e-6, "N": [128, 256]})
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        rows, _ = harness.run_convergence(cfg)
-    assert rows[-1][3] < harness.SATURATION_FLOOR
+    for kappa in (1e-6, [0.0, 1e-6]):
+        cfg = harness.load_config({**raw, "kappa": kappa, "N": [128, 256]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, _ = harness.run_convergence(cfg)
+        assert rows[-1][3] <= 1e-13
     harness.load_config({**raw, "kappa": [0.0, 1.01e-6], "N": [64]})
 
 

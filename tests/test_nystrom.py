@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,107 @@ def test_near_field_guard():
         )
     with pytest.raises(ny.AssemblyError):
         ny.eval_stokes_velocity(bie, np.zeros(128), np.array([[3.0, 0.0]]))
+
+
+def _full_sum(bie, tau, targets):
+    """The plain PTR over all N nodes at ``targets``, the sum that
+    eval_field's strided sums are held to."""
+    p = kernels.pairs(targets[:, None], bie.data.pos, bie.data.normal)
+    weight = bie.data.speed * bie.grid.h
+    if bie.kind == "helmholtz":
+        return bie.kernel.full(p) @ (weight * tau)
+    density = tau.reshape(-1, 2) * weight[:, None]
+    return np.einsum("ijmn,nj->mi", bie.kernel.full(p), density)
+
+
+def _pairs_summed(bie):
+    """``bie`` whose kernel counts the target-node pairs it is evaluated
+    on, and the list of those counts."""
+    counts = []
+    radial = bie.kernel.radial
+
+    def counted(p):
+        counts.append(p.r.size)
+        return radial(p)
+
+    return dataclasses.replace(bie, kernel=bie.kernel._replace(radial=counted)), counts
+
+
+def _decaying_wave(N=512, kappa=12.5 + 10j):
+    """A solved combined-field system on the star: the field of a point
+    source inside it, and field targets from 0.1 to 2.4 outside it."""
+    bie = ny.assemble_helmholtz(STAR, N, helmholtz_constants(kappa), build_log_stencil(7))
+    source = np.array([[0.2, -0.1]])
+    rhs = harness.known_solution(kappa, source, np.array([1.0]), bie.data.pos)
+    tau = ny.solve_gmres(bie.matrix, rhs).solution
+    angle = np.linspace(0, 2 * math.pi, 37)[:-1]
+    radius = 1.0 + 0.3 * np.cos(5 * angle)
+    targets = np.concatenate(
+        [np.stack([(radius + d) * np.cos(angle), (radius + d) * np.sin(angle)], axis=1)
+         for d in (0.1, 0.2, 0.4, 0.8, 1.6, 2.4)]
+    )
+    return bie, tau, targets
+
+
+@pytest.mark.parametrize("kappa", [12.5 + 10j, 12.5])
+def test_far_targets_on_every_sth_node_match_the_full_sum(kappa):
+    # eval_field sums a far target over every s-th node: within 1e-15 of
+    # the largest |u| of the full N-node sum; where the kernel decays
+    # (Im kappa > 0) it strides, at real kappa the density's tail keeps s = 1
+    bie, tau, targets = _decaying_wave(kappa=kappa)
+    counted, counts = _pairs_summed(bie)
+    values, accepted = ny.eval_field(counted, tau, targets)
+    full = _full_sum(bie, tau, targets[accepted])
+    assert accepted.sum() > 150
+    assert np.abs(values[accepted] - full).max() <= 1e-15 * np.abs(full).max()
+    # the pairs of the field sums, past the acceptance pass's one per target
+    summed = sum(counts) - accepted.sum()
+    if kappa.imag:
+        assert summed < accepted.sum() * 512
+    else:
+        assert summed == accepted.sum() * 512
+
+
+@pytest.mark.parametrize("k", [128, 256])
+def test_stride_reads_the_density_tail(k):
+    # a density mode at |k| = N/4 or N/2, as large as the density: a sum
+    # over every s-th node aliases N/s onto the mean, so the rule must not
+    # take s = 4, or s = 2 for k = N/2, however far the target
+    bie, tau, targets = _decaying_wave()
+    planted = tau + np.abs(tau).max() * np.exp(2j * math.pi * k * np.arange(512) / 512)
+    counted, counts = _pairs_summed(bie)
+    values, accepted = ny.eval_field(counted, planted, targets)
+    full = _full_sum(bie, planted, targets[accepted])
+    assert np.abs(values[accepted] - full).max() <= 1e-15 * np.abs(full).max()
+    if k == 256:
+        assert sum(counts) - accepted.sum() == accepted.sum() * 512
+
+
+@pytest.mark.parametrize("kappa", [12.5 + 10j, 12.5])
+def test_stride_reads_the_kernel_decay(kappa):
+    # a density whose weight tau*speed*h is one low mode has no tail: the
+    # kernel's own decay at the target, from its distance, decides alone
+    bie, _, targets = _decaying_wave(kappa=kappa)
+    tau = np.exp(3j * bie.data.t) / bie.data.speed
+    values, accepted = ny.eval_field(bie, tau, targets)
+    full = _full_sum(bie, tau, targets[accepted])
+    assert np.abs(values[accepted] - full).max() <= 1e-15 * np.abs(full).max()
+
+
+def test_non_finite_targets_are_refused_quietly():
+    # +-inf, like NaN, is neither outside nor usable: mask 0 and NaN values,
+    # with no warning from the pairs or the stride rule
+    bie, tau, _ = _decaying_wave(N=128)
+    targets = np.array(
+        [[np.inf, 0.0], [0.0, -np.inf], [np.inf, np.inf], [np.nan, 1.0], [2.5, 0.0]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outside, usable = ny.locate(STAR, 128, targets)
+        values, accepted = ny.eval_field(bie, tau, targets)
+    assert outside.tolist() == usable.tolist() == accepted.tolist() == [False] * 4 + [True]
+    assert np.isnan(values[:4].real).all() and np.isnan(values[:4].imag).all()
+    assert np.isfinite(values[4])
 
 
 def test_stokes_flow_far_field_decay():
