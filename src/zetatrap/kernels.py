@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -139,11 +140,33 @@ class Kernel(NamedTuple):
 
 
 def pairs(targets, sources, src_normal=None, tgt_normal=None) -> Pairs:
-    """Pairs of ``targets`` and ``sources``, (..., 2) arrays that broadcast."""
+    """Pairs of ``targets`` and ``sources``, (..., 2) arrays that broadcast.
+
+    r is sqrt(dx*dx + dy*dy), within eps of the exact length. numpy's
+    square root is a vector loop, and the whole formula takes a few ns a
+    pair on the benchmark machine (perfbench/README.md), where np.hypot,
+    which has no vector loop there, took about 30 ns. Where the sum of
+    squares is not a normal float, r is np.hypot(dx, dy) and keeps
+    hypot's range: past about 1.3e154 the sum overflows, below about
+    1.5e-154 it loses digits or underflows to 0, and NaN stays NaN. One
+    reduction finds whether a call has such entries; the coincident
+    pairs of a fill are among them, and hypot gives them 0.
+    """
     dx = targets[..., 0] - sources[..., 0]
     dy = targets[..., 1] - sources[..., 1]
-    r = np.hypot(dx, dy)
-    return Pairs(dx, dy, r, np.where(r > 0, r, 1.0), src_normal, tgt_normal)
+    with np.errstate(over="ignore", under="ignore"):
+        square = dx * dx
+        square += dy * dy
+    normal = square >= sys.float_info.min
+    # out= an array: the square of 0-d inputs is a numpy scalar
+    r = np.sqrt(square, out=np.asarray(square))
+    r_safe = np.where(normal, r, np.nan)
+    if not np.max(r_safe, initial=0.0) < math.inf:
+        odd = ~(r_safe < math.inf)
+        exact = np.hypot(dx[odd], dy[odd])
+        r[odd] = exact
+        r_safe[odd] = np.where(exact > 0, exact, 1.0)
+    return Pairs(dx, dy, r, r_safe, src_normal, tgt_normal)
 
 
 def _along(p: Pairs, normal) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 
@@ -31,6 +32,48 @@ def test_pairs_and_coincident_values():
     assert np.isfinite(helm.full(same))
     assert abs(helm.phi(same) - 1 / (2 * math.pi)) <= 1e-16
     assert np.allclose(kn.stokes_s().phi(same), np.eye(2) / (4 * math.pi), atol=1e-16)
+
+
+def test_pairs_distance_is_within_eps_of_hypot():
+    # r = sqrt(dx*dx + dy*dy) is within eps of the exact length at every
+    # scale a curve meets, for arrays and for 0-d inputs alike
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.uniform(-3, 3, (100_000, 1))
+    targets = rng.standard_normal((100_000, 2)) * scale
+    sources = rng.standard_normal((100_000, 2)) * scale
+    p = kn.pairs(targets, sources)
+    exact = np.array([math.hypot(x, y) for x, y in zip(p.dx.tolist(), p.dy.tolist())])
+    assert np.all(np.abs(p.r - exact) <= np.finfo(float).eps * exact)
+    assert np.array_equal(p.r_safe, p.r)
+    point = kn.pairs(np.array([3.0, 4.0]), np.array([0.0, 0.0]))
+    assert np.ndim(point.r) == np.ndim(point.r_safe) == 0
+    assert point.r == point.r_safe == 5.0
+    same = kn.pairs(np.array([0.5, -2.0]), np.array([0.5, -2.0]))
+    assert same.r == 0.0 and same.r_safe == 1.0
+
+
+def test_pairs_keep_hypots_range():
+    # where dx*dx + dy*dy overflows, underflows or is not a normal float,
+    # r is np.hypot's value bit for bit, with no warning; the other
+    # entries of the same call keep the square root
+    tiny, huge = 1e-170, 1e200
+    targets = np.array(
+        [[huge, 0.0], [1e160, 1e160], [-huge, huge], [tiny, tiny], [3e-160, 0.0],
+         [1e-200, -1e-200], [0.0, 0.0], [1.0, 1.0], [3.0, -4.0]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = kn.pairs(targets, np.zeros(2))
+    ref = np.hypot(targets[:, 0], targets[:, 1])
+    assert np.array_equal(p.r[:7], ref[:7])
+    assert np.array_equal(p.r[7:], np.sqrt((targets[7:] ** 2).sum(axis=1)))
+    assert np.all(np.isfinite(p.r)) and np.all(p.r[:6] > 0)
+    assert np.array_equal(p.r_safe, np.where(ref > 0, ref, 1.0))
+    odd = np.array([[np.nan, 1.0], [np.inf, np.nan], [np.inf, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = kn.pairs(odd, np.zeros(2))
+    assert np.isnan(q.r[0]) and q.r[1] == q.r[2] == np.inf
 
 
 def test_laplace_slp_value():

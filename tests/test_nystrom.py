@@ -365,6 +365,39 @@ def test_stride_reads_the_kernel_decay(kappa):
     assert np.abs(values[accepted] - full).max() <= 1e-15 * np.abs(full).max()
 
 
+def _stride_one(bie, tol, alias, p, at, nearest):
+    return np.ones(len(at), dtype=int)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    amp_frac=hst.floats(0.3, 0.5),
+    lobes=hst.integers(3, 7),
+    N=hst.sampled_from([256, 512, 1024]),
+    re=hst.floats(2.0, 15.0),
+    im=hst.floats(2.0, 20.0),
+)
+def test_strides_hold_on_sharper_stars(amp_frac, lobes, N, re, im):
+    # the stride rule bounds the kernel's strip by the osculating circle
+    # at the nearest node, which is wider than the true strip facing a
+    # valley; on stars with deeper valleys than the default, targets off
+    # every valley and crest at distances 0.05 to 3.2 still come within
+    # 1e-15 max|tau| of the sum over all N nodes, with the same mask
+    curve = star_curve(1.0, amp_frac, lobes)
+    kappa = complex(re, im)
+    bie = ny.assemble_helmholtz(curve, N, helmholtz_constants(kappa), build_log_stencil(3))
+    rhs = harness.known_solution(kappa, np.array([[0.1, -0.05]]), np.array([1.0]), bie.data.pos)
+    tau = ny.solve_gmres(bie.matrix, rhs).solution
+    foot = sample(curve, np.arange(6 * lobes) * (math.pi / (3 * lobes)) + math.pi / lobes)
+    d = 0.05 * 2.0 ** np.arange(7)
+    targets = (foot.pos[:, None] + d[:, None] * foot.normal[:, None]).reshape(-1, 2)
+    values, accepted = ny.eval_field(bie, tau, targets)
+    with mock.patch.object(ny, "_strides", _stride_one):
+        full, every = ny.eval_field(bie, tau, targets)
+    assert np.array_equal(accepted, every) and accepted.any()
+    assert np.abs(values[accepted] - full[accepted]).max() <= 1e-15 * np.abs(tau).max()
+
+
 def test_non_finite_targets_are_refused_quietly():
     # +-inf, like NaN, is neither outside nor usable: mask 0 and NaN values,
     # with no warning from the pairs or the stride rule
@@ -379,6 +412,34 @@ def test_non_finite_targets_are_refused_quietly():
     assert outside.tolist() == usable.tolist() == accepted.tolist() == [False] * 4 + [True]
     assert np.isnan(values[:4].real).all() and np.isnan(values[:4].imag).all()
     assert np.isfinite(values[4])
+
+
+def test_far_targets_come_back_finite():
+    # targets far past the curve, where dx*dx + dy*dy overflows: accepted,
+    # with no warning. Past Im(kappa) r = 700 the Hankel functions are
+    # below e^{-700} and the decaying wave is 0; at real kappa the field
+    # is finite; the Stokes field is the sum over hypot's distances, bit
+    # for bit
+    targets = np.array([[1e100, 0.0], [1e160, 1e160], [1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kappa in (12.5 + 10j, 12.5):
+            bie, tau, _ = _decaying_wave(N=128, kappa=kappa)
+            values, accepted = ny.eval_field(bie, tau, targets)
+            assert accepted.all()
+            if kappa.imag:
+                assert np.all(values == 0)
+            else:
+                assert np.all(np.isfinite(values))
+        stokes = ny.assemble_stokes(STAR, 128, build_log_stencil(7))
+        velocity, accepted = ny.eval_field(stokes, np.ones(256), targets)
+    assert accepted.all()
+    d = targets[:, None] - stokes.data.pos
+    r = np.hypot(d[..., 0], d[..., 1])
+    p = kernels.Pairs(d[..., 0], d[..., 1], r, r, stokes.data.normal)
+    density = np.repeat((stokes.data.speed * stokes.grid.h)[:, None], 2, axis=1)
+    assert np.array_equal(velocity, np.einsum("ijmn,nj->mi", stokes.kernel.full(p), density))
+    assert velocity[2, 0] == pytest.approx(-329.7339061384, abs=1e-9)
 
 
 def test_stokes_flow_far_field_decay():

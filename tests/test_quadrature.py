@@ -100,9 +100,8 @@ def test_band_locality():
     data = sample(STAR, g.nodes)
     A = quad.laplace_slp_matrix(STAR, g, build_log_stencil(K))
     for m in (0, 10, 63):
-        rvec = data.pos[m] - data.pos
-        r = np.hypot(rvec[:, 0], rvec[:, 1])
-        plain = -np.log(np.where(r > 0, r, 1.0)) * data.speed * g.h
+        r = kernels.pairs(data.pos[m], data.pos).r_safe
+        plain = -np.log(r) * data.speed * g.h
         band = {(m + j) % g.N for j in range(-K, K + 1)}
         for n in range(g.N):
             if n not in band:
@@ -128,9 +127,7 @@ def test_corrected_matrix_is_ptr_plus_band(base, amp_frac, lobes, K, N, slab):
     with mock.patch.object(quad, "SLAB_ROWS", slab):
         A = quad.laplace_slp_matrix(curve, g, stencil)
     data = sample(curve, g.nodes)
-    d = data.pos[:, None, :] - data.pos[None, :, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    np.fill_diagonal(r, 1.0)
+    r = kernels.pairs(data.pos[:, None], data.pos).r_safe
     plain = -np.log(r) * data.speed * g.h
     lag = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
     dist = np.minimum(lag, N - lag)
