@@ -669,7 +669,9 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     Im u, mask) for Helmholtz and (x, y, u1, u2, mask) for Stokes, the
     velocity with the background flow added. mask=1 flags points inside the curve or within
     the near-field cutoff (see :func:`nystrom.eval_field`), whose values
-    are emitted as NaN. Only the first configured method runs. The grid
+    are emitted as NaN. Only the first configured method runs; a solve
+    that does not converge emits a RuntimeWarning naming the method, N and
+    the relative residual, and its values are kept. The grid
     needs nx, ny >= 1, finite bounds and at most MAX_SYSTEM_BYTES for its
     points; anything else is a ConfigError, raised before the grid is made.
     """
@@ -697,7 +699,9 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
         cfg,
         methods,
         [N],
-        lambda i, bie: nystrom.eval_field(bie, _solve(cfg, bie).solution, pts),
+        lambda i, bie: nystrom.eval_field(
+            bie, _solve(cfg, bie, label=methods[0].label).solution, pts
+        ),
     )
     vals = cfg.data.columns(pts, vals)
     return [

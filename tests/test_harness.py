@@ -490,6 +490,28 @@ def test_warm_stop_changes_no_converged_flag(monkeypatch):
     assert warm == cold
 
 
+def test_field_warns_when_gmres_does_not_converge(monkeypatch):
+    # a field whose GMRES does not converge says so once, naming the
+    # method, N and the residual, and still returns its values
+    solve = nystrom.solve_gmres
+
+    def unconverged(A, rhs, tol=nystrom.GMRES_TOL, x0=None):
+        return dataclasses.replace(solve(A, rhs, tol, x0=x0), converged=False)
+
+    monkeypatch.setattr(nystrom, "solve_gmres", unconverged)
+    cfg = harness.default_helmholtz_config(
+        12.5 + 10j, methods=[{"name": "zeta", "K": 2}], N=[64]
+    )
+    with pytest.warns(RuntimeWarning) as record:
+        rows = harness.run_field(cfg, dict(_GRID), N=64)
+    assert len(record) == 1
+    assert re.fullmatch(
+        r"zeta6 at N=64: GMRES did not converge, relative residual \S+",
+        str(record[0].message),
+    )
+    assert len(rows) == _GRID["nx"] * _GRID["ny"]
+
+
 def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
     # H^(1) at a negative real argument needs the principal branch, which
     # the real Bessel routines (Y of a negative is NaN) do not give.

@@ -9,6 +9,7 @@ the complex jv/hankel1.
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -213,6 +214,7 @@ RAYS = (1e-3, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2 - 1e-3)
 def test_hankel01_expansion_matches_mpmath(monkeypatch):
     assert specfun.HANKEL_ASYMPTOTIC_MIN_ABS == 20.0
     assert specfun.HANKEL_ASYMPTOTIC_TERMS == 20
+    assert specfun.HANKEL_ASYMPTOTIC_DEGREE == 10
     # |z| in [20, 60] on rays with arg z in [0, pi/2], points just above
     # |z| = 20, and |z| = 20 on three rays
     rays = [(a, np.linspace(20, 60, 4)) for a in np.linspace(0, math.pi / 2, 4)]
@@ -226,6 +228,157 @@ def test_hankel01_expansion_matches_mpmath(monkeypatch):
     monkeypatch.setattr(specfun, "hankel1_array", refuse)
     for pair, (_, r) in zip(pairs, rays):
         assert _worst_against_mpmath(pair.kappa, r, pair(np.array(r))) <= 2e-15
+
+
+def _mp_hankel1_via_k(order, z):
+    """H^(1)_nu(z) = (2/pi) i^(-nu-1) K_nu(-iz) (DLMF 10.27.8) at 40
+    digits. K at Re(-iz) = Im z >= 0 cancels nothing, so no digits are
+    added for Im z: mpmath's hankel1 needs about 670 at Im z = 700, and
+    half a minute a point."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z.imag, -z.real)  # -iz
+        return complex(2 / mpmath.pi * (1j) ** (-order - 1) * mpmath.besselk(order, w))
+
+
+def test_hankel01_expansion_at_large_argument(monkeypatch):
+    # a shallow ray out to |z| = 1e6, past which Re z leaves the range of
+    # the e^{i theta} table (points on both sides of that bound), and a
+    # steep ray up to Im z = 700, the last point before both orders are 0
+    shallow = 16 + 1e-3j
+    edge = specfun._CIS_MAX_ABS / shallow.real  # Re(shallow * edge) = the bound
+    steep = cmath.exp(1j * (math.pi / 2 - 1e-3))
+    rays = [
+        (shallow, np.logspace(2, 6, 13) / abs(shallow)),
+        (shallow, edge * np.array([1 - 1e-13, 1, 1 + 1e-13, 1.5])),
+        (steep, np.linspace(20, 700, 9) / steep.imag),
+    ]
+    # the reference against mpmath's hankel1 where that is cheap
+    for z in (shallow * 100 / abs(shallow), steep * 40):
+        for order in (0, 1):
+            ref = _mp_hankel1(order, z)
+            assert abs(_mp_hankel1_via_k(order, z) - ref) <= 1e-30 * abs(ref)
+
+    pairs = [specfun.Hankel01(kappa) for kappa, _ in rays]
+
+    def refuse(order, z):
+        raise AssertionError("a point in the expansion's region reached scipy")
+
+    monkeypatch.setattr(specfun, "hankel1_array", refuse)
+    for evaluate, (kappa, r) in zip(pairs, rays):
+        pair = evaluate(r)
+        z = kappa * r
+        for order, h in enumerate(pair):
+            ref = np.array([_mp_hankel1_via_k(order, t) for t in z])
+            assert np.max(np.abs(h - ref) / np.abs(ref)) <= 2e-15
+
+
+def test_economization_matrix_and_tail():
+    # each row is the interpolant of s^k at the Chebyshev points of [0, 1],
+    # against a Vandermonde solve in mpmath; dropping the series' terms
+    # past the degree that way moves it by at most 1.5e-17 of a_0 on [0, 1]
+    M = specfun._economization()
+    n = specfun.HANKEL_ASYMPTOTIC_DEGREE + 1
+    assert M.shape == (specfun.HANKEL_ASYMPTOTIC_TERMS, n)
+    assert not M.flags.writeable
+    with mpmath.workdps(50):
+        angles = [(2 * j + 1) * mpmath.pi / (2 * n) for j in range(n)]
+        nodes = [(1 + mpmath.cos(a)) / 2 for a in angles]
+        V = mpmath.matrix([[x**m for m in range(n)] for x in nodes])
+        for k, row in enumerate(M):
+            ref = mpmath.lu_solve(V, mpmath.matrix([x**k for x in nodes]))
+            ref = np.array([float(c) for c in ref])
+            # the solve leaves about 1e-49 where the row is 0
+            assert np.all(np.abs(row - ref) <= np.spacing(np.abs(ref)) + 1e-40)
+    s = np.linspace(0, 1, 20001)
+    powers = s[:, None] ** np.arange(specfun.HANKEL_ASYMPTOTIC_TERMS)
+    dropped = np.max(np.abs(powers - powers[:, :n] @ M.T), axis=0)
+    for nu in (0, 1):
+        a = specfun._HANKEL_A[nu]
+        k = np.arange(a.size)
+        tail = np.sum(np.abs(a) * 20.0**-k * dropped)
+        assert tail <= 1.5e-17 * abs(a[0])
+
+
+def test_hankel01_builds_without_mpmath_at_a_new_kappa(monkeypatch):
+    # the tables every kappa shares are made once, on first use; a kernel
+    # is built every round at its own kappa, and no mpmath runs then
+    r = np.linspace(0.05, 4.0, 400)
+    specfun.Hankel01(12.5 + 10j)(r)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath ran")
+
+    monkeypatch.setattr(mpmath, "MPContext", refuse)
+    h0, h1 = specfun.Hankel01(7.25 + 3.5j)(r)  # all three routes
+    assert np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))
+
+
+# --- e^{i theta} from a table ------------------------------------------------
+
+
+def test_cis_table_is_correctly_rounded():
+    table, parts = specfun._cis_table()
+    steps = specfun._CIS_STEPS
+    assert table.shape == (steps,) and not table.flags.writeable
+    # each entry on its own, not by the octant symmetries the table uses
+    with mpmath.workdps(60):
+        for k, t in enumerate(table):
+            x = mpmath.mpf(2 * k) / steps
+            assert t.real == float(mpmath.cospi(x))
+            assert t.imag == float(mpmath.sinpi(x))
+        step = 2 * mpmath.pi / steps
+        assert abs(sum(mpmath.mpf(p) for p in parts) - step) <= step * 2.0**-100
+    for p in parts[:2]:  # few bits, so that k p is exact
+        assert math.frexp(p)[0] * 2**specfun._CIS_SPLIT_BITS % 1 == 0
+
+
+def test_cis_matches_mpmath():
+    # random phases up to the bound, the midpoints between two table
+    # points, where the reduction moves to the next point, with their
+    # neighbours, and points at the bound; and their negatives
+    bound, steps = specfun._CIS_MAX_ABS, specfun._CIS_STEPS
+    rng = np.random.default_rng(5)
+    middles = (rng.integers(0, bound * steps / (2 * math.pi), 100) + 0.5) * (
+        2 * math.pi / steps
+    )
+    theta = np.concatenate(
+        [
+            rng.uniform(0, bound, 300),
+            rng.uniform(0, 100, 100),
+            np.nextafter(middles, 0),
+            middles,
+            np.nextafter(middles, math.inf),
+            [0.0, 1e-300, np.nextafter(bound, 0), bound],
+        ]
+    )
+    theta = np.concatenate([theta, -theta])
+    out = specfun._cis(theta)
+    with mpmath.workdps(40):
+        cos = np.array([float(mpmath.cos(mpmath.mpf(t))) for t in theta])
+        sin = np.array([float(mpmath.sin(mpmath.mpf(t))) for t in theta])
+    assert np.max(np.abs(out.real - cos)) <= 2.5e-16
+    assert np.max(np.abs(out.imag - sin)) <= 2.5e-16
+
+
+def test_cis_outside_the_bound_is_numpys():
+    # past the bound and at inf and NaN, numpy's cos and sin bit for bit,
+    # with their warnings and none more (converting inf to an index warns)
+    bound = specfun._CIS_MAX_ABS
+    far = np.array([np.nextafter(bound, math.inf), 2 * bound, 1e10, 1e300])
+    theta = np.concatenate([far, -far, [math.inf, -math.inf, math.nan, 1.0, -bound]])
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        out = specfun._cis(theta)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        cos, sin = np.cos(theta), np.sin(theta)
+    assert [(w.category, str(w.message)) for w in got] == [
+        (w.category, str(w.message)) for w in want
+    ]
+    outside = slice(0, -2)
+    assert np.array_equal(out.real[outside].view(np.int64), cos[outside].view(np.int64))
+    assert np.array_equal(out.imag[outside].view(np.int64), sin[outside].view(np.int64))
+    assert specfun._cis(np.array([])).shape == (0,)
 
 
 def test_hankel01_table_constants_and_build():
