@@ -6,8 +6,9 @@ CSV-ready rows; the CLI module handles argument parsing and file output.
 Method names live here only, to read a config and label rows: a method
 is a label and a stencil, none for the Kress rule, and a zeta rule is
 chosen by its K alone. A problem's boundary data is one object
-(:class:`PointSources`, :class:`ShearFlow`) that names its problem, so
-no driver asks which problem it runs. Every driver checks each N with
+(:class:`PointSources`, :class:`ShearFlow`) that names its problem and
+the kernel its systems are assembled from, so no driver asks which
+problem it runs. Every driver checks each N with
 :func:`_check_n` and builds its systems with
 :func:`~zetatrap.nystrom.on_each_system`: a sweep passes its whole N
 list, whose largest fill the coarser N slice, table1, field and the
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import kernels, nystrom, quadrature
 from .geometry import ParametricCurve, curve_from_descriptor, sample
-from .kernels import helmholtz_constants
 from .zetaweights import CorrectionStencil, build_log_stencil
 
 __all__ = [
@@ -96,9 +96,10 @@ class QuadratureMethod:
 class PointSources:
     """Helmholtz boundary data: the field of interior point sources, the
     exact exterior solution (:func:`known_solution`). A data object has
-    its ``problem``, config ``keys``, ``read``, ``check``, Dirichlet data
-    ``boundary``, ``exact`` field or None, total ``field`` at accepted
-    targets, and a field row's two ``columns`` and ``header``.
+    its ``problem``, config ``keys``, ``read``, ``check``, the ``kernel``
+    whose system it is solved on, Dirichlet data ``boundary``, ``exact``
+    field or None, total ``field`` at accepted targets, and a field row's
+    two ``columns`` and ``header``.
     """
 
     kappa: complex
@@ -119,6 +120,10 @@ class PointSources:
         if strengths.shape != (len(sources),):
             raise ConfigError("strengths must list one number per source")
         return cls(kappa, sources, strengths)
+
+    def kernel(self) -> kernels.Kernel:
+        """The combined-field kernel D - i eta S at the data's kappa."""
+        return kernels.helmholtz_combined(self.kappa)
 
     def check(self, curve: ParametricCurve, N: int, targets: np.ndarray):
         """Raise ConfigError unless every source lies inside the N-node
@@ -166,6 +171,10 @@ class ShearFlow:
             )
         return cls(rate)
 
+    def kernel(self) -> kernels.Kernel:
+        """The combined Stokes kernel S + D."""
+        return kernels.stokes_combined()
+
     def check(self, curve: ParametricCurve, N: int, targets: np.ndarray):
         """Nothing to place: the flow has no sources."""
 
@@ -186,7 +195,8 @@ class ShearFlow:
 @dataclass(frozen=True)
 class ProblemConfig:
     """Full experiment description (JSON-loadable): the boundary ``data``
-    a BIE is solved for, which names the ``problem`` nystrom assembles."""
+    a BIE is solved for, which names its ``problem`` and the kernel
+    nystrom assembles."""
 
     curve: ParametricCurve
     data: PointSources | ShearFlow
@@ -355,13 +365,14 @@ MAX_SYSTEM_BYTES = 2 * 2**30
 
 def _check_n(cfg: ProblemConfig, methods, N: int):
     """Raise ConfigError unless each of ``methods`` can run on N nodes: its
-    rule fits N and the problem (:func:`~zetatrap.nystrom._check_rule`),
+    rule fits N and the data's kernel (:func:`~zetatrap.nystrom._check_rule`),
     at least MIN_POINTS_PER_WAVELENGTH per wavelength 2 pi/|Re kappa|
     along the curve (Stokes and Re kappa = 0 pass), at most
     MAX_SYSTEM_BYTES."""
+    kernel = cfg.data.kernel()
     for method in methods:
         try:
-            nystrom._check_rule(cfg.problem, N, method.stencil)
+            nystrom._check_rule(kernel, N, method.stencil)
         except (quadrature.GridError, nystrom.AssemblyError) as exc:
             raise ConfigError(f"{method.label}: {exc}") from None
     kappa = cfg.kappa
@@ -382,7 +393,7 @@ def _check_memory(cfg: ProblemConfig, methods, n_list):
     """Raise ConfigError unless the dense systems that the run of
     ``methods`` over ``n_list`` holds at once fit in MAX_SYSTEM_BYTES."""
     stencils = [m.stencil for m in methods]
-    held = nystrom.held_bytes(cfg.problem, n_list, stencils)
+    held = nystrom.held_bytes(cfg.data.kernel(), n_list, stencils)
     if held > MAX_SYSTEM_BYTES:
         raise ConfigError(
             f"N={list(n_list)} needs {held / 2**30:.3g} GiB of dense "
@@ -518,11 +529,10 @@ def fit_eoc(n_values, errors, floor: float = SATURATION_FLOOR):
 
 
 def _systems(cfg: ProblemConfig, methods, n_list, measure) -> list:
-    """:func:`~zetatrap.nystrom.on_each_system` for the config's problem."""
-    consts = None if cfg.kappa is None else helmholtz_constants(cfg.kappa)
+    """:func:`~zetatrap.nystrom.on_each_system` for the data's kernel."""
     stencils = [m.stencil for m in methods]
     return nystrom.on_each_system(
-        cfg.problem, cfg.curve, n_list, consts, stencils, measure
+        cfg.data.kernel(), cfg.curve, n_list, stencils, measure
     )
 
 
@@ -538,7 +548,7 @@ def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveRepo
         rep = nystrom.solve_gmres(bie.matrix, rhs)
     else:
         # one row per node: (M, 2) for the node-major Stokes density
-        per_node = start.reshape(-1, len(rhs) // bie.grid.N)
+        per_node = start.reshape(-1, bie.kernel.components)
         x0 = nystrom.resample_density(per_node, bie.grid.N).ravel()
         rep = nystrom.solve_gmres(bie.matrix, rhs, tol=nystrom.GMRES_WARM_TOL, x0=x0)
     if label is not None and not rep.converged:

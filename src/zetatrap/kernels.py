@@ -38,6 +38,9 @@ the pair (m, n) and its mirror (n, m):
   for Laplace and Stokes. Along the curve the kernel oscillates with
   Re kappa and decays with Im kappa; the off-curve evaluator reads both
   to bound the kernel's Fourier modes at a target.
+- ``components`` and ``dtype``: the unknowns per node (2 for the Stokes
+  kernels, else 1) and the type of the kernel's values (complex for the
+  Helmholtz kernels, else float), which size and type its matrices.
 
 Neither ``full_of`` nor ``phi_of`` writes into its factors.
 
@@ -56,6 +59,7 @@ arrays with two leading component axes (i, j).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -129,6 +133,8 @@ class Kernel(NamedTuple):
     limit: Callable[[CurveSamples], np.ndarray]
     phi_in_radial: Callable[[tuple], tuple] | None = None
     wavenumber: complex = 0.0
+    components: int = 1
+    dtype: type = float
 
     def full(self, p: Pairs) -> np.ndarray:
         """The kernel at every pair."""
@@ -272,6 +278,7 @@ def helmholtz_s(kappa: complex) -> Kernel:
         limit=lambda s: np.full(s.speed.shape, c),
         phi_in_radial=_real_parts if isinstance(k, float) else None,
         wavenumber=complex(kappa),
+        dtype=complex,
     )
 
 
@@ -289,6 +296,7 @@ def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
         limit=lambda s: s.c0,
         phi_in_radial=_real_parts if isinstance(k, float) else None,
         wavenumber=complex(kappa),
+        dtype=complex,
     )
 
 
@@ -329,14 +337,15 @@ def helmholtz_combined(kappa: complex) -> Kernel:
     """Combined-field kernel D - i eta S, eta = combined_field_coupling(kappa).
 
     Its radial factors are H0 and H1 from one call of a
-    :class:`~zetatrap.specfun.Hankel01` made with the kernel (at complex
-    kappa that builds the Hankel table of its ray), and those of phi are
+    :class:`~zetatrap.specfun.Hankel01` made at the kernel's first use (at
+    complex kappa that builds the Hankel table of its ray, which a kernel
+    that only checks or sizes a system never needs), and those of phi are
     J0 and J1; phi and the limit are those of :func:`helmholtz_d` and
     :func:`helmholtz_s`, combined. At real positive kappa the real route
     gives H = J + iY, and ``phi_in_radial`` takes J0 and J1 from it.
     """
     k = _wavenumber(kappa)
-    hankel01 = Hankel01(k)
+    hankel01 = functools.cache(lambda: Hankel01(k))
     s, d = helmholtz_s(kappa), helmholtz_d(kappa)
     coupling = -1j * combined_field_coupling(kappa)
 
@@ -347,13 +356,14 @@ def helmholtz_combined(kappa: complex) -> Kernel:
         return out
 
     return Kernel(
-        radial=lambda p: hankel01(p.r_safe),
+        radial=lambda p: hankel01()(p.r_safe),
         full_of=full_of,
         phi_radial=lambda p: tuple(bessel_j_array(n, k * p.r) for n in (0, 1)),
         phi_of=lambda p, g: d.phi_of(p, g[1:]) + coupling * s.phi_of(p, g[:1]),
         limit=lambda data: d.limit(data) + coupling * s.limit(data),
         phi_in_radial=_real_parts if isinstance(k, float) else None,
         wavenumber=complex(kappa),
+        dtype=complex,
     )
 
 
@@ -369,6 +379,7 @@ def stokes_s() -> Kernel:
         phi_radial=_no_factors,
         phi_of=lambda p, g: _eye(p) * np.ones_like(p.r) / (4 * math.pi),
         limit=lambda s: _tt(s) / (4 * math.pi),
+        components=2,
     )
 
 
@@ -386,6 +397,7 @@ def stokes_d() -> Kernel:
         phi_radial=_no_factors,
         phi_of=lambda p, g: np.zeros((2, 2) + np.shape(p.r)),
         limit=lambda s: (-s.curvature / 2) * _tt(s) / math.pi,
+        components=2,
     )
 
 
@@ -421,4 +433,5 @@ def stokes_combined() -> Kernel:
         phi_radial=_no_factors,
         phi_of=s.phi_of,
         limit=lambda data: s.limit(data) + d.limit(data),
+        components=2,
     )

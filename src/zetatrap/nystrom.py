@@ -1,26 +1,24 @@
-"""Nystrom systems for the Helmholtz and Stokes boundary integral equations.
+"""Nystrom systems of a layer-potential kernel on a smooth closed curve.
 
-Exterior Dirichlet Helmholtz uses the combined-field representation
-u = D[tau] - i*eta*S[tau], giving the second-kind system
-(I/2 + D - i*eta*S) tau = f. The coupling eta must be real for the
-operator to stay uniformly well conditioned when Im kappa > 0; we take
-eta = max(Re kappa, 1) (max(|kappa|, 1) for purely imaginary kappa), see
-:func:`~zetatrap.kernels.combined_field_coupling`.
-Exterior Stokes flow past a body uses the combined single-plus-double
-representation with the system (I/2 + S + D) tau = -u_inf.
+A system is I/2 plus the matrix of one :class:`~zetatrap.kernels.Kernel`
+under one quadrature rule: the kernel's ``components`` and ``dtype``
+size it (node-major unknowns, 2N for Stokes), and the off-curve
+evaluators sum the kernel it was assembled from. nystrom names no
+problem and no method. The experiments' two systems are exterior
+Dirichlet Helmholtz, (I/2 + D - i*eta*S) tau = f of the combined-field
+kernel (:func:`~zetatrap.kernels.helmholtz_combined`, whose real eta
+keeps it well conditioned when Im kappa > 0), and exterior Stokes flow
+past a body, (I/2 + S + D) tau = -u_inf of
+:func:`~zetatrap.kernels.stokes_combined`.
 
-Each system is assembled in one pass of its combined kernel
-(:func:`~zetatrap.kernels.helmholtz_combined` or
-:func:`~zetatrap.kernels.stokes_combined`) into one dense matrix, with
-I/2 added to its diagonal in place; the off-curve evaluators sum the
-kernel the system was assembled from. Every system is the PTR fill, the
-plain trapezoidal matrix, with its rule's correction applied on it. The
-stencil alone picks the rule: a zeta stencil and one read from an
-external table add the same sparse band and diagonal, for either
-system, and no stencil is Kress's spectral rule (Helmholtz only), a
-dense correction that reads Kress's pair factor phi*speed, which a fill
-keeps beside its matrix when a rule at its N is Kress. :func:`_check_rule`
-is the one check of which rule fits which N, before anything is filled.
+Every system is the PTR fill, the plain trapezoidal matrix, with its
+rule's correction applied on it. The stencil alone picks the rule: a
+zeta stencil and one read from an external table add the same sparse
+band and diagonal, and no stencil is Kress's spectral rule (kernels of
+one component), a dense correction that reads Kress's pair factor
+phi*speed, which a fill keeps beside its matrix when a rule at its N is
+Kress. :func:`_check_rule` is the one check of which rule fits which
+kernel and N, before anything is filled.
 :func:`on_each_system` builds every rule's system at each N of a list
 on one fill: the stencil rules in turn, each written back after use,
 then the Kress system once, not undone, which every Kress rule at that
@@ -31,10 +29,11 @@ two as one strided copy, and its factor as a strided view of the
 largest fill's. It holds the largest fill and its factor, and one other
 system and its own factor, at once (:func:`held_bytes`).
 :func:`assemble_helmholtz` and :func:`assemble_stokes` build one system
-on a fill of its own. :func:`locate` is the one test of where a point
-lies; :func:`eval_field` and the harness's config check apply it.
-:func:`eval_field` sums a far target over every s-th node, with s from
-the target's distance and the density's spectrum (:func:`_strides`).
+of the two combined kernels on a fill of its own. :func:`locate` is the
+one test of where a point lies; :func:`eval_field` and the harness's
+config check apply it. :func:`eval_field` sums a far target over every
+s-th node, with s from the target's distance and the density's spectrum
+(:func:`_strides`).
 """
 
 from __future__ import annotations
@@ -99,10 +98,8 @@ class ConditioningBudgetError(ValueError):
 @dataclass(frozen=True)
 class DiscretizedBIE:
     """Dense Nystrom system A tau = rhs together with its grid data and
-    the combined kernel it was assembled from, which the off-curve
-    evaluators sum."""
+    the kernel it was assembled from, which the off-curve evaluators sum."""
 
-    kind: str  # "helmholtz" or "stokes"
     curve: ParametricCurve
     grid: quad.TrapezoidGrid
     data: CurveSamples
@@ -127,16 +124,16 @@ class SolveReport:
     history: tuple[float, ...] = ()
 
 
-def _check_rule(kind: str, N: int, stencil: CorrectionStencil | None):
-    """Raise unless the rule of ``stencil`` runs on an N-node ``kind``
-    system: a log stencil that fits N, or None for Kress (Helmholtz only,
-    even N)."""
-    if kind not in ("helmholtz", "stokes"):
-        raise AssemblyError(f"unknown system {kind!r}")
+def _check_rule(kernel: kernels.Kernel, N: int, stencil: CorrectionStencil | None):
+    """Raise unless the rule of ``stencil`` runs on an N-node system of
+    ``kernel``: a log stencil that fits N, or None for Kress (a kernel of
+    one component, even N)."""
     if stencil is not None:
         quad._check_stencil(stencil, N)
-    elif kind != "helmholtz":
-        raise AssemblyError("the Kress rule is built for Helmholtz only")
+    elif kernel.components != 1:
+        raise AssemblyError(
+            "the Kress rule is built for kernels of one component: Helmholtz only"
+        )
     else:
         quad.check_grid(N, kress=True)
 
@@ -148,35 +145,22 @@ def _nodes(curve: ParametricCurve, N: int):
     return grid, sample(curve, grid.nodes)
 
 
-def _fill(
-    kind: str,
-    curve: ParametricCurve,
-    N: int,
-    consts: HelmholtzConstants | None,
-    kress: bool = False,
-):
+def _fill(kernel: kernels.Kernel, curve: ParametricCurve, N: int, kress: bool = False):
     """(system, Kress factor): the system whose matrix holds the plain
-    trapezoidal (PTR) fill of ``kind`` on N nodes, combined field (needs
-    ``consts``) or Stokes S + D (node-major 2N unknowns), and, if
-    ``kress``, the (N, N) phi*speed that the fill kept for the Kress rule
-    (see :func:`~zetatrap.quadrature._ptr_fill`), else None."""
-    if kind == "helmholtz":
-        kernel = kernels.helmholtz_combined(consts.kappa)
-        A = np.empty((N, N), dtype=complex)
-    else:
-        kernel = kernels.stokes_combined()
-        A = np.empty((2 * N, 2 * N))
-    phi_sp = np.empty((N, N), dtype=complex) if kress else None
+    trapezoidal (PTR) fill of ``kernel`` on N nodes (node-major
+    components), and, if ``kress``, the (N, N) phi*speed that the fill
+    kept for the Kress rule (see :func:`~zetatrap.quadrature._ptr_fill`),
+    else None."""
     grid, data = _nodes(curve, N)
-    quad._ptr_fill(kernel, data, grid.h, A, phi_sp)
-    return DiscretizedBIE(kind, curve, grid, data, A, kernel), phi_sp
+    A, phi_sp = quad._ptr_fill(kernel, data, grid.h, kress)
+    return DiscretizedBIE(curve, grid, data, A, kernel), phi_sp
 
 
 def _slice(top, N: int):
     """(system, Kress factor) at N, read off the fill ``top``, a (system,
     factor) at M = s N nodes, s a power of two. The system holds the PTR
     fill at N, one strided copy of every s-th node's c x c block, times s,
-    c the unknowns per node (2 for node-major Stokes); the factor is the
+    c the kernel's ``components`` (node-major); the factor is the
     view of every s-th row and column of ``top``'s, or None.
 
     h = period/M is period/N over s exactly, so node n at N is node s n
@@ -187,10 +171,10 @@ def _slice(top, N: int):
     bie, phi_sp = top
     M = bie.grid.N
     s = M // N
-    c = len(bie.matrix) // M
+    c = bie.kernel.components
     A = (bie.matrix.reshape(M, c, M, c)[::s, :, ::s] * s).reshape(c * N, c * N)
     grid, data = _nodes(bie.curve, N)
-    system = DiscretizedBIE(bie.kind, bie.curve, grid, data, A, bie.kernel)
+    system = DiscretizedBIE(bie.curve, grid, data, A, bie.kernel)
     return system, None if phi_sp is None else phi_sp[::s, ::s]
 
 
@@ -231,20 +215,22 @@ def _nested(n_list):
     return top, [N for N in n_list if N < top and _power_of_two(top / N)]
 
 
-def held_bytes(kind: str, n_list, stencils) -> int:
+def held_bytes(kernel: kernels.Kernel, n_list, stencils) -> int:
     """The bytes of dense matrices that :func:`on_each_system` may hold at
-    once on these arguments, at 16 N^2 per Helmholtz and 32 N^2 per Stokes
-    system, and, when a rule is Kress, 16 N^2 for the factor of each fill
-    (a slice's factor is a view of N_max's): with an N to slice, the N_max
-    fill, and the largest system of another N; else the largest fill. Every
-    rule at one N, Kress included, runs on that N's one fill."""
+    once on these arguments, b (c N)^2 per system of the kernel's c
+    ``components`` and b-byte ``dtype`` (16 N^2 Helmholtz, 32 N^2 Stokes),
+    and, when a rule is Kress, b N^2 for the factor of each fill (a slice's
+    is a view of N_max's): with an N to slice, the N_max fill, and the
+    largest system of another N; else the largest fill. Every rule at one
+    N, Kress included, runs on that N's one fill."""
     kress = any(stencil is None for stencil in stencils)
+    itemsize = np.dtype(kernel.dtype).itemsize
 
     def system(N):
-        return (16 if kind == "helmholtz" else 32) * N * N
+        return itemsize * (kernel.components * N) ** 2
 
     def fill(N):
-        return system(N) + (16 * N * N if kress else 0)
+        return system(N) + (itemsize * N * N if kress else 0)
 
     top, sliced = _nested(n_list)
     if not sliced:
@@ -278,16 +264,12 @@ def _rules(fill, stencils, measure) -> list:
 
 
 def on_each_system(
-    kind: str,
-    curve: ParametricCurve,
-    n_list,
-    consts: HelmholtzConstants | None,
-    stencils,
-    measure,
+    kernel: kernels.Kernel, curve: ParametricCurve, n_list, stencils, measure
 ) -> list:
     """One list per N of ``n_list``, strictly ascending, in its order: the
-    (assemble seconds, ``measure(i, bie)``) of the system ``bie`` of the
-    rule of each ``stencils[i]`` at that N, in their order; None is Kress.
+    (assemble seconds, ``measure(i, bie)``) of the system ``bie`` of
+    ``kernel`` plus I/2 under the rule of each ``stencils[i]`` at that N,
+    in their order; None is Kress.
 
     Every rule is checked at every N before anything is filled. At one N
     the rules share one PTR fill: each stencil rule's correction and I/2
@@ -313,27 +295,28 @@ def on_each_system(
         raise AssemblyError(f"N must ascend strictly, got {n_list}")
     for N in n_list:
         for stencil in stencils:
-            _check_rule(kind, N, stencil)
+            _check_rule(kernel, N, stencil)
     top, sliced = _nested(n_list)
     kress = any(stencil is None for stencil in stencils)
     # the N_max fill and its seconds, taken first when an N slices it
-    held = _timed(_fill, kind, curve, top, consts, kress) if sliced else None
+    held = _timed(_fill, kernel, curve, top, kress) if sliced else None
 
     def fill(N):
         if N in sliced:
             return _timed(_slice, held[0], N)
         if N == top and held is not None:
             return held
-        return _timed(_fill, kind, curve, N, consts, kress)
+        return _timed(_fill, kernel, curve, N, kress)
 
     # each N's fill lives only for its own _rules call
     return [_rules(fill(N), stencils, measure) for N in n_list]
 
 
-def _assemble(kind, curve, N, consts, stencil) -> DiscretizedBIE:
-    """The system of the rule of ``stencil`` on a fill of its own."""
-    _check_rule(kind, N, stencil)  # before the fill, not after
-    bie, phi_sp = _fill(kind, curve, N, consts, stencil is None)
+def _assemble(kernel, curve, N, stencil) -> DiscretizedBIE:
+    """The system of ``kernel`` under the rule of ``stencil`` on a fill of
+    its own."""
+    _check_rule(kernel, N, stencil)  # before the fill, not after
+    bie, phi_sp = _fill(kernel, curve, N, stencil is None)
     _correct(bie, stencil, phi_sp)
     return bie
 
@@ -352,7 +335,7 @@ def assemble_helmholtz(
     the stencil's source; no stencil is the Kress spectral rule (even N).
     I/2 is added to the diagonal in place.
     """
-    return _assemble("helmholtz", curve, N, consts, stencil)
+    return _assemble(kernels.helmholtz_combined(consts.kappa), curve, N, stencil)
 
 
 def assemble_stokes(
@@ -365,7 +348,7 @@ def assemble_stokes(
     the PTR fill, with the correction of ``stencil`` and I/2 applied in
     place.
     """
-    return _assemble("stokes", curve, N, None, stencil)
+    return _assemble(kernels.stokes_combined(), curve, N, stencil)
 
 
 def solve_direct(A: np.ndarray, rhs: np.ndarray) -> SolveReport:
@@ -548,14 +531,26 @@ def _rows(p: kernels.Pairs, keep: np.ndarray) -> kernels.Pairs:
     return replace(p, dx=p.dx[keep], dy=p.dy[keep], r=p.r[keep], r_safe=p.r_safe[keep])
 
 
+def _as_points(points) -> np.ndarray:
+    """``points``, one [x, y] point or a list of them, as an (M, 2) float
+    array; an empty input is zero points. Any other shape is a
+    ValueError: ``[[2, 0, 7]]`` is not the point (2, 0)."""
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        return points.reshape(0, 2)
+    if points.ndim not in (1, 2) or points.shape[-1] != 2:
+        raise ValueError(f"points must be [x, y] pairs, got shape {points.shape}")
+    return points.reshape(-1, 2)
+
+
 def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarray]:
     """(outside, usable) for each of ``points`` on the N-node grid of
     ``curve``: outside when the winding number, the trapezoidal sum of the
     Laplace double layer over the nodes, is below 1/2, and usable when
     also at least NEAR_FIELD_FACTOR local arclength spacings from its
     closest node, where the plain PTR holds. A point that is not finite
-    is neither."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    is neither. ``points`` are read as :func:`_as_points` reads them."""
+    points = _as_points(points)
     grid, data = _nodes(curve, N)
     outside = np.empty(len(points), dtype=bool)
     usable = np.empty(len(points), dtype=bool)
@@ -664,10 +659,11 @@ def eval_field(
 
     It accepts the targets that :func:`locate` finds usable on its nodes:
     inside the curve the exterior representation is not the solution.
-    The field is u = D[tau] - i*eta*S[tau] for a Helmholtz system, an (M,)
-    complex array, and the velocity S[tau] + D[tau] for a Stokes system,
-    an (M, 2) array; the value at a refused target is NaN, in both parts
-    of a complex value.
+    The field, the system's kernel summed against tau, is an (M,) array
+    for a kernel of one component (u = D[tau] - i*eta*S[tau] for the
+    combined field) and (M, 2) for Stokes (the velocity S[tau] + D[tau]),
+    of the kernel's dtype; NaN at a refused target, in both parts of a
+    complex value. ``targets`` are read as :func:`_as_points` reads them.
 
     One pass over the targets and all N nodes decides acceptance and
     gives each accepted target a stride s, 1, 2, 4, ... dividing N: the
@@ -687,24 +683,25 @@ def eval_field(
     The stride-1 targets are summed in the same pass; each other stride's
     targets are summed after it, on the contiguous copy of every s-th node.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    targets = _as_points(targets)
     data, N, h = bie.data, bie.grid.N, bie.grid.h
     weight = data.speed * h
-    combined = bie.kernel
-    if bie.kind == "helmholtz":
+    kernel = bie.kernel
+    if kernel.components == 1:
         density = weight * tau
 
         def layer_sum(p, density):
-            return combined.full(p) @ density
+            return kernel.full(p) @ density
 
-        values = np.full(len(targets), complex(np.nan, np.nan))
     else:
-        density = tau.reshape(-1, 2) * weight[:, None]
+        density = tau.reshape(N, kernel.components) * weight[:, None]
 
         def layer_sum(p, density):
-            return np.einsum("ijmn,nj->mi", combined.full(p), density)
+            return np.einsum("ijmn,nj->mi", kernel.full(p), density)
 
-        values = np.full((len(targets), 2), np.nan)
+    values = np.full((len(targets),) + density.shape[1:], np.nan, dtype=kernel.dtype)
+    if np.iscomplexobj(values):
+        values.imag = np.nan
     alias = _aliases(data, density)
     tol = np.finfo(float).eps * np.abs(tau).max()
     accepted = np.empty(len(targets), dtype=bool)
@@ -729,10 +726,12 @@ def eval_field(
     return values, accepted
 
 
-def _accepted_field(bie: DiscretizedBIE, tau: np.ndarray, targets) -> np.ndarray:
-    """:func:`eval_field`'s values, raising NearFieldError if it refused a
-    target."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+def _accepted_field(bie: DiscretizedBIE, tau, targets, components: int) -> np.ndarray:
+    """:func:`eval_field`'s values on a system of ``components`` unknowns
+    per node, raising NearFieldError if it refused a target."""
+    if bie.kernel.components != components:
+        raise AssemblyError(f"the system has {bie.kernel.components} unknowns a node")
+    targets = _as_points(targets)
     values, accepted = eval_field(bie, tau, targets)
     if not accepted.all():
         raise NearFieldError(
@@ -751,9 +750,7 @@ def eval_helmholtz_potential(
     The far-field integrand is smooth, so the plain PTR applies. Targets
     that :func:`eval_field` refuses raise :class:`NearFieldError`.
     """
-    if bie.kind != "helmholtz":
-        raise AssemblyError("eval_helmholtz_potential requires a Helmholtz system")
-    return _accepted_field(bie, tau, targets)
+    return _accepted_field(bie, tau, targets, components=1)
 
 
 def eval_stokes_velocity(
@@ -763,6 +760,4 @@ def eval_stokes_velocity(
 
     Targets that :func:`eval_field` refuses raise :class:`NearFieldError`.
     """
-    if bie.kind != "stokes":
-        raise AssemblyError("eval_stokes_velocity requires a Stokes system")
-    return _accepted_field(bie, tau, targets)
+    return _accepted_field(bie, tau, targets, components=2)

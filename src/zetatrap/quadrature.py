@@ -19,7 +19,9 @@ fill, the punctured trapezoidal matrix kernel*speed*h, plus a correction.
   ``_kress`` adds in place and does not undo. It reads phi*speed at
   every pair, which the fill keeps for it.
 
-The PTR fill runs the one tile loop. The node range is cut into slabs
+The PTR fill allocates its matrix, of the kernel's ``dtype`` and
+``components`` N squared entries, and runs the one tile loop; the
+builders below allocate none. The node range is cut into slabs
 of SLAB_ROWS; for each slab pair (I, J), J >= I, in row-major order of
 (I, J), the loop forms the pairs once and evaluates one set of
 symmetric factors once: the kernel's radial factors, and phi's when the
@@ -189,20 +191,21 @@ def _components(A: np.ndarray, N: int) -> np.ndarray:
     return A.reshape(N, 2, N, 2).transpose(1, 3, 0, 2)
 
 
-def _ptr_fill(
-    kernel: kernels.Kernel, data, h, A: np.ndarray, phi_sp=None
-) -> np.ndarray:
-    """Fill ``A`` with the punctured trapezoidal matrix kernel*speed*h.
+def _ptr_fill(kernel: kernels.Kernel, data, h, kress: bool = False):
+    """(A, phi_sp): the punctured trapezoidal matrix kernel*speed*h and,
+    if ``kress``, the (N, N) phi*speed of every pair that :func:`_kress`
+    reads, else None, both of the kernel's ``dtype``.
 
     The diagonal holds a finite placeholder, the kernel's factors at
-    r = 1, that every :class:`Correction` overwrites. Given ``phi_sp``, an
-    (N, N) array, the same tile loop also writes phi*speed of every pair
-    into it, the factor that :func:`_kress` reads: phi's factors are read
-    off the fill's where the kernel has ``phi_in_radial``, and evaluated on
-    the tile's pairs otherwise. Its diagonal holds a finite placeholder
-    too.
+    r = 1, that every :class:`Correction` overwrites. phi*speed is written
+    in the same tile loop: phi's factors are read off the fill's where
+    the kernel has ``phi_in_radial``, and evaluated on the tile's pairs
+    otherwise. Its diagonal holds a finite placeholder too.
     """
     N = len(data.speed)
+    size = kernel.components * N
+    A = np.empty((size, size), dtype=kernel.dtype)
+    phi_sp = np.empty((N, N), dtype=kernel.dtype) if kress else None
     out = _components(A, N)
     lead = out.ndim - 2
     planes = _planes(out, lead)
@@ -228,7 +231,7 @@ def _ptr_fill(
                 plane[J, I] = tile.T
             else:
                 plane[I, J] = tile
-    return A
+    return A, phi_sp
 
 
 @dataclass(frozen=True)
@@ -293,12 +296,13 @@ def _correction(kernel: kernels.Kernel, data, h, stencil) -> Correction:
     return Correction(cols, band, diag)
 
 
-def _corrected(kernel: kernels.Kernel, data, h, stencil, A) -> np.ndarray:
-    """Fill ``A`` with the zeta-corrected matrix of ``kernel``: the PTR
-    fill, then the correction of ``stencil`` (built first, so that a
-    stencil that does not fit is refused before the fill)."""
-    correction = _correction(kernel, data, h, stencil)
-    _ptr_fill(kernel, data, h, A)
+def _corrected(kernel: kernels.Kernel, curve, grid, stencil) -> np.ndarray:
+    """The zeta-corrected matrix of ``kernel`` on ``grid``: the PTR fill,
+    then the correction of ``stencil`` (built first, so that a stencil
+    that does not fit is refused before the fill)."""
+    data = sample(curve, grid.nodes)
+    correction = _correction(kernel, data, grid.h, stencil)
+    A, _ = _ptr_fill(kernel, data, grid.h)
     correction.apply(A)
     return A
 
@@ -319,10 +323,7 @@ def laplace_slp_matrix(
     curve: ParametricCurve, grid: TrapezoidGrid, stencil: CorrectionStencil
 ) -> np.ndarray:
     """Dense corrected operator for the Laplace SLP with kernel -log r."""
-    data = sample(curve, grid.nodes)
-    return _corrected(
-        kernels.laplace_s(), data, grid.h, stencil, np.empty((grid.N, grid.N))
-    )
+    return _corrected(kernels.laplace_s(), curve, grid, stencil)
 
 
 def helmholtz_matrix(
@@ -337,11 +338,7 @@ def helmholtz_matrix(
     'combined' is D - i eta S with eta from
     :func:`~zetatrap.kernels.combined_field_coupling`, built in one pass.
     """
-    kernel = _helmholtz_kernel(consts, which)
-    data = sample(curve, grid.nodes)
-    return _corrected(
-        kernel, data, grid.h, stencil, np.empty((grid.N, grid.N), dtype=complex)
-    )
+    return _corrected(_helmholtz_kernel(consts, which), curve, grid, stencil)
 
 
 def stokes_matrix(
@@ -365,10 +362,7 @@ def stokes_matrix(
     }.get(which)
     if make is None:
         raise GridError(f"unknown operator {which!r}")
-    data = sample(curve, grid.nodes)
-    return _corrected(
-        make(), data, grid.h, stencil, np.empty((2 * grid.N, 2 * grid.N))
-    )
+    return _corrected(make(), curve, grid, stencil)
 
 
 def stokes_matrices(
@@ -449,13 +443,11 @@ def _kress(phi_sp, kernel: kernels.Kernel, data, h, A) -> np.ndarray:
     return A
 
 
-def _kress_matrix(kernel: kernels.Kernel, curve, grid, dtype) -> np.ndarray:
+def _kress_matrix(kernel: kernels.Kernel, curve, grid) -> np.ndarray:
     """The Kress matrix of ``kernel`` on ``grid``: the PTR fill, keeping
     phi*speed, then :func:`_kress`."""
     data = sample(curve, grid.nodes)
-    A = np.empty((grid.N, grid.N), dtype=dtype)
-    phi_sp = np.empty_like(A)
-    _ptr_fill(kernel, data, grid.h, A, phi_sp)
+    A, phi_sp = _ptr_fill(kernel, data, grid.h, kress=True)
     return _kress(phi_sp, kernel, data, grid.h, A)
 
 
@@ -472,9 +464,9 @@ def kress_helmholtz_operator(
     J0/J1 smooth factors as K1; K1 goes through the circulant log rule,
     K2 through the plain PTR with analytic diagonal limits.
     """
-    return _kress_matrix(_helmholtz_kernel(consts, which), curve, grid, complex)
+    return _kress_matrix(_helmholtz_kernel(consts, which), curve, grid)
 
 
 def kress_laplace_slp_matrix(curve: ParametricCurve, grid: TrapezoidGrid) -> np.ndarray:
     """Spectral Kress discretization of the Laplace SLP (reference use)."""
-    return _kress_matrix(kernels.laplace_s(), curve, grid, float)
+    return _kress_matrix(kernels.laplace_s(), curve, grid)

@@ -11,7 +11,7 @@ solved through :mod:`zetatrap.hiprec`.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import mpmath
@@ -60,10 +60,6 @@ class CorrectionStencil:
             raise StencilError("weight count must be K+1")
 
 
-_cache: dict[tuple, CorrectionStencil] = {}
-_cache_lock = threading.Lock()
-
-
 def _zeta_prime_neg_even_mp(k: int):
     """zeta'(-2k) at the current mpmath working precision (closed form)."""
     if k == 0:
@@ -99,26 +95,18 @@ def _solve_with_retry(nodes, moment_fn, K: int):
 
 
 def _build(kind: str, K: int, z: float | None, moment_fn, order) -> CorrectionStencil:
-    """The stencil of K+1 weights solving ``moment_fn``'s moment system,
-    cached under (kind, K) or (kind, K, z)."""
+    """The stencil of K+1 weights solving ``moment_fn``'s moment system."""
     if not 0 <= K <= MAX_K:
         raise StencilError(f"K must be in [0, {MAX_K}]")
-    key = (kind, K) if z is None else (kind, K, z)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
     w = _solve_with_retry([j * j for j in range(K + 1)], moment_fn, K)
-    stencil = CorrectionStencil(
+    return CorrectionStencil(
         kind=kind, K=K, z=z, weights=tuple(float(v) for v in w), order=order
     )
-    with _cache_lock:
-        _cache[key] = stencil
-    return stencil
 
 
+@functools.cache
 def build_log_stencil(K: int) -> CorrectionStencil:
-    """Correction stencil for the -log|x| singularity.
+    """Correction stencil for the -log|x| singularity, built once per K.
 
     Labelled order 2K+2; the corrected rule's leading error term is
     h^(2K+3) (see :class:`CorrectionStencil`).
@@ -126,8 +114,9 @@ def build_log_stencil(K: int) -> CorrectionStencil:
     return _build("log", K, None, lambda k: -_zeta_prime_neg_even_mp(k), 2 * K + 2)
 
 
+@functools.cache
 def build_pow_stencil(K: int, z: float) -> CorrectionStencil:
-    """Correction stencil for the |x|^-z singularity, -1 < z < 1."""
+    """Correction stencil for the |x|^-z singularity, -1 < z < 1, cached."""
     if not -1.0 < z < 1.0:
         raise StencilError("z must lie in (-1, 1)")
     zf = float(z)

@@ -338,11 +338,12 @@ def test_sweep_runs_kress_last_on_the_shared_fill(monkeypatch):
     def kept():  # the fills whose factors are alive
         return [j for j, f in enumerate(factors) if f() is not None]
 
-    def tracked_fill(kernel, data, h, A, phi_sp=None):
+    def tracked_fill(kernel, data, h, kress=False):
         fills.append((len(data.speed), kept()))
+        A, phi_sp = ptr_fill(kernel, data, h, kress)
         matrices.append(weakref.ref(A))
         factors.append(weakref.ref(phi_sp))
-        return ptr_fill(kernel, data, h, A, phi_sp)
+        return A, phi_sp
 
     def tracked_correction(kernel, data, h, stencil):
         steps.append((len(data.speed), stencil.K))
@@ -429,9 +430,9 @@ def test_stokes_reference_is_solved_after_the_sweep(monkeypatch):
     fills = []
     ptr_fill = quadrature._ptr_fill
 
-    def tracked_fill(kernel, data, h, A, phi_sp=None):
+    def tracked_fill(kernel, data, h, kress=False):
         fills.append(len(data.speed))
-        return ptr_fill(kernel, data, h, A, phi_sp)
+        return ptr_fill(kernel, data, h, kress)
 
     monkeypatch.setattr(quadrature, "_ptr_fill", tracked_fill)
     calls = _record_solves(monkeypatch)
@@ -1145,19 +1146,22 @@ def test_sweep_budget_counts_what_the_sweep_holds(tmp_path, capsys, monkeypatch)
     # the N_max fill and the largest other system; with Kress, each fill
     # keeps its factor, 16 bytes a pair, and a slice's is a view of N_max's
     zeta = cfg.methods[0].stencil
+    helm, stokes = cfg.data.kernel(), kernels.stokes_combined()
     held = nystrom.held_bytes
-    assert held("helmholtz", [5792, 11584], [zeta]) == 16 * (5792**2 + 11584**2)
-    assert held("helmholtz", [128, 256, 512, 1024], [zeta, None]) == 16 * (
+    assert held(helm, [5792, 11584], [zeta]) == 16 * (5792**2 + 11584**2)
+    assert held(helm, [128, 256, 512, 1024], [zeta, None]) == 16 * (
         2 * 1024**2 + 512**2
     )
-    assert held("helmholtz", [384, 512, 1024], [zeta, None]) == 32 * (
-        1024**2 + 384**2
-    )
-    assert held("helmholtz", [8192], [None]) == harness.MAX_SYSTEM_BYTES
-    assert held("stokes", [256, 384, 512], [zeta]) == 32 * (512**2 + 384**2)
+    assert held(helm, [384, 512, 1024], [zeta, None]) == 32 * (1024**2 + 384**2)
+    assert held(helm, [8192], [None]) == harness.MAX_SYSTEM_BYTES
+    assert held(stokes, [256, 384, 512], [zeta]) == 32 * (512**2 + 384**2)
     # with no N to slice, one system at a time, as before
-    assert held("stokes", [96, 128], [zeta]) == 32 * 128**2
-    assert held("helmholtz", [11585], [zeta]) == 16 * 11585**2
+    assert held(stokes, [96, 128], [zeta]) == 32 * 128**2
+    assert held(helm, [11585], [zeta]) == 16 * 11585**2
+    # a real scalar kernel's systems and factors take 8 bytes an entry
+    assert held(kernels.laplace_s(), [64, 128], [zeta, None]) == 8 * (
+        2 * 128**2 + 64**2
+    )
 
 
 def test_kress_budget_counts_the_kept_factor(tmp_path, capsys, monkeypatch):
@@ -1651,15 +1655,16 @@ def test_run_field_refuses_a_grid_spec_without_a_key(key):
 @pytest.mark.parametrize("kappa", [12.5, 12.5 + 10j])
 def test_run_field_builds_the_combined_kernel_once(kappa, monkeypatch):
     # the evaluator sums the kernel the system was assembled from; at
-    # complex kappa a second kernel would build a second Hankel table
+    # complex kappa a second kernel would build a second Hankel table. The
+    # kernels built to check the config and size the run build none
     built = []
-    combined = kernels.helmholtz_combined
+    hankel01 = kernels.Hankel01
 
     def counted(k):
         built.append(k)
-        return combined(k)
+        return hankel01(k)
 
-    monkeypatch.setattr(kernels, "helmholtz_combined", counted)
+    monkeypatch.setattr(kernels, "Hankel01", counted)
     cfg = harness.default_helmholtz_config(kappa, methods=[{"name": "zeta", "K": 2}])
     rows = harness.run_field(cfg, dict(_GRID), N=64)
     assert built == [cfg.kappa]

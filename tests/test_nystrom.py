@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -37,8 +38,6 @@ def test_assembly_validation():
         ny.assemble_stokes(STAR, 64, None)
     with pytest.raises(quad.GridError):
         ny.assemble_helmholtz(STAR, 64, consts, build_pow_stencil(2, 0.5))
-    with pytest.raises(ny.AssemblyError, match="laplace"):
-        ny.on_each_system("laplace", STAR, [64], None, [build_log_stencil(2)], None)
 
 
 def test_solve_direct():
@@ -285,7 +284,7 @@ def _full_sum(bie, tau, targets):
     eval_field's strided sums are held to."""
     p = kernels.pairs(targets[:, None], bie.data.pos, bie.data.normal)
     weight = bie.data.speed * bie.grid.h
-    if bie.kind == "helmholtz":
+    if bie.kernel.components == 1:
         return bie.kernel.full(p) @ (weight * tau)
     density = tau.reshape(-1, 2) * weight[:, None]
     return np.einsum("ijmn,nj->mi", bie.kernel.full(p), density)
@@ -412,6 +411,33 @@ def test_non_finite_targets_are_refused_quietly():
     assert outside.tolist() == usable.tolist() == accepted.tolist() == [False] * 4 + [True]
     assert np.isnan(values[:4].real).all() and np.isnan(values[:4].imag).all()
     assert np.isfinite(values[4])
+
+
+def test_points_are_pairs_and_empty_is_none():
+    # an empty input is zero points, with empty results of each shape; a
+    # last axis other than 2 is refused with its shape, where np.atleast_2d
+    # read [] as shape (1, 0) and [[2, 0, 7]] as the point (2, 0)
+    bie, tau, _ = _decaying_wave(N=128)
+    stokes = ny.assemble_stokes(STAR, 64, build_log_stencil(2))
+    u = np.ones(128)
+    for empty in ([], np.zeros((0, 2)), [[]]):
+        outside, usable = ny.locate(STAR, 128, empty)
+        assert outside.shape == usable.shape == (0,)
+        values, accepted = ny.eval_field(bie, tau, empty)
+        assert values.shape == accepted.shape == (0,) and values.dtype == complex
+        assert ny.eval_helmholtz_potential(bie, tau, empty).shape == (0,)
+        assert ny.eval_stokes_velocity(stokes, u, empty).shape == (0, 2)
+    for bad in ([[2.0, 0.0, 7.0]], [2.0, 0.0, 7.0], np.zeros((2, 2, 2)), 2.0):
+        shape = re.escape(str(np.shape(bad)))
+        with pytest.raises(ValueError, match=shape):
+            ny.locate(STAR, 128, bad)
+        with pytest.raises(ValueError, match=shape):
+            ny.eval_field(bie, tau, bad)
+        with pytest.raises(ValueError, match=shape):
+            ny.eval_helmholtz_potential(bie, tau, bad)
+    # one [x, y] is one point
+    one = ny.eval_helmholtz_potential(bie, tau, [2.5, 0.0])
+    assert one.shape == (1,) and one == ny.eval_helmholtz_potential(bie, tau, [[2.5, 0.0]])
 
 
 def test_far_targets_come_back_finite():
@@ -582,16 +608,41 @@ def test_assemble_stokes_allocates_one_matrix():
 # --- one PTR fill per N --------------------------------------------------------
 
 
-def _assembled(kind, N, consts, stencil):
-    if kind == "helmholtz":
-        return ny.assemble_helmholtz(STAR, N, consts, stencil)
-    return ny.assemble_stokes(STAR, N, stencil)
-
-
-@pytest.mark.parametrize(
-    "kind, kappa", [("helmholtz", 12.5), ("helmholtz", 12.5 + 10j), ("stokes", None)]
+# a Helmholtz system at kappa, a Stokes system at None
+_SYSTEMS = pytest.mark.parametrize(
+    "kappa",
+    [12.5, 12.5 + 10j, None],
+    ids=["helmholtz-12.5", "helmholtz-(12.5+10j)", "stokes-None"],
 )
-def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
+
+
+def _kernel(kappa):
+    # the combined kernel of the system
+    if kappa is None:
+        return kernels.stokes_combined()
+    return kernels.helmholtz_combined(kappa)
+
+
+def _assembled(kappa, N, stencil):
+    if kappa is None:
+        return ny.assemble_stokes(STAR, N, stencil)
+    return ny.assemble_helmholtz(STAR, N, helmholtz_constants(kappa), stencil)
+
+
+def _recorded_fills():
+    # quad._ptr_fill patched to keep every (A, phi_sp) it returns
+    fills = []
+    ptr_fill = quad._ptr_fill
+
+    def recorded(*args):
+        fills.append(ptr_fill(*args))
+        return fills[-1]
+
+    return fills, mock.patch.object(quad, "_ptr_fill", side_effect=recorded)
+
+
+@_SYSTEMS
+def test_ptr_fill_systems_equal_assembled_ones(kappa):
     # each rule's system on the shared fill is the assembled system bit for
     # bit, and the fill is written back after each stencil rule; a stencil
     # read from a table is one more rule, on either system. The Kress rule
@@ -599,32 +650,34 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
     # from the factor that fill kept; a Stokes system refuses it before
     # anything is filled, and its fill keeps no factor
     N = 96
-    consts = None if kappa is None else helmholtz_constants(kappa)
-    fresh = ny._fill(kind, STAR, N, consts)[0].matrix
+    kernel = _kernel(kappa)
+    fresh = ny._fill(kernel, STAR, N)[0].matrix
     table = CorrectionStencil("log", 4, None, build_log_stencil(4).weights, 10.0)
     stencils = [build_log_stencil(K) for K in (2, 7, 20, 0)]
     stencils.insert(2, table)
     stencils.insert(1, None)
-    if kind == "stokes":
+    if kappa is None:
         with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
             with pytest.raises(ny.AssemblyError, match="Helmholtz"):
-                ny.on_each_system(kind, STAR, [N], consts, stencils, None)
+                ny.on_each_system(kernel, STAR, [N], stencils, None)
         del stencils[1]
     buffers, order = [], []
 
     def measure(i, bie):
-        assembled = _assembled(kind, N, consts, stencils[i])
-        assert bie.kind == kind
+        assembled = _assembled(kappa, N, stencils[i])
+        assert bie.kernel is kernel
         assert np.array_equal(bie.matrix, assembled.matrix), stencils[i]
         assert np.array_equal(bie.data.pos, assembled.data.pos)
         buffers.append(bie.matrix)
         order.append(i)
         return -i
 
-    with mock.patch.object(quad, "_ptr_fill", wraps=quad._ptr_fill) as fill:
-        [out] = ny.on_each_system(kind, STAR, [N], consts, stencils, measure)
-    phi_sp = fill.mock_calls[0].args[4]  # the shared fill; measure fills after it
-    assert (phi_sp is not None) == (kind == "helmholtz")
+    fills, recording = _recorded_fills()
+    with recording:
+        [out] = ny.on_each_system(kernel, STAR, [N], stencils, measure)
+    A, phi_sp = fills[0]  # the shared fill; measure fills after it
+    assert A is buffers[0] and A.dtype == kernel.dtype
+    assert (phi_sp is not None) == (kappa is not None)
     if phi_sp is not None:
         assert phi_sp.shape == (N, N) and phi_sp.dtype == complex
     assert [result for _, result in out] == [-i for i in range(len(stencils))]
@@ -633,14 +686,12 @@ def test_ptr_fill_systems_equal_assembled_ones(kind, kappa):
     runs_last += [i for i, s in enumerate(stencils) if s is None]
     assert order == runs_last
     assert all(b is buffers[0] for b in buffers)
-    if kind == "stokes":
+    if kappa is None:
         assert np.array_equal(buffers[0], fresh)
 
 
-@pytest.mark.parametrize(
-    "kind, kappa", [("helmholtz", 12.5), ("helmholtz", 12.5 + 10j), ("stokes", None)]
-)
-def test_nested_systems_equal_assembled_ones(kind, kappa):
+@_SYSTEMS
+def test_nested_systems_equal_assembled_ones(kappa):
     # N = 48 and 96 take their fills as slices of the N = 192 fill, and
     # their Kress factor as views of the one its tile loop kept at N = 192;
     # N = 32 and 64 (192/N = 6 and 3) and N = 80 fill afresh, each keeping
@@ -648,10 +699,11 @@ def test_nested_systems_equal_assembled_ones(kind, kappa):
     # measured is the one assembled on a fill of its own, bit for bit, on
     # the samples of a fresh grid, in ascending N
     n_list = [32, 48, 64, 80, 96, 192]
-    consts = None if kappa is None else helmholtz_constants(kappa)
+    kernel = _kernel(kappa)
     table = CorrectionStencil("log", 2, None, build_log_stencil(2).weights, 6.0)
     stencils = [build_log_stencil(7), table]
-    if kind == "helmholtz":
+    kress = kappa is not None
+    if kress:
         stencils.append(None)
     seen = []
 
@@ -660,9 +712,8 @@ def test_nested_systems_equal_assembled_ones(kind, kappa):
         return bie.grid.N
 
     with mock.patch.object(quad, "_ptr_fill", wraps=quad._ptr_fill) as fill:
-        out = ny.on_each_system(kind, STAR, n_list, consts, stencils, measure)
-    filled = [(len(c.args[1].speed), c.args[4] is not None) for c in fill.mock_calls]
-    kress = kind == "helmholtz"
+        out = ny.on_each_system(kernel, STAR, n_list, stencils, measure)
+    filled = [(len(c.args[1].speed), c.args[3]) for c in fill.mock_calls]
     assert filled == [(N, kress) for N in (192, 32, 64, 80)]
     assert [[r for _, r in rows] for rows in out] == [
         [N] * len(stencils) for N in n_list
@@ -671,7 +722,7 @@ def test_nested_systems_equal_assembled_ones(kind, kappa):
         (N, i) for N in n_list for i in range(len(stencils))
     ]
     for N, i, matrix, data in seen:
-        assembled = ny._assemble(kind, STAR, N, consts, stencils[i])
+        assembled = ny._assemble(kernel, STAR, N, stencils[i])
         assert np.array_equal(matrix, assembled.matrix), (N, stencils[i])
         fresh = sample(STAR, quad.make_grid(STAR.period, N).nodes)
         for field in dataclasses.fields(fresh):
@@ -679,12 +730,36 @@ def test_nested_systems_equal_assembled_ones(kind, kappa):
             assert np.array_equal(getattr(data, name), getattr(fresh, name)), name
 
 
+def test_a_kernel_nystrom_never_names_runs_on_each_system():
+    # the Laplace single layer, -log r: its systems are float, and each is
+    # the matrix quadrature builds for it plus I/2, bit for bit, the zeta
+    # rule's and the Kress rule's on one shared fill
+    N = 64
+    kernel = kernels.laplace_s()
+    grid = quad.make_grid(STAR.period, N)
+    stencil = build_log_stencil(2)
+    half = 0.5 * np.eye(N)
+    want = [
+        quad.laplace_slp_matrix(STAR, grid, stencil) + half,
+        quad.kress_laplace_slp_matrix(STAR, grid) + half,
+    ]
+
+    def measure(i, bie):
+        assert bie.matrix.dtype == float
+        assert np.array_equal(bie.matrix, want[i])
+        return i
+
+    [out] = ny.on_each_system(kernel, STAR, [N], [stencil, None], measure)
+    assert [i for _, i in out] == [0, 1]
+
+
 def test_ptr_fill_is_restored_when_the_block_raises():
     # a NearFieldError inside a measurement, as a sweep target too close to
     # the curve raises it, still writes the saved entries back
     N = 64
     consts = helmholtz_constants(5.0)
-    fresh = ny._fill("helmholtz", STAR, N, consts)[0].matrix
+    kernel = kernels.helmholtz_combined(consts.kappa)
+    fresh = ny._fill(kernel, STAR, N)[0].matrix
     buffers = []
 
     def measure(i, bie):
@@ -695,9 +770,7 @@ def test_ptr_fill_is_restored_when_the_block_raises():
         )
 
     with pytest.raises(ny.NearFieldError):
-        ny.on_each_system(
-            "helmholtz", STAR, [N], consts, [build_log_stencil(2)], measure
-        )
+        ny.on_each_system(kernel, STAR, [N], [build_log_stencil(2)], measure)
     assert np.array_equal(buffers[0], fresh)
     # every rule is checked at every N before anything is filled, and a
     # measurement that raises ends the run
@@ -707,16 +780,12 @@ def test_ptr_fill_is_restored_when_the_block_raises():
             [build_log_stencil(2), build_log_stencil(20)],
         ):
             with pytest.raises(quad.GridError):
-                ny.on_each_system("helmholtz", STAR, [40, 80], consts, stencils, None)
+                ny.on_each_system(kernel, STAR, [40, 80], stencils, None)
         with pytest.raises(quad.GridError):  # Kress needs an even N
-            ny.on_each_system("helmholtz", STAR, [64, 65, 128], consts, [None], None)
-        with pytest.raises(ny.AssemblyError):
-            ny.on_each_system(
-                "laplace", STAR, [N], consts, [build_log_stencil(2)], None
-            )
+            ny.on_each_system(kernel, STAR, [64, 65, 128], [None], None)
         for n_list in ([64, 64], [128, 64]):  # one grid is one point of a sweep
             with pytest.raises(ny.AssemblyError, match="ascend"):
-                ny.on_each_system("helmholtz", STAR, n_list, consts, [None], None)
+                ny.on_each_system(kernel, STAR, n_list, [None], None)
     # the assemblers refuse a stencil that does not fit before any fill
     with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
         for stencil in (build_pow_stencil(2, 0.5), build_log_stencil(20)):
@@ -734,8 +803,8 @@ def test_correction_touches_only_its_band_and_diagonal():
     # apply changes the 2K + 1 entries of each row of every component plane
     # and returns their old values; restore writes exactly those back
     N, K = 48, 3
-    for kind, consts in (("helmholtz", helmholtz_constants(5.0)), ("stokes", None)):
-        fill, _ = ny._fill(kind, STAR, N, consts)
+    for kernel in (kernels.helmholtz_combined(5.0), kernels.stokes_combined()):
+        fill, _ = ny._fill(kernel, STAR, N)
         correction = quad._correction(
             fill.kernel, fill.data, fill.grid.h, build_log_stencil(K)
         )
@@ -743,7 +812,7 @@ def test_correction_touches_only_its_band_and_diagonal():
         saved = correction.apply(A)
         lag = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
         near = np.minimum(lag, N - lag) <= K
-        if kind == "stokes":
+        if kernel.components == 2:
             near = np.kron(near, np.ones((2, 2), dtype=bool))
         assert np.array_equal(A[~near], fill.matrix[~near])
         old = np.concatenate([np.ravel(a) for entries in saved for a in entries])

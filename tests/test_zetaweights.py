@@ -58,7 +58,7 @@ def test_residual_double():
     assert oracle.residual_double(zw.build_pow_stencil(4, 0.25)) <= 1e-12
 
 
-def test_cache_determinism():
+def test_cache_determinism(monkeypatch):
     a = zw.build_log_stencil(6)
     b = zw.build_log_stencil(6)
     assert a is b  # cached
@@ -66,7 +66,24 @@ def test_cache_determinism():
     p1 = zw.build_pow_stencil(3, 0.5)
     p2 = zw.build_pow_stencil(3, -0.5)
     assert p1.weights != p2.weights  # cache keys include z
-    assert zw._cache[("log", 6)] is a and zw._cache[("pow", 3, 0.5)] is p1
+    assert zw.build_pow_stencil(3, 0.5) is p1
+    # a hit runs no solve; after cache_clear the same weights are rebuilt
+    solves = []
+    solve = zw.hiprec.solve_dual_vandermonde
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(zw.hiprec, "solve_dual_vandermonde", counted)
+    assert zw.build_log_stencil(6) is a and not solves
+    zw.build_log_stencil.cache_clear()
+    c = zw.build_log_stencil(6)
+    assert len(solves) == 1 and c is not a and c == a
+    # a K out of range raises every time: it is never cached
+    for _ in range(2):
+        with pytest.raises(zw.StencilError):
+            zw.build_log_stencil(zw.MAX_K + 1)
 
 
 # --- pow/log link -----------------------------------------------------------
@@ -74,7 +91,7 @@ def test_cache_determinism():
 
 def test_every_log_stencil_certifies_on_the_first_solve(monkeypatch):
     # the first solve's precision grows with K, so no K <= MAX_K retries
-    monkeypatch.setattr(zw, "_cache", {})
+    zw.build_log_stencil.cache_clear()
     solve = zw.hiprec.solve_dual_vandermonde
     calls = []
 
