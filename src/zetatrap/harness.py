@@ -365,15 +365,15 @@ MAX_SYSTEM_BYTES = 2 * 2**30
 
 def _check_n(cfg: ProblemConfig, methods, N: int):
     """Raise ConfigError unless each of ``methods`` can run on N nodes: its
-    rule fits N and the data's kernel (:func:`~zetatrap.nystrom._check_rule`),
+    rule fits N and the data's kernel (:func:`~zetatrap.quadrature.check_rule`),
     at least MIN_POINTS_PER_WAVELENGTH per wavelength 2 pi/|Re kappa|
     along the curve (Stokes and Re kappa = 0 pass), at most
     MAX_SYSTEM_BYTES."""
     kernel = cfg.data.kernel()
     for method in methods:
         try:
-            nystrom._check_rule(kernel, N, method.stencil)
-        except (quadrature.GridError, nystrom.AssemblyError) as exc:
+            quadrature.check_rule(kernel, N, method.stencil)
+        except quadrature.GridError as exc:
             raise ConfigError(f"{method.label}: {exc}") from None
     kappa = cfg.kappa
     if kappa is not None and kappa.real != 0:
@@ -501,8 +501,9 @@ def known_solution(
     strengths: np.ndarray,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Superposition of interior point sources: sum_l c_l (i/4) H0(kappa r_l)."""
-    points = np.atleast_2d(points)
+    """Superposition of interior point sources: sum_l c_l (i/4) H0(kappa r_l)
+    at ``points``, read as :func:`~zetatrap.kernels.as_points` reads them."""
+    points = kernels.as_points(points)
     p = kernels.pairs(points[:, None], np.asarray(sources, dtype=float))
     return kernels.helmholtz_s(kappa).full(p) @ np.asarray(strengths, dtype=complex)
 

@@ -76,6 +76,7 @@ __all__ = [
     "Kernel",
     "helmholtz_constants",
     "pairs",
+    "as_points",
     "laplace_s",
     "laplace_d",
     "helmholtz_s",
@@ -173,6 +174,18 @@ def pairs(targets, sources, src_normal=None, tgt_normal=None) -> Pairs:
         r[odd] = exact
         r_safe[odd] = np.where(exact > 0, exact, 1.0)
     return Pairs(dx, dy, r, r_safe, src_normal, tgt_normal)
+
+
+def as_points(points) -> np.ndarray:
+    """``points``, one [x, y] point or a list of them, as an (M, 2) float
+    array; an empty input is zero points. Any other shape is a
+    ValueError: ``[[2, 0, 7]]`` is not the point (2, 0)."""
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        return points.reshape(0, 2)
+    if points.ndim not in (1, 2) or points.shape[-1] != 2:
+        raise ValueError(f"points must be [x, y] pairs, got shape {points.shape}")
+    return points.reshape(-1, 2)
 
 
 def _along(p: Pairs, normal) -> np.ndarray:

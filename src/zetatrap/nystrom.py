@@ -17,8 +17,10 @@ zeta stencil and one read from an external table add the same sparse
 band and diagonal, and no stencil is Kress's spectral rule (kernels of
 one component), a dense correction that reads Kress's pair factor
 phi*speed, which a fill keeps beside its matrix when a rule at its N is
-Kress. :func:`_check_rule` is the one check of which rule fits which
-kernel and N, before anything is filled.
+Kress. :func:`~zetatrap.quadrature.check_rule` is the one check of which
+rule fits which kernel and N, made before anything is filled, and
+:func:`~zetatrap.quadrature.correct` the one place that picks and
+applies a rule's correction.
 :func:`on_each_system` builds every rule's system at each N of a list
 on one fill: the stencil rules in turn, each written back after use,
 then the Kress system once, not undone, which every Kress rule at that
@@ -124,20 +126,6 @@ class SolveReport:
     history: tuple[float, ...] = ()
 
 
-def _check_rule(kernel: kernels.Kernel, N: int, stencil: CorrectionStencil | None):
-    """Raise unless the rule of ``stencil`` runs on an N-node system of
-    ``kernel``: a log stencil that fits N, or None for Kress (a kernel of
-    one component, even N)."""
-    if stencil is not None:
-        quad._check_stencil(stencil, N)
-    elif kernel.components != 1:
-        raise AssemblyError(
-            "the Kress rule is built for kernels of one component: Helmholtz only"
-        )
-    else:
-        quad.check_grid(N, kress=True)
-
-
 def _nodes(curve: ParametricCurve, N: int):
     """The N-node trapezoidal grid of ``curve`` and the curve's samples at
     its nodes."""
@@ -176,27 +164,6 @@ def _slice(top, N: int):
     grid, data = _nodes(bie.curve, N)
     system = DiscretizedBIE(bie.curve, grid, data, A, bie.kernel)
     return system, None if phi_sp is None else phi_sp[::s, ::s]
-
-
-def _correct(bie: DiscretizedBIE, stencil: CorrectionStencil | None, phi_sp):
-    """Turn the PTR fill of ``bie`` into the system of the rule of
-    ``stencil``, in place: its correction, then I/2 on the diagonal.
-    Kress (stencil None) reads the factor ``phi_sp`` that the fill kept.
-
-    Returns a function that writes the fill back for a stencil rule, None
-    for Kress, whose dense correction is not undone. The stencil's
-    correction wrote every entry of the diagonal, so the entries it saved
-    undo the I/2 too.
-    """
-    kernel, data, h, A = bie.kernel, bie.data, bie.grid.h, bie.matrix
-    if stencil is None:
-        quad._kress(phi_sp, kernel, data, h, A)
-        restore = None
-    else:
-        correction = quad._correction(kernel, data, h, stencil)
-        restore = partial(correction.restore, A, correction.apply(A))
-    A[np.diag_indices_from(A)] += 0.5
-    return restore
 
 
 def _timed(make, *args):
@@ -242,24 +209,29 @@ def held_bytes(kernel: kernels.Kernel, n_list, stencils) -> int:
 def _rules(fill, stencils, measure) -> list:
     """(assemble seconds, ``measure(i, bie)``) for the system of each
     ``stencils[i]`` at one N, from ``fill``, a ((system, Kress factor),
-    seconds): the stencil rules in turn, each written back after its
-    ``measure``, even if it raises, then the Kress system, corrected once
-    from the fill's factor, which each Kress rule measures. A rule's
-    seconds are the fill's plus its correction's."""
+    seconds). A system is the fill corrected in place by
+    :func:`~zetatrap.quadrature.correct`, plus I/2: the stencil rules in
+    turn, each written back after its ``measure``, even if it raises, then
+    the Kress system, corrected once from the fill's factor and not undone,
+    which each Kress rule measures. A stencil's correction writes every
+    entry of the diagonal, so the entries it saves undo the I/2 too. A
+    rule's seconds are the fill's plus its correction's."""
     (bie, phi_sp), fill_s = fill
+    A = bie.matrix
     out = [None] * len(stencils)
-    for i, stencil in enumerate(stencils):
-        if stencil is not None:
-            restore, correct_s = _timed(_correct, bie, stencil, phi_sp)
-            try:
-                out[i] = (fill_s + correct_s, measure(i, bie))
-            finally:
-                restore()
     kress = [i for i, stencil in enumerate(stencils) if stencil is None]
-    if kress:
-        _, correct_s = _timed(_correct, bie, None, phi_sp)
-        for i in kress:
-            out[i] = (fill_s + correct_s, measure(i, bie))
+    stenciled = [i for i, stencil in enumerate(stencils) if stencil is not None]
+    for i in stenciled + kress[:1]:
+        t0 = time.perf_counter()
+        restore = quad.correct(bie.kernel, bie.data, bie.grid.h, A, phi_sp, stencils[i])
+        A[np.diag_indices_from(A)] += 0.5
+        seconds = fill_s + (time.perf_counter() - t0)
+        try:
+            for j in kress if restore is None else [i]:
+                out[j] = (seconds, measure(j, bie))
+        finally:
+            if restore is not None:
+                restore()
     return out
 
 
@@ -295,7 +267,7 @@ def on_each_system(
         raise AssemblyError(f"N must ascend strictly, got {n_list}")
     for N in n_list:
         for stencil in stencils:
-            _check_rule(kernel, N, stencil)
+            quad.check_rule(kernel, N, stencil)
     top, sliced = _nested(n_list)
     kress = any(stencil is None for stencil in stencils)
     # the N_max fill and its seconds, taken first when an N slices it
@@ -314,11 +286,12 @@ def on_each_system(
 
 def _assemble(kernel, curve, N, stencil) -> DiscretizedBIE:
     """The system of ``kernel`` under the rule of ``stencil`` on a fill of
-    its own."""
-    _check_rule(kernel, N, stencil)  # before the fill, not after
-    bie, phi_sp = _fill(kernel, curve, N, stencil is None)
-    _correct(bie, stencil, phi_sp)
-    return bie
+    its own: :func:`~zetatrap.quadrature._matrix`, which checks the rule
+    before it fills, plus I/2."""
+    grid, data = _nodes(curve, N)
+    A = quad._matrix(kernel, data, grid.h, stencil)
+    A[np.diag_indices_from(A)] += 0.5
+    return DiscretizedBIE(curve, grid, data, A, kernel)
 
 
 def assemble_helmholtz(
@@ -531,26 +504,15 @@ def _rows(p: kernels.Pairs, keep: np.ndarray) -> kernels.Pairs:
     return replace(p, dx=p.dx[keep], dy=p.dy[keep], r=p.r[keep], r_safe=p.r_safe[keep])
 
 
-def _as_points(points) -> np.ndarray:
-    """``points``, one [x, y] point or a list of them, as an (M, 2) float
-    array; an empty input is zero points. Any other shape is a
-    ValueError: ``[[2, 0, 7]]`` is not the point (2, 0)."""
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        return points.reshape(0, 2)
-    if points.ndim not in (1, 2) or points.shape[-1] != 2:
-        raise ValueError(f"points must be [x, y] pairs, got shape {points.shape}")
-    return points.reshape(-1, 2)
-
-
 def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarray]:
     """(outside, usable) for each of ``points`` on the N-node grid of
     ``curve``: outside when the winding number, the trapezoidal sum of the
     Laplace double layer over the nodes, is below 1/2, and usable when
     also at least NEAR_FIELD_FACTOR local arclength spacings from its
     closest node, where the plain PTR holds. A point that is not finite
-    is neither. ``points`` are read as :func:`_as_points` reads them."""
-    points = _as_points(points)
+    is neither. ``points`` are read as
+    :func:`~zetatrap.kernels.as_points` reads them."""
+    points = kernels.as_points(points)
     grid, data = _nodes(curve, N)
     outside = np.empty(len(points), dtype=bool)
     usable = np.empty(len(points), dtype=bool)
@@ -663,7 +625,8 @@ def eval_field(
     for a kernel of one component (u = D[tau] - i*eta*S[tau] for the
     combined field) and (M, 2) for Stokes (the velocity S[tau] + D[tau]),
     of the kernel's dtype; NaN at a refused target, in both parts of a
-    complex value. ``targets`` are read as :func:`_as_points` reads them.
+    complex value. ``targets`` are read as
+    :func:`~zetatrap.kernels.as_points` reads them.
 
     One pass over the targets and all N nodes decides acceptance and
     gives each accepted target a stride s, 1, 2, 4, ... dividing N: the
@@ -683,7 +646,7 @@ def eval_field(
     The stride-1 targets are summed in the same pass; each other stride's
     targets are summed after it, on the contiguous copy of every s-th node.
     """
-    targets = _as_points(targets)
+    targets = kernels.as_points(targets)
     data, N, h = bie.data, bie.grid.N, bie.grid.h
     weight = data.speed * h
     kernel = bie.kernel
@@ -731,7 +694,7 @@ def _accepted_field(bie: DiscretizedBIE, tau, targets, components: int) -> np.nd
     per node, raising NearFieldError if it refused a target."""
     if bie.kernel.components != components:
         raise AssemblyError(f"the system has {bie.kernel.components} unknowns a node")
-    targets = _as_points(targets)
+    targets = kernels.as_points(targets)
     values, accepted = eval_field(bie, tau, targets)
     if not accepted.all():
         raise NearFieldError(

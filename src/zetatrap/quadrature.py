@@ -19,6 +19,12 @@ fill, the punctured trapezoidal matrix kernel*speed*h, plus a correction.
   ``_kress`` adds in place and does not undo. It reads phi*speed at
   every pair, which the fill keeps for it.
 
+:func:`check_rule` is the one check of which rule fits a kernel and N,
+and :func:`correct` the one place that picks and applies a rule's
+correction. Every builder below is :func:`_matrix` of the kernel that
+its operator name picks: that check, before anything is filled, then the
+fill and that correction; a Nystrom system is the same plus I/2.
+
 The PTR fill allocates its matrix, of the kernel's ``dtype`` and
 ``components`` N squared entries, and runs the one tile loop; the
 builders below allocate none. The node range is cut into slabs
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,6 +67,8 @@ __all__ = [
     "GridError",
     "Correction",
     "check_grid",
+    "check_rule",
+    "correct",
     "make_grid",
     "ptr",
     "slabs",
@@ -94,20 +103,31 @@ class TrapezoidGrid:
     nodes: np.ndarray
 
 
-def check_grid(N: int, stencil: CorrectionStencil | None = None, kress: bool = False):
-    """Raise GridError unless a rule can run on N nodes.
-
-    N must reach MIN_NODES, a stencil of half-width K needs 2K+1 < N, and
-    the Kress rule needs an even N.
-    """
+def check_grid(N: int, kress: bool = False):
+    """Raise GridError unless N reaches MIN_NODES and, for ``kress``, is
+    even, as the Kress rule needs."""
     if N < MIN_NODES:
         raise GridError(f"N={N} below the minimum {MIN_NODES}")
+    if kress and N % 2 != 0:
+        raise GridError(f"Kress quadrature requires even N, got N={N}")
+
+
+def check_rule(kernel: kernels.Kernel, N: int, stencil: CorrectionStencil | None):
+    """Raise GridError unless the rule of ``stencil`` runs on an N-node
+    matrix of ``kernel``: a log stencil of half-width K with 2K+1 < N, or
+    None for Kress (a kernel of one component, even N). The one check of
+    a rule; every builder and system makes it before anything is filled."""
+    if stencil is None and kernel.components != 1:
+        raise GridError(
+            "the Kress rule is built for kernels of one component: Helmholtz only"
+        )
+    if stencil is not None and stencil.kind != "log":
+        raise GridError(f"stencil kind {stencil.kind!r}, expected 'log'")
+    check_grid(N, kress=stencil is None)
     if stencil is not None and 2 * stencil.K + 1 >= N:
         raise GridError(
             f"stencil half-width K={stencil.K} needs N > {2 * stencil.K + 1}, got N={N}"
         )
-    if kress and N % 2 != 0:
-        raise GridError(f"Kress quadrature requires even N, got N={N}")
 
 
 def make_grid(period: float, N: int) -> TrapezoidGrid:
@@ -125,13 +145,6 @@ def slabs(n: int):
     """Row indices 0..n-1 in consecutive slabs of at most SLAB_ROWS."""
     for start in range(0, n, SLAB_ROWS):
         yield np.arange(start, min(start + SLAB_ROWS, n))
-
-
-def _check_stencil(stencil: CorrectionStencil, N: int):
-    """Raise GridError unless ``stencil`` is a log stencil that fits N."""
-    if stencil.kind != "log":
-        raise GridError(f"stencil kind {stencil.kind!r}, expected 'log'")
-    check_grid(N, stencil)
 
 
 def _node_pairs(data: CurveSamples, tgt, src) -> kernels.Pairs:
@@ -283,7 +296,6 @@ def _correction(kernel: kernels.Kernel, data, h, stencil) -> Correction:
     on the +-j cyclic diagonals, h*speed*(L + phi(0)*(2 w_0 - log(speed*h)))
     on the diagonal."""
     N = len(data.speed)
-    _check_stencil(stencil, N)
     w = np.asarray(stencil.weights)
     j = np.arange(1, stencil.K + 1)
     n = np.arange(N)
@@ -296,34 +308,60 @@ def _correction(kernel: kernels.Kernel, data, h, stencil) -> Correction:
     return Correction(cols, band, diag)
 
 
-def _corrected(kernel: kernels.Kernel, curve, grid, stencil) -> np.ndarray:
-    """The zeta-corrected matrix of ``kernel`` on ``grid``: the PTR fill,
-    then the correction of ``stencil`` (built first, so that a stencil
-    that does not fit is refused before the fill)."""
-    data = sample(curve, grid.nodes)
-    correction = _correction(kernel, data, grid.h, stencil)
-    A, _ = _ptr_fill(kernel, data, grid.h)
-    correction.apply(A)
+def correct(kernel: kernels.Kernel, data, h, A, phi_sp, stencil):
+    """Correct ``A``, the PTR fill of ``kernel`` on the nodes ``data``, to
+    the matrix of the rule of ``stencil``, in place, the rule checked by
+    :func:`check_rule`. The one place that picks a correction.
+
+    A stencil adds its band and writes its diagonal (:class:`Correction`),
+    and returns the function that writes the fill back. None, Kress, adds
+    its dense correction from ``phi_sp``, the factor the fill kept
+    (:func:`_kress`), and returns None: it is not undone.
+    """
+    if stencil is None:
+        _kress(phi_sp, kernel, data, h, A)
+        return None
+    correction = _correction(kernel, data, h, stencil)
+    return partial(correction.restore, A, correction.apply(A))
+
+
+def _matrix(kernel: kernels.Kernel, data, h, stencil: CorrectionStencil | None):
+    """The matrix of ``kernel`` under the rule of ``stencil`` on the nodes
+    ``data`` of spacing h: the rule checked before the fill, then the PTR
+    fill (keeping phi*speed for Kress) and its correction."""
+    check_rule(kernel, len(data.speed), stencil)
+    A, phi_sp = _ptr_fill(kernel, data, h, stencil is None)
+    correct(kernel, data, h, A, phi_sp, stencil)
     return A
 
 
-def _helmholtz_kernel(consts: HelmholtzConstants, which: str) -> kernels.Kernel:
-    make = {
-        "S": kernels.helmholtz_s,
-        "D": kernels.helmholtz_d,
-        "Dstar": kernels.helmholtz_dstar,
-        "combined": kernels.helmholtz_combined,
-    }.get(which)
+# The kernel of each operator a builder names, made from its constants.
+_KERNELS = {
+    ("laplace", "S"): kernels.laplace_s,
+    ("helmholtz", "S"): kernels.helmholtz_s,
+    ("helmholtz", "D"): kernels.helmholtz_d,
+    ("helmholtz", "Dstar"): kernels.helmholtz_dstar,
+    ("helmholtz", "combined"): kernels.helmholtz_combined,
+    ("stokes", "S"): kernels.stokes_s,
+    ("stokes", "D"): kernels.stokes_d,
+    ("stokes", "combined"): kernels.stokes_combined,
+}
+
+
+def _built(curve, grid, stencil, family: str, which: str, *constants) -> np.ndarray:
+    """The :func:`_matrix` on ``grid`` of the ``family`` operator ``which``
+    under the rule of ``stencil``; an unknown operator is refused first."""
+    make = _KERNELS.get((family, which))
     if make is None:
         raise GridError(f"unknown operator {which!r}")
-    return make(consts.kappa)
+    return _matrix(make(*constants), sample(curve, grid.nodes), grid.h, stencil)
 
 
 def laplace_slp_matrix(
     curve: ParametricCurve, grid: TrapezoidGrid, stencil: CorrectionStencil
 ) -> np.ndarray:
     """Dense corrected operator for the Laplace SLP with kernel -log r."""
-    return _corrected(kernels.laplace_s(), curve, grid, stencil)
+    return _built(curve, grid, stencil, "laplace", "S")
 
 
 def helmholtz_matrix(
@@ -338,7 +376,7 @@ def helmholtz_matrix(
     'combined' is D - i eta S with eta from
     :func:`~zetatrap.kernels.combined_field_coupling`, built in one pass.
     """
-    return _corrected(_helmholtz_kernel(consts, which), curve, grid, stencil)
+    return _built(curve, grid, stencil, "helmholtz", which, consts.kappa)
 
 
 def stokes_matrix(
@@ -355,14 +393,7 @@ def stokes_matrix(
     analytic coincident limits on the diagonal. 'combined' builds S + D
     in one pass of :func:`~zetatrap.kernels.stokes_combined`.
     """
-    make = {
-        "S": kernels.stokes_s,
-        "D": kernels.stokes_d,
-        "combined": kernels.stokes_combined,
-    }.get(which)
-    if make is None:
-        raise GridError(f"unknown operator {which!r}")
-    return _corrected(make(), curve, grid, stencil)
+    return _built(curve, grid, stencil, "stokes", which)
 
 
 def stokes_matrices(
@@ -384,7 +415,6 @@ def _kress_log_column(N: int) -> np.ndarray:
     """First column of the circulant log-kernel quadrature matrix:
     R_d = -(4 pi/N) (sum_{1 <= m < N/2} cos(2 pi d m/N)/m + (-1)^d/N), the
     sum the real part of the FFT of the sequence 1/m."""
-    check_grid(N, kress=True)
     m = np.arange(N)
     inverse = np.zeros(N)
     inverse[1 : N // 2] = 1.0 / m[1 : N // 2]
@@ -410,6 +440,7 @@ def kress_log_matrix(N: int) -> np.ndarray:
     R @ cos(m s) = -(2 pi / m) cos(m t) for 1 <= m <= N/2-1, R @ 1 = 0,
     with the Nyquist mode integrated exactly against the truncated series.
     """
+    check_grid(N, kress=True)
     return _by_lag(_kress_log_column(N)).copy()
 
 
@@ -422,7 +453,7 @@ def _kress_diagonal(kernel: kernels.Kernel, data, h, R, A):
     )
 
 
-def _kress(phi_sp, kernel: kernels.Kernel, data, h, A) -> np.ndarray:
+def _kress(phi_sp, kernel: kernels.Kernel, data, h, A):
     """Correct the PTR fill ``A`` (N, N) of ``kernel`` to its Kress matrix,
     in place, given ``phi_sp``, phi*speed at every pair as
     :func:`_ptr_fill` keeps it: add phi*speed*(h*log(4 sin^2(pi d/N))/2
@@ -440,15 +471,6 @@ def _kress(phi_sp, kernel: kernels.Kernel, data, h, A) -> np.ndarray:
         rows = slice(start, start + SLAB_ROWS)
         A[rows] += phi_sp[rows] * lagged[rows]
     _kress_diagonal(kernel, data, h, R, A)
-    return A
-
-
-def _kress_matrix(kernel: kernels.Kernel, curve, grid) -> np.ndarray:
-    """The Kress matrix of ``kernel`` on ``grid``: the PTR fill, keeping
-    phi*speed, then :func:`_kress`."""
-    data = sample(curve, grid.nodes)
-    A, phi_sp = _ptr_fill(kernel, data, grid.h, kress=True)
-    return _kress(phi_sp, kernel, data, grid.h, A)
 
 
 def kress_helmholtz_operator(
@@ -464,9 +486,9 @@ def kress_helmholtz_operator(
     J0/J1 smooth factors as K1; K1 goes through the circulant log rule,
     K2 through the plain PTR with analytic diagonal limits.
     """
-    return _kress_matrix(_helmholtz_kernel(consts, which), curve, grid)
+    return _built(curve, grid, None, "helmholtz", which, consts.kappa)
 
 
 def kress_laplace_slp_matrix(curve: ParametricCurve, grid: TrapezoidGrid) -> np.ndarray:
     """Spectral Kress discretization of the Laplace SLP (reference use)."""
-    return _kress_matrix(kernels.laplace_s(), curve, grid)
+    return _built(curve, grid, None, "laplace", "S")

@@ -768,6 +768,26 @@ def test_targets_of_data_without_an_exact_field_are_checked_at_the_reference_n(
         harness.load_config({**raw, "problem": "stokes"})
 
 
+def test_known_solution_reads_points_as_pairs():
+    # the reading of the evaluators: an empty input is zero points and a
+    # last axis other than 2 is refused with its shape, where np.atleast_2d
+    # raised IndexError on [] and read [[2, 0, 7]] as the point (2, 0); an
+    # (M, 2) array and one [x, y] point give the values they gave
+    sources, strengths = [[0.1, 0.0]], [1.0]
+    for empty in ([], np.zeros((0, 2))):
+        values = harness.known_solution(5.0, sources, strengths, empty)
+        assert values.shape == (0,) and values.dtype == complex
+    for bad in ([[2.0, 0.0, 7.0]], [2.0, 0.0, 7.0], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(str(np.shape(bad)))):
+            harness.known_solution(5.0, sources, strengths, bad)
+    points = np.array([[2.0, 0.0], [0.0, -3.0], [1.5, 1.5]])
+    p = kernels.pairs(points[:, None], np.array(sources))
+    want = kernels.helmholtz_s(5.0).full(p) @ np.array(strengths, dtype=complex)
+    assert np.array_equal(harness.known_solution(5.0, sources, strengths, points), want)
+    one = harness.known_solution(5.0, sources, strengths, [2.0, 0.0])
+    assert one.shape == (1,) and one[0] == want[0]
+
+
 # --- stencil-table ingestion ------------------------------------------------
 
 

@@ -34,7 +34,7 @@ def test_assembly_validation():
     # no stencil is the Kress rule, which Stokes does not have; a stencil
     # must be a log stencil
     consts = helmholtz_constants(5.0)
-    with pytest.raises(ny.AssemblyError, match="Helmholtz"):
+    with pytest.raises(quad.GridError, match="Helmholtz"):
         ny.assemble_stokes(STAR, 64, None)
     with pytest.raises(quad.GridError):
         ny.assemble_helmholtz(STAR, 64, consts, build_pow_stencil(2, 0.5))
@@ -658,7 +658,7 @@ def test_ptr_fill_systems_equal_assembled_ones(kappa):
     stencils.insert(1, None)
     if kappa is None:
         with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
-            with pytest.raises(ny.AssemblyError, match="Helmholtz"):
+            with pytest.raises(quad.GridError, match="Helmholtz"):
                 ny.on_each_system(kernel, STAR, [N], stencils, None)
         del stencils[1]
     buffers, order = [], []
@@ -753,6 +753,38 @@ def test_a_kernel_nystrom_never_names_runs_on_each_system():
     assert [i for _, i in out] == [0, 1]
 
 
+@_SYSTEMS
+def test_builder_plus_half_is_the_pipeline_system(kappa):
+    # the combined builder of each rule plus I/2 is the system of
+    # assemble_helmholtz / assemble_stokes and of on_each_system, N = 48 a
+    # slice of the N = 96 fill, bit for bit: the scipy reference check of
+    # the builders covers the systems the sweeps solve
+    kernel = _kernel(kappa)
+    stencils = [build_log_stencil(2), build_log_stencil(7)]
+    if kappa is not None:
+        stencils.append(None)
+    systems = {}
+
+    def measure(i, bie):
+        systems[bie.grid.N, i] = bie.matrix.copy()
+
+    ny.on_each_system(kernel, STAR, [48, 96], stencils, measure)
+    for (N, i), system in systems.items():
+        stencil = stencils[i]
+        grid = quad.make_grid(STAR.period, N)
+        consts = None if kappa is None else helmholtz_constants(kappa)
+        if kappa is None:
+            A = quad.stokes_matrix(STAR, grid, stencil, "combined")
+        elif stencil is None:
+            A = quad.kress_helmholtz_operator(STAR, grid, consts, "combined")
+        else:
+            A = quad.helmholtz_matrix(STAR, grid, consts, stencil, "combined")
+        A[np.diag_indices_from(A)] += 0.5
+        assert np.array_equal(A, system), (N, stencil)
+        assert np.array_equal(A, _assembled(kappa, N, stencil).matrix), (N, stencil)
+    assert len(systems) == 2 * len(stencils)
+
+
 def test_ptr_fill_is_restored_when_the_block_raises():
     # a NearFieldError inside a measurement, as a sweep target too close to
     # the curve raises it, still writes the saved entries back
@@ -793,10 +825,101 @@ def test_ptr_fill_is_restored_when_the_block_raises():
                 ny.assemble_helmholtz(STAR, 40, consts, stencil)
             with pytest.raises(quad.GridError):
                 ny.assemble_stokes(STAR, 40, stencil)
-        with pytest.raises(ny.AssemblyError):
+        with pytest.raises(quad.GridError):
             ny.assemble_stokes(STAR, 40, None)
         with pytest.raises(quad.GridError):
             ny.assemble_helmholtz(STAR, 41, consts)
+
+
+def _builder_calls(N, stencil, which):
+    # every builder and system at kappa 12.5 under the rule of ``stencil``
+    # on N nodes; a builder's grid is made directly, as make_grid refuses
+    # N < MIN_NODES itself
+    h = STAR.period / N
+    grid = quad.TrapezoidGrid(N, STAR.period, h, h * np.arange(N))
+    consts = helmholtz_constants(12.5)
+    return {
+        "laplace_slp_matrix": lambda: quad.laplace_slp_matrix(STAR, grid, stencil),
+        "kress_laplace_slp_matrix": lambda: quad.kress_laplace_slp_matrix(STAR, grid),
+        "helmholtz_matrix": lambda: quad.helmholtz_matrix(
+            STAR, grid, consts, stencil, which
+        ),
+        "kress_helmholtz_operator": lambda: quad.kress_helmholtz_operator(
+            STAR, grid, consts, which
+        ),
+        "stokes_matrix": lambda: quad.stokes_matrix(STAR, grid, stencil, which),
+        "stokes_matrices": lambda: quad.stokes_matrices(STAR, grid, stencil),
+        "assemble_helmholtz": lambda: ny.assemble_helmholtz(STAR, N, consts, stencil),
+        "assemble_stokes": lambda: ny.assemble_stokes(STAR, N, stencil),
+        "on_each_system": lambda: ny.on_each_system(
+            kernels.helmholtz_combined(12.5), STAR, [N], [stencil], None
+        ),
+        "on_each_stokes_system": lambda: ny.on_each_system(
+            kernels.stokes_combined(), STAR, [N], [stencil], None
+        ),
+    }
+
+
+_KRESS_CALLS = {"kress_laplace_slp_matrix", "kress_helmholtz_operator"}
+_NAMED_CALLS = {"helmholtz_matrix", "kress_helmholtz_operator", "stokes_matrix"}
+_STOKES_CALLS = {
+    "stokes_matrix", "stokes_matrices", "assemble_stokes", "on_each_stokes_system"
+}
+_HELMHOLTZ_KRESS = _KRESS_CALLS | {"assemble_helmholtz", "on_each_system"}
+_HELM = {"problem": "helmholtz", "kappa": 5.0}
+
+# case: (N; the stencil's K, "pow" for a pow stencil, None for Kress; the
+# operator; the calls given it, None for those that take a stencil, "all"
+# for every one; the refusal's message; a config that names the case, None
+# where no config can)
+_REFUSALS = {
+    "odd-N Kress": (
+        65, None, "combined", _HELMHOLTZ_KRESS, "requires even N",
+        {**_HELM, "methods": ["kress"], "N": [64, 65]},
+    ),
+    "2K+1 >= N": (
+        40, 20, "combined", None, "needs N > 41",
+        {**_HELM, "methods": [{"name": "zeta", "K": 20}], "N": [40]},
+    ),
+    "N < 16": (12, 2, "combined", "all", "below the minimum 16", {**_HELM, "N": [12]}),
+    "non-log stencil": (64, "pow", "combined", None, "expected 'log'", None),
+    "unknown operator": (
+        64, 2, "T", _NAMED_CALLS, "unknown operator 'T'", {**_HELM, "methods": ["T"]},
+    ),
+    "Kress on Stokes": (
+        64, None, "combined", _STOKES_CALLS, "one component",
+        {"problem": "stokes", "methods": ["kress"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_every_builder_refuses_before_it_fills(case):
+    # the six quadrature builders, both assemblers, on_each_system and
+    # load_config check the rule before the PTR fill: with the fill patched
+    # to raise, each refuses every input that it can be given with
+    # GridError (ConfigError at load)
+    N, K, which, names, message, config = _REFUSALS[case]
+    if K is None:
+        stencil = None
+    elif K == "pow":
+        stencil = build_pow_stencil(2, 0.5)
+    else:
+        stencil = build_log_stencil(K)
+    calls = _builder_calls(N, stencil, which)
+    if names is None:
+        names = set(calls) - _KRESS_CALLS
+    elif names == "all":
+        names = set(calls)
+    with mock.patch.object(quad, "_ptr_fill", side_effect=AssertionError("filled")):
+        for name in sorted(names):
+            with pytest.raises(quad.GridError, match=re.escape(message)):
+                calls[name]()
+        if config is not None:
+            if case == "unknown operator":
+                message = "unknown quadrature method 'T'"
+            with pytest.raises(harness.ConfigError, match=re.escape(message)):
+                harness.load_config(config)
 
 
 def test_correction_touches_only_its_band_and_diagonal():

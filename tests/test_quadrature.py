@@ -211,17 +211,28 @@ def test_kress_log_matrix_trigonometric_action():
 
 
 def test_check_grid_rules():
-    # the grid rules of make_grid, the stencil rules and the Kress rule
+    # the grid rules of make_grid and the Kress rule, and check_rule's
+    # stencil and Kress rules on top of them
     stencil = build_log_stencil(7)
-    quad.check_grid(16, stencil)  # 2K+1 = 15 < 16
-    quad.check_grid(18, stencil, kress=True)
-    for N, args, kw in (
-        (15, (), {}),
-        (31, (build_log_stencil(15),), {}),  # 2K+1 = N
-        (17, (), {"kress": True}),
+    laplace, stokes = kernels.laplace_s(), kernels.stokes_combined()
+    quad.check_grid(16)
+    quad.check_grid(18, kress=True)
+    quad.check_rule(laplace, 16, stencil)  # 2K+1 = 15 < 16
+    quad.check_rule(stokes, 16, stencil)
+    quad.check_rule(laplace, 18, None)
+    for N, kw in ((15, {}), (17, {"kress": True})):
+        with pytest.raises(quad.GridError):
+            quad.check_grid(N, **kw)
+    for kernel, N, st in (
+        (laplace, 15, build_log_stencil(0)),
+        (laplace, 31, build_log_stencil(15)),  # 2K+1 = N
+        (laplace, 64, build_pow_stencil(2, 0.5)),
+        (laplace, 15, None),
+        (laplace, 17, None),
+        (stokes, 64, None),  # Kress is built for one component
     ):
         with pytest.raises(quad.GridError):
-            quad.check_grid(N, *args, **kw)
+            quad.check_rule(kernel, N, st)
 
 
 def test_kress_log_column_matches_mpmath():
