@@ -65,8 +65,7 @@ def _write_csv(path, header, rows):
 def _load_config(args, *paths):
     """The config of ``args`` once every output path in ``paths`` (None is
     stdout) is known to be writable: an existing file or a new name in an
-    existing directory. Nothing is opened, so no file is truncated. An
-    unreadable or malformed config is a ConfigError."""
+    existing directory. Nothing is opened, so no file is truncated."""
     for path in filter(None, paths):
         folder = os.path.dirname(path) or "."
         target = path if os.path.exists(path) else folder
@@ -74,10 +73,7 @@ def _load_config(args, *paths):
             target, os.W_OK
         ):
             raise UsageError(f"--out: cannot write {path}")
-    try:
-        return harness.load_config(args.config)
-    except (OSError, ValueError) as exc:
-        raise harness.ConfigError(exc) from exc
+    return harness.load_config(args.config)
 
 
 def _cmd_convergence(args) -> int:

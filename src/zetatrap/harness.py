@@ -407,14 +407,26 @@ def load_config(source) -> ProblemConfig:
 
     The data class that ``problem`` names reads the boundary data, and
     the keys are _CONFIG_KEYS plus the data's. Anything a run cannot use
-    is a ConfigError, raised here: a key that the problem does not read
-    (at the top level, in the curve or in a methods entry), a value of
-    the wrong kind or range, an N that a method, the wavelength or the
-    memory budget rules out, a target that
+    is a ConfigError, raised here: a file that cannot be read or parsed,
+    a key that the problem does not read (at the top level, in the curve
+    or in a methods entry), a value of the wrong kind or range, a curve,
+    stencil or table that cannot be built, an N that a method, the
+    wavelength or the memory budget rules out, a target that
     :func:`~zetatrap.nystrom.locate` finds unusable at an N where a sweep
     evaluates it (STOKES_REFERENCE_N too, for data without an exact
-    field), and data whose ``check`` fails at the largest N.
+    field), and data whose ``check`` fails at the largest N; an error of
+    another type is chained to it.
     """
+    try:
+        return _read_config(source)
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(exc) from exc
+
+
+def _read_config(source) -> ProblemConfig:
+    """:func:`load_config`, before other errors become ConfigErrors."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -727,7 +739,8 @@ def ingest_stencil_table(path: str) -> QuadratureMethod:
     Format: UTF-8 text with header lines ``name:``, ``order:``,
     ``grid: on|off``, followed by whitespace-separated ``offset weight``
     pairs; ``#`` starts a comment. A malformed line anywhere in the file
-    is a StencilTableError; then a table declaring ``grid: off``
+    is a StencilTableError, and so is an offset above the widest K that an
+    N within MAX_SYSTEM_BYTES fits; then a table declaring ``grid: off``
     (Alpert-style auxiliary nodes) is an OffGridTableError, as assembly
     only supports corrections on the trapezoidal grid itself; then so is
     a non-integer or negative offset. The weights of a repeated offset
@@ -735,6 +748,8 @@ def ingest_stencil_table(path: str) -> QuadratureMethod:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
+    # 2K + 1 < N, N the largest whose N^2 complex entries fit the budget
+    k_max = (math.isqrt(MAX_SYSTEM_BYTES // np.dtype(complex).itemsize) - 2) // 2
     name = order = grid_flag = None
     rows = []
     for lineno, line in enumerate(lines, start=1):
@@ -764,6 +779,11 @@ def ingest_stencil_table(path: str) -> QuadratureMethod:
                 raise StencilTableError(f"line {lineno}: non-numeric entry") from exc
             if not (math.isfinite(off) and math.isfinite(w)):
                 raise StencilTableError(f"line {lineno}: non-finite entry")
+            if off > k_max:
+                raise StencilTableError(
+                    f"line {lineno}: offset {off:g} above K = {k_max}, the widest "
+                    "stencil of any N within the memory budget"
+                )
             rows.append((off, w))
     if not rows and (name, order, grid_flag) == (None, None, None):
         raise StencilTableError("empty stencil table file")

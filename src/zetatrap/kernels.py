@@ -24,16 +24,15 @@ the pair (m, n) and its mirror (n, m):
   finite.
 - ``full_of(p, f)`` forms the kernel from those factors and the pairs'
   directions and normals; ``full(p)`` is ``full_of(p, radial(p))``.
-- ``phi_radial(p)`` gives the symmetric factors of phi in the same
+- ``phi_radial(p, f)`` gives the symmetric factors of phi in the same
   sense: J0/J1 of kappa r for Helmholtz, J(0) at coincident pairs, and
-  none for Laplace and Stokes.
+  none for Laplace and Stokes. ``f`` is ``radial(p)`` where the caller
+  has it (a Kress fill), else None: at real positive kappa the Helmholtz
+  kernels' H0 and H1 are J + iY, and J0 and J1 are read off as their
+  real parts, bit for bit the evaluated ones at every pair but the
+  coincident ones, where ``radial`` takes r = 1.
 - ``phi_of(p, g)`` forms phi from those factors; ``phi(p)`` is
-  ``phi_of(p, phi_radial(p))``.
-- ``phi_in_radial(f)``, where a kernel has it (else None), reads phi's
-  factors off ``radial``'s: at real positive kappa the Helmholtz
-  kernels' H0 and H1 are J + iY, so J0 and J1 are their real parts. They
-  are ``phi_radial``'s bit for bit at every pair but the coincident
-  ones, where ``radial`` takes r = 1.
+  ``phi_of(p, phi_radial(p, None))``.
 - ``wavenumber``: the kappa of the kernel's radial wave e^{i kappa r}, 0
   for Laplace and Stokes. Along the curve the kernel oscillates with
   Re kappa and decays with Im kappa; the off-curve evaluator reads both
@@ -129,10 +128,9 @@ class Kernel(NamedTuple):
 
     radial: Callable[[Pairs], tuple]
     full_of: Callable[[Pairs, tuple], np.ndarray]
-    phi_radial: Callable[[Pairs], tuple]
+    phi_radial: Callable[[Pairs, tuple | None], tuple]
     phi_of: Callable[[Pairs, tuple], np.ndarray]
     limit: Callable[[CurveSamples], np.ndarray]
-    phi_in_radial: Callable[[tuple], tuple] | None = None
     wavenumber: complex = 0.0
     components: int = 1
     dtype: type = float
@@ -143,7 +141,7 @@ class Kernel(NamedTuple):
 
     def phi(self, p: Pairs) -> np.ndarray:
         """phi at every pair, phi(0) at coincident ones."""
-        return self.phi_of(p, self.phi_radial(p))
+        return self.phi_of(p, self.phi_radial(p, None))
 
 
 def pairs(targets, sources, src_normal=None, tgt_normal=None) -> Pairs:
@@ -215,9 +213,7 @@ def _tt(s: CurveSamples) -> np.ndarray:
     return t[:, None] * t[None, :]
 
 
-
-
-def _no_factors(p: Pairs) -> tuple:
+def _no_factors(p: Pairs, f=None) -> tuple:
     return ()
 
 
@@ -261,8 +257,16 @@ def _wavenumber(kappa: complex) -> complex | float:
     return k.real if k.imag == 0 and k.real > 0 else k
 
 
-def _real_parts(f: tuple) -> tuple:
-    return tuple(x.real for x in f)
+def _bessel_j(k, orders):
+    """``phi_radial`` at ``k`` (:func:`_wavenumber`): J_n(kappa r), n in ``orders``,
+    read off as the real parts of the H_n = J_n + iY_n given at real kappa."""
+
+    def phi_radial(p: Pairs, f) -> tuple:
+        if f is not None and isinstance(k, float):
+            return tuple(h.real for h in f)
+        return tuple(bessel_j_array(n, k * p.r) for n in orders)
+
+    return phi_radial
 
 
 def _single_layer(h0):
@@ -286,10 +290,9 @@ def helmholtz_s(kappa: complex) -> Kernel:
     return Kernel(
         radial=lambda p: (hankel1_array(0, k * p.r_safe),),
         full_of=lambda p, f: _single_layer(f[0]),
-        phi_radial=lambda p: (bessel_j_array(0, k * p.r),),
+        phi_radial=_bessel_j(k, (0,)),
         phi_of=lambda p, g: g[0] / (2 * math.pi),
         limit=lambda s: np.full(s.speed.shape, c),
-        phi_in_radial=_real_parts if isinstance(k, float) else None,
         wavenumber=complex(kappa),
         dtype=complex,
     )
@@ -304,10 +307,9 @@ def _helmholtz_normal_derivative(kappa: complex, sign: float, normal) -> Kernel:
     return Kernel(
         radial=lambda p: (hankel1_array(1, k * p.r_safe),),
         full_of=lambda p, f: _normal_derivative(k, f[0], along(p)),
-        phi_radial=lambda p: (bessel_j_array(1, k * p.r),),
+        phi_radial=_bessel_j(k, (1,)),
         phi_of=lambda p, g: k * g[0] * along(p) / (2 * math.pi),
         limit=lambda s: s.c0,
-        phi_in_radial=_real_parts if isinstance(k, float) else None,
         wavenumber=complex(kappa),
         dtype=complex,
     )
@@ -355,7 +357,8 @@ def helmholtz_combined(kappa: complex) -> Kernel:
     that only checks or sizes a system never needs), and those of phi are
     J0 and J1; phi and the limit are those of :func:`helmholtz_d` and
     :func:`helmholtz_s`, combined. At real positive kappa the real route
-    gives H = J + iY, and ``phi_in_radial`` takes J0 and J1 from it.
+    gives H = J + iY, and ``phi_radial`` reads J0 and J1 off the H0 and H1
+    it is given.
     """
     k = _wavenumber(kappa)
     hankel01 = functools.cache(lambda: Hankel01(k))
@@ -371,10 +374,9 @@ def helmholtz_combined(kappa: complex) -> Kernel:
     return Kernel(
         radial=lambda p: hankel01()(p.r_safe),
         full_of=full_of,
-        phi_radial=lambda p: tuple(bessel_j_array(n, k * p.r) for n in (0, 1)),
+        phi_radial=_bessel_j(k, (0, 1)),
         phi_of=lambda p, g: d.phi_of(p, g[1:]) + coupling * s.phi_of(p, g[:1]),
         limit=lambda data: d.limit(data) + coupling * s.limit(data),
-        phi_in_radial=_real_parts if isinstance(k, float) else None,
         wavenumber=complex(kappa),
         dtype=complex,
     )

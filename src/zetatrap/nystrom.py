@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -298,7 +298,7 @@ def assemble_helmholtz(
     curve: ParametricCurve,
     N: int,
     consts: HelmholtzConstants,
-    stencil: CorrectionStencil | None = None,
+    stencil: CorrectionStencil | None,
 ) -> DiscretizedBIE:
     """Combined-field system I/2 + D - i*eta*S on an N-node grid.
 
@@ -480,28 +480,22 @@ def cond_2norm(A: np.ndarray) -> float:
 
 def _target_slabs(data: CurveSamples, h: float, targets: np.ndarray):
     """Yield (rows, outside, usable, pairs, nearest) per slab of targets,
-    on the nodes ``data``: the pairs of every target of the slab with every
-    node, and the index of each target's nearest node; see :func:`locate`.
-    A target that is not finite is neither outside nor usable."""
+    ``rows`` its slice, on the nodes ``data``: the pairs of every target
+    of the slab with every node, and the index of each target's nearest
+    node; see :func:`locate`. A target that is not finite is neither
+    outside nor usable."""
     # inf - x is inf and inf/inf NaN with a warning; NaN passes quietly
     targets = np.where(np.isfinite(targets), targets, np.nan)
     for rows in quad.slabs(len(targets)):
         p = kernels.pairs(targets[rows, None], data.pos, data.normal)
         nearest = p.r.argmin(axis=1)
-        far = p.r[np.arange(len(rows)), nearest] >= (
+        far = p.r[np.arange(len(nearest)), nearest] >= (
             NEAR_FIELD_FACTOR * h * data.speed[nearest]
         )
         # Winding number: the Laplace double layer integrates to -2 pi inside.
         winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
         outside = np.abs(winding) < 0.5
         yield rows, outside, outside & far, p, nearest
-
-
-def _rows(p: kernels.Pairs, keep: np.ndarray) -> kernels.Pairs:
-    """The pairs of the rows ``keep`` of ``p``, or ``p`` if it keeps all."""
-    if keep.all():
-        return p
-    return replace(p, dx=p.dx[keep], dy=p.dy[keep], r=p.r[keep], r_safe=p.r_safe[keep])
 
 
 def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -643,8 +637,8 @@ def eval_field(
     kernel's full size, keeps s at 1; where the kernel decays (Im kappa > 0)
     far targets take s = 2 or more. The tolerance is absolute: where the
     whole field is below it, far out in a decaying wave, s reaches N/2.
-    The stride-1 targets are summed in the same pass; each other stride's
-    targets are summed after it, on the contiguous copy of every s-th node.
+    After the pass each stride's targets, 1 included, are summed on the
+    contiguous copy of every s-th node.
     """
     targets = kernels.as_points(targets)
     data, N, h = bie.data, bie.grid.N, bie.grid.h
@@ -652,41 +646,29 @@ def eval_field(
     kernel = bie.kernel
     if kernel.components == 1:
         density = weight * tau
-
-        def layer_sum(p, density):
-            return kernel.full(p) @ density
-
+        layer_sum = np.matmul
     else:
         density = tau.reshape(N, kernel.components) * weight[:, None]
-
-        def layer_sum(p, density):
-            return np.einsum("ijmn,nj->mi", kernel.full(p), density)
-
+        layer_sum = partial(np.einsum, "ijmn,nj->mi")
     values = np.full((len(targets),) + density.shape[1:], np.nan, dtype=kernel.dtype)
     if np.iscomplexobj(values):
         values.imag = np.nan
     alias = _aliases(data, density)
     tol = np.finfo(float).eps * np.abs(tau).max()
-    accepted = np.empty(len(targets), dtype=bool)
     stride = np.zeros(len(targets), dtype=int)  # 0 where refused
     for rows, _, ok, p, nearest in _target_slabs(data, h, targets):
-        accepted[rows] = ok
         at = np.flatnonzero(ok)
-        if not len(at):
-            continue
-        stride[rows[at]] = _strides(bie, tol, alias, p, at, nearest[at])
-        here = stride[rows] == 1
-        if here.any():
-            values[rows[here]] = layer_sum(_rows(p, here), density)
-    for s in np.unique(stride[stride > 1]):
+        if len(at):
+            stride[rows.start + at] = _strides(bie, tol, alias, p, at, nearest[at])
+    for s in np.unique(stride[stride > 0]):
         at = np.flatnonzero(stride == s)
         pos = np.ascontiguousarray(data.pos[::s])
         normal = np.ascontiguousarray(data.normal[::s])
         coarse = density[::s] * s
         for rows in quad.slabs(len(at)):
             p = kernels.pairs(targets[at[rows], None], pos, normal)
-            values[at[rows]] = layer_sum(p, coarse)
-    return values, accepted
+            values[at[rows]] = layer_sum(kernel.full(p), coarse)
+    return values, stride > 0
 
 
 def _accepted_field(bie: DiscretizedBIE, tau, targets, components: int) -> np.ndarray:

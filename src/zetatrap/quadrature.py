@@ -38,14 +38,14 @@ two normals exchanged, since r_mn = r_nm; no transposed copy is made,
 and the fill writes the mirror's block transposed. Each fill tile is
 written with one slice assignment per component plane: a Stokes tile, a
 contiguous (2, 2, |I|, |J|) block, goes through the four (N, N) planes
-of the node-major 2N x 2N matrix. For every Helmholtz kernel at real
-kappa phi's J0 and J1 are the real parts of the fill's own H0 and H1 (the
-kernel's ``phi_in_radial``), so its Kress fill evaluates no Bessel
-function off the diagonal. A :class:`Correction` evaluates phi on its
-N x 2K band pairs and the N diagonal pairs in one pass, and the Kress
-diagonal its N diagonal pairs.
-At most one tile pair of pair arrays, O(SLAB_ROWS^2), is alive at once,
-where a row slab held SLAB_ROWS x N.
+of the node-major 2N x 2N matrix. A Kress fill hands the kernel's
+``phi_radial`` the tile's radial factors: at real kappa every Helmholtz
+kernel reads J0 and J1 off its own H0 and H1 there, so its Kress fill
+evaluates no Bessel function off the diagonal. A :class:`Correction`
+evaluates phi on its N x 2K band pairs and the N diagonal pairs in one
+pass, and the Kress diagonal its N diagonal pairs. At most one tile
+pair of pair arrays, O(SLAB_ROWS^2), is alive at once, where a row slab
+held SLAB_ROWS x N.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def ptr(samples: np.ndarray, h: float):
 
 
 def slabs(n: int):
-    """Row indices 0..n-1 in consecutive slabs of at most SLAB_ROWS."""
+    """Rows 0..n-1 as consecutive slices of at most SLAB_ROWS."""
     for start in range(0, n, SLAB_ROWS):
-        yield np.arange(start, min(start + SLAB_ROWS, n))
+        yield slice(start, min(start + SLAB_ROWS, n))
 
 
 def _node_pairs(data: CurveSamples, tgt, src) -> kernels.Pairs:
@@ -176,8 +176,7 @@ def _tiles(data: CurveSamples, factors):
     symmetric under pair reversal (a kernel's ``radial`` or
     ``phi_radial``). Its caller writes it transposed.
     """
-    N = len(data.speed)
-    edges = [slice(s, min(s + SLAB_ROWS, N)) for s in range(0, N, SLAB_ROWS)]
+    edges = list(slabs(len(data.speed)))
     for a, I in enumerate(edges):
         for J in edges[a:]:
             p = kernels.pairs(
@@ -211,9 +210,8 @@ def _ptr_fill(kernel: kernels.Kernel, data, h, kress: bool = False):
 
     The diagonal holds a finite placeholder, the kernel's factors at
     r = 1, that every :class:`Correction` overwrites. phi*speed is written
-    in the same tile loop: phi's factors are read off the fill's where
-    the kernel has ``phi_in_radial``, and evaluated on the tile's pairs
-    otherwise. Its diagonal holds a finite placeholder too.
+    in the same tile loop, phi's factors from the kernel's ``phi_radial``
+    given the fill's. Its diagonal holds a finite placeholder too.
     """
     N = len(data.speed)
     size = kernel.components * N
@@ -225,11 +223,7 @@ def _ptr_fill(kernel: kernels.Kernel, data, h, kress: bool = False):
 
     def factors(p):
         f = kernel.radial(p)
-        if phi_sp is None:
-            return f, None
-        if kernel.phi_in_radial is None:
-            return f, kernel.phi_radial(p)
-        return f, kernel.phi_in_radial(f)
+        return f, None if phi_sp is None else kernel.phi_radial(p, f)
 
     for I, J, p, (f, g), mirrored in _tiles(data, factors):
         speed = data.speed[I, None] if mirrored else data.speed[J]
@@ -358,9 +352,10 @@ def _built(curve, grid, stencil, family: str, which: str, *constants) -> np.ndar
 
 
 def laplace_slp_matrix(
-    curve: ParametricCurve, grid: TrapezoidGrid, stencil: CorrectionStencil
+    curve: ParametricCurve, grid: TrapezoidGrid, stencil: CorrectionStencil | None
 ) -> np.ndarray:
-    """Dense corrected operator for the Laplace SLP with kernel -log r."""
+    """Dense corrected operator for the Laplace SLP with kernel -log r; a
+    ``stencil`` of None is the Kress rule."""
     return _built(curve, grid, stencil, "laplace", "S")
 
 
@@ -368,13 +363,14 @@ def helmholtz_matrix(
     curve: ParametricCurve,
     grid: TrapezoidGrid,
     consts: HelmholtzConstants,
-    stencil: CorrectionStencil,
+    stencil: CorrectionStencil | None,
     which: str,
 ) -> np.ndarray:
     """Dense corrected operator for 'S', 'D', 'Dstar', or 'combined'.
 
     'combined' is D - i eta S with eta from
     :func:`~zetatrap.kernels.combined_field_coupling`, built in one pass.
+    A ``stencil`` of None is the Kress rule.
     """
     return _built(curve, grid, stencil, "helmholtz", which, consts.kappa)
 
@@ -382,7 +378,7 @@ def helmholtz_matrix(
 def stokes_matrix(
     curve: ParametricCurve,
     grid: TrapezoidGrid,
-    stencil: CorrectionStencil,
+    stencil: CorrectionStencil | None,
     which: str,
 ) -> np.ndarray:
     """Dense 2N x 2N Stokes operator 'S', 'D', or 'combined' S + D
@@ -391,7 +387,9 @@ def stokes_matrix(
     Only the -log r I part of S is singular and takes the log correction;
     the rest of S and the whole of D use the plain PTR with their
     analytic coincident limits on the diagonal. 'combined' builds S + D
-    in one pass of :func:`~zetatrap.kernels.stokes_combined`.
+    in one pass of :func:`~zetatrap.kernels.stokes_combined`. A
+    ``stencil`` of None, the Kress rule, is a GridError: it is built for
+    kernels of one component.
     """
     return _built(curve, grid, stencil, "stokes", which)
 
@@ -467,8 +465,7 @@ def _kress(phi_sp, kernel: kernels.Kernel, data, h, A):
     d = np.minimum(n, N - n)
     logsin = np.log(4 * np.sin(d * (math.pi / N)) ** 2, where=d > 0, out=np.zeros(N))
     lagged = _by_lag(h * logsin / 2 - R / 2)
-    for start in range(0, N, SLAB_ROWS):
-        rows = slice(start, start + SLAB_ROWS)
+    for rows in slabs(N):
         A[rows] += phi_sp[rows] * lagged[rows]
     _kress_diagonal(kernel, data, h, R, A)
 

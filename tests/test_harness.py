@@ -9,6 +9,7 @@ import math
 import re
 import shlex
 import tempfile
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -21,9 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zetatrap import cli, harness, kernels, nystrom, quadrature, specfun
-from zetatrap.geometry import InvalidGeometryError, sample
+from zetatrap.geometry import (
+    DegenerateParameterizationError,
+    InvalidGeometryError,
+    sample,
+)
 from zetatrap.kernels import helmholtz_constants
-from zetatrap.zetaweights import build_log_stencil
+from zetatrap.zetaweights import StencilError, build_log_stencil
 
 ON_GRID_TABLE = """\
 # sixth-order log correction, grid-aligned
@@ -485,7 +490,7 @@ def test_warm_stop_changes_no_converged_flag(monkeypatch):
     cold = []
     consts = helmholtz_constants(cfg.kappa)
     for n in N:
-        bie = nystrom.assemble_helmholtz(cfg.curve, n, consts)
+        bie = nystrom.assemble_helmholtz(cfg.curve, n, consts, None)
         rhs = cfg.data.boundary(bie.data.pos)
         cold.append(nystrom.solve_gmres(bie.matrix, rhs).converged)
     assert warm == cold
@@ -844,6 +849,54 @@ def test_ingest_parse_errors(tmp_path):
     p.write_text("order: 6\ngrid: on\n0 1.0\n")
     with pytest.raises(harness.StencilTableError, match="header"):
         harness.ingest_stencil_table(str(p))
+
+
+def test_ingest_refuses_an_offset_no_system_fits(tmp_path):
+    # the (K+1)-tuple of weights was built before any N was checked: an
+    # offset of 3e6 took 0.35 s, linear in it, so 1e9 would take minutes and
+    # gigabytes. No N within MAX_SYSTEM_BYTES (16 N^2 <= 2 GiB, N <= 11585)
+    # fits 2K + 1 < N past K = 5791, so a larger offset is refused while
+    # the table is parsed
+    p = tmp_path / "t.txt"
+    p.write_text("name: x\norder: 6\ngrid: on\n0 1.0\n5791 1e-3\n")
+    assert harness.ingest_stencil_table(str(p)).stencil.K == 5791
+    for offset in (5792, 10**9):
+        p.write_text(f"name: x\norder: 6\ngrid: on\n0 1.0\n{offset} 1e-3\n")
+        start = time.perf_counter()
+        with pytest.raises(harness.StencilTableError, match="line 5: offset"):
+            harness.ingest_stencil_table(str(p))
+        assert time.perf_counter() - start < 1.0
+
+
+def test_every_config_fault_is_a_config_error(tmp_path, capsys):
+    # each of these escaped load_config as its own type, and only the CLI
+    # turned it into a config error; the original error is chained
+    base = {"problem": "helmholtz", "kappa": 12.5, "N": [64]}
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"problem": ')
+    missing = str(tmp_path / "missing.txt")
+    for source, cause in (
+        ({**base, "curve": {"type": "circle", "radius": True}}, InvalidGeometryError),
+        (
+            {**base, "curve": {"type": "circle", "radius": 1e-300}},
+            DegenerateParameterizationError,
+        ),
+        ({**base, "methods": [{"name": "zeta", "K": 25}]}, StencilError),
+        ('{"problem": ', json.JSONDecodeError),
+        (str(bad_json), json.JSONDecodeError),
+        (missing, FileNotFoundError),
+        ({**base, "methods": [{"name": "external", "table": missing}]}, FileNotFoundError),
+    ):
+        with pytest.raises(harness.ConfigError) as exc:
+            harness.load_config(source)
+        assert type(exc.value.__cause__) is cause
+        assert str(exc.value) == str(exc.value.__cause__)
+        if isinstance(source, str):
+            continue
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(source))
+        assert cli.main(["convergence", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
 
 
 def test_external_method_matches_zeta(tmp_path):
@@ -1381,7 +1434,7 @@ def test_malformed_curve_and_method_entries_exit_2(tmp_path, capsys):
         ({"methods": [{"name": "external", "table": 5}]}, "table"),
     ):
         raw = {**base, **fields}
-        with pytest.raises((harness.ConfigError, InvalidGeometryError), match=word):
+        with pytest.raises(harness.ConfigError, match=word):
             harness.load_config(raw)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
@@ -1405,7 +1458,7 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
     ):
         raw = {k: v for k, v in {**base, **fields}.items() if v is not None}
         match = f"unknown key '{key}'"
-        with pytest.raises((harness.ConfigError, InvalidGeometryError), match=match):
+        with pytest.raises(harness.ConfigError, match=match):
             harness.load_config(raw)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))

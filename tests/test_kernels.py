@@ -199,10 +199,10 @@ def test_stokes_combined_is_s_plus_d():
 
 
 def test_radial_factors_are_symmetric_and_give_full_and_phi():
-    # radial(p) and phi_radial(p) of the pairs (m, n) are, bit for bit, the
-    # transposes of those of (n, m), as the mirrored tiles of the PTR fill
-    # and of the Kress correction rely on; full formed from radial(p)
-    # equals full(p)
+    # radial(p) and phi_radial(p, f), f None or radial(p) as a Kress fill
+    # passes it, of the pairs (m, n) are, bit for bit, the transposes of
+    # those of (n, m), as the mirrored tiles of the PTR fill and of the
+    # Kress correction rely on; full formed from radial(p) equals full(p)
     N = 23
     t = np.linspace(0, 2 * math.pi, N, endpoint=False)
     data = sample(star_curve(1.0, 0.3, 5), t)
@@ -219,7 +219,11 @@ def test_radial_factors_are_symmetric_and_give_full_and_phi():
             kn.helmholtz_combined(kappa),
         ]
     for kernel in kernels:
-        for factors in (kernel.radial, kernel.phi_radial):
+        for factors in (
+            kernel.radial,
+            lambda p: kernel.phi_radial(p, None),
+            lambda p: kernel.phi_radial(p, kernel.radial(p)),
+        ):
             f, f_rev = factors(fwd), factors(rev)
             assert len(f) == len(f_rev)
             for a, b in zip(f, f_rev):

@@ -568,7 +568,7 @@ def test_combined_system_matches_separate_operators(kappa):
     tau = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     angle = np.linspace(0, 2 * math.pi, 12, endpoint=False)
     targets = 2.4 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    bie = ny.assemble_helmholtz(STAR, N, consts)
+    bie = ny.assemble_helmholtz(STAR, N, consts, None)
     p = kernels.pairs(targets[:, None], bie.data.pos, bie.data.normal)
     slp, dlp = kernels.helmholtz_s(kappa), kernels.helmholtz_d(kappa)
     weights = bie.data.speed * bie.grid.h
@@ -828,7 +828,7 @@ def test_ptr_fill_is_restored_when_the_block_raises():
         with pytest.raises(quad.GridError):
             ny.assemble_stokes(STAR, 40, None)
         with pytest.raises(quad.GridError):
-            ny.assemble_helmholtz(STAR, 41, consts)
+            ny.assemble_helmholtz(STAR, 41, consts, None)
 
 
 def _builder_calls(N, stencil, which):

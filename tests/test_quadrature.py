@@ -369,17 +369,20 @@ def test_tile_loop_evaluates_each_pair_once(monkeypatch):
 @pytest.mark.parametrize("which", ["S", "D", "Dstar", "combined"])
 def test_kress_factor_read_off_the_fill_is_phi_radial(which, monkeypatch):
     # at real kappa the fill keeps phi*speed from the real parts of its own
-    # H0 and/or H1 (phi_in_radial) at every pair: the Kress matrix is bit
-    # for bit the one with J0 and J1 evaluated on the pairs, on whole,
-    # partial and mirrored tiles (SLAB_ROWS = 7 does not divide N = 300)
+    # H0 and/or H1 at every pair (phi_radial given the fill's factors reads
+    # them in place): the Kress matrix is bit for bit the one with J0 and J1
+    # evaluated on the pairs, on whole, partial and mirrored tiles
+    # (SLAB_ROWS = 7 does not divide N = 300)
     N = 300
     monkeypatch.setattr(quad, "SLAB_ROWS", 7)
     g, consts = _grid(STAR, N), helmholtz_constants(12.5)
     make = f"helmholtz_{which.lower()}"
     kernel = getattr(kernels, make)(12.5)
-    assert kernel.phi_in_radial is not None
+    p = quad._node_pairs(sample(STAR, g.nodes), np.arange(5)[:, None], np.arange(5, 9))
+    f = kernel.radial(p)
+    assert all(np.shares_memory(j, h) for j, h in zip(kernel.phi_radial(p, f), f))
     A = quad.kress_helmholtz_operator(STAR, g, consts, which)
-    evaluated = kernel._replace(phi_in_radial=None)
+    evaluated = kernel._replace(phi_radial=lambda p, f: kernel.phi_radial(p, None))
     monkeypatch.setattr(kernels, make, lambda kappa: evaluated)
     assert np.array_equal(A, quad.kress_helmholtz_operator(STAR, g, consts, which))
 
