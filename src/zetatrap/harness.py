@@ -8,8 +8,9 @@ is a label and a stencil, none for the Kress rule, and a zeta rule is
 chosen by its K alone. A problem's boundary data is one object
 (:class:`PointSources`, :class:`ShearFlow`) that names its problem and
 the kernel its systems are assembled from, so no driver asks which
-problem it runs. Every driver checks each N with
-:func:`_check_n` and builds its systems with
+problem it runs. :func:`_check_grids` is the one check of a run's grids,
+made by :func:`load_config` at each N and by each driver for its own.
+Every driver builds its systems with
 :func:`~zetatrap.nystrom.on_each_system`: a sweep passes its whole N
 list, whose largest fill the coarser N slice, table1, field and the
 Stokes reference one N. A sweep warm-starts GMRES from each method's
@@ -363,20 +364,24 @@ MIN_POINTS_PER_WAVELENGTH = 2.0
 MAX_SYSTEM_BYTES = 2 * 2**30
 
 
-def _check_n(cfg: ProblemConfig, methods, N: int):
-    """Raise ConfigError unless each of ``methods`` can run on N nodes: its
-    rule fits N and the data's kernel (:func:`~zetatrap.quadrature.check_rule`),
-    at least MIN_POINTS_PER_WAVELENGTH per wavelength 2 pi/|Re kappa|
-    along the curve (Stokes and Re kappa = 0 pass), at most
-    MAX_SYSTEM_BYTES."""
+def _check_grids(cfg: ProblemConfig, methods, n_list):
+    """Raise ConfigError unless ``methods`` can run over ``n_list``: each
+    rule fits every N and the data's kernel
+    (:func:`~zetatrap.quadrature.check_rule`), the smallest N gives at
+    least MIN_POINTS_PER_WAVELENGTH per wavelength 2 pi/|Re kappa| along
+    the curve (Stokes and Re kappa = 0 pass), and the dense systems that
+    a run over ``n_list`` holds at once (:func:`~zetatrap.nystrom.held_bytes`)
+    fit in MAX_SYSTEM_BYTES."""
     kernel = cfg.data.kernel()
-    for method in methods:
-        try:
-            quadrature.check_rule(kernel, N, method.stencil)
-        except quadrature.GridError as exc:
-            raise ConfigError(f"{method.label}: {exc}") from None
+    for N in n_list:
+        for method in methods:
+            try:
+                quadrature.check_rule(kernel, N, method.stencil)
+            except quadrature.GridError as exc:
+                raise ConfigError(f"{method.label}: {exc}") from None
     kappa = cfg.kappa
     if kappa is not None and kappa.real != 0:
+        N = min(n_list)
         t = np.linspace(0, cfg.curve.period, 512, endpoint=False)
         length = float(sample(cfg.curve, t).speed.sum()) * cfg.curve.period / len(t)
         ppw = N * (2 * math.pi / abs(kappa.real)) / length
@@ -386,14 +391,7 @@ def _check_n(cfg: ProblemConfig, methods, N: int):
                 f"a curve of length {length:.4g}; at least "
                 f"{MIN_POINTS_PER_WAVELENGTH:g} are needed"
             )
-    _check_memory(cfg, methods, [N])
-
-
-def _check_memory(cfg: ProblemConfig, methods, n_list):
-    """Raise ConfigError unless the dense systems that the run of
-    ``methods`` over ``n_list`` holds at once fit in MAX_SYSTEM_BYTES."""
-    stencils = [m.stencil for m in methods]
-    held = nystrom.held_bytes(cfg.data.kernel(), n_list, stencils)
+    held = nystrom.held_bytes(kernel, n_list, [m.stencil for m in methods])
     if held > MAX_SYSTEM_BYTES:
         raise ConfigError(
             f"N={list(n_list)} needs {held / 2**30:.3g} GiB of dense "
@@ -456,7 +454,7 @@ def _read_config(source) -> ProblemConfig:
     targets = _points(raw.get("targets", _default_targets()), "targets")
     cfg = ProblemConfig(curve, data, methods, n_list, targets)
     for n in n_list:
-        _check_n(cfg, methods, n)
+        _check_grids(cfg, methods, [n])
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(
             f"N must ascend strictly, got {list(n_list)}: a repeated N is one "
@@ -514,10 +512,14 @@ def known_solution(
     points: np.ndarray,
 ) -> np.ndarray:
     """Superposition of interior point sources: sum_l c_l (i/4) H0(kappa r_l)
-    at ``points``, read as :func:`~zetatrap.kernels.as_points` reads them."""
+    at ``points``, read as :func:`~zetatrap.kernels.as_points` reads them;
+    NaN, in both parts, at a point on a source, where the field is
+    singular."""
     points = kernels.as_points(points)
     p = kernels.pairs(points[:, None], np.asarray(sources, dtype=float))
-    return kernels.helmholtz_s(kappa).full(p) @ np.asarray(strengths, dtype=complex)
+    values = kernels.helmholtz_s(kappa).full(p) @ np.asarray(strengths, dtype=complex)
+    values[(p.r == 0).any(axis=1)] = complex(math.nan, math.nan)
+    return values
 
 
 def fit_eoc(n_values, errors, floor: float = SATURATION_FLOOR):
@@ -625,7 +627,7 @@ def run_convergence(cfg: ProblemConfig):
         densities[i] = rep.solution
         return vals, time.perf_counter() - t0
 
-    _check_memory(cfg, cfg.methods, cfg.n_list)
+    _check_grids(cfg, cfg.methods, cfg.n_list)
     per_n = _systems(cfg, cfg.methods, cfg.n_list, measure)
     if cfg.data.exact is not None:
         ref = cfg.data.exact(cfg.targets)
@@ -660,7 +662,7 @@ def run_table1(cfg: ProblemConfig, N: int = 512):
     """
     if cfg.kappa is None:
         raise ConfigError("the conditioning table is a Helmholtz experiment")
-    _check_n(cfg, cfg.methods, N)
+    _check_grids(cfg, cfg.methods, [N])
     if N > nystrom.COND_MAX_DIM:
         raise ConfigError(
             f"N={N} exceeds the dense SVD budget of {nystrom.COND_MAX_DIM} unknowns"
@@ -699,7 +701,7 @@ def run_field(cfg: ProblemConfig, grid_spec: dict, N: int = 512):
     points; anything else is a ConfigError, raised before the grid is made.
     """
     methods = cfg.methods[:1]
-    _check_n(cfg, methods, N)
+    _check_grids(cfg, methods, [N])
     keys = ("nx", "ny", "xmin", "xmax", "ymin", "ymax")
     missing = [k for k in keys if k not in grid_spec]
     if missing:

@@ -24,12 +24,13 @@ applies a rule's correction.
 :func:`on_each_system` builds every rule's system at each N of a list
 on one fill: the stencil rules in turn, each written back after use,
 then the Kress system once, not undone, which every Kress rule at that
-N measures. The fill at N is the fill at 2N read at
-every other row and column, times 2, bit for bit, so it fills the
-largest N first and takes the fill of every N below it by a power of
-two as one strided copy, and its factor as a strided view of the
-largest fill's. It holds the largest fill and its factor, and one other
-system and its own factor, at once (:func:`held_bytes`).
+N measures. The fill at N is the fill at 2N read at every other row and
+column, times 2, bit for bit, so it fills the largest N first and takes
+the fill of every N below it by a power of two as one strided copy, its
+curve samples as every s-th of the largest fill's (one sampling per
+fill), and its factor as a strided view of the largest fill's. It holds
+the largest fill and its factor, and one other system and its own
+factor, at once (:func:`held_bytes`).
 :func:`assemble_helmholtz` and :func:`assemble_stokes` build one system
 of the two combined kernels on a fill of its own. :func:`locate` is the
 one test of where a point lies; :func:`eval_field` and the harness's
@@ -102,7 +103,6 @@ class DiscretizedBIE:
     """Dense Nystrom system A tau = rhs together with its grid data and
     the kernel it was assembled from, which the off-curve evaluators sum."""
 
-    curve: ParametricCurve
     grid: quad.TrapezoidGrid
     data: CurveSamples
     matrix: np.ndarray
@@ -141,15 +141,16 @@ def _fill(kernel: kernels.Kernel, curve: ParametricCurve, N: int, kress: bool = 
     else None."""
     grid, data = _nodes(curve, N)
     A, phi_sp = quad._ptr_fill(kernel, data, grid.h, kress)
-    return DiscretizedBIE(curve, grid, data, A, kernel), phi_sp
+    return DiscretizedBIE(grid, data, A, kernel), phi_sp
 
 
 def _slice(top, N: int):
     """(system, Kress factor) at N, read off the fill ``top``, a (system,
     factor) at M = s N nodes, s a power of two. The system holds the PTR
-    fill at N, one strided copy of every s-th node's c x c block, times s,
-    c the kernel's ``components`` (node-major); the factor is the
-    view of every s-th row and column of ``top``'s, or None.
+    fill at N, every s-th node's c x c block times s (c the kernel's
+    ``components``, node-major), and every s-th of ``top``'s curve samples,
+    each one strided copy; the factor is the view of every s-th row and
+    column of ``top``'s, or None.
 
     h = period/M is period/N over s exactly, so node n at N is node s n
     at M, the same float, and so are its samples and every pair's kernel
@@ -161,8 +162,8 @@ def _slice(top, N: int):
     s = M // N
     c = bie.kernel.components
     A = (bie.matrix.reshape(M, c, M, c)[::s, :, ::s] * s).reshape(c * N, c * N)
-    grid, data = _nodes(bie.curve, N)
-    system = DiscretizedBIE(bie.curve, grid, data, A, bie.kernel)
+    data = CurveSamples(**{k: v[::s].copy() for k, v in vars(bie.data).items()})
+    system = DiscretizedBIE(quad.make_grid(bie.grid.period, N), data, A, bie.kernel)
     return system, None if phi_sp is None else phi_sp[::s, ::s]
 
 
@@ -253,14 +254,14 @@ def on_each_system(
 
     The N whose fill is a slice of the fill at N_max = max(``n_list``)
     (N_max/N a power of two, see :func:`_slice`) share that fill: it is
-    taken first and held until N_max, each of its fills is one strided
-    copy, and its Kress factor a strided view of N_max's. Any other N
-    fills afresh. At most the N_max fill and the system of one other N,
-    each with its factor, are alive at once (see :func:`held_bytes`). A
-    rule's seconds are its fill's, or its slice's, plus its correction's:
-    the N_max rows carry the whole N_max fill, and the Kress rules at one
-    N the same seconds. The matrix of ``bie`` holds the system only during
-    ``measure``, which must not write to it.
+    taken first and held until N_max, the fill and curve samples of each
+    are strided copies of N_max's, and its Kress factor a strided view.
+    Any other N fills afresh. At most the N_max fill and the system of one
+    other N, each with its factor, are alive at once (see
+    :func:`held_bytes`). A rule's seconds are its fill's, or its slice's,
+    plus its correction's: the N_max rows carry the whole N_max fill, and
+    the Kress rules at one N the same seconds. The matrix of ``bie`` holds
+    the system only during ``measure``, which must not write to it.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -291,7 +292,7 @@ def _assemble(kernel, curve, N, stencil) -> DiscretizedBIE:
     grid, data = _nodes(curve, N)
     A = quad._matrix(kernel, data, grid.h, stencil)
     A[np.diag_indices_from(A)] += 0.5
-    return DiscretizedBIE(curve, grid, data, A, kernel)
+    return DiscretizedBIE(grid, data, A, kernel)
 
 
 def assemble_helmholtz(
@@ -570,7 +571,7 @@ def _strides(bie: DiscretizedBIE, tol: float, alias, p: kernels.Pairs, at, neare
     |w_m| times the envelope at |j N/s - m|: the modes near j N/s are
     mostly rounding noise, of unrelated phases.
     """
-    data, N, period = bie.data, bie.grid.N, bie.curve.period
+    data, N, period = bie.data, bie.grid.N, bie.grid.period
     kappa = complex(bie.kernel.wavenumber)
     d = p.r[at, nearest]
     v = data.speed[nearest]

@@ -9,9 +9,10 @@ fill, the punctured trapezoidal matrix kernel*speed*h, plus a correction.
   one stencil changes: on the +-j cyclic diagonals (j = 1..K) it adds
   h*w_j*phi*speed, and on the diagonal it writes
   h*speed*(L + phi(0)*(2 w_0 - log(speed*h))), where L is the coincident
-  limit of the kernel's smooth part. ``apply`` returns the entries it
-  overwrote and ``restore`` writes them back, so rules that share a grid
-  can share one fill (see :func:`~zetatrap.nystrom.on_each_system`).
+  limit of the kernel's smooth part. ``apply`` returns its own undo, the
+  function that writes back the entries it overwrote, so rules that
+  share a grid can share one fill (see
+  :func:`~zetatrap.nystrom.on_each_system`).
 - Kress: the split kernel = -(phi/2) log(4 sin^2((t-s)/2)) + smooth,
   with the log part through the circulant weights R and the smooth
   part through the plain PTR with the analytic diagonal
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -251,38 +251,34 @@ class Correction:
     planes (none, or (2, 2) for Stokes). Every other entry of the
     corrected matrix is the fill's. The 2K + 1 positions of a row are
     distinct (2K + 1 < N), so the order of the writes does not matter.
+    :meth:`apply` keeps the entries it overwrites and returns the function
+    that writes them back, which restores the fill bit for bit.
     """
 
     cols: np.ndarray  # (N, 2K)
     band: np.ndarray  # (..., N, 2K)
     diag: np.ndarray  # (..., N)
 
-    def _targets(self, A: np.ndarray):
-        """(plane, band values, diagonal values) per component plane of A."""
-        lead = self.diag.ndim - 1
-        planes = _planes(_components(A, self.cols.shape[0]), lead)
-        return zip(planes, _planes(self.band, lead), _planes(self.diag, lead))
-
-    def apply(self, A: np.ndarray) -> list:
-        """Add the band to ``A`` and write the diagonal, in place.
-
-        Returns the entries it overwrote, for :meth:`restore`.
-        """
+    def apply(self, A: np.ndarray):
+        """Add the band to ``A`` and write the diagonal, in place, in each
+        component plane. Returns the function that writes back the entries
+        it overwrote."""
         n = np.arange(self.cols.shape[0])
         rows = n[:, None]
+        lead = self.diag.ndim - 1
+        planes = _components(A, len(n)), self.band, self.diag
         saved = []
-        for plane, band, diag in self._targets(A):
-            saved.append((plane[rows, self.cols], plane[n, n]))
+        for plane, band, diag in zip(*(_planes(a, lead) for a in planes)):
+            saved.append((plane, plane[rows, self.cols], plane[n, n]))
             plane[rows, self.cols] += band
             plane[n, n] = diag
-        return saved
 
-    def restore(self, A: np.ndarray, saved: list):
-        """Write back the entries that :meth:`apply` returned."""
-        n = np.arange(self.cols.shape[0])
-        for (plane, _, _), (band, diag) in zip(self._targets(A), saved):
-            plane[n[:, None], self.cols] = band
-            plane[n, n] = diag
+        def undo():
+            for plane, band, diag in saved:
+                plane[rows, self.cols] = band
+                plane[n, n] = diag
+
+        return undo
 
 
 def _correction(kernel: kernels.Kernel, data, h, stencil) -> Correction:
@@ -315,8 +311,7 @@ def correct(kernel: kernels.Kernel, data, h, A, phi_sp, stencil):
     if stencil is None:
         _kress(phi_sp, kernel, data, h, A)
         return None
-    correction = _correction(kernel, data, h, stencil)
-    return partial(correction.restore, A, correction.apply(A))
+    return _correction(kernel, data, h, stencil).apply(A)
 
 
 def _matrix(kernel: kernels.Kernel, data, h, stencil: CorrectionStencil | None):

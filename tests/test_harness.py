@@ -18,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -520,7 +521,17 @@ def test_field_warns_when_gmres_does_not_converge(monkeypatch):
 
 def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
     # H^(1) at a negative real argument needs the principal branch, which
-    # the real Bessel routines (Y of a negative is NaN) do not give.
+    # the real Bessel routines (Y of a negative is NaN) do not give: with
+    # them made to raise, the sweep at kappa = -12.5 runs, on the complex
+    # route alone, to the errors it had
+    def real_route(z, out=None):
+        raise AssertionError("real Bessel route at a negative kappa")
+
+    for table in (specfun._REAL_J, specfun._REAL_Y):
+        for order in (0, 1):
+            monkeypatch.setitem(table, order, real_route)
+    with pytest.raises(AssertionError, match="real Bessel route"):
+        specfun.hankel1_array(0, np.ones(2))
     raw = {
         "problem": "helmholtz",
         "kappa": -12.5,
@@ -528,16 +539,7 @@ def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
         "N": [128, 256],
     }
     errs = [row[3] for row in harness.run_convergence(harness.load_config(raw))[0]]
-    for name in ("hankel1_array", "bessel_j_array"):
-        original = getattr(specfun, name)
-        monkeypatch.setattr(
-            kernels,
-            name,
-            lambda order, z, f=original: f(order, np.asarray(z, dtype=complex)),
-        )
-    forced = [row[3] for row in harness.run_convergence(harness.load_config(raw))[0]]
     assert np.all(np.isfinite(errs))
-    assert errs == pytest.approx(forced, rel=1e-9)
     assert errs == pytest.approx([2.6e-4, 2.5e-6], rel=0.02)
 
 
@@ -791,6 +793,35 @@ def test_known_solution_reads_points_as_pairs():
     assert np.array_equal(harness.known_solution(5.0, sources, strengths, points), want)
     one = harness.known_solution(5.0, sources, strengths, [2.0, 0.0])
     assert one.shape == (1,) and one[0] == want[0]
+
+
+def test_known_solution_is_nan_on_a_source():
+    # at a point on a source the field is singular; it read the kernel's
+    # r = 1 placeholder there, (i/4) H0(kappa), 0.0428+0.0367i at 12.5
+    sources, strengths = [[0.1, 0.0], [-0.2, 0.3]], [1.0, 2.0 - 1j]
+    for kappa in (12.5, 12.5 + 10j, 3j):
+        values = harness.known_solution(
+            kappa, sources, strengths, [[0.1, 0.0], [2.0, 0.0], [-0.2, 0.3]]
+        )
+        assert np.isnan(values[[0, 2]].view(float)).all()  # both parts
+        assert np.isfinite(values[1])
+
+
+@pytest.mark.parametrize("kappa", [12.5, 12.5 + 10j, -12.5, 3j])
+def test_known_solution_is_the_point_source_sum(kappa):
+    # every sweep error is measured against known_solution: it is the sum
+    # of c_l (i/4) H0(kappa r_l) that scipy's hankel1 gives directly, on
+    # the principal branch, relative to max|u| as a sweep's errors are
+    # (the real route at kappa = 12.5 is within 1.2e-15; the others are
+    # scipy's hankel1 itself)
+    rng = np.random.default_rng(5)
+    sources = rng.uniform(-0.4, 0.4, (3, 2))
+    strengths = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    points = rng.uniform(-3.0, 3.0, (200, 2))
+    r = np.linalg.norm(points[:, None] - sources[None], axis=-1)
+    want = (0.25j * scipy.special.hankel1(0, complex(kappa) * r)) @ strengths
+    got = harness.known_solution(kappa, sources, strengths, points)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # --- stencil-table ingestion ------------------------------------------------
@@ -1278,15 +1309,16 @@ def test_n_list_must_ascend_strictly(tmp_path, capsys):
 
 def test_kappa_floor_is_the_low_frequency_breakdown():
     # MIN_KAPPA = 1e-6 stays the floor of a config; with the coupling
-    # eta = max(Re kappa, 1) a sweep at the floor converges without a
-    # warning and its finest error is at rounding (4.2e-16 at N = 256)
+    # eta = max(Re kappa, 1) a sweep down to the floor converges without a
+    # warning at every N and its finest error is at rounding (6.0e-16,
+    # 6.4e-16, 8.4e-16 and 3.6e-16 at N = 512 for the four kappa below)
     assert harness.MIN_KAPPA == 1e-6
     raw = {"problem": "helmholtz", "methods": [{"name": "zeta", "K": 7}]}
     for kappa in (0.99e-6, [0.0, 0.99e-6], [0.7e-6, 0.7e-6], 1e-300):
         with pytest.raises(harness.ConfigError, match="low frequency"):
             harness.load_config({**raw, "kappa": kappa, "N": [64]})
-    for kappa in (1e-6, [0.0, 1e-6]):
-        cfg = harness.load_config({**raw, "kappa": kappa, "N": [128, 256]})
+    for kappa in (1e-2, 1e-4, 1e-6, [0.0, 1e-6]):
+        cfg = harness.load_config({**raw, "kappa": kappa, "N": [64, 128, 256, 512]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows, _ = harness.run_convergence(cfg)

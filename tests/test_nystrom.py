@@ -730,6 +730,23 @@ def test_nested_systems_equal_assembled_ones(kappa):
             assert np.array_equal(getattr(data, name), getattr(fresh, name)), name
 
 
+def test_a_nested_sweep_samples_the_curve_once():
+    # N = 128, 256 and 512 take their curve samples as every s-th of the
+    # N = 1024 fill's, so the sweep samples the curve once, where it
+    # sampled it again for each coarse N (4 times)
+    kernel = kernels.helmholtz_combined(12.5)
+    stencils = [build_log_stencil(2), None]
+    seen = []
+
+    def measure(i, bie):
+        seen.append(bie.grid.N)
+
+    with mock.patch.object(ny, "sample", wraps=sample) as sampled:
+        ny.on_each_system(kernel, STAR, [128, 256, 512, 1024], stencils, measure)
+    assert sampled.call_count == 1
+    assert seen == [N for N in (128, 256, 512, 1024) for _ in stencils]
+
+
 def test_a_kernel_nystrom_never_names_runs_on_each_system():
     # the Laplace single layer, -log r: its systems are float, and each is
     # the matrix quadrature builds for it plus I/2, bit for bit, the zeta
@@ -924,7 +941,8 @@ def test_every_builder_refuses_before_it_fills(case):
 
 def test_correction_touches_only_its_band_and_diagonal():
     # apply changes the 2K + 1 entries of each row of every component plane
-    # and returns their old values; restore writes exactly those back
+    # and returns its undo, which writes exactly those entries back, bit
+    # for bit, and no other
     N, K = 48, 3
     for kernel in (kernels.helmholtz_combined(5.0), kernels.stokes_combined()):
         fill, _ = ny._fill(kernel, STAR, N)
@@ -932,16 +950,17 @@ def test_correction_touches_only_its_band_and_diagonal():
             fill.kernel, fill.data, fill.grid.h, build_log_stencil(K)
         )
         A = fill.matrix.copy()
-        saved = correction.apply(A)
+        undo = correction.apply(A)
         lag = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
         near = np.minimum(lag, N - lag) <= K
         if kernel.components == 2:
             near = np.kron(near, np.ones((2, 2), dtype=bool))
         assert np.array_equal(A[~near], fill.matrix[~near])
-        old = np.concatenate([np.ravel(a) for entries in saved for a in entries])
-        assert np.array_equal(np.sort(old), np.sort(fill.matrix[near]))
-        correction.restore(A, saved)
-        assert np.array_equal(A, fill.matrix)
+        assert not np.array_equal(A[near], fill.matrix[near])
+        A[~near] = 7.0
+        undo()
+        assert np.array_equal(A[near], fill.matrix[near])
+        assert np.all(A[~near] == 7.0)
 
 
 @settings(max_examples=30, deadline=None)
