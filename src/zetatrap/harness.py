@@ -22,6 +22,7 @@ evaluator applies, so a config that loads has no target a sweep refuses.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -215,6 +216,13 @@ class ProblemConfig:
         """The wavenumber of the data, None for Stokes."""
         return self.data.kappa
 
+    @functools.cached_property
+    def length(self) -> float:
+        """The curve's length, the trapezoidal sum of its speed at 512
+        points, sampled once per config."""
+        t = np.linspace(0, self.curve.period, 512, endpoint=False)
+        return float(sample(self.curve, t).speed.sum()) * self.curve.period / len(t)
+
 
 # The keys of a config besides those its data reads.
 _CONFIG_KEYS = ("problem", "curve", "methods", "N", "targets")
@@ -382,8 +390,7 @@ def _check_grids(cfg: ProblemConfig, methods, n_list):
     kappa = cfg.kappa
     if kappa is not None and kappa.real != 0:
         N = min(n_list)
-        t = np.linspace(0, cfg.curve.period, 512, endpoint=False)
-        length = float(sample(cfg.curve, t).speed.sum()) * cfg.curve.period / len(t)
+        length = cfg.length
         ppw = N * (2 * math.pi / abs(kappa.real)) / length
         if ppw < MIN_POINTS_PER_WAVELENGTH:
             raise ConfigError(

@@ -34,9 +34,11 @@ factor, at once (:func:`held_bytes`).
 :func:`assemble_helmholtz` and :func:`assemble_stokes` build one system
 of the two combined kernels on a fill of its own. :func:`locate` is the
 one test of where a point lies; :func:`eval_field` and the harness's
-config check apply it. :func:`eval_field` sums a far target over every
-s-th node, with s from the target's distance and the density's spectrum
-(:func:`_strides`).
+config check apply it. It decides most points on every s0-th node, and
+pairs a point with all N nodes only where that coarse answer is not
+certain (:func:`_decide`), with the full test's answer either way.
+:func:`eval_field` sums a far target over every s-th node, with s from
+the target's distance and the density's spectrum (:func:`_strides`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -479,24 +482,190 @@ def cond_2norm(A: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _target_slabs(data: CurveSamples, h: float, targets: np.ndarray):
-    """Yield (rows, outside, usable, pairs, nearest) per slab of targets,
-    ``rows`` its slice, on the nodes ``data``: the pairs of every target
-    of the slab with every node, and the index of each target's nearest
-    node; see :func:`locate`. A target that is not finite is neither
-    outside nor usable."""
+def _coarse_step(N: int) -> int:
+    """s0, the step of the decision pass's coarse nodes: the largest power
+    of two dividing N with 16 s0^2 <= N (8 at N = 1024, 4 at N = 256 and
+    300, 1 below N = 64), where a target's N/s0 coarse pairs and its
+    refine over a few windows of s0 nodes cost about alike."""
+    s0 = 1
+    while N % (2 * s0) == 0 and 16 * (2 * s0) ** 2 <= N:
+        s0 *= 2
+    return s0
+
+
+_PAIR_FIELDS = ("dx", "dy", "r", "r_safe", "src_normal")
+
+
+class _Decision(NamedTuple):
+    """Where each target lies (see :func:`_decide`): ``outside`` and
+    ``usable`` as :func:`locate` gives them, and for a usable target its
+    ``nearest`` node, its pair with that node, ``closest``, and bounds
+    ``low`` <= ``high`` on its decay sum sum_n exp(-g (r_n - d)) over all
+    N nodes as :func:`_full_pass` rounds it, d the distance to
+    ``nearest``."""
+
+    outside: np.ndarray
+    usable: np.ndarray
+    nearest: np.ndarray
+    closest: kernels.Pairs
+    low: np.ndarray
+    high: np.ndarray
+
+    def at(self, idx):
+        """The targets ``idx``'s nearest nodes, pairs and bounds."""
+        closest = kernels.Pairs(*(getattr(self.closest, f)[idx] for f in _PAIR_FIELDS))
+        return self.nearest[idx], closest, self.low[idx], self.high[idx]
+
+
+def _decay(r: np.ndarray, d, growth: float) -> np.ndarray:
+    """exp(-``growth`` (r - ``d``)) at the pair distances ``r``, in place,
+    ``d`` each pair's target's distance to its nearest node."""
+    r -= d
+    r *= -growth
+    return np.exp(r, out=r)
+
+
+def _full_pass(data: CurveSamples, h: float, targets: np.ndarray, growth: float):
+    """(outside, usable, nearest, closest, decay sum) of ``targets``,
+    finite or NaN, from their pairs with all N nodes ``data``: outside when
+    the trapezoidal winding number is below 1/2, usable when also at least
+    NEAR_FIELD_FACTOR h speed from the nearest node (the first on ties).
+    The last three are of the usable targets; the sum is N, exactly, at
+    ``growth`` 0."""
+    p = kernels.pairs(targets[:, None], data.pos, data.normal)
+    nearest = p.r.argmin(axis=1)
+    d = p.r[np.arange(len(nearest)), nearest]
+    far = d >= NEAR_FIELD_FACTOR * h * data.speed[nearest]
+    # Winding number: the Laplace double layer integrates to -2 pi inside.
+    winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
+    outside = np.abs(winding) < 0.5
+    at = np.flatnonzero(outside & far)
+    n = nearest[at]
+    closest = kernels.Pairs(
+        p.dx[at, n], p.dy[at, n], d[at], p.r_safe[at, n], data.normal[n]
+    )
+    if growth:
+        sums = _decay(p.r[at], d[at, None], growth).sum(axis=1)
+    else:
+        sums = np.full(len(at), float(p.r.shape[1]))
+    return outside, outside & far, n, closest, sums
+
+
+def _refine(data: CurveSamples, targets, r, delta: float, growth: float):
+    """(nearest, closest, low, high) of ``targets``, each with (M, N/s0)
+    pair distances ``r`` to the coarse nodes: the nearest node (the first
+    on ties) and its pair, from the pairs with the nodes of each coarse
+    node within the least coarse distance d0 plus a slack of the target,
+    delta and a few ulps of its distances. Every node lies within ``delta``
+    of its coarse node (the s0 nodes from s0/2 before it), so a coarse
+    node farther out holds no node nearer than d0. And bounds on the decay
+    sum: exact on those windows of nodes, and elsewhere s0 times each
+    coarse node's term times exp(-+ |growth| slack)."""
+    N = len(data.speed)
+    s0 = N // r.shape[1]
+    # the rounding of the pair distances, a few ulps of the largest
+    slack = delta * (1 + 1e-12) + 16 * np.finfo(float).eps * r.max(axis=1)
+    window = r <= (r.min(axis=1) + slack)[:, None]
+    row, coarse = np.nonzero(window)
+    node = ((coarse[:, None] * s0 + np.arange(-(s0 // 2), s0 - s0 // 2)) % N).ravel()
+    row = np.repeat(row, s0)
+    p = kernels.pairs(targets[row], data.pos[node])
+    start = np.flatnonzero(np.diff(row, prepend=-1))
+    count = np.diff(start, append=len(row))
+    tied = p.r == np.repeat(np.minimum.reduceat(p.r, start), count)
+    nearest = np.minimum.reduceat(np.where(tied, node, N), start)
+    pick = np.flatnonzero(node == np.repeat(nearest, count))
+    d = p.r[pick]
+    closest = kernels.Pairs(
+        p.dx[pick], p.dy[pick], d, p.r_safe[pick], data.normal[nearest]
+    )
+    if not growth:
+        sums = np.full(len(d), float(N))
+        return nearest, closest, sums, sums
+    # the window's terms, exact, and s0 times each other coarse node's
+    inner = np.add.reduceat(_decay(p.r.copy(), np.repeat(d, count), growth), start)
+    outer = _decay(r.copy(), d[:, None], growth)
+    outer[window] = 0.0
+    outer = s0 * outer.sum(axis=1)
+    # far past the curve the slack's ulps can overflow the spread: there
+    # the bracket is [inner, inf), or exact where no node lies outside
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.exp(abs(growth) * slack)
+        high = np.where(outer > 0, inner + outer * spread, inner)
+    low = inner + outer / spread
+    # room for the rounding of a sum of N such terms, and to spare
+    return nearest, closest, low * (1 - 1e-10), high * (1 + 1e-10)
+
+
+def _decide(data: CurveSamples, h: float, targets: np.ndarray, growth: float = 0.0):
+    """The :class:`_Decision` on ``targets`` (NaN where not finite) of the
+    nodes ``data``, in two levels.
+
+    Every target is first paired with every s0-th node
+    (:func:`_coarse_step`). Let delta = s0/2 times the longest chord
+    between neighbouring nodes, which bounds the distance of every node to
+    its coarse node (the half arc of the coarse spacing: half its chord is
+    no bound, since the arc's midpoint lies farther than that from both
+    ends), and d0 the least coarse distance. A target is certified when
+    d0 - delta >= NEAR_FIELD_FACTOR h max(speed), so no node lies within
+    the near field, and its winding number on the coarse nodes lies
+    within 1/4 of 0 or +-1. The error of that trapezoidal sum decays like
+    exp(-2 pi d/(s0 h speed)) with the distance d, that of the full sum s0
+    times faster in the exponent, so past that distance the full sum falls
+    on the same side of 1/2. A certified inside target is refused; a
+    certified outside one takes its nearest node from the exact pairs with
+    the nodes of the coarse nodes that can hold it (:func:`_refine`), and
+    is usable when it lies at least NEAR_FIELD_FACTOR h times that node's
+    speed from it, the full pass's rule. Every other target takes
+    :func:`_full_pass`, the pairs with all N nodes.
+    """
     # inf - x is inf and inf/inf NaN with a warning; NaN passes quietly
     targets = np.where(np.isfinite(targets), targets, np.nan)
-    for rows in quad.slabs(len(targets)):
-        p = kernels.pairs(targets[rows, None], data.pos, data.normal)
-        nearest = p.r.argmin(axis=1)
-        far = p.r[np.arange(len(nearest)), nearest] >= (
-            NEAR_FIELD_FACTOR * h * data.speed[nearest]
-        )
-        # Winding number: the Laplace double layer integrates to -2 pi inside.
-        winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
-        outside = np.abs(winding) < 0.5
-        yield rows, outside, outside & far, p, nearest
+    M, N = len(targets), len(data.speed)
+    s0 = _coarse_step(N)
+    pos = np.ascontiguousarray(data.pos[::s0])
+    normal = np.ascontiguousarray(data.normal[::s0])
+    weight = data.speed[::s0] * (h * s0)
+    step = data.pos - np.roll(data.pos, 1, axis=0)
+    delta = s0 // 2 * float(np.sqrt(step[:, 0] ** 2 + step[:, 1] ** 2).max())
+    near = NEAR_FIELD_FACTOR * h * data.speed.max()
+    outside = np.zeros(M, dtype=bool)
+    usable = np.zeros(M, dtype=bool)
+    nearest = np.zeros(M, dtype=int)
+    closest = {f: np.full(M, np.nan) for f in _PAIR_FIELDS[:4]}
+    low, high = np.full(M, np.nan), np.full(M, np.nan)
+
+    def keep(idx, ok, n, pairs, lo, hi):
+        usable[idx] = ok
+        idx = idx[ok]
+        nearest[idx] = n
+        for f in closest:
+            closest[f][idx] = getattr(pairs, f)
+        low[idx], high[idx] = lo, hi
+
+    # a slab of s0 SLAB_ROWS targets on the coarse nodes holds as many
+    # pairs as one of SLAB_ROWS on all N
+    for rows in quad.slabs(M, s0):
+        p = kernels.pairs(targets[rows, None], pos, normal)
+        winding = np.abs(kernels.laplace_d().full(p) @ weight) / (2 * math.pi)
+        clear = p.r.min(axis=1) - delta >= near
+        out = clear & (winding <= 0.25)
+        unsure = np.flatnonzero(~out & ~(clear & (np.abs(winding - 1) <= 0.25)))
+        idx = np.flatnonzero(out)
+        if len(idx):
+            n, pairs, lo, hi = _refine(data, targets[rows][idx], p.r[idx], delta, growth)
+            idx += rows.start
+            outside[idx] = True
+            keep(idx, pairs.r >= NEAR_FIELD_FACTOR * h * data.speed[n], n, pairs, lo, hi)
+        for part in quad.slabs(len(unsure)):
+            idx = rows.start + unsure[part]
+            out, ok, n, pairs, sums = _full_pass(data, h, targets[idx], growth)
+            outside[idx] = out
+            keep(idx, ok, n, pairs, sums, sums)
+    return _Decision(
+        outside, usable, nearest,
+        kernels.Pairs(**closest, src_normal=data.normal[nearest]), low, high,
+    )
 
 
 def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -506,14 +675,14 @@ def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarr
     also at least NEAR_FIELD_FACTOR local arclength spacings from its
     closest node, where the plain PTR holds. A point that is not finite
     is neither. ``points`` are read as
-    :func:`~zetatrap.kernels.as_points` reads them."""
-    points = kernels.as_points(points)
+    :func:`~zetatrap.kernels.as_points` reads them.
+
+    Most points are decided on every s0-th node (:func:`_decide`), with
+    the answer of the full N-node test.
+    """
     grid, data = _nodes(curve, N)
-    outside = np.empty(len(points), dtype=bool)
-    usable = np.empty(len(points), dtype=bool)
-    for rows, out, ok, _, _ in _target_slabs(data, grid.h, points):
-        outside[rows], usable[rows] = out, ok
-    return outside, usable
+    decision = _decide(data, grid.h, kernels.as_points(points))
+    return decision.outside, decision.usable
 
 
 def _alias_power(power: np.ndarray, s: int) -> np.ndarray:
@@ -545,11 +714,16 @@ def _aliases(data: CurveSamples, density: np.ndarray):
     return lru_cache(maxsize=None)(partial(_alias_power, power))
 
 
-def _strides(bie: DiscretizedBIE, tol: float, alias, p: kernels.Pairs, at, nearest):
-    """The stride s (1, 2, 4, ... dividing N) of each target of the rows
-    ``at`` of ``p``, whose nearest nodes are ``nearest``: the largest s at
+def _strides(
+    bie: DiscretizedBIE, tol: float, alias, closest: kernels.Pairs, nearest, low, high, exact
+):
+    """The stride s (1, 2, 4, ... dividing N) of each target whose pair
+    with its nearest node ``nearest`` is ``closest``: the largest s at
     which the sum over every s-th node, weights times s, is predicted to
-    differ from the sum over all N nodes by at most ``tol``. ``alias(s)``
+    differ from the sum over all N nodes by at most ``tol``. The rule
+    reads the target's decay sum, known to lie in [``low``, ``high``];
+    ``exact(i)`` gives the sums of the targets ``i`` where a bracket
+    leaves s open. ``alias(s)``
     gives the density's power at each distance r = 0..N/2 from the
     frequencies that stride s aliases (:func:`_alias_power`).
 
@@ -564,48 +738,96 @@ def _strides(bie: DiscretizedBIE, tol: float, alias, p: kernels.Pairs, at, neare
     beyond the q0 = |Re kappa| v period/(2 pi) of its oscillation along
     the curve, and on the strip it grows by exp(Im kappa d), where it no
     longer decays with Im kappa. No mode exceeds the kernel's l1 norm
-    over the nodes, its size K at the nearest node times
+    over the nodes, its size K at the nearest node times the decay sum
     sum_n exp(-Im kappa (r_n - d)). So the envelope at q is
     min(l1, N K exp(Im kappa d - alpha (q - q0)+)), and the prediction is
     the root-sum-square over the density's modes m and the j N/s of
     |w_m| times the envelope at |j N/s - m|: the modes near j N/s are
     mostly rounding noise, of unrelated phases.
+
+    Each step from the decay sum to s is monotone in it (a product, log,
+    min, exp and a non-negative matrix product in a fixed order), so where
+    the s at ``low`` and at ``high`` agree, it is the s at any sum between
+    them. The s at ``high`` is found first; at ``low`` only the next s up
+    can differ, and it is tested only where the error at ``high`` times
+    (``low``/``high``)^2 does not already refuse it. Where it passes, the
+    exact sum decides; a target with ``low`` = ``high`` takes one
+    evaluation.
     """
     data, N, period = bie.data, bie.grid.N, bie.grid.period
     kappa = complex(bie.kernel.wavenumber)
-    d = p.r[at, nearest]
+    d = closest.r
     v = data.speed[nearest]
     kd = np.maximum(data.curvature[nearest], 0.0) * d
     strip = d / v * np.where(kd > 0, np.log1p(kd) / np.where(kd > 0, kd, 1.0), 1.0)
     alpha = 2 * math.pi / period * strip
     q0 = abs(kappa.real) * v * period / (2 * math.pi)
-    closest = kernels.Pairs(
-        p.dx[at, nearest], p.dy[at, nearest], d, p.r_safe[at, nearest],
-        data.normal[nearest],
-    )
-    size = np.abs(bie.kernel.full(closest)).reshape(-1, len(at)).max(axis=0)
+    size = np.abs(bie.kernel.full(closest)).reshape(-1, len(d)).max(axis=0)
     size = np.maximum(size, np.finfo(float).tiny)
-    decay = p.r[at]  # exp(-Im kappa (r_n - d)) at each node, in place
-    decay -= d[:, None]
-    decay *= -kappa.imag
-    np.exp(decay, out=decay)
-    l1 = size * decay.sum(axis=1)
-    # the squared envelope at q = 0..N/2, built in place from its log
-    square = np.arange(N // 2 + 1) - q0[:, None]
-    np.maximum(square, 0.0, out=square)
-    square *= -2 * alpha[:, None]
-    square += 2 * (np.log(N * size) + kappa.imag * d)[:, None]
-    np.minimum(square, 2 * np.log(l1)[:, None], out=square)
-    np.exp(square, out=square)
-    stride = np.ones(len(at), dtype=int)
-    s = 2
-    while N % s == 0 and s < N:
-        up = (stride == s // 2) & (np.sqrt(square @ alias(s)) <= tol)
-        if not up.any():
-            break
-        stride[up] = s
-        s *= 2
+    # the log of the squared envelope at q = 0..N/2, before the l1 cap
+    envelope = np.arange(N // 2 + 1) - q0[:, None]
+    np.maximum(envelope, 0.0, out=envelope)
+    envelope *= -2 * alpha[:, None]
+    envelope += 2 * (np.log(N * size) + kappa.imag * d)[:, None]
+
+    def stride_at(rows, sums):
+        """The stride of the ``rows`` at decay sums ``sums``, and the squared
+        error predicted at the first stride above it (0 where none is)."""
+        square = np.minimum(envelope[rows], 2 * np.log(size[rows] * sums)[:, None])
+        np.exp(square, out=square)
+        stride = np.ones(len(sums), dtype=int)
+        miss = np.zeros(len(sums))
+        s = 2
+        while N % s == 0 and s < N:
+            error = square @ alias(s)
+            now = stride == s // 2
+            up = now & (np.sqrt(error) <= tol)
+            miss[now & ~up] = error[now & ~up]
+            if not up.any():
+                break
+            stride[up] = s
+            s *= 2
+        return stride, miss
+
+    stride, miss = stride_at(slice(None), high)
+    # at ``low`` every error is at least (low/high)^2 times the one at
+    # ``high``, so the stride differs there only where the first stride
+    # refused at ``high`` may pass (1e-9 of room for the products' rounding)
+    check = np.flatnonzero(
+        (low < high) & (miss != 0) & ~(miss * (low / high) ** 2 > tol**2 * (1 + 1e-9))
+    )
+    open_ = np.zeros(len(d), dtype=bool)
+    for s in np.unique(2 * stride[check]):
+        rows = check[2 * stride[check] == s]
+        square = np.minimum(envelope[rows], 2 * np.log(size[rows] * low[rows])[:, None])
+        np.exp(square, out=square)
+        open_[rows] = np.sqrt(square @ alias(s)) <= tol
+    open_ = np.flatnonzero(open_)
+    if len(open_):
+        stride[open_] = stride_at(open_, exact(open_))[0]
     return stride
+
+
+def _target_strides(bie: DiscretizedBIE, tol: float, alias, targets: np.ndarray):
+    """(stride, nearest) of each of ``targets``, from the decision of
+    :func:`_decide`: 0 and 0 where refused, else its stride
+    (:func:`_strides`) and nearest node. A target whose stride its
+    decay-sum bounds leave open takes its decay sum from all N nodes."""
+    data, h = bie.data, bie.grid.h
+    growth = complex(bie.kernel.wavenumber).imag
+    decision = _decide(data, h, targets, growth)
+    stride = np.zeros(len(targets), dtype=int)
+    accepted = np.flatnonzero(decision.usable)
+    for rows in quad.slabs(len(accepted)):
+        at = accepted[rows]
+        nearest, closest, low, high = decision.at(at)
+
+        def exact(i):
+            r = kernels.pairs(targets[at[i], None], data.pos).r
+            return _decay(r, closest.r[i, None], growth).sum(axis=1)
+
+        stride[at] = _strides(bie, tol, alias, closest, nearest, low, high, exact)
+    return stride, decision.nearest
 
 
 def eval_field(
@@ -623,27 +845,42 @@ def eval_field(
     complex value. ``targets`` are read as
     :func:`~zetatrap.kernels.as_points` reads them.
 
-    One pass over the targets and all N nodes decides acceptance and
-    gives each accepted target a stride s, 1, 2, 4, ... dividing N: the
-    largest at which the plain PTR over every s-th node, weights times s,
-    is predicted to differ from the sum over all N by at most the
-    rounding level eps * max|tau| of the density, the scale of the field
-    on the curve, where it is (I/2 + ...) tau. The rule (:func:`_strides`)
-    reads two things: the kernel's Fourier decay at the target, from its
-    distance to the nearest node, that node's speed and curvature and the
-    kernel's wavenumber kappa, and the density's own spectrum, from one
-    FFT per call of tau*speed*h and its products with the source normal.
-    At real kappa the kernel does not decay
-    away from the curve, so the density's tail near N/s, times the
-    kernel's full size, keeps s at 1; where the kernel decays (Im kappa > 0)
-    far targets take s = 2 or more. The tolerance is absolute: where the
-    whole field is below it, far out in a decaying wave, s reaches N/2.
+    A decision pass over the targets decides acceptance and gives each
+    accepted target a stride s, 1, 2, 4, ... dividing N: the largest at
+    which the plain PTR over every s-th node, weights times s, is
+    predicted to differ from the sum over all N by at most the rounding
+    level eps * max|tau| of the density, the scale of the field on the
+    curve, where it is (I/2 + ...) tau. The rule (:func:`_strides`) reads
+    two things: the kernel's Fourier decay at the target, from its
+    distance to the nearest node, that node's speed and curvature, the
+    kernel's wavenumber kappa and its decay sum over the nodes, and the
+    density's own spectrum, from one FFT per call of tau*speed*h and its
+    products with the source normal. At real kappa the kernel does not
+    decay away from the curve, so the density's tail near N/s, times the
+    kernel's full size, keeps s at 1; where the kernel decays
+    (Im kappa > 0) far targets take s = 2 or more. The tolerance is
+    absolute: where the whole field is below it, far out in a decaying
+    wave, s reaches N/2.
+
+    The pass has two levels (:func:`_decide`). Every target is paired
+    with every s0-th node first, s0 = 8 at N = 1024; a target that this
+    coarse level certifies (its coarse distance, less the half arc delta
+    of the coarse spacing, at least NEAR_FIELD_FACTOR h max(speed), and
+    its coarse winding number within 1/4 of 0 or +-1) is refused if
+    inside, and if outside takes its nearest node from the exact pairs
+    with the few windows of nodes that can hold it. Its decay sum, exact
+    on those windows and within exp(-+ Im kappa delta) of s0 times the
+    coarse terms elsewhere, is bracketed; where the stride at both ends of
+    the bracket agrees it is the stride of the exact sum, else the sum is
+    taken over all N nodes (at real kappa it is N and needs no pairs).
+    Every other target takes the full pass on all N nodes. The masks,
+    nearest nodes and strides are those of the full pass, bit for bit.
     After the pass each stride's targets, 1 included, are summed on the
     contiguous copy of every s-th node.
     """
     targets = kernels.as_points(targets)
-    data, N, h = bie.data, bie.grid.N, bie.grid.h
-    weight = data.speed * h
+    data, N = bie.data, bie.grid.N
+    weight = data.speed * bie.grid.h
     kernel = bie.kernel
     if kernel.components == 1:
         density = weight * tau
@@ -654,13 +891,8 @@ def eval_field(
     values = np.full((len(targets),) + density.shape[1:], np.nan, dtype=kernel.dtype)
     if np.iscomplexobj(values):
         values.imag = np.nan
-    alias = _aliases(data, density)
     tol = np.finfo(float).eps * np.abs(tau).max()
-    stride = np.zeros(len(targets), dtype=int)  # 0 where refused
-    for rows, _, ok, p, nearest in _target_slabs(data, h, targets):
-        at = np.flatnonzero(ok)
-        if len(at):
-            stride[rows.start + at] = _strides(bie, tol, alias, p, at, nearest[at])
+    stride, _ = _target_strides(bie, tol, _aliases(data, density), targets)
     for s in np.unique(stride[stride > 0]):
         at = np.flatnonzero(stride == s)
         pos = np.ascontiguousarray(data.pos[::s])

@@ -141,10 +141,11 @@ def ptr(samples: np.ndarray, h: float):
     return h * np.sum(samples, axis=0)
 
 
-def slabs(n: int):
-    """Rows 0..n-1 as consecutive slices of at most SLAB_ROWS."""
-    for start in range(0, n, SLAB_ROWS):
-        yield slice(start, min(start + SLAB_ROWS, n))
+def slabs(n: int, times: int = 1):
+    """Rows 0..n-1 as consecutive slices of at most ``times`` SLAB_ROWS."""
+    rows = times * SLAB_ROWS
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
 
 
 def _node_pairs(data: CurveSamples, tgt, src) -> kernels.Pairs:

@@ -1,16 +1,26 @@
-"""Reference code for the correction stencils, used only by the tests.
+"""Reference code, used only by the tests.
 
 A finite-h moment-fitting oracle with an explicit smooth cutoff, which
 builds the log-kind weights independently of the zeta moments, and a
 double-precision re-substitution residual of a stencil's moment system.
 Acceptance criterion 1 and ``test_zetaweights`` compare the stencils of
 :mod:`zetatrap.zetaweights` against them.
+
+:func:`full_pass`, the brute-force decision pass of the off-curve
+evaluator: every target paired with all N nodes for its acceptance,
+nearest node and stride. ``test_nystrom`` holds the two-level pass of
+:mod:`zetatrap.nystrom` to it bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
+
+from zetatrap import kernels
+from zetatrap import quadrature as quad
+from zetatrap.nystrom import NEAR_FIELD_FACTOR
 
 from zetatrap.zetaweights import (
     CorrectionStencil,
@@ -163,3 +173,88 @@ def oracle_weights_extrapolated(K: int, levels: int | None = None):
                 vals[i] = vals[i + 1] + (vals[i + 1] - vals[i]) / (ratio - 1.0)
         out.append(vals[0])
     return out
+
+
+def _target_slabs(data, h: float, targets):
+    """Yield (rows, outside, usable, pairs, nearest) per slab of targets,
+    ``rows`` its slice, on the nodes ``data``: the pairs of every target
+    of the slab with every node, and the index of each target's nearest
+    node. A target that is not finite is neither outside nor usable."""
+    # inf - x is inf and inf/inf NaN with a warning; NaN passes quietly
+    targets = np.where(np.isfinite(targets), targets, np.nan)
+    for rows in quad.slabs(len(targets)):
+        p = kernels.pairs(targets[rows, None], data.pos, data.normal)
+        nearest = p.r.argmin(axis=1)
+        far = p.r[np.arange(len(nearest)), nearest] >= (
+            NEAR_FIELD_FACTOR * h * data.speed[nearest]
+        )
+        # Winding number: the Laplace double layer integrates to -2 pi inside.
+        winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
+        outside = np.abs(winding) < 0.5
+        yield rows, outside, outside & far, p, nearest
+
+
+def _strides(bie, tol: float, alias, p, at, nearest):
+    """The stride of each target of the rows ``at`` of ``p``, with its
+    decay sum over all N nodes of ``p``; see ``nystrom._strides``."""
+    data, N, period = bie.data, bie.grid.N, bie.grid.period
+    kappa = complex(bie.kernel.wavenumber)
+    d = p.r[at, nearest]
+    v = data.speed[nearest]
+    kd = np.maximum(data.curvature[nearest], 0.0) * d
+    strip = d / v * np.where(kd > 0, np.log1p(kd) / np.where(kd > 0, kd, 1.0), 1.0)
+    alpha = 2 * math.pi / period * strip
+    q0 = abs(kappa.real) * v * period / (2 * math.pi)
+    closest = kernels.Pairs(
+        p.dx[at, nearest], p.dy[at, nearest], d, p.r_safe[at, nearest],
+        data.normal[nearest],
+    )
+    size = np.abs(bie.kernel.full(closest)).reshape(-1, len(at)).max(axis=0)
+    size = np.maximum(size, np.finfo(float).tiny)
+    decay = p.r[at]  # exp(-Im kappa (r_n - d)) at each node, in place
+    decay -= d[:, None]
+    decay *= -kappa.imag
+    np.exp(decay, out=decay)
+    l1 = size * decay.sum(axis=1)
+    # the squared envelope at q = 0..N/2, built in place from its log
+    square = np.arange(N // 2 + 1) - q0[:, None]
+    np.maximum(square, 0.0, out=square)
+    square *= -2 * alpha[:, None]
+    square += 2 * (np.log(N * size) + kappa.imag * d)[:, None]
+    np.minimum(square, 2 * np.log(l1)[:, None], out=square)
+    np.exp(square, out=square)
+    stride = np.ones(len(at), dtype=int)
+    s = 2
+    while N % s == 0 and s < N:
+        up = (stride == s // 2) & (np.sqrt(square @ alias(s)) <= tol)
+        if not up.any():
+            break
+        stride[up] = s
+        s *= 2
+    return stride
+
+
+def locate(data, h: float, targets):
+    """(outside, usable) of each of ``targets`` on the nodes ``data``,
+    every target paired with all N nodes."""
+    outside = np.zeros(len(targets), dtype=bool)
+    usable = np.zeros(len(targets), dtype=bool)
+    for rows, out, ok, _, _ in _target_slabs(data, h, targets):
+        outside[rows], usable[rows] = out, ok
+    return outside, usable
+
+
+def full_pass(bie, tol: float, alias, targets):
+    """(outside, stride, nearest) of each of ``targets`` on the nodes of
+    ``bie``, every target paired with all N nodes: stride 0 where refused,
+    nearest 0 there too. ``tol`` and ``alias`` are the stride rule's."""
+    outside = np.zeros(len(targets), dtype=bool)
+    stride = np.zeros(len(targets), dtype=int)
+    nearest = np.zeros(len(targets), dtype=int)
+    for rows, out, ok, p, near in _target_slabs(bie.data, bie.grid.h, targets):
+        outside[rows] = out
+        at = np.flatnonzero(ok)
+        if len(at):
+            stride[rows.start + at] = _strides(bie, tol, alias, p, at, near[at])
+            nearest[rows.start + at] = near[at]
+    return outside, stride, nearest

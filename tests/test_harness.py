@@ -629,6 +629,34 @@ def test_masked_helmholtz_rows_are_nan_in_both_columns(tmp_path, capsys):
     assert all(line.split(",")[2:] == ["nan", "nan", "1"] for line in lines[1:])
 
 
+def test_load_config_measures_the_curve_once():
+    # a 4-N Helmholtz sweep's config (helm_real_sweep's): one 512-point
+    # sampling for the curve length of the points-per-wavelength check,
+    # one sampling per N for the targets and one at N = 1024 for the
+    # sources, 6 in all, where the length was measured once per N (9)
+    raw = {
+        "problem": "helmholtz",
+        "curve": {"type": "star", "base": 1.0, "amplitude": 0.3, "lobes": 5},
+        "kappa": [12.5, 0.0],
+        "methods": [{"name": "zeta", "K": 2}, {"name": "zeta", "K": 7}, {"name": "kress"}],
+        "N": [128, 256, 512, 1024],
+        "sources": [[0.1, 0.2], [-0.2, 0.1], [0.0, -0.3]],
+        "strengths": [1.0, 0.5, -0.7],
+        "targets": [[2.0, 0.0], [0.0, 2.1]],
+    }
+    with (
+        mock.patch.object(harness, "sample", wraps=sample) as lengths,
+        mock.patch.object(nystrom, "sample", wraps=sample) as grids,
+    ):
+        cfg = harness.load_config(raw)
+        assert (lengths.call_count, grids.call_count) == (1, 5)
+        # the sweep's own grid check reads the config's length
+        harness._check_grids(cfg, cfg.methods, cfg.n_list)
+        assert lengths.call_count == 1
+    t = np.linspace(0, 2 * math.pi, 512, endpoint=False)
+    assert cfg.length == float(sample(cfg.curve, t).speed.sum()) * 2 * math.pi / 512
+
+
 @pytest.mark.parametrize("problem", ["helmholtz", "stokes"])
 def test_run_field_walks_the_grid_once(problem, monkeypatch):
     # one pass over the targets gives both the mask and the values; a row is
@@ -647,13 +675,13 @@ def test_run_field_walks_the_grid_once(problem, monkeypatch):
         cfg = harness.default_stokes_config(N=[64])
     spec = {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0, "nx": 9, "ny": 9}
     walked = []
-    target_slabs = nystrom._target_slabs
+    decide = nystrom._decide
 
-    def counted(data, h, targets):
+    def counted(data, h, targets, growth=0.0):
         walked.append(len(targets))
-        return target_slabs(data, h, targets)
+        return decide(data, h, targets, growth)
 
-    monkeypatch.setattr(nystrom, "_target_slabs", counted)
+    monkeypatch.setattr(nystrom, "_decide", counted)
     rows = np.array(harness.run_field(cfg, spec, N=64))
     assert walked == [81]
     monkeypatch.undo()

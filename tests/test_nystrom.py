@@ -14,6 +14,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import oracle
 from zetatrap import harness, kernels, specfun
 from zetatrap import nystrom as ny
 from zetatrap import quadrature as quad
@@ -364,8 +365,8 @@ def test_stride_reads_the_kernel_decay(kappa):
     assert np.abs(values[accepted] - full).max() <= 1e-15 * np.abs(full).max()
 
 
-def _stride_one(bie, tol, alias, p, at, nearest):
-    return np.ones(len(at), dtype=int)
+def _stride_one(bie, tol, alias, closest, nearest, low, high, exact):
+    return np.ones(len(nearest), dtype=int)
 
 
 @settings(max_examples=12, deadline=None)
@@ -395,6 +396,101 @@ def test_strides_hold_on_sharper_stars(amp_frac, lobes, N, re, im):
         full, every = ny.eval_field(bie, tau, targets)
     assert np.array_equal(accepted, every) and accepted.any()
     assert np.abs(values[accepted] - full[accepted]).max() <= 1e-15 * np.abs(tau).max()
+
+
+def _stokes_flow(N):
+    """A solved Stokes system on the star: shear flow past it."""
+    bie = ny.assemble_stokes(STAR, N, build_log_stencil(7))
+    uinf = np.stack([5.0 * bie.data.pos[:, 1], np.zeros(N)], axis=-1)
+    return bie, ny.solve_gmres(bie.matrix, -uinf.ravel()).solution
+
+
+@pytest.mark.parametrize("N", [256, 300, 512, 1024])
+@pytest.mark.parametrize("kappa", [12.5 + 10j, 12.5, 3j, "stokes"])
+def test_two_level_pass_is_the_full_pass(kappa, N):
+    # the coarse level only decides where the answer is certain: mask,
+    # nearest node and stride of every target are the brute-force full
+    # pass's, bit for bit, with the tolerance and spectrum eval_field uses;
+    # the targets are the decaying wave's and a grid through the curve
+    if kappa == "stokes":
+        bie, tau = _stokes_flow(N)
+        _, _, targets = _decaying_wave(N=64)
+    else:
+        bie, tau, targets = _decaying_wave(N=N, kappa=kappa)
+    axis = np.linspace(-1.6, 1.6, 24)
+    targets = np.concatenate([targets, np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)])
+    seen = {}
+    target_strides = ny._target_strides
+
+    def spy(bie, tol, alias, targets):
+        seen.update(tol=tol, alias=alias)
+        seen["stride"], seen["nearest"] = target_strides(bie, tol, alias, targets)
+        return seen["stride"], seen["nearest"]
+
+    with mock.patch.object(ny, "_target_strides", spy):
+        _, accepted = ny.eval_field(bie, tau, targets)
+    outside, stride, nearest = oracle.full_pass(bie, seen["tol"], seen["alias"], targets)
+    assert np.array_equal(seen["stride"], stride) and np.array_equal(accepted, stride > 0)
+    assert np.array_equal(seen["nearest"], nearest)
+    assert ny._coarse_step(N) == {256: 4, 300: 4, 512: 4, 1024: 8}[N]
+    located = ny.locate(STAR, N, targets)
+    assert np.array_equal(located[0], outside) and np.array_equal(located[1], stride > 0)
+    assert 0 < accepted.sum() < len(targets)
+
+
+def _coarse_alone(data, h, s0, points):
+    """(outside, usable) by the full pass's rule on every s0-th node alone."""
+    p = kernels.pairs(points[:, None], data.pos[::s0], data.normal[::s0])
+    winding = kernels.laplace_d().full(p) @ (data.speed[::s0] * h * s0) / (-2 * math.pi)
+    nearest = s0 * p.r.argmin(axis=1)
+    outside = np.abs(winding) < 0.5
+    return outside, outside & (p.r.min(axis=1) >= ny.NEAR_FIELD_FACTOR * h * data.speed[nearest])
+
+
+def test_planted_points_take_the_full_pass():
+    # on a star with deep valleys, points that the coarse nodes alone
+    # decide wrongly must take the pass over all N nodes: across the gap
+    # between two lobes, just outside 5 spacings off a valley's bottom,
+    # where the flanks come nearer, and within the half arc delta of the
+    # near field off a fast flank, midway between two coarse nodes
+    curve, N = star_curve(1.0, 0.5, 7), 1024
+    grid, data = ny._nodes(curve, N)
+    h, s0 = grid.h, ny._coarse_step(N)
+
+    def off(node, factors):
+        step = ny.NEAR_FIELD_FACTOR * h * data.speed[node]
+        return data.pos[node] + np.multiply.outer(factors, step * data.normal[node])
+
+    angle = np.linspace(0.15, 0.75, 41)
+    flank = s0 * (data.speed.argmax() // s0) + s0 // 2
+    planted = {
+        "between lobes": 1.1 * np.stack([np.cos(angle), np.sin(angle)], axis=1),
+        "off a valley": off(round(N / 14), np.array([1.01, 1.05, 1.1, 1.2, 1.4])),
+        "in the delta band": off(flank, np.array([0.9, 0.97, 1.03, 1.1, 1.2])),
+    }
+    points = np.concatenate(list(planted.values()))
+    truth = oracle.locate(data, h, points)
+    wrong = np.zeros(len(points), dtype=bool)
+    start = 0
+    for name, group in planted.items():
+        rows = slice(start, start + len(group))
+        alone = _coarse_alone(data, h, s0, group)
+        wrong[rows] = (alone[0] != truth[0][rows]) | (alone[1] != truth[1][rows])
+        assert wrong[rows].any(), name
+        start += len(group)
+    exact = []
+    full_pass = ny._full_pass
+
+    def counted(data, h, targets, growth):
+        exact.append(targets)
+        return full_pass(data, h, targets, growth)
+
+    with mock.patch.object(ny, "_full_pass", counted):
+        outside, usable = ny.locate(curve, N, points)
+    exact = np.concatenate(exact)
+    assert len(exact) < len(points)
+    assert all((exact == point).all(axis=1).any() for point in points[wrong])
+    assert np.array_equal(outside, truth[0]) and np.array_equal(usable, truth[1])
 
 
 def test_non_finite_targets_are_refused_quietly():
