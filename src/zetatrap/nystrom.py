@@ -34,9 +34,10 @@ factor, at once (:func:`held_bytes`).
 :func:`assemble_helmholtz` and :func:`assemble_stokes` build one system
 of the two combined kernels on a fill of its own. :func:`locate` is the
 one test of where a point lies; :func:`eval_field` and the harness's
-config check apply it. It decides most points on every s0-th node, and
-pairs a point with all N nodes only where that coarse answer is not
-certain (:func:`_decide`), with the full test's answer either way.
+config check apply it. One function decides a slab of points on every
+s0-th node (:func:`_level`): most points on the coarse nodes, and those
+it leaves unsure by the same code at s0 = 1, which is the test on all N
+nodes (:func:`_decide`), with that test's answer either way.
 :func:`eval_field` sums a far target over every s-th node, with s from
 the target's distance and the density's spectrum (:func:`_strides`).
 """
@@ -47,7 +48,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -493,30 +493,6 @@ def _coarse_step(N: int) -> int:
     return s0
 
 
-_PAIR_FIELDS = ("dx", "dy", "r", "r_safe", "src_normal")
-
-
-class _Decision(NamedTuple):
-    """Where each target lies (see :func:`_decide`): ``outside`` and
-    ``usable`` as :func:`locate` gives them, and for a usable target its
-    ``nearest`` node, its pair with that node, ``closest``, and bounds
-    ``low`` <= ``high`` on its decay sum sum_n exp(-g (r_n - d)) over all
-    N nodes as :func:`_full_pass` rounds it, d the distance to
-    ``nearest``."""
-
-    outside: np.ndarray
-    usable: np.ndarray
-    nearest: np.ndarray
-    closest: kernels.Pairs
-    low: np.ndarray
-    high: np.ndarray
-
-    def at(self, idx):
-        """The targets ``idx``'s nearest nodes, pairs and bounds."""
-        closest = kernels.Pairs(*(getattr(self.closest, f)[idx] for f in _PAIR_FIELDS))
-        return self.nearest[idx], closest, self.low[idx], self.high[idx]
-
-
 def _decay(r: np.ndarray, d, growth: float) -> np.ndarray:
     """exp(-``growth`` (r - ``d``)) at the pair distances ``r``, in place,
     ``d`` each pair's target's distance to its nearest node."""
@@ -525,42 +501,17 @@ def _decay(r: np.ndarray, d, growth: float) -> np.ndarray:
     return np.exp(r, out=r)
 
 
-def _full_pass(data: CurveSamples, h: float, targets: np.ndarray, growth: float):
-    """(outside, usable, nearest, closest, decay sum) of ``targets``,
-    finite or NaN, from their pairs with all N nodes ``data``: outside when
-    the trapezoidal winding number is below 1/2, usable when also at least
-    NEAR_FIELD_FACTOR h speed from the nearest node (the first on ties).
-    The last three are of the usable targets; the sum is N, exactly, at
-    ``growth`` 0."""
-    p = kernels.pairs(targets[:, None], data.pos, data.normal)
-    nearest = p.r.argmin(axis=1)
-    d = p.r[np.arange(len(nearest)), nearest]
-    far = d >= NEAR_FIELD_FACTOR * h * data.speed[nearest]
-    # Winding number: the Laplace double layer integrates to -2 pi inside.
-    winding = kernels.laplace_d().full(p) @ (data.speed * h) / (-2 * math.pi)
-    outside = np.abs(winding) < 0.5
-    at = np.flatnonzero(outside & far)
-    n = nearest[at]
-    closest = kernels.Pairs(
-        p.dx[at, n], p.dy[at, n], d[at], p.r_safe[at, n], data.normal[n]
-    )
-    if growth:
-        sums = _decay(p.r[at], d[at, None], growth).sum(axis=1)
-    else:
-        sums = np.full(len(at), float(p.r.shape[1]))
-    return outside, outside & far, n, closest, sums
-
-
 def _refine(data: CurveSamples, targets, r, delta: float, growth: float):
-    """(nearest, closest, low, high) of ``targets``, each with (M, N/s0)
-    pair distances ``r`` to the coarse nodes: the nearest node (the first
-    on ties) and its pair, from the pairs with the nodes of each coarse
-    node within the least coarse distance d0 plus a slack of the target,
-    delta and a few ulps of its distances. Every node lies within ``delta``
-    of its coarse node (the s0 nodes from s0/2 before it), so a coarse
-    node farther out holds no node nearer than d0. And bounds on the decay
-    sum: exact on those windows of nodes, and elsewhere s0 times each
-    coarse node's term times exp(-+ |growth| slack)."""
+    """(nearest, d, low, high) of ``targets``, each with (M, N/s0) pair
+    distances ``r`` to every s0-th node: the nearest node (the first on
+    ties) and the distance d to it, from the pairs with the nodes of each
+    coarse node within the least coarse distance d0 plus a slack of the
+    target, delta and a few ulps of its distances. Every node lies within
+    ``delta`` of its coarse node (the s0 nodes from s0/2 before it), so a
+    coarse node farther out holds no node nearer than d0; at s0 = 1 delta
+    is 0, and the window is the nodes within those ulps of d0. And bounds
+    on the decay sum: exact on those windows of nodes, and elsewhere s0
+    times each coarse node's term times exp(-+ |growth| slack)."""
     N = len(data.speed)
     s0 = N // r.shape[1]
     # the rounding of the pair distances, a few ulps of the largest
@@ -574,14 +525,10 @@ def _refine(data: CurveSamples, targets, r, delta: float, growth: float):
     count = np.diff(start, append=len(row))
     tied = p.r == np.repeat(np.minimum.reduceat(p.r, start), count)
     nearest = np.minimum.reduceat(np.where(tied, node, N), start)
-    pick = np.flatnonzero(node == np.repeat(nearest, count))
-    d = p.r[pick]
-    closest = kernels.Pairs(
-        p.dx[pick], p.dy[pick], d, p.r_safe[pick], data.normal[nearest]
-    )
+    d = p.r[node == np.repeat(nearest, count)]
     if not growth:
         sums = np.full(len(d), float(N))
-        return nearest, closest, sums, sums
+        return nearest, d, sums, sums
     # the window's terms, exact, and s0 times each other coarse node's
     inner = np.add.reduceat(_decay(p.r.copy(), np.repeat(d, count), growth), start)
     outer = _decay(r.copy(), d[:, None], growth)
@@ -594,78 +541,82 @@ def _refine(data: CurveSamples, targets, r, delta: float, growth: float):
         high = np.where(outer > 0, inner + outer * spread, inner)
     low = inner + outer / spread
     # room for the rounding of a sum of N such terms, and to spare
-    return nearest, closest, low * (1 - 1e-10), high * (1 + 1e-10)
+    return nearest, d, low * (1 - 1e-10), high * (1 + 1e-10)
 
 
-def _decide(data: CurveSamples, h: float, targets: np.ndarray, growth: float = 0.0):
-    """The :class:`_Decision` on ``targets`` (NaN where not finite) of the
-    nodes ``data``, in two levels.
+def _level(data: CurveSamples, h: float, targets: np.ndarray, growth: float, s0: int):
+    """(sure, outside, usable, nearest, low, high) of ``targets``, finite
+    or NaN, from their pairs with every s0-th of the nodes ``data``: the
+    targets this level decides, and of those the ones outside and the
+    usable ones; for each usable target its nearest node and bounds
+    ``low`` <= ``high`` on its decay sum sum_n exp(-growth (r_n - d)) over
+    all N nodes, d its distance to that node.
 
-    Every target is first paired with every s0-th node
-    (:func:`_coarse_step`). Let delta = s0/2 times the longest chord
-    between neighbouring nodes, which bounds the distance of every node to
-    its coarse node (the half arc of the coarse spacing: half its chord is
-    no bound, since the arc's midpoint lies farther than that from both
-    ends), and d0 the least coarse distance. A target is certified when
-    d0 - delta >= NEAR_FIELD_FACTOR h max(speed), so no node lies within
-    the near field, and its winding number on the coarse nodes lies
-    within 1/4 of 0 or +-1. The error of that trapezoidal sum decays like
-    exp(-2 pi d/(s0 h speed)) with the distance d, that of the full sum s0
-    times faster in the exponent, so past that distance the full sum falls
-    on the same side of 1/2. A certified inside target is refused; a
-    certified outside one takes its nearest node from the exact pairs with
-    the nodes of the coarse nodes that can hold it (:func:`_refine`), and
-    is usable when it lies at least NEAR_FIELD_FACTOR h times that node's
-    speed from it, the full pass's rule. Every other target takes
-    :func:`_full_pass`, the pairs with all N nodes.
+    The winding number is the trapezoidal sum of the Laplace double layer
+    over the s0-th nodes. At s0 = 1 it is the rule itself: a target is
+    outside when it is below 1/2, and every target is decided. Above 1,
+    let delta = s0/2 times the longest chord between neighbouring nodes,
+    which bounds the distance of every node to its coarse node (the half
+    arc of the coarse spacing: half its chord is no bound, since the arc's
+    midpoint lies farther than that from both ends), and d0 the least
+    coarse distance. A target is decided when d0 - delta >=
+    NEAR_FIELD_FACTOR h max(speed), so no node lies within the near field,
+    and its winding number lies within 1/4 of 0 (outside) or +-1 (inside).
+    The error of that sum decays like exp(-2 pi d/(s0 h speed)) with the
+    distance d, that of the full sum s0 times faster in the exponent, so
+    past that distance the full sum falls on the same side of 1/2.
+
+    At any s0 an outside target takes its nearest node and bounds from
+    :func:`_refine`, and is usable when it lies at least NEAR_FIELD_FACTOR
+    h times that node's speed from it.
     """
-    # inf - x is inf and inf/inf NaN with a warning; NaN passes quietly
-    targets = np.where(np.isfinite(targets), targets, np.nan)
-    M, N = len(targets), len(data.speed)
-    s0 = _coarse_step(N)
     pos = np.ascontiguousarray(data.pos[::s0])
     normal = np.ascontiguousarray(data.normal[::s0])
     weight = data.speed[::s0] * (h * s0)
     step = data.pos - np.roll(data.pos, 1, axis=0)
     delta = s0 // 2 * float(np.sqrt(step[:, 0] ** 2 + step[:, 1] ** 2).max())
-    near = NEAR_FIELD_FACTOR * h * data.speed.max()
-    outside = np.zeros(M, dtype=bool)
-    usable = np.zeros(M, dtype=bool)
-    nearest = np.zeros(M, dtype=int)
-    closest = {f: np.full(M, np.nan) for f in _PAIR_FIELDS[:4]}
-    low, high = np.full(M, np.nan), np.full(M, np.nan)
+    p = kernels.pairs(targets[:, None], pos, normal)
+    # Winding number: the Laplace double layer integrates to -2 pi inside.
+    winding = np.abs(kernels.laplace_d().full(p) @ weight) / (2 * math.pi)
+    if s0 == 1:
+        sure, outside = np.ones(len(targets), dtype=bool), winding < 0.5
+    else:
+        clear = p.r.min(axis=1) - delta >= NEAR_FIELD_FACTOR * h * data.speed.max()
+        outside = clear & (winding <= 0.25)
+        sure = outside | (clear & (np.abs(winding - 1) <= 0.25))
+    at = np.flatnonzero(outside)
+    nearest, d, low, high = _refine(data, targets[at], p.r[at], delta, growth)
+    ok = d >= NEAR_FIELD_FACTOR * h * data.speed[nearest]
+    usable = np.zeros(len(targets), dtype=bool)
+    usable[at[ok]] = True
+    return sure, outside, usable, nearest[ok], low[ok], high[ok]
 
-    def keep(idx, ok, n, pairs, lo, hi):
-        usable[idx] = ok
-        idx = idx[ok]
-        nearest[idx] = n
-        for f in closest:
-            closest[f][idx] = getattr(pairs, f)
-        low[idx], high[idx] = lo, hi
 
+def _decide(data: CurveSamples, h: float, targets: np.ndarray, growth: float = 0.0):
+    """Yield (idx, outside, usable, nearest, low, high) on chunks of
+    ``targets`` (NaN where not finite) and the nodes ``data``, each
+    target in one chunk: the indices ``idx`` of the chunk's targets and
+    :func:`_level`'s answer on them, with ``nearest``, ``low`` and
+    ``high`` of its usable targets.
+
+    Each slab of targets is first decided on every s0-th node, s0 =
+    :func:`_coarse_step` (N); the targets that this level leaves unsure
+    then take the same code at s0 = 1, the rule on all N nodes, in slabs
+    of SLAB_ROWS. Either way a target's answer is the rule's on all N
+    nodes.
+    """
+    # inf - x is inf and inf/inf NaN with a warning; NaN passes quietly
+    targets = np.where(np.isfinite(targets), targets, np.nan)
+    s0 = _coarse_step(len(data.speed))
     # a slab of s0 SLAB_ROWS targets on the coarse nodes holds as many
     # pairs as one of SLAB_ROWS on all N
-    for rows in quad.slabs(M, s0):
-        p = kernels.pairs(targets[rows, None], pos, normal)
-        winding = np.abs(kernels.laplace_d().full(p) @ weight) / (2 * math.pi)
-        clear = p.r.min(axis=1) - delta >= near
-        out = clear & (winding <= 0.25)
-        unsure = np.flatnonzero(~out & ~(clear & (np.abs(winding - 1) <= 0.25)))
-        idx = np.flatnonzero(out)
-        if len(idx):
-            n, pairs, lo, hi = _refine(data, targets[rows][idx], p.r[idx], delta, growth)
-            idx += rows.start
-            outside[idx] = True
-            keep(idx, pairs.r >= NEAR_FIELD_FACTOR * h * data.speed[n], n, pairs, lo, hi)
+    for rows in quad.slabs(len(targets), s0):
+        idx = np.arange(rows.start, rows.stop)
+        sure, outside, usable, *rest = _level(data, h, targets[rows], growth, s0)
+        yield idx[sure], outside[sure], usable[sure], *rest
+        unsure = idx[~sure]
         for part in quad.slabs(len(unsure)):
-            idx = rows.start + unsure[part]
-            out, ok, n, pairs, sums = _full_pass(data, h, targets[idx], growth)
-            outside[idx] = out
-            keep(idx, ok, n, pairs, sums, sums)
-    return _Decision(
-        outside, usable, nearest,
-        kernels.Pairs(**closest, src_normal=data.normal[nearest]), low, high,
-    )
+            yield unsure[part], *_level(data, h, targets[unsure[part]], growth, 1)[1:]
 
 
 def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -677,12 +628,17 @@ def locate(curve: ParametricCurve, N: int, points) -> tuple[np.ndarray, np.ndarr
     is neither. ``points`` are read as
     :func:`~zetatrap.kernels.as_points` reads them.
 
-    Most points are decided on every s0-th node (:func:`_decide`), with
-    the answer of the full N-node test.
+    Most points are decided on every s0-th node, the rest by the same
+    code on all N nodes (:func:`_decide`), with the answer of the rule on
+    all N nodes either way.
     """
     grid, data = _nodes(curve, N)
-    decision = _decide(data, grid.h, kernels.as_points(points))
-    return decision.outside, decision.usable
+    targets = kernels.as_points(points)
+    outside = np.zeros(len(targets), dtype=bool)
+    usable = np.zeros(len(targets), dtype=bool)
+    for idx, out, ok, *_ in _decide(data, grid.h, targets):
+        outside[idx], usable[idx] = out, ok
+    return outside, usable
 
 
 def _alias_power(power: np.ndarray, s: int) -> np.ndarray:
@@ -721,9 +677,10 @@ def _strides(
     with its nearest node ``nearest`` is ``closest``: the largest s at
     which the sum over every s-th node, weights times s, is predicted to
     differ from the sum over all N nodes by at most ``tol``. The rule
-    reads the target's decay sum, known to lie in [``low``, ``high``];
-    ``exact(i)`` gives the sums of the targets ``i`` where a bracket
-    leaves s open. ``alias(s)``
+    reads the target's decay sum, known to lie in [``low``, ``high``]
+    (from :func:`_refine` at either step of the pass); ``exact(i)`` gives
+    the sums of the targets ``i`` where a bracket leaves s open.
+    ``alias(s)``
     gives the density's power at each distance r = 0..N/2 from the
     frequencies that stride s aliases (:func:`_alias_power`).
 
@@ -809,25 +766,27 @@ def _strides(
 
 
 def _target_strides(bie: DiscretizedBIE, tol: float, alias, targets: np.ndarray):
-    """(stride, nearest) of each of ``targets``, from the decision of
+    """(stride, nearest) of each of ``targets``, from the chunks of
     :func:`_decide`: 0 and 0 where refused, else its stride
     (:func:`_strides`) and nearest node. A target whose stride its
     decay-sum bounds leave open takes its decay sum from all N nodes."""
-    data, h = bie.data, bie.grid.h
+    data = bie.data
     growth = complex(bie.kernel.wavenumber).imag
-    decision = _decide(data, h, targets, growth)
     stride = np.zeros(len(targets), dtype=int)
-    accepted = np.flatnonzero(decision.usable)
-    for rows in quad.slabs(len(accepted)):
-        at = accepted[rows]
-        nearest, closest, low, high = decision.at(at)
+    nearest = np.zeros(len(targets), dtype=int)
+    for idx, _, usable, n, low, high in _decide(data, bie.grid.h, targets, growth):
+        at = idx[usable]
+        if not len(at):
+            continue
+        closest = kernels.pairs(targets[at], data.pos[n], data.normal[n])
 
         def exact(i):
             r = kernels.pairs(targets[at[i], None], data.pos).r
             return _decay(r, closest.r[i, None], growth).sum(axis=1)
 
-        stride[at] = _strides(bie, tol, alias, closest, nearest, low, high, exact)
-    return stride, decision.nearest
+        stride[at] = _strides(bie, tol, alias, closest, n, low, high, exact)
+        nearest[at] = n
+    return stride, nearest
 
 
 def eval_field(
@@ -862,21 +821,23 @@ def eval_field(
     absolute: where the whole field is below it, far out in a decaying
     wave, s reaches N/2.
 
-    The pass has two levels (:func:`_decide`). Every target is paired
-    with every s0-th node first, s0 = 8 at N = 1024; a target that this
-    coarse level certifies (its coarse distance, less the half arc delta
-    of the coarse spacing, at least NEAR_FIELD_FACTOR h max(speed), and
-    its coarse winding number within 1/4 of 0 or +-1) is refused if
-    inside, and if outside takes its nearest node from the exact pairs
-    with the few windows of nodes that can hold it. Its decay sum, exact
-    on those windows and within exp(-+ Im kappa delta) of s0 times the
-    coarse terms elsewhere, is bracketed; where the stride at both ends of
+    The pass runs one level function (:func:`_level`) at two steps
+    (:func:`_decide`). Every target is paired with every s0-th node
+    first, s0 = 8 at N = 1024; a target that this coarse level decides
+    (its coarse distance, less the half arc delta of the coarse spacing,
+    at least NEAR_FIELD_FACTOR h max(speed), and its coarse winding number
+    within 1/4 of 0 or +-1) is refused if inside. The rest run the same
+    code at s0 = 1, the rule on all N nodes, which decides every target.
+    At either step an outside target takes its nearest node from the
+    exact pairs with the few windows of nodes that can hold it, and
+    brackets its decay sum: exact on those windows and within
+    exp(-+ Im kappa delta) of s0 times the coarse terms elsewhere (at
+    s0 = 1, the full sum within 1e-10). Where the stride at both ends of
     the bracket agrees it is the stride of the exact sum, else the sum is
     taken over all N nodes (at real kappa it is N and needs no pairs).
-    Every other target takes the full pass on all N nodes. The masks,
-    nearest nodes and strides are those of the full pass, bit for bit.
-    After the pass each stride's targets, 1 included, are summed on the
-    contiguous copy of every s-th node.
+    The masks, nearest nodes and strides are those of the rule on all N
+    nodes, bit for bit. After the pass each stride's targets, 1 included,
+    are summed on the contiguous copy of every s-th node.
     """
     targets = kernels.as_points(targets)
     data, N = bie.data, bie.grid.N

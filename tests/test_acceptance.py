@@ -4,9 +4,10 @@ Criteria 4 and 7a check that the log rule labelled order 2K+2 converges
 at order 2K+3, the leading term of the zeta expansion of its error,
 within an unwidened +-0.5 window fitted on at least three errors above
 the floor. Each order is measured where it can be observed: K <= 4 on
-unit-circle sweeps (and order 7 on the star shear flow), K = 7 on the
-stencil itself in extended precision; see the convergence notes in the
-README.
+unit-circle sweeps (and order 7 on the star shear flow), K = 0, 2, 4, 7,
+10, 15 and 20 on the stencil itself in extended precision; see the
+convergence notes in the README. Criterion 4 also checks the |x|^(-z)
+stencils at z = +-0.5, whose order is 2K+3-z.
 """
 
 import math
@@ -39,8 +40,9 @@ CIRCLE = circle_curve(1.0)
 CIRCLE_N = (128, 160, 192, 224, 256)
 CIRCLE_MODE = 16
 STOKES_EOC_N = (128, 160, 192, 224)
-# Extended-precision stencil check on grids h = 1/n. Its floor sits twenty
-# digits above the rounding level of the STENCIL_DIGITS arithmetic.
+# Extended-precision stencil check on grids h = 1/n, in STENCIL_DIGITS up
+# to K = 7 and 6 more digits for each K above. Its floor sits twenty digits
+# above the rounding level of that arithmetic.
 STENCIL_N = (24, 32, 40, 48)
 STENCIL_DIGITS = 60
 STENCIL_FLOOR = 1e-40
@@ -165,49 +167,66 @@ def _helmholtz_circle_eocs(Ks):
     }
 
 
-def _stencil_eoc(K):
+def _stencil_eoc(K, z=None):
     """EOC of the corrected punctured trapezoidal rule in extended precision.
 
     Integrates -log|x| exp(-x^2) over the line (exact value
-    sqrt(pi) (gamma + 2 log 2) / 2) on the grid x = j/n, corrected as the
+    sqrt(pi) (gamma + 2 log 2) / 2), or for a power ``z`` |x|^(-z) exp(-x^2)
+    (exact value Gamma((1 - z)/2)), on the grid x = j/n, corrected as the
     diagonal and band of ``quadrature.laplace_slp_matrix`` are at unit
-    speed, with the weights solved by hiprec from mpmath's zeta'(-2k), so
-    the h^(2K+3) term shows far below the double-precision floor.
+    speed: h (-log h + 2 w_0 + 2 sum_j w_j phi(jh)) for the log kind and
+    h^(1-z) (2 w_0 + 2 sum_j w_j phi(jh)) for the power, with the weights
+    solved by hiprec from mpmath's -zeta'(-2k) or -zeta(z - 2k), so the
+    h^(2K+3) (or h^(2K+3-z)) term shows far below the double-precision
+    floor. The working digits grow by 6 a K above 7, as the errors fall
+    about 3.4 digits a K at h = 1/48 and the weights cancel more; the
+    floor stays twenty digits above their rounding level.
     """
-    with mpmath.workdps(STENCIL_DIGITS + 10):
-        moments = [-mpmath.zeta(-2 * k, derivative=1) for k in range(K + 1)]
-    w = hiprec.solve_dual_vandermonde(
-        [j * j for j in range(K + 1)], moments, digits=STENCIL_DIGITS
-    )
+    digits = STENCIL_DIGITS + 6 * max(0, K - 7)
+    with mpmath.workdps(digits + 10):
+        if z is None:
+            moments = [-mpmath.zeta(-2 * k, derivative=1) for k in range(K + 1)]
+        else:
+            moments = [-mpmath.zeta(mpmath.mpf(z) - 2 * k) for k in range(K + 1)]
+    w = hiprec.solve_dual_vandermonde([j * j for j in range(K + 1)], moments, digits=digits)
     errs = []
-    with mpmath.workdps(STENCIL_DIGITS):
-        exact = mpmath.sqrt(mpmath.pi) * (mpmath.euler + 2 * mpmath.log(2)) / 2
+    with mpmath.workdps(digits):
+        if z is None:
+            exact = mpmath.sqrt(mpmath.pi) * (mpmath.euler + 2 * mpmath.log(2)) / 2
+        else:
+            z = mpmath.mpf(z)
+            exact = mpmath.gamma((1 - z) / 2)
         for n in STENCIL_N:
             h = mpmath.mpf(1) / n
-            # exp(-x^2) < 1e-85 beyond |x| = 14
+            # exp(-x^2) < 1e-85 beyond |x| = 14, below every error measured
             phi = [mpmath.exp(-((j * h) ** 2)) for j in range(14 * n + 1)]
-            punctured = -2 * h * mpmath.fsum(
-                mpmath.log(j * h) * phi[j] for j in range(1, len(phi))
-            )
-            corr = h * (
-                -mpmath.log(h)
-                + 2 * w[0]
-                + 2 * mpmath.fsum(w[j] * phi[j] for j in range(1, K + 1))
-            )
+            band = 2 * w[0] + 2 * mpmath.fsum(w[j] * phi[j] for j in range(1, K + 1))
+            if z is None:
+                f = [-mpmath.log(j * h) for j in range(1, len(phi))]
+                corr = h * (-mpmath.log(h) + band)
+            else:
+                f = [(j * h) ** -z for j in range(1, len(phi))]
+                corr = h ** (1 - z) * band
+            punctured = 2 * h * mpmath.fsum(fj * pj for fj, pj in zip(f, phi[1:]))
             errs.append(float(abs(punctured + corr - exact)))
-    return harness.fit_eoc(STENCIL_N, errs, floor=STENCIL_FLOOR)
+    floor = STENCIL_FLOOR * 10.0 ** (STENCIL_DIGITS - digits)
+    return harness.fit_eoc(STENCIL_N, errs, floor=floor)
 
 
 def test_criterion_4_eoc_windows():
     helmholtz = _helmholtz_circle_eocs((0, 2, 4))
     checks = []
-    for K in (0, 2, 4, 7):
+    for K in (0, 2, 4, 7, 10, 15, 20):
         fits = []
         if K in helmholtz:
             fits.append(("laplace", *_laplace_circle_eoc(K)))
             fits.append(("helmholtz", *helmholtz[K]))
         fits.append(("stencil", *_stencil_eoc(K)))
         checks.append((f"K={K}", 2 * K + 3, fits))
+    # the |x|^(-z) kind of zetatrap weights --kind pow, order 2K+3-z
+    for K in (0, 2, 4, 7):
+        for z in (0.5, -0.5):
+            checks.append((f"pow K={K} z={z:g}", 2 * K + 3 - z, [("stencil", *_stencil_eoc(K, z))]))
     assert _order_verdict("4", checks)
 
 

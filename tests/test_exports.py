@@ -1,6 +1,7 @@
 """Export surface: every exported name resolves, each library module
-exports the public functions and classes it defines, and every zetatrap
-name that the benchmark in perfbench/ uses or traces exists."""
+exports the public functions and classes it defines, every zetatrap
+name that the benchmark in perfbench/ uses or traces exists, and no
+private name or import of the package is left unread."""
 
 import ast
 import importlib
@@ -99,3 +100,65 @@ def test_perfbench_names_resolve(monkeypatch):
     }
     assert {m for m, _ in used} == set(modules) == {"harness", "nystrom"}
     assert sorted(u for u in used if not hasattr(modules[u[0]], u[1])) == []
+
+
+SRC = Path(zetatrap.__file__).resolve().parent
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _defined(node):
+    """The names a module-level statement defines, imports aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _exported(tree):
+    """The strings of a module's ``__all__``."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
+def test_no_dead_private_names_or_imports():
+    # what a deletion leaves behind: a module-level private name that no
+    # module of the package reads, or an import that its module never reads
+    # (nor re-exports in __all__)
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read_in = {
+        module: {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        for module, tree in trees.items()
+    }
+    read = set().union(*read_in.values())
+    dead = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _defined(node)
+        if _is_private(name) and name not in read
+    ]
+    unused = [
+        f"{module}: import {alias.asname or alias.name.split('.')[0]}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0])
+        not in read_in[module] | _exported(tree)
+    ]
+    assert dead == []
+    assert unused == []

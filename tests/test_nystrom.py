@@ -405,13 +405,14 @@ def _stokes_flow(N):
     return bie, ny.solve_gmres(bie.matrix, -uinf.ravel()).solution
 
 
-@pytest.mark.parametrize("N", [256, 300, 512, 1024])
+@pytest.mark.parametrize("N", [48, 256, 300, 512, 1024])
 @pytest.mark.parametrize("kappa", [12.5 + 10j, 12.5, 3j, "stokes"])
 def test_two_level_pass_is_the_full_pass(kappa, N):
     # the coarse level only decides where the answer is certain: mask,
     # nearest node and stride of every target are the brute-force full
     # pass's, bit for bit, with the tolerance and spectrum eval_field uses;
-    # the targets are the decaying wave's and a grid through the curve
+    # the targets are the decaying wave's and a grid through the curve. At
+    # N = 48, s0 = 1 and the level on all N nodes is the whole pass
     if kappa == "stokes":
         bie, tau = _stokes_flow(N)
         _, _, targets = _decaying_wave(N=64)
@@ -432,7 +433,7 @@ def test_two_level_pass_is_the_full_pass(kappa, N):
     outside, stride, nearest = oracle.full_pass(bie, seen["tol"], seen["alias"], targets)
     assert np.array_equal(seen["stride"], stride) and np.array_equal(accepted, stride > 0)
     assert np.array_equal(seen["nearest"], nearest)
-    assert ny._coarse_step(N) == {256: 4, 300: 4, 512: 4, 1024: 8}[N]
+    assert ny._coarse_step(N) == {48: 1, 256: 4, 300: 4, 512: 4, 1024: 8}[N]
     located = ny.locate(STAR, N, targets)
     assert np.array_equal(located[0], outside) and np.array_equal(located[1], stride > 0)
     assert 0 < accepted.sum() < len(targets)
@@ -449,10 +450,11 @@ def _coarse_alone(data, h, s0, points):
 
 def test_planted_points_take_the_full_pass():
     # on a star with deep valleys, points that the coarse nodes alone
-    # decide wrongly must take the pass over all N nodes: across the gap
-    # between two lobes, just outside 5 spacings off a valley's bottom,
-    # where the flanks come nearer, and within the half arc delta of the
-    # near field off a fast flank, midway between two coarse nodes
+    # decide wrongly must be decided on all N nodes, by the level at s0 = 1:
+    # across the gap between two lobes, just outside 5 spacings off a
+    # valley's bottom, where the flanks come nearer, and within the half
+    # arc delta of the near field off a fast flank, midway between two
+    # coarse nodes
     curve, N = star_curve(1.0, 0.5, 7), 1024
     grid, data = ny._nodes(curve, N)
     h, s0 = grid.h, ny._coarse_step(N)
@@ -479,13 +481,14 @@ def test_planted_points_take_the_full_pass():
         assert wrong[rows].any(), name
         start += len(group)
     exact = []
-    full_pass = ny._full_pass
+    level = ny._level
 
-    def counted(data, h, targets, growth):
-        exact.append(targets)
-        return full_pass(data, h, targets, growth)
+    def counted(data, h, targets, growth, s0):
+        if s0 == 1:
+            exact.append(targets)
+        return level(data, h, targets, growth, s0)
 
-    with mock.patch.object(ny, "_full_pass", counted):
+    with mock.patch.object(ny, "_level", counted):
         outside, usable = ny.locate(curve, N, points)
     exact = np.concatenate(exact)
     assert len(exact) < len(points)
