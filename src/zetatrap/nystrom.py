@@ -39,7 +39,9 @@ s0-th node (:func:`_level`): most points on the coarse nodes, and those
 it leaves unsure by the same code at s0 = 1, which is the test on all N
 nodes (:func:`_decide`), with that test's answer either way.
 :func:`eval_field` sums a far target over every s-th node, with s from
-the target's distance and the density's spectrum (:func:`_strides`).
+the target's distance, an upper bound on its decay sum that the pass
+forms with its nearest node, and the density's spectrum
+(:func:`_strides`).
 """
 
 from __future__ import annotations
@@ -493,25 +495,18 @@ def _coarse_step(N: int) -> int:
     return s0
 
 
-def _decay(r: np.ndarray, d, growth: float) -> np.ndarray:
-    """exp(-``growth`` (r - ``d``)) at the pair distances ``r``, in place,
-    ``d`` each pair's target's distance to its nearest node."""
-    r -= d
-    r *= -growth
-    return np.exp(r, out=r)
-
-
 def _refine(data: CurveSamples, targets, r, delta: float, growth: float):
-    """(nearest, d, low, high) of ``targets``, each with (M, N/s0) pair
+    """(nearest, d, bound) of ``targets``, each with (M, N/s0) pair
     distances ``r`` to every s0-th node: the nearest node (the first on
     ties) and the distance d to it, from the pairs with the nodes of each
     coarse node within the least coarse distance d0 plus a slack of the
     target, delta and a few ulps of its distances. Every node lies within
     ``delta`` of its coarse node (the s0 nodes from s0/2 before it), so a
     coarse node farther out holds no node nearer than d0; at s0 = 1 delta
-    is 0, and the window is the nodes within those ulps of d0. And bounds
-    on the decay sum: exact on those windows of nodes, and elsewhere s0
-    times each coarse node's term times exp(-+ |growth| slack)."""
+    is 0, and the window is the nodes within those ulps of d0. And an
+    upper bound on the decay sum sum_n exp(-growth (r_n - d)) over all N
+    nodes: exact on those windows of nodes, and elsewhere s0 times each
+    coarse node's term times exp(|growth| slack); N where growth is 0."""
     N = len(data.speed)
     s0 = N // r.shape[1]
     # the rounding of the pair distances, a few ulps of the largest
@@ -527,30 +522,25 @@ def _refine(data: CurveSamples, targets, r, delta: float, growth: float):
     nearest = np.minimum.reduceat(np.where(tied, node, N), start)
     d = p.r[node == np.repeat(nearest, count)]
     if not growth:
-        sums = np.full(len(d), float(N))
-        return nearest, d, sums, sums
-    # the window's terms, exact, and s0 times each other coarse node's
-    inner = np.add.reduceat(_decay(p.r.copy(), np.repeat(d, count), growth), start)
-    outer = _decay(r.copy(), d[:, None], growth)
-    outer[window] = 0.0
-    outer = s0 * outer.sum(axis=1)
-    # far past the curve the slack's ulps can overflow the spread: there
-    # the bracket is [inner, inf), or exact where no node lies outside
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = np.exp(abs(growth) * slack)
-        high = np.where(outer > 0, inner + outer * spread, inner)
-    low = inner + outer / spread
+        return nearest, d, np.full(len(d), float(N))
+    inner = np.add.reduceat(np.exp(-growth * (p.r - np.repeat(d, count))), start)
+    # outside the window r_c > d0 + slack >= d + slack, so each exponent is
+    # at most 0 where growth > 0 and no term overflows; the window's terms,
+    # summed exactly above, are left out as exp(-inf)
+    exponent = abs(growth) * slack[:, None] - growth * (r - d[:, None])
+    exponent[window] = -np.inf
+    outer = s0 * np.exp(exponent).sum(axis=1)
     # room for the rounding of a sum of N such terms, and to spare
-    return nearest, d, low * (1 - 1e-10), high * (1 + 1e-10)
+    return nearest, d, (inner + outer) * (1 + 1e-10)
 
 
 def _level(data: CurveSamples, h: float, targets: np.ndarray, growth: float, s0: int):
-    """(sure, outside, usable, nearest, low, high) of ``targets``, finite
-    or NaN, from their pairs with every s0-th of the nodes ``data``: the
+    """(sure, outside, usable, nearest, bound) of ``targets``, finite or
+    NaN, from their pairs with every s0-th of the nodes ``data``: the
     targets this level decides, and of those the ones outside and the
-    usable ones; for each usable target its nearest node and bounds
-    ``low`` <= ``high`` on its decay sum sum_n exp(-growth (r_n - d)) over
-    all N nodes, d its distance to that node.
+    usable ones; for each usable target its nearest node and an upper
+    ``bound`` on its decay sum sum_n exp(-growth (r_n - d)) over all N
+    nodes, d its distance to that node.
 
     The winding number is the trapezoidal sum of the Laplace double layer
     over the s0-th nodes. At s0 = 1 it is the rule itself: a target is
@@ -566,7 +556,7 @@ def _level(data: CurveSamples, h: float, targets: np.ndarray, growth: float, s0:
     distance d, that of the full sum s0 times faster in the exponent, so
     past that distance the full sum falls on the same side of 1/2.
 
-    At any s0 an outside target takes its nearest node and bounds from
+    At any s0 an outside target takes its nearest node and bound from
     :func:`_refine`, and is usable when it lies at least NEAR_FIELD_FACTOR
     h times that node's speed from it.
     """
@@ -585,25 +575,27 @@ def _level(data: CurveSamples, h: float, targets: np.ndarray, growth: float, s0:
         outside = clear & (winding <= 0.25)
         sure = outside | (clear & (np.abs(winding - 1) <= 0.25))
     at = np.flatnonzero(outside)
-    nearest, d, low, high = _refine(data, targets[at], p.r[at], delta, growth)
+    nearest, d, bound = _refine(data, targets[at], p.r[at], delta, growth)
     ok = d >= NEAR_FIELD_FACTOR * h * data.speed[nearest]
     usable = np.zeros(len(targets), dtype=bool)
     usable[at[ok]] = True
-    return sure, outside, usable, nearest[ok], low[ok], high[ok]
+    return sure, outside, usable, nearest[ok], bound[ok]
 
 
 def _decide(data: CurveSamples, h: float, targets: np.ndarray, growth: float = 0.0):
-    """Yield (idx, outside, usable, nearest, low, high) on chunks of
+    """Yield (idx, outside, usable, nearest, bound) on chunks of
     ``targets`` (NaN where not finite) and the nodes ``data``, each
     target in one chunk: the indices ``idx`` of the chunk's targets and
-    :func:`_level`'s answer on them, with ``nearest``, ``low`` and
-    ``high`` of its usable targets.
+    :func:`_level`'s answer on them, with ``nearest`` and ``bound`` of its
+    usable targets.
 
     Each slab of targets is first decided on every s0-th node, s0 =
     :func:`_coarse_step` (N); the targets that this level leaves unsure
     then take the same code at s0 = 1, the rule on all N nodes, in slabs
     of SLAB_ROWS. Either way a target's answer is the rule's on all N
-    nodes.
+    nodes. Its bound is the decay sum within 1e-10 where it was decided
+    at s0 = 1, and within a factor exp(2 |growth| slack) on the coarse
+    nodes (:func:`_refine`).
     """
     # inf - x is inf and inf/inf NaN with a warning; NaN passes quietly
     targets = np.where(np.isfinite(targets), targets, np.nan)
@@ -670,19 +662,16 @@ def _aliases(data: CurveSamples, density: np.ndarray):
     return lru_cache(maxsize=None)(partial(_alias_power, power))
 
 
-def _strides(
-    bie: DiscretizedBIE, tol: float, alias, closest: kernels.Pairs, nearest, low, high, exact
-):
+def _strides(bie: DiscretizedBIE, tol: float, alias, closest: kernels.Pairs, nearest, bound):
     """The stride s (1, 2, 4, ... dividing N) of each target whose pair
     with its nearest node ``nearest`` is ``closest``: the largest s at
     which the sum over every s-th node, weights times s, is predicted to
     differ from the sum over all N nodes by at most ``tol``. The rule
-    reads the target's decay sum, known to lie in [``low``, ``high``]
-    (from :func:`_refine` at either step of the pass); ``exact(i)`` gives
-    the sums of the targets ``i`` where a bracket leaves s open.
-    ``alias(s)``
-    gives the density's power at each distance r = 0..N/2 from the
-    frequencies that stride s aliases (:func:`_alias_power`).
+    reads ``bound``, an upper bound on the target's decay sum (from
+    :func:`_refine` at either step of the pass), where it would read the
+    sum. ``alias(s)`` gives the density's power at each distance
+    r = 0..N/2 from the frequencies that stride s aliases
+    (:func:`_alias_power`).
 
     That difference is exactly the sum over j = 1..s-1 of the discrete
     Fourier coefficient at j N/s of kernel times density along the nodes:
@@ -703,13 +692,12 @@ def _strides(
     mostly rounding noise, of unrelated phases.
 
     Each step from the decay sum to s is monotone in it (a product, log,
-    min, exp and a non-negative matrix product in a fixed order), so where
-    the s at ``low`` and at ``high`` agree, it is the s at any sum between
-    them. The s at ``high`` is found first; at ``low`` only the next s up
-    can differ, and it is tested only where the error at ``high`` times
-    (``low``/``high``)^2 does not already refuse it. Where it passes, the
-    exact sum decides; a target with ``low`` = ``high`` takes one
-    evaluation.
+    min, exp and a non-negative matrix product in a fixed order), so a
+    bound at or above the sum gives an s no larger than the sum's, whose
+    predicted error is at most ``tol`` too. Where the bound is the sum
+    up to its rounding room (every target decided at s0 = 1), s is the
+    sum's unless the sum's predicted error lies within that room of
+    ``tol``.
     """
     data, N, period = bie.data, bie.grid.N, bie.grid.period
     kappa = complex(bie.kernel.wavenumber)
@@ -721,70 +709,39 @@ def _strides(
     q0 = abs(kappa.real) * v * period / (2 * math.pi)
     size = np.abs(bie.kernel.full(closest)).reshape(-1, len(d)).max(axis=0)
     size = np.maximum(size, np.finfo(float).tiny)
-    # the log of the squared envelope at q = 0..N/2, before the l1 cap
-    envelope = np.arange(N // 2 + 1) - q0[:, None]
-    np.maximum(envelope, 0.0, out=envelope)
-    envelope *= -2 * alpha[:, None]
-    envelope += 2 * (np.log(N * size) + kappa.imag * d)[:, None]
-
-    def stride_at(rows, sums):
-        """The stride of the ``rows`` at decay sums ``sums``, and the squared
-        error predicted at the first stride above it (0 where none is)."""
-        square = np.minimum(envelope[rows], 2 * np.log(size[rows] * sums)[:, None])
-        np.exp(square, out=square)
-        stride = np.ones(len(sums), dtype=int)
-        miss = np.zeros(len(sums))
-        s = 2
-        while N % s == 0 and s < N:
-            error = square @ alias(s)
-            now = stride == s // 2
-            up = now & (np.sqrt(error) <= tol)
-            miss[now & ~up] = error[now & ~up]
-            if not up.any():
-                break
-            stride[up] = s
-            s *= 2
-        return stride, miss
-
-    stride, miss = stride_at(slice(None), high)
-    # at ``low`` every error is at least (low/high)^2 times the one at
-    # ``high``, so the stride differs there only where the first stride
-    # refused at ``high`` may pass (1e-9 of room for the products' rounding)
-    check = np.flatnonzero(
-        (low < high) & (miss != 0) & ~(miss * (low / high) ** 2 > tol**2 * (1 + 1e-9))
-    )
-    open_ = np.zeros(len(d), dtype=bool)
-    for s in np.unique(2 * stride[check]):
-        rows = check[2 * stride[check] == s]
-        square = np.minimum(envelope[rows], 2 * np.log(size[rows] * low[rows])[:, None])
-        np.exp(square, out=square)
-        open_[rows] = np.sqrt(square @ alias(s)) <= tol
-    open_ = np.flatnonzero(open_)
-    if len(open_):
-        stride[open_] = stride_at(open_, exact(open_))[0]
+    # the squared envelope at q = 0..N/2, built in place from its log
+    square = np.arange(N // 2 + 1) - q0[:, None]
+    np.maximum(square, 0.0, out=square)
+    square *= -2 * alpha[:, None]
+    square += 2 * (np.log(N * size) + kappa.imag * d)[:, None]
+    np.minimum(square, 2 * np.log(size * bound)[:, None], out=square)
+    np.exp(square, out=square)
+    stride = np.ones(len(d), dtype=int)
+    s = 2
+    while N % s == 0 and s < N:
+        up = (stride == s // 2) & (np.sqrt(square @ alias(s)) <= tol)
+        if not up.any():
+            break
+        stride[up] = s
+        s *= 2
     return stride
 
 
 def _target_strides(bie: DiscretizedBIE, tol: float, alias, targets: np.ndarray):
     """(stride, nearest) of each of ``targets``, from the chunks of
     :func:`_decide`: 0 and 0 where refused, else its stride
-    (:func:`_strides`) and nearest node. A target whose stride its
-    decay-sum bounds leave open takes its decay sum from all N nodes."""
+    (:func:`_strides`, read from the chunk's bound on its decay sum) and
+    nearest node."""
     data = bie.data
     growth = complex(bie.kernel.wavenumber).imag
     stride = np.zeros(len(targets), dtype=int)
     nearest = np.zeros(len(targets), dtype=int)
-    for idx, _, usable, n, low, high in _decide(data, bie.grid.h, targets, growth):
+    for idx, _, usable, n, bound in _decide(data, bie.grid.h, targets, growth):
         at = idx[usable]
         if not len(at):
             continue
         closest = kernels.pairs(targets[at], data.pos[n], data.normal[n])
-
-        def exact(i):
-            r = kernels.pairs(targets[at[i], None], data.pos).r
-            return _decay(r, closest.r[i, None], growth).sum(axis=1)
-
-        stride[at] = _strides(bie, tol, alias, closest, n, low, high, exact)
+        stride[at] = _strides(bie, tol, alias, closest, n, bound)
         nearest[at] = n
     return stride, nearest
 
@@ -829,15 +786,16 @@ def eval_field(
     within 1/4 of 0 or +-1) is refused if inside. The rest run the same
     code at s0 = 1, the rule on all N nodes, which decides every target.
     At either step an outside target takes its nearest node from the
-    exact pairs with the few windows of nodes that can hold it, and
-    brackets its decay sum: exact on those windows and within
-    exp(-+ Im kappa delta) of s0 times the coarse terms elsewhere (at
-    s0 = 1, the full sum within 1e-10). Where the stride at both ends of
-    the bracket agrees it is the stride of the exact sum, else the sum is
-    taken over all N nodes (at real kappa it is N and needs no pairs).
-    The masks, nearest nodes and strides are those of the rule on all N
-    nodes, bit for bit. After the pass each stride's targets, 1 included,
-    are summed on the contiguous copy of every s-th node.
+    exact pairs with the few windows of nodes that can hold it, and an
+    upper bound on its decay sum: exact on those windows and elsewhere
+    s0 times the coarse terms times exp(Im kappa slack), slack delta
+    plus a few ulps (at s0 = 1, the full sum within 1e-10; at real
+    kappa, N with no pairs). Its stride is read from that bound, so it
+    is at most the stride of the exact sum and meets the same tolerance;
+    at s0 = 1 it is that stride. The masks and nearest nodes are those
+    of the rule on all N nodes, bit for bit. After the pass each
+    stride's targets, 1 included, are summed on the contiguous copy of
+    every s-th node.
     """
     targets = kernels.as_points(targets)
     data, N = bie.data, bie.grid.N

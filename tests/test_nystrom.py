@@ -304,20 +304,24 @@ def _pairs_summed(bie):
     return dataclasses.replace(bie, kernel=bie.kernel._replace(radial=counted)), counts
 
 
+def _wave_targets():
+    """Field targets from 0.1 to 2.4 outside the star."""
+    angle = np.linspace(0, 2 * math.pi, 37)[:-1]
+    radius = 1.0 + 0.3 * np.cos(5 * angle)
+    return np.concatenate(
+        [np.stack([(radius + d) * np.cos(angle), (radius + d) * np.sin(angle)], axis=1)
+         for d in (0.1, 0.2, 0.4, 0.8, 1.6, 2.4)]
+    )
+
+
 def _decaying_wave(N=512, kappa=12.5 + 10j):
     """A solved combined-field system on the star: the field of a point
-    source inside it, and field targets from 0.1 to 2.4 outside it."""
+    source inside it, and :func:`_wave_targets`."""
     bie = ny.assemble_helmholtz(STAR, N, helmholtz_constants(kappa), build_log_stencil(7))
     source = np.array([[0.2, -0.1]])
     rhs = harness.known_solution(kappa, source, np.array([1.0]), bie.data.pos)
     tau = ny.solve_gmres(bie.matrix, rhs).solution
-    angle = np.linspace(0, 2 * math.pi, 37)[:-1]
-    radius = 1.0 + 0.3 * np.cos(5 * angle)
-    targets = np.concatenate(
-        [np.stack([(radius + d) * np.cos(angle), (radius + d) * np.sin(angle)], axis=1)
-         for d in (0.1, 0.2, 0.4, 0.8, 1.6, 2.4)]
-    )
-    return bie, tau, targets
+    return bie, tau, _wave_targets()
 
 
 @pytest.mark.parametrize("kappa", [12.5 + 10j, 12.5])
@@ -365,7 +369,7 @@ def test_stride_reads_the_kernel_decay(kappa):
     assert np.abs(values[accepted] - full).max() <= 1e-15 * np.abs(full).max()
 
 
-def _stride_one(bie, tol, alias, closest, nearest, low, high, exact):
+def _stride_one(bie, tol, alias, closest, nearest, bound):
     return np.ones(len(nearest), dtype=int)
 
 
@@ -405,38 +409,84 @@ def _stokes_flow(N):
     return bie, ny.solve_gmres(bie.matrix, -uinf.ravel()).solution
 
 
+def _pass_targets():
+    """:func:`_wave_targets` and a 24 x 24 grid through the star."""
+    axis = np.linspace(-1.6, 1.6, 24)
+    return np.concatenate([_wave_targets(), np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)])
+
+
 @pytest.mark.parametrize("N", [48, 256, 300, 512, 1024])
 @pytest.mark.parametrize("kappa", [12.5 + 10j, 12.5, 3j, "stokes"])
 def test_two_level_pass_is_the_full_pass(kappa, N):
-    # the coarse level only decides where the answer is certain: mask,
-    # nearest node and stride of every target are the brute-force full
-    # pass's, bit for bit, with the tolerance and spectrum eval_field uses;
-    # the targets are the decaying wave's and a grid through the curve. At
-    # N = 48, s0 = 1 and the level on all N nodes is the whole pass
+    # the coarse level only decides where the answer is certain: mask and
+    # nearest node of every target are the brute-force full pass's, bit
+    # for bit, with the tolerance and spectrum eval_field uses. A stride
+    # is read from an upper bound on the decay sum, so it is at most the
+    # full pass's, and equal where the level at s0 = 1 decided the target
+    # (its bound is the sum within 1e-10). The targets are the decaying
+    # wave's and a grid through the curve. At N = 48, s0 = 1 and the level
+    # on all N nodes is the whole pass
     if kappa == "stokes":
         bie, tau = _stokes_flow(N)
-        _, _, targets = _decaying_wave(N=64)
     else:
-        bie, tau, targets = _decaying_wave(N=N, kappa=kappa)
-    axis = np.linspace(-1.6, 1.6, 24)
-    targets = np.concatenate([targets, np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)])
+        bie, tau, _ = _decaying_wave(N=N, kappa=kappa)
+    targets = _pass_targets()
     seen = {}
+    fine = []
     target_strides = ny._target_strides
+    level = ny._level
 
     def spy(bie, tol, alias, targets):
         seen.update(tol=tol, alias=alias)
         seen["stride"], seen["nearest"] = target_strides(bie, tol, alias, targets)
         return seen["stride"], seen["nearest"]
 
-    with mock.patch.object(ny, "_target_strides", spy):
+    def counted(data, h, targets, growth, s0):
+        if s0 == 1:
+            fine.append(targets)
+        return level(data, h, targets, growth, s0)
+
+    with mock.patch.object(ny, "_target_strides", spy), mock.patch.object(ny, "_level", counted):
         _, accepted = ny.eval_field(bie, tau, targets)
     outside, stride, nearest = oracle.full_pass(bie, seen["tol"], seen["alias"], targets)
-    assert np.array_equal(seen["stride"], stride) and np.array_equal(accepted, stride > 0)
+    fine = np.concatenate(fine)
+    at_fine = np.array([(fine == point).all(axis=1).any() for point in targets])
+    assert at_fine.any() and np.array_equal(accepted, stride > 0)
+    assert np.all(seen["stride"] <= stride)
+    assert np.array_equal(seen["stride"][at_fine], stride[at_fine])
     assert np.array_equal(seen["nearest"], nearest)
     assert ny._coarse_step(N) == {48: 1, 256: 4, 300: 4, 512: 4, 1024: 8}[N]
     located = ny.locate(STAR, N, targets)
     assert np.array_equal(located[0], outside) and np.array_equal(located[1], stride > 0)
     assert 0 < accepted.sum() < len(targets)
+
+
+@pytest.mark.parametrize("growth", [0.0, 0.5, 10.0, 1.62e4, 3e4])
+@pytest.mark.parametrize("N", [256, 1024])
+def test_decay_bound_is_a_bound(N, growth):
+    # the pass's bound on each usable target's decay sum
+    # sum_n exp(-growth (r_n - d)) over all N nodes is at least the sum and
+    # at most exp(2 growth slack) times it, slack the coarse half arc delta
+    # plus 16 ulps of the largest distance, and 1e-10 for rounding. It is
+    # finite and warns nowhere, also where growth delta is past 709 and
+    # exp(growth delta) overflows: at N = 1024 and growth 1.62e4 a coarse
+    # term times that factor is inf where the term itself is not 0
+    grid, data = ny._nodes(STAR, N)
+    targets = _pass_targets()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chunks = [chunk for chunk in ny._decide(data, grid.h, targets, growth) if chunk[2].any()]
+    step = data.pos - np.roll(data.pos, 1, axis=0)
+    delta = ny._coarse_step(N) // 2 * np.hypot(step[:, 0], step[:, 1]).max()
+    assert growth < 1e4 or growth * delta > 709
+    for idx, _, usable, nearest, bound in chunks:
+        at = idx[usable]
+        r = kernels.pairs(targets[at, None], data.pos).r
+        d = r[np.arange(len(at)), nearest]
+        exact = np.exp(-growth * (r - d[:, None])).sum(axis=1)
+        slack = delta * (1 + 1e-12) + 16 * np.finfo(float).eps * r.max(axis=1)
+        assert np.all(np.isfinite(bound)) and np.all(exact <= bound)
+        assert np.all(np.log(bound / exact) <= 2 * growth * slack + 1e-10)
 
 
 def _coarse_alone(data, h, s0, points):
