@@ -59,7 +59,6 @@ SATURATION_FLOOR = 1e-11
 MIN_FIT_POINTS = 3
 DEFAULT_SOURCE_RADIUS = 0.4
 DEFAULT_TARGET_RADIUS = 2.0
-STOKES_REFERENCE_N = 2000
 STOKES_REFERENCE_K = 7
 
 
@@ -320,6 +319,14 @@ def _zeta_method(K: int) -> QuadratureMethod:
     return QuadratureMethod(label=f"zeta{2 * K + 2}", stencil=build_log_stencil(K))
 
 
+def _reference_n(n_max: int) -> int:
+    """N_ref, the grid of the reference a sweep to ``n_max`` is measured
+    against when its data has no exact field: the smallest even N >=
+    5/4 n_max, where zeta16's error lies (4/5)^17, 44 times, below its
+    error at n_max."""
+    return 2 * -(-5 * n_max // 8)
+
+
 def _check_keys(raw: dict, keys, what: str):
     """Raise ConfigError naming the first key of ``raw`` not in ``keys``:
     ignored, a misspelled key would run its field's default."""
@@ -418,9 +425,12 @@ def load_config(source) -> ProblemConfig:
     stencil or table that cannot be built, an N that a method, the
     wavelength or the memory budget rules out, a target that
     :func:`~zetatrap.nystrom.locate` finds unusable at an N where a sweep
-    evaluates it (STOKES_REFERENCE_N too, for data without an exact
-    field), and data whose ``check`` fails at the largest N; an error of
-    another type is chained to it.
+    evaluates it, and data whose ``check`` fails at the largest N; an
+    error of another type is chained to it. For data without an exact
+    field a sweep also evaluates the targets at the reference's N_ref
+    (:func:`_reference_n`), whose system must fit the memory budget too:
+    a shear-flow sweep reaches N_max = 6553, whose reference at N_ref =
+    8192 takes the whole 2 GiB.
     """
     try:
         return _read_config(source)
@@ -473,9 +483,17 @@ def _read_config(source) -> ProblemConfig:
 
 def _check_points(cfg: ProblemConfig):
     """Raise ConfigError unless a sweep can use the config's targets and
-    data (see :func:`load_config`)."""
-    reference = (STOKES_REFERENCE_N,) if cfg.data.exact is None else ()
-    for N in sorted({*cfg.n_list, *reference}):
+    data, for data without an exact field at the reference's N_ref too,
+    whose system must fit the budget (see :func:`load_config`)."""
+    n_list = cfg.n_list
+    if cfg.data.exact is None:
+        n_max = max(n_list)
+        n_list += (_reference_n(n_max),)
+        try:
+            _check_grids(cfg, [_zeta_method(STOKES_REFERENCE_K)], n_list[-1:])
+        except ConfigError as exc:
+            raise ConfigError(f"the reference of N_max={n_max}: {exc}") from None
+    for N in n_list:
         _, usable = nystrom.locate(cfg.curve, N, cfg.targets)
         if not usable.all():
             raise ConfigError(
@@ -583,17 +601,56 @@ def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveRepo
     return rep
 
 
-def _stokes_reference(cfg: ProblemConfig, start=None) -> np.ndarray:
-    """Self-converged reference field at the test targets, solved warm
-    from the density ``start`` of another grid if given."""
+def _stokes_reference(cfg: ProblemConfig, finest, start) -> np.ndarray:
+    """Reference field at the test targets for data without an exact
+    field: zeta16 at N_ref = :func:`_reference_n` of the sweep's N_max,
+    solved warm from ``start``, the density at N_max of the sweep's
+    highest-K rule, whose field at the targets is ``finest``.
+
+    The reference's error is estimated from that rule's own row: with d
+    its relative distance from the reference at N_max, zeta16 at N lies
+    about d (N_max/N)^17 from the field, as zeta16 converges at order 17
+    and that rule at N_max is no closer than zeta16 there. Where the
+    estimate at N_ref is above SATURATION_FLOOR, zeta16 is solved once
+    more, warm from the N_ref density, at the smallest even N where it is
+    at the floor, if that N's system fits MAX_SYSTEM_BYTES and the
+    targets are usable there; otherwise a RuntimeWarning names N_ref and
+    the estimate. The estimate is asymptotic: before N_max reaches the
+    rule's asymptotic regime it can understate the reference's error
+    several times over.
+    """
     method = _zeta_method(STOKES_REFERENCE_K)
+    label = f"{method.label} reference"
 
-    def measure(i, bie):
-        rep = _solve(cfg, bie, start, f"{method.label} reference")
-        return cfg.data.field(bie, rep.solution, cfg.targets)
+    def solve(N, x0):
+        def measure(i, bie):
+            rep = _solve(cfg, bie, x0, label)
+            return cfg.data.field(bie, rep.solution, cfg.targets), rep.solution
 
-    [[(_, vals)]] = _systems(cfg, [method], [STOKES_REFERENCE_N], measure)
-    return vals
+        [[(_, result)]] = _systems(cfg, [method], [N], measure)
+        return result
+
+    n_max = max(cfg.n_list)
+    n_ref = _reference_n(n_max)
+    ref, density = solve(n_ref, start)
+    d = float(np.abs(finest - ref).max()) / float(np.abs(ref).max())
+    order = 2 * STOKES_REFERENCE_K + 3
+    estimate = d * (n_max / n_ref) ** order
+    if not estimate > SATURATION_FLOOR:  # NaN too: its rows show it
+        return ref
+    N = 2 * math.ceil(n_max * (d / SATURATION_FLOOR) ** (1 / order) / 2)
+    # locate only an N that fits: it pairs every target with N nodes
+    if nystrom.held_bytes(cfg.data.kernel(), [N], [method.stencil]) <= MAX_SYSTEM_BYTES:
+        _, usable = nystrom.locate(cfg.curve, N, cfg.targets)
+        if usable.all():
+            return solve(N, density)[0]
+    warnings.warn(
+        f"{label} at N={n_ref}: estimated error {estimate:.2e}, above "
+        f"{SATURATION_FLOOR:g}; N={N}, where it would be at that floor, is over "
+        "the memory budget or too close to a target",
+        RuntimeWarning,
+    )
+    return ref
 
 
 def run_convergence(cfg: ProblemConfig):
@@ -618,8 +675,10 @@ def run_convergence(cfg: ProblemConfig):
     GMRES_WARM_TOL (see :func:`_solve`). A warm row's solve_s is
     therefore not that of a cold solve. The errors are taken last, from
     the data's exact field, or for data without one the reference at
-    STOKES_REFERENCE_N, solved after the sweep, warm from the highest-K
-    rule's density at the last N.
+    N_ref = 5/4 N_max rounded up to even, solved after the sweep, warm
+    from the highest-K rule's density at the last N, and solved once more
+    at a finer N where that rule's finest row shows N_ref to be short of
+    the floor (see :func:`_stokes_reference`).
 
     A solve that does not converge, the reference's too, emits a
     RuntimeWarning naming its method, N and relative residual; its row is
@@ -640,7 +699,8 @@ def run_convergence(cfg: ProblemConfig):
         ref = cfg.data.exact(cfg.targets)
     else:
         top = max(range(len(cfg.methods)), key=lambda i: cfg.methods[i].stencil.K)
-        ref = _stokes_reference(cfg, densities[top])
+        _, (finest, _) = per_n[-1][top]
+        ref = _stokes_reference(cfg, finest, densities[top])
     scale = float(np.abs(ref).max())
     rows = []
     eoc_rows = []

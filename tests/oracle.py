@@ -9,7 +9,8 @@ Acceptance criterion 1 and ``test_zetaweights`` compare the stencils of
 :func:`full_pass`, the brute-force decision pass of the off-curve
 evaluator: every target paired with all N nodes for its acceptance,
 nearest node and stride. ``test_nystrom`` holds the two-level pass of
-:mod:`zetatrap.nystrom` to it bit for bit.
+:mod:`zetatrap.nystrom` to its masks and nearest nodes bit for bit, and
+to strides at most its own, equal to them at s0 = 1.
 """
 
 import math

@@ -356,7 +356,9 @@ def test_criterion_7a_stokes_eoc(stokes_sweep):
 def test_criterion_7b_stokes_order16_accuracy(stokes_sweep):
     best = min(r[3] for r in stokes_sweep if r[1] == "zeta16" and r[0] in SWEEP_N)
     ok = best <= 1e-10
-    assert _verdict("7b", ok, f"order-16 best rel err vs N=2000 reference {best:.2e}")
+    n_ref = harness._reference_n(max(SWEEP_N + STOKES_EOC_N))
+    verdict = f"order-16 best rel err vs N={n_ref} reference {best:.2e}"
+    assert _verdict("7b", ok, verdict)
 
 
 def test_criterion_7c_stokes_iteration_stability():

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import importlib
 import io
 import json
@@ -239,7 +240,8 @@ def _method_outer_sweep(cfg):
         ref = cfg.data.exact(cfg.targets)
     else:
         top = max(range(len(finest)), key=lambda i: cfg.methods[i].stencil.K)
-        ref = harness._stokes_reference(cfg, finest[top])
+        top_finest = values[(top + 1) * len(cfg.n_list) - 1]
+        ref = harness._stokes_reference(cfg, top_finest, finest[top])
     scale = float(np.abs(ref).max())
     errors = iter([float(np.abs(vals - ref).max()) / scale for vals in values])
     rows, eoc_rows = [], []
@@ -291,7 +293,7 @@ _MIXED = [{"name": "zeta", "K": 2}, "kress", "mirror10", {"name": "zeta", "K": 7
     ],
 )
 def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
-    kappa, methods, tmp_path, monkeypatch
+    kappa, methods, tmp_path
 ):
     # sharing the PTR fill across the rules at each N, Kress last, changes
     # no number: the sweep rows (but the two timing columns), the EOC rows
@@ -301,7 +303,6 @@ def test_shared_fill_sweep_and_table1_match_the_method_outer_loop(
     if kappa is not None and complex(kappa).imag:
         unconverged = pytest.warns(RuntimeWarning, match=_KRESS_UNCONVERGED)
     if kappa is None:
-        monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
         cfg = harness.default_stokes_config(N=[64, 96, 128])
     else:
         methods = [
@@ -407,6 +408,19 @@ def _record_solves(monkeypatch):
     return calls
 
 
+def _record_fills(monkeypatch):
+    # the N of every PTR fill
+    fills = []
+    ptr_fill = quadrature._ptr_fill
+
+    def tracked_fill(kernel, data, h, kress=False):
+        fills.append(len(data.speed))
+        return ptr_fill(kernel, data, h, kress)
+
+    monkeypatch.setattr(quadrature, "_ptr_fill", tracked_fill)
+    return fills
+
+
 def test_sweep_warm_starts_each_method_entry_from_its_own_density(monkeypatch):
     # the first N of each entry is solved cold; every later N starts from
     # the interpolant of that entry's own density at the previous N, the
@@ -429,29 +443,118 @@ def test_sweep_warm_starts_each_method_entry_from_its_own_density(monkeypatch):
 
 
 def test_stokes_reference_is_solved_after_the_sweep(monkeypatch):
-    # the N = STOKES_REFERENCE_N fill is built after every fill of the
-    # sweep, once the sweep's N_max fill is spent, and its solve starts
-    # from the highest-K rule's density at the sweep's last N
-    monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
-    fills = []
-    ptr_fill = quadrature._ptr_fill
-
-    def tracked_fill(kernel, data, h, kress=False):
-        fills.append(len(data.speed))
-        return ptr_fill(kernel, data, h, kress)
-
-    monkeypatch.setattr(quadrature, "_ptr_fill", tracked_fill)
+    # the reference's fill at N_ref = 5/4 N_max = 160 is built after every
+    # fill of the sweep, once the sweep's N_max fill is spent, and its solve
+    # starts from the highest-K rule's density at the sweep's last N. There
+    # zeta16's error is 4.7e-12, so the reference's estimate is below the
+    # floor and it is not solved again
+    fills = _record_fills(monkeypatch)
     calls = _record_solves(monkeypatch)
     methods = [{"name": "zeta", "K": 7}, {"name": "zeta", "K": 2}]
     cfg = harness.default_stokes_config(methods=methods, N=[64, 96, 128])
     harness.run_convergence(cfg)
     # N = 64 is a slice of the N = 128 fill, taken first; N = 96 fills afresh
-    assert fills == [128, 96, 384]
-    assert [n // 2 for n, *_ in calls] == [64, 64, 96, 96, 128, 128, 384]
+    assert fills == [128, 96, 160]
+    assert [n // 2 for n, *_ in calls] == [64, 64, 96, 96, 128, 128, 160]
     assert [x0 is None for _, x0, *_ in calls] == [True, True] + [False] * 5
     finest_zeta16 = calls[4][3].solution.reshape(128, 2)
-    want = nystrom.resample_density(finest_zeta16, 384).ravel()
+    want = nystrom.resample_density(finest_zeta16, 160).ravel()
     assert np.array_equal(calls[-1][1], want)
+
+
+# a shear flow past a harder curve, where zeta16 at N_max = 256 has not
+# converged: 1.2e-6 from the reference
+_UNCONVERGED_SHEAR = {
+    "problem": "stokes",
+    "curve": {"type": "star", "base": 1.0, "amplitude": 0.5, "lobes": 7},
+    "methods": [{"name": "zeta", "K": 2}, {"name": "zeta", "K": 7}],
+    "N": [128, 256],
+    "targets": [[2.6, 0.3], [-0.4, 2.7], [-2.5, -1.0]],
+}
+
+
+@functools.cache
+def _unconverged_errors_at_2000():
+    # the sweep's errors against an N = 2000 reference, which its rule
+    # does not solve again: 1.2e-6 (256/2000)^17 is far below the floor
+    with mock.patch.object(harness, "_reference_n", lambda n_max: 2000):
+        rows, _ = harness.run_convergence(harness.load_config(_UNCONVERGED_SHEAR))
+    return np.array([r[3] for r in rows])
+
+
+def test_a_reference_short_of_the_floor_is_solved_again(monkeypatch):
+    # zeta16 at N_max = 256 lies d = 1.24e-6 from the reference at N_ref =
+    # 320, whose error is then estimated at d (256/320)^17 = 2.8e-8, above
+    # the floor: the reference is solved once more, at 512, the smallest
+    # even N where d (256/N)^17 <= 1e-11, and the rows agree with those
+    # against an N = 2000 reference
+    want = _unconverged_errors_at_2000()
+    fills = _record_fills(monkeypatch)
+    rows, _ = harness.run_convergence(harness.load_config(_UNCONVERGED_SHEAR))
+    assert fills == [256, 320, 512]
+    np.testing.assert_allclose([r[3] for r in rows], want, rtol=1e-5)
+
+
+def test_a_reference_short_of_the_floor_over_the_budget_warns(monkeypatch):
+    # with N = 512 over the budget the reference stays at N_ref = 320, and
+    # a RuntimeWarning names it and its estimate. The estimate is
+    # asymptotic: the rows are then some 8 % off those against N = 2000,
+    # an error of the reference about 4 times the estimate
+    want = _unconverged_errors_at_2000()
+    fills = _record_fills(monkeypatch)
+    monkeypatch.setattr(harness, "MAX_SYSTEM_BYTES", 32 * 510**2)
+    cfg = harness.load_config(_UNCONVERGED_SHEAR)
+    warned = r"zeta16 reference at N=320: estimated error 2\.\d\de-08"
+    with pytest.warns(RuntimeWarning, match=warned):
+        rows, _ = harness.run_convergence(cfg)
+    assert fills == [256, 320]
+    off = np.array([r[3] for r in rows]) / want - 1
+    assert 0.05 < np.abs(off).max() < 0.1
+
+
+def test_a_reference_short_of_the_floor_where_a_target_is_unusable_warns(
+    monkeypatch,
+):
+    # a target's usability is not monotone in N near a lobe tip where the
+    # speed changes fast: (2.45, 0.38) by the 7-lobe star is usable at
+    # N_max = 40 and N_ref = 50 but not at 52 or 54. With the floor raised
+    # to 4e-3, the estimate 1.0e-2 at N_ref asks for N = 54, where the
+    # target would be NaN: the reference stays at 50, and a warning says so
+    fills = _record_fills(monkeypatch)
+    monkeypatch.setattr(harness, "SATURATION_FLOOR", 4e-3)
+    raw = {
+        "problem": "stokes",
+        "curve": {"type": "star", "base": 1.0, "amplitude": -0.4, "lobes": 7},
+        "methods": [{"name": "zeta", "K": 7}],
+        "N": [40],
+        "targets": [[2.45, 0.38]],
+    }
+    cfg = harness.load_config(raw)
+    _, usable = nystrom.locate(cfg.curve, 54, cfg.targets)
+    assert not usable.any()
+    with pytest.warns(RuntimeWarning, match="N=50: .*; N=54, .* close to a target"):
+        rows, _ = harness.run_convergence(cfg)
+    assert fills == [40, 50]
+    assert np.isfinite(rows[0][3])
+
+
+def test_the_reference_is_finer_than_every_sweep_grid(monkeypatch):
+    # N_ref is the smallest even N >= 5/4 N_max, above every N_max a
+    # shear-flow sweep accepts; a fixed N = 2000 was coarser than N_max =
+    # 2048. load_config places the targets at N_ref as well
+    for n_max in range(16, 6554):
+        n_ref = harness._reference_n(n_max)
+        assert n_ref % 2 == 0 and n_ref - 2 < 1.25 * n_max <= n_ref
+    located = []
+    locate = nystrom.locate
+
+    def recorded(curve, N, points):
+        located.append(N)
+        return locate(curve, N, points)
+
+    monkeypatch.setattr(nystrom, "locate", recorded)
+    harness.load_config({"problem": "stokes", "N": [1024, 2048]})
+    assert located == [1024, 2048, 2560]
 
 
 def test_table1_and_field_solve_cold(monkeypatch):
@@ -766,17 +869,18 @@ def test_sources_are_placed_by_the_winding_number(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("problem", ["helmholtz", "stokes"])
-def test_load_accepts_the_targets_the_field_mask_accepts(problem, monkeypatch):
+def test_load_accepts_the_targets_the_field_mask_accepts(problem):
     # on the 81-point grid of the grid-walk test: a one-target config loads at
-    # N exactly when run_field's evaluator accepts that point at N
+    # N exactly when run_field's evaluator accepts that point at N, and for
+    # Stokes at the reference's N_ref = 5/4 N as well
     raw = {"problem": problem, "methods": [{"name": "zeta", "K": 2}]}
     if problem == "helmholtz":
         raw["kappa"] = 5.0
     spec = {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0, "nx": 9, "ny": 9}
+    cfg = harness.load_config(raw)
     for N in (64, 128):
-        # a Stokes config's targets are checked at the reference N as well
-        monkeypatch.setattr(harness, "STOKES_REFERENCE_N", N)
-        rows = np.array(harness.run_field(harness.load_config(raw), spec, N=N))
+        grids = [N] if problem == "helmholtz" else [N, harness._reference_n(N)]
+        fields = [np.array(harness.run_field(cfg, spec, N=n)) for n in grids]
 
         def loads(point):
             try:
@@ -785,21 +889,26 @@ def test_load_accepts_the_targets_the_field_mask_accepts(problem, monkeypatch):
                 return False
             return True
 
-        accepted = rows[:, 4] == 0
+        accepted = np.all([rows[:, 4] == 0 for rows in fields], axis=0)
         assert accepted.any() and not accepted.all()
-        np.testing.assert_array_equal([loads(p) for p in rows[:, :2]], accepted)
+        np.testing.assert_array_equal([loads(p) for p in fields[0][:, :2]], accepted)
 
 
-def test_targets_of_data_without_an_exact_field_are_checked_at_the_reference_n(
-    monkeypatch,
-):
-    # a shear-flow sweep is measured against the reference solved at
-    # STOKES_REFERENCE_N, so its targets must be usable there as well; (1.7, 0)
-    # is 0.4 from the star's tip, beyond 5 spacings at N = 128, within at 32
-    monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 32)
-    raw = {"methods": [{"name": "zeta", "K": 2}], "N": [128], "targets": [[1.7, 0.0]]}
+def test_targets_of_data_without_an_exact_field_are_checked_at_the_reference_n():
+    # a shear-flow sweep is measured against the reference solved at N_ref,
+    # so its targets must be usable there as well. (1.7, 0) faces a tip of
+    # the 9-lobe star, where the speed changes fast: its nearest node at
+    # N = 78 is 5 spacings clear of it, but at N_ref = 98 a node of higher
+    # speed is nearest, and within 5 of its spacings
+    raw = {
+        "curve": {"type": "star", "base": 1.0, "amplitude": -0.3, "lobes": 9},
+        "methods": [{"name": "zeta", "K": 2}],
+        "N": [78],
+        "targets": [[1.7, 0.0]],
+    }
+    assert harness._reference_n(78) == 98
     harness.load_config({**raw, "problem": "helmholtz", "kappa": 5.0})
-    with pytest.raises(harness.ConfigError, match=r"N=32: target \[1.7 0. \]"):
+    with pytest.raises(harness.ConfigError, match=r"N=98: target \[1.7 0. \]"):
         harness.load_config({**raw, "problem": "stokes"})
 
 
@@ -975,11 +1084,10 @@ def test_external_method_matches_zeta(tmp_path):
     assert abs(rows[0][3] - rows[1][3]) <= 1e-14
 
 
-def test_external_table_runs_on_stokes(tmp_path, monkeypatch, capsys):
+def test_external_table_runs_on_stokes(tmp_path, capsys):
     # a Stokes config with an external table passed load_config and then
     # ended in an AssemblyError traceback; the stencil alone picks the
     # rule, so a table of the zeta6 weights gives zeta6's numbers bit for bit
-    monkeypatch.setattr(harness, "STOKES_REFERENCE_N", 384)
     raw = {
         "problem": "stokes",
         "methods": [
@@ -1230,11 +1338,12 @@ def test_memory_budget_refuses_large_n(tmp_path, capsys, monkeypatch):
     assert harness.MAX_SYSTEM_BYTES == 2 * 2**30
     for raw, largest in (
         ({"problem": "helmholtz", "kappa": 5.0}, 11585),
-        ({"problem": "stokes"}, 8192),
+        # a shear-flow sweep's reference at N_ref = 5/4 N_max fits too
+        ({"problem": "stokes"}, 6553),
     ):
         problem = raw["problem"]
         harness.load_config({**raw, "N": [64, largest]})
-        with pytest.raises(harness.ConfigError, match="budget"):
+        with pytest.raises(harness.ConfigError, match="over the budget"):
             harness.load_config({**raw, "N": [64, largest + 1]})
         path = tmp_path / f"{problem}.json"
         path.write_text(json.dumps({**raw, "N": [64, 20000]}))
@@ -1249,8 +1358,10 @@ def test_memory_budget_refuses_large_n(tmp_path, capsys, monkeypatch):
                 continue  # table1 is a Helmholtz experiment
             assert cli.main(argv) == 2
             assert "budget" in capsys.readouterr().err
-    # the Stokes reference and the largest table1 system fit
-    assert 32 * harness.STOKES_REFERENCE_N**2 <= harness.MAX_SYSTEM_BYTES
+    # the reference of the largest Stokes sweep, at N_ref = 8192, and the
+    # largest table1 system fit
+    assert harness._reference_n(6553) == 8192
+    assert 32 * 8192**2 <= harness.MAX_SYSTEM_BYTES
     assert 16 * nystrom.COND_MAX_DIM**2 <= harness.MAX_SYSTEM_BYTES
 
 
@@ -1885,9 +1996,8 @@ def _run_cli(argv):
 @given(raw=_config)
 def test_fuzzed_configs_exit_0_or_2(raw):
     # random configs with NaN, inf, negative, zero and empty values, at tiny
-    # sizes: the Stokes reference is computed at N = 64, not 2000
-    small_reference = mock.patch.object(harness, "STOKES_REFERENCE_N", 64)
-    with tempfile.TemporaryDirectory() as tmp, small_reference:
+    # sizes: a drawn N is at most 32, whose Stokes reference is at N_ref <= 40
+    with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/cfg.json"
         with open(path, "w") as fh:
             json.dump(raw, fh)
