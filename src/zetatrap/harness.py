@@ -283,11 +283,13 @@ def _points(value, what: str) -> np.ndarray:
 
 # The smallest |kappa| a config may name. The coupling's floor, eta >= 1
 # (kernels.combined_field_coupling), keeps the combined-field equation
-# well posed as kappa -> 0: on the default star a zeta16 sweep at N = 128,
-# 256 reads a finest error of 4.2e-16 at kappa = 1e-6 (5.6e-16 at 1e-6 i)
-# and 2.4e-16 at 1e-14, with no warning. No kappa below the floor is
-# checked here yet.
-MIN_KAPPA = 1e-6
+# well posed as kappa -> 0: on the default star a zeta16 sweep at
+# N = 64...512 reads finest errors of 4.4e-16 to 1.2e-15 of max|u| from
+# kappa = 1 down to 1e-300, real or imaginary, with no warning, and so do
+# the differences u(x_i) - u(x_0), which the constant ~log(1/kappa) that
+# u gains cannot hide. Below, at 3e-308, H1(kappa r) ~ 2/(pi kappa r)
+# overflows and every value is NaN.
+MIN_KAPPA = 1e-300
 
 
 def _kappa(raw) -> complex:
@@ -592,7 +594,8 @@ def _solve(cfg: ProblemConfig, bie, start=None, label=None) -> nystrom.SolveRepo
         x0 = nystrom.resample_density(per_node, bie.grid.N).ravel()
         rep = nystrom.solve_gmres(bie.matrix, rhs, tol=nystrom.GMRES_WARM_TOL, x0=x0)
     if label is not None and not rep.converged:
-        relative = rep.residual_norm / float(np.linalg.norm(rhs))
+        peak = np.abs(rhs).max()  # the norm of rhs itself may overflow
+        relative = rep.residual_norm / peak / float(np.linalg.norm(rhs / peak))
         warnings.warn(
             f"{label} at N={bie.grid.N}: GMRES did not converge, "
             f"relative residual {relative:.2e}",

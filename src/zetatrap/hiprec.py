@@ -11,6 +11,8 @@ DEFAULT_DIGITS = 60 significant digits.
 
 from __future__ import annotations
 
+import itertools
+
 import mpmath
 
 DEFAULT_DIGITS = 60
@@ -46,26 +48,17 @@ def solve_dual_vandermonde(nodes, moments, digits: int = DEFAULT_DIGITS):
     n = len(nodes)
     with mpmath.workdps(digits):
         xs = [mpmath.mpf(x) for x in nodes]
-        bs = [mpmath.mpf(b) for b in moments]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if xs[i] == xs[j]:
-                    raise DuplicateNodesError(f"nodes {i} and {j} coincide")
-        A = mpmath.zeros(n, n)
-        row = [mpmath.mpf(1)] * n  # x_j^k, built row by row; 0^0 = 1
-        for k in range(n):
-            for j in range(n):
-                A[k, j] = row[j]
-            if k < n - 1:
-                row = [row[j] * xs[j] for j in range(n)]
-        b = mpmath.matrix(bs)
+        for (i, x), (j, y) in itertools.combinations(enumerate(xs), 2):
+            if x == y:
+                raise DuplicateNodesError(f"nodes {i} and {j} coincide")
+        A = mpmath.matrix([[x**k for x in xs] for k in range(n)])  # 0^0 = 1
+        b = mpmath.matrix([mpmath.mpf(v) for v in moments])
         w = mpmath.lu_solve(A, b)
         bound = mpmath.mpf(10) ** RESIDUAL_EXPONENT
-        for k in range(n):
-            resid = abs(sum(w[j] * A[k, j] for j in range(n)) - bs[k])
-            if resid / (1 + abs(bs[k])) > bound:
+        for k, resid in enumerate(A * w - b):
+            if abs(resid) / (1 + abs(b[k])) > bound:
                 raise PrecisionInsufficientError(
-                    f"residual {mpmath.nstr(resid)} at row {k} exceeds bound "
+                    f"residual {mpmath.nstr(abs(resid))} at row {k} exceeds bound "
                     f"at {digits} digits"
                 )
-        return [+w[j] for j in range(n)]
+        return [+v for v in w]

@@ -359,9 +359,18 @@ def solve_gmres(
     solution. A nonconverged run returns a report with
     ``converged=False`` rather than raising. The report's ``history``
     holds the estimated relative residual after each iteration.
+
+    It solves for rhs and x0 times :func:`_unit_scale` of rhs, and scales
+    the solution and the residual back. The scale is a power of 2, so
+    each step is the unscaled one's times it, bit for bit, and no sum of
+    squares overflows on data up to the largest float.
     """
     n = rhs.shape[0]
     dtype = np.result_type(A.dtype, rhs.dtype, float)
+    scale = _unit_scale(rhs)
+    rhs = rhs * scale
+    if x0 is not None:
+        x0 = x0 * scale
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         x0 = None
@@ -376,13 +385,22 @@ def solve_gmres(
             x = x0 + x
     res = float(np.linalg.norm(A @ x - rhs))
     return SolveReport(
-        solution=x,
+        solution=x / scale,
         method="gmres",
         converged=res == 0.0 or res / bnorm < 10 * max(tol, GMRES_TOL),
         iterations=len(history),
-        residual_norm=res,
+        residual_norm=res / scale,
         history=tuple(history),
     )
+
+
+def _unit_scale(a: np.ndarray) -> float:
+    """2^-e for e the exponent of max|a| (``math.frexp``): the power of 2
+    that takes max|a| into [1/2, 1), and never above 2^1022. A product
+    with it is exact while it stays a normal float. 1 for an empty or
+    zero ``a``, or a max of inf or NaN."""
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return 2.0 ** -max(e, -1022)
 
 
 def _krylov_correction(A, r0, r0norm: float, bnorm: float, tol: float, max_iter: int):
@@ -810,8 +828,11 @@ def eval_field(
     values = np.full((len(targets),) + density.shape[1:], np.nan, dtype=kernel.dtype)
     if np.iscomplexobj(values):
         values.imag = np.nan
+    # the stride rule is read on density and tol times a power of 2, so
+    # its power spectrum cannot overflow; the strides are the unscaled ones
     tol = np.finfo(float).eps * np.abs(tau).max()
-    stride, _ = _target_strides(bie, tol, _aliases(data, density), targets)
+    scale = _unit_scale(density)
+    stride, _ = _target_strides(bie, tol * scale, _aliases(data, density * scale), targets)
     for s in np.unique(stride[stride > 0]):
         at = np.flatnonzero(stride == s)
         pos = np.ascontiguousarray(data.pos[::s])

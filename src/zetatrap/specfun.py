@@ -9,8 +9,8 @@ scipy's real ``j0/j1/y0/y1``, several times cheaper than the complex
 wavenumber kappa at an array of distances r > 0. A float kappa takes the
 real route, :func:`hankel1_array` at the real kappa r. The points of a
 complex kappa all lie on the ray arg z = arg kappa; with Re kappa > 0
-and Im kappa >= 0, each takes one of four routes, chosen by
-|z| = |kappa| r and Im z:
+and Im kappa >= 0, each takes one of three routes, chosen by
+|z| = |kappa| r:
 
 - |z| < 2: scipy's complex ``hankel1`` through :func:`hankel1_array`,
   once per order. Against mpmath it is within 1.3e-15 relative over
@@ -20,15 +20,14 @@ and Im kappa >= 0, each takes one of four routes, chosen by
   holds a degree-12 polynomial of g_nu = H_nu(z) e^{-iz} sqrt(r),
   interpolated at 13 Chebyshev points; H_nu is that polynomial times
   e^{iz}/sqrt(r). Against mpmath it is within 1.4e-15 relative.
-- |z| >= 20, up to Im z = 700: Hankel's asymptotic expansion (DLMF
-  10.17.5). Its 20 terms per order are a polynomial in s = 20/|z|, in
-  (0, 1] there, evaluated as its economization to degree 10: 11 Horner
-  steps in s, times the same e^{iz}/sqrt(r). Against mpmath it is
-  within 5.9e-16 relative over |z| in [20, 60], and within 4.4e-16 out
-  to |z| = 1e6 and up to Im z = 700.
-- Im z > 700: 0 for both orders, whose size is below e^{-700} there.
-  scipy's complex ``hankel1`` gives -0j from |z| of about 80 to 1e10
-  and NaN from about 1e100, so no point past 700 goes to it.
+- |z| >= 20: Hankel's asymptotic expansion (DLMF 10.17.5). Its 20
+  terms per order are a polynomial in s = 20/|z|, in (0, 1] there,
+  evaluated as its economization to degree 10: 11 Horner steps in s,
+  times the same e^{iz}/sqrt(r). Against mpmath it is within 5.9e-16
+  relative over |z| in [20, 60], and within 4.4e-16 out to |z| = 1e6
+  and up to Im z = 700. Past that both orders are below e^{-700}:
+  subnormal from Im z of about 708, and 0 from 745, where e^{-Im z}
+  underflows. scipy's complex ``hankel1`` gives -0j or NaN out there.
 
 The accuracy figures are over arg z in [0, pi/2], against mpmath at 60
 digits or more. Both of the last two routes form e^{iz}/sqrt(r) from
@@ -76,28 +75,28 @@ _REAL_Y = {0: _sp.y0, 1: _sp.y1}
 
 
 def bessel_j_array(order: int, z: np.ndarray) -> np.ndarray:
-    """Vectorized Bessel J for assembly hot paths (no domain checks).
+    """Vectorized Bessel J, orders 0 and 1, for hot paths (no domain checks).
 
-    A real array of order 0 or 1 goes to scipy's real ``j0``/``j1`` and
-    returns a real array; a complex array goes to ``jv``.
+    A real array goes to scipy's real ``j0``/``j1`` and returns a real
+    array; a complex array goes to ``jv``.
     """
     z = np.asarray(z)
-    if np.iscomplexobj(z) or order not in _REAL_J:
+    if np.iscomplexobj(z):
         return _sp.jv(order, z)
     return _REAL_J[order](z)
 
 
 def hankel1_array(order: int, z: np.ndarray) -> np.ndarray:
-    """Vectorized Hankel H^(1) for assembly hot paths (no domain checks).
+    """Vectorized Hankel H^(1), orders 0 and 1, for hot paths (no domain checks).
 
-    A real array of order 0 or 1 must be positive: it goes to scipy's real
-    routines as H = J + iY (Y is NaN for a negative and -inf at 0). They
-    agree with the complex route to about 4e-15 relative up to 40 and to
-    about 3e-14 at 400. A complex array goes to ``hankel1`` on the
-    principal branch.
+    A real array must be positive: it goes to scipy's real routines as
+    H = J + iY (Y is NaN for a negative and -inf at 0). They agree with
+    the complex route to about 4e-15 relative up to 40 and to about
+    3e-14 at 400. A complex array goes to ``hankel1`` on the principal
+    branch.
     """
     z = np.asarray(z)
-    if np.iscomplexobj(z) or order not in _REAL_J:
+    if np.iscomplexobj(z):
         return _sp.hankel1(order, z)
     out = np.empty(z.shape, dtype=complex)
     _REAL_J[order](z, out=out.real)
@@ -116,9 +115,6 @@ def hankel1_array(order: int, z: np.ndarray) -> np.ndarray:
 HANKEL_ASYMPTOTIC_MIN_ABS = 20.0
 HANKEL_ASYMPTOTIC_TERMS = 20
 HANKEL_ASYMPTOTIC_DEGREE = 10
-# Up to here e^{iz}, and the result, stay normal floats; beyond, |H0|
-# and |H1| are below e^{-700} and taken as 0.
-_ASYMPTOTIC_MAX_IMAG = 700.0
 
 # The table of one ray: HANKEL_TABLE_PANELS panels of equal width in
 # log|z| from HANKEL_TABLE_MIN_ABS to HANKEL_ASYMPTOTIC_MIN_ABS, each a
@@ -330,8 +326,7 @@ class Hankel01:
     Re kappa > 0 and Im kappa >= 0 routes each point once, by its r:
     |kappa| r < 2 to :func:`hankel1_array`, 2 <= |kappa| r < 20 to the
     table of this ray, built here from :func:`hankel1_array` at its
-    nodes, and |kappa| r >= 20 to Hankel's expansion, up to
-    Im(kappa) r = 700; beyond, both orders are 0. Any other complex kappa
+    nodes, and |kappa| r >= 20 to Hankel's expansion. Any other complex kappa
     sends every point to :func:`hankel1_array`. The argument is always
     z = kappa * r as numpy rounds it. The table and the expansion both
     end in a product with e^{iz}/sqrt(r), whose e^{i Re z} is
@@ -341,18 +336,13 @@ class Hankel01:
 
     def __init__(self, kappa: complex | float):
         self.kappa = kappa
-        # r where the table starts, where the expansion starts and where
-        # it ends, past which both orders are 0; None: every point goes
-        # to scipy
+        # r where the table starts and where the expansion starts; None:
+        # every point goes to scipy
         self._bounds = None
         if not isinstance(kappa, complex) or kappa.real <= 0 or kappa.imag < 0:
             return
         scale = abs(kappa)
-        self._bounds = (
-            HANKEL_TABLE_MIN_ABS / scale,
-            HANKEL_ASYMPTOTIC_MIN_ABS / scale,
-            _ASYMPTOTIC_MAX_IMAG / kappa.imag if kappa.imag > 0 else math.inf,
-        )
+        self._bounds = (HANKEL_TABLE_MIN_ABS / scale, HANKEL_ASYMPTOTIC_MIN_ABS / scale)
         # Both routes give H_nu as e^{iz}/sqrt(r) times a slowly varying
         # factor. Hankel's expansion, sqrt(2/(pi z)) e^{iz} e^{-i(nu pi/2 +
         # pi/4)} sum_k a_k(nu) (i/z)^k, is e^{iz}/sqrt(r) sum_k C_k(nu) (i/z)^k
@@ -393,17 +383,11 @@ class Hankel01:
 
     def _fill(self, r: np.ndarray, out: np.ndarray):
         """Route each point of the 1-D ``r`` once and write (H0, H1) to ``out``."""
-        lo, mid, hi = self._bounds
+        lo, mid = self._bounds
         table = (r >= lo) & (r < mid)
-        far = (r >= mid) & (r <= hi)
-        beyond = r > hi
-        scipy = ~(table | far | beyond)
-        routes = (
-            (scipy, self._scipy),
-            (table, self._table),
-            (far, self._expansion),
-            (beyond, lambda r: (0, 0)),
-        )
+        far = r >= mid
+        scipy = ~(table | far)  # NaN too
+        routes = ((scipy, self._scipy), (table, self._table), (far, self._expansion))
         for mask, evaluate in routes:
             at = mask.nonzero()[0]
             if at.size:

@@ -462,6 +462,22 @@ def test_stokes_reference_is_solved_after_the_sweep(monkeypatch):
     assert np.array_equal(calls[-1][1], want)
 
 
+def test_a_shear_flow_whose_squares_overflow():
+    # at shear rate 5 2^900 the sums of squares of the boundary data and
+    # of the density's power spectrum overflow. GMRES and the stride rule
+    # run on the data times a power of 2, so the relative errors are the
+    # rate-5 sweep's bit for bit (RuntimeWarnings are errors in this suite)
+    methods = [{"name": "zeta", "K": 2}, {"name": "zeta", "K": 7}]
+    rows = [
+        harness.run_convergence(
+            harness.default_stokes_config(methods=methods, N=[64, 128], shear_rate=rate)
+        )[0]
+        for rate in (5.0, 5.0 * 2.0**900)
+    ]
+    assert [r[3] for r in rows[1]] == [r[3] for r in rows[0]]
+    assert all(r[3] < 1e-5 for r in rows[0])
+
+
 # a shear flow past a harder curve, where zeta16 at N_max = 256 has not
 # converged: 1.2e-6 from the reference
 _UNCONVERGED_SHEAR = {
@@ -602,24 +618,29 @@ def test_warm_stop_changes_no_converged_flag(monkeypatch):
 
 def test_field_warns_when_gmres_does_not_converge(monkeypatch):
     # a field whose GMRES does not converge says so once, naming the
-    # method, N and the residual, and still returns its values
+    # method, N and the residual, and still returns its values. The
+    # residual is relative: with every strength 2^600, whose data's sum of
+    # squares overflows, it reads the same
     solve = nystrom.solve_gmres
 
     def unconverged(A, rhs, tol=nystrom.GMRES_TOL, x0=None):
         return dataclasses.replace(solve(A, rhs, tol, x0=x0), converged=False)
 
     monkeypatch.setattr(nystrom, "solve_gmres", unconverged)
-    cfg = harness.default_helmholtz_config(
-        12.5 + 10j, methods=[{"name": "zeta", "K": 2}], N=[64]
-    )
-    with pytest.warns(RuntimeWarning) as record:
-        rows = harness.run_field(cfg, dict(_GRID), N=64)
-    assert len(record) == 1
+    messages = []
+    for strength in (1.0, 2.0**600):
+        cfg = harness.default_helmholtz_config(
+            12.5 + 10j, methods=[{"name": "zeta", "K": 2}], N=[64], strengths=[strength] * 3
+        )
+        with pytest.warns(RuntimeWarning) as record:
+            rows = harness.run_field(cfg, dict(_GRID), N=64)
+        assert len(record) == 1
+        messages.append(str(record[0].message))
+        assert len(rows) == _GRID["nx"] * _GRID["ny"]
     assert re.fullmatch(
-        r"zeta6 at N=64: GMRES did not converge, relative residual \S+",
-        str(record[0].message),
+        r"zeta6 at N=64: GMRES did not converge, relative residual \S+", messages[0]
     )
-    assert len(rows) == _GRID["nx"] * _GRID["ny"]
+    assert messages[1] == messages[0]
 
 
 def test_negative_real_kappa_takes_the_complex_route(monkeypatch):
@@ -1446,23 +1467,36 @@ def test_n_list_must_ascend_strictly(tmp_path, capsys):
     assert "ascend" in capsys.readouterr().err
 
 
-def test_kappa_floor_is_the_low_frequency_breakdown():
-    # MIN_KAPPA = 1e-6 stays the floor of a config; with the coupling
+def test_kappa_floor_is_the_low_frequency_breakdown(monkeypatch):
+    # MIN_KAPPA = 1e-300 is the floor of a config (at 3e-308 H1(kappa r)
+    # ~ 2/(pi kappa r) overflows and every value is NaN). With the coupling
     # eta = max(Re kappa, 1) a sweep down to the floor converges without a
-    # warning at every N and its finest error is at rounding (6.0e-16,
-    # 6.4e-16, 8.4e-16 and 3.6e-16 at N = 512 for the four kappa below)
-    assert harness.MIN_KAPPA == 1e-6
+    # warning at every N; its finest error is at rounding, and so is that
+    # of the differences u(x_i) - u(x_0) between targets, which the
+    # constant ~log(1/kappa) that u gains as kappa -> 0 cannot hide
+    assert harness.MIN_KAPPA == 1e-300
     raw = {"problem": "helmholtz", "methods": [{"name": "zeta", "K": 7}]}
-    for kappa in (0.99e-6, [0.0, 0.99e-6], [0.7e-6, 0.7e-6], 1e-300):
+    for kappa in (0.99e-300, [0.0, 0.99e-300], [0.7e-300, 0.7e-300], 0.0):
         with pytest.raises(harness.ConfigError, match="low frequency"):
             harness.load_config({**raw, "kappa": kappa, "N": [64]})
-    for kappa in (1e-2, 1e-4, 1e-6, [0.0, 1e-6]):
+    fields = []
+    evaluate = nystrom.eval_helmholtz_potential
+
+    def recorded(bie, tau, targets):
+        fields.append(evaluate(bie, tau, targets))
+        return fields[-1]
+
+    monkeypatch.setattr(nystrom, "eval_helmholtz_potential", recorded)
+    for kappa in (1e-2, 1e-4, 1e-6, [0.0, 1e-6], 1e-300, [0.0, 1e-300]):
         cfg = harness.load_config({**raw, "kappa": kappa, "N": [64, 128, 256, 512]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows, _ = harness.run_convergence(cfg)
         assert rows[-1][3] <= 1e-13
-    harness.load_config({**raw, "kappa": [0.0, 1.01e-6], "N": [64]})
+        u, exact = fields[-1], cfg.data.exact(cfg.targets)
+        drift = np.abs((u - u[0]) - (exact - exact[0])).max()
+        assert drift <= 1e-14 * np.abs(exact).max(), kappa
+    harness.load_config({**raw, "kappa": [0.0, 1.01e-300], "N": [64]})
 
 
 def test_cli_ingest_check(tmp_path, capsys):

@@ -104,6 +104,26 @@ def test_gmres_counts_iterations_from_its_start():
     assert np.max(np.abs(warm.solution - exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gmres_on_data_whose_squares_overflow(dtype):
+    # ||rhs 2^600||^2 overflows; the solve runs on the data times a power
+    # of 2, so it takes the unscaled solve's iterations and history, and
+    # gives its solution and residual times 2^600, bit for bit, cold and
+    # warm (RuntimeWarnings are errors in this suite)
+    A, rhs = _random_system(9)
+    if dtype is float:
+        A, rhs = A.real, rhs.real
+    big = 2.0**600
+    for x0 in (None, 0.5 * rhs):
+        want = ny.solve_gmres(A, rhs, x0=x0)
+        rep = ny.solve_gmres(A, rhs * big, x0=None if x0 is None else x0 * big)
+        assert rep.iterations == want.iterations > 0
+        assert rep.history == want.history
+        assert np.array_equal(rep.solution, want.solution * big)
+        assert rep.residual_norm == want.residual_norm * big
+        assert rep.converged and want.converged
+
+
 def test_gmres_zero_rhs_with_a_start():
     # the solution of A x = 0 is zero, whatever the start; no division by
     # the zero norm (RuntimeWarnings are errors in this suite)

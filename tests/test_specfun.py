@@ -243,7 +243,7 @@ def _mp_hankel1_via_k(order, z):
 def test_hankel01_expansion_at_large_argument(monkeypatch):
     # a shallow ray out to |z| = 1e6, past which Re z leaves the range of
     # the e^{i theta} table (points on both sides of that bound), and a
-    # steep ray up to Im z = 700, the last point before both orders are 0
+    # steep ray up to Im z = 700 (past it, test_hankel01_expansion_past_imag_700)
     shallow = 16 + 1e-3j
     edge = specfun._CIS_MAX_ABS / shallow.real  # Re(shallow * edge) = the bound
     steep = cmath.exp(1j * (math.pi / 2 - 1e-3))
@@ -424,9 +424,9 @@ def test_hankel01_table_matches_mpmath(arg, monkeypatch):
 
 
 def test_hankel01_elsewhere_is_hankel1_array(monkeypatch):
-    # a float kappa (the real route), Re kappa <= 0, Im kappa < 0 and
-    # Im(kappa r) > 700 never reach the table or the expansion: each
-    # gives hankel1_array's values at kappa * r bit for bit
+    # a float kappa (the real route), Re kappa <= 0 and Im kappa < 0
+    # never reach the table or the expansion: each gives hankel1_array's
+    # values at kappa * r bit for bit
     def refuse(*args):
         raise AssertionError("table or expansion reached")
 
@@ -437,7 +437,6 @@ def test_hankel01_elsewhere_is_hankel1_array(monkeypatch):
         (-1.0 + 0.0625j, x),
         (1j, x),
         (1.0 - 0.0125j, x),
-        (1.0 + 10.0j, np.linspace(70.5, 80.0, 11)),
     ):
         pair = specfun.Hankel01(kappa)
         with pytest.MonkeyPatch.context() as patch:
@@ -447,6 +446,36 @@ def test_hankel01_elsewhere_is_hankel1_array(monkeypatch):
         z = kappa * r
         np.testing.assert_array_equal(h0, specfun.hankel1_array(0, z))
         np.testing.assert_array_equal(h1, specfun.hankel1_array(1, z))
+
+
+def test_hankel01_expansion_past_imag_700(monkeypatch):
+    # the expansion serves every |z| >= 20: past Im z = 700 both orders
+    # are finite, at most e^{-700}, with no warning, and no point reaches
+    # scipy, whose complex hankel1 gives -0j or NaN out there. Where a
+    # value is still a normal float it holds the bound below 700 against
+    # mpmath; they are subnormal from Im z of about 708 and 0 from 745
+    pairs = [specfun.Hankel01(k) for k in (1.0 + 10.0j, 1e-3 + 1j, 16 + 1e-3j)]
+
+    def refuse(order, z):
+        raise AssertionError("a point past Im z = 700 reached scipy")
+
+    monkeypatch.setattr(specfun, "hankel1_array", refuse)
+    normal = 0
+    for pair in pairs:
+        kappa = pair.kappa
+        r = np.linspace(700, 800, 41)[1:] / kappa.imag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h0, h1 = pair(r)
+        for order, h in enumerate((h0, h1)):
+            assert np.isfinite(h).all()
+            assert np.all(np.abs(h) <= math.exp(-700))
+            at = np.abs(h) >= np.finfo(float).tiny
+            ref = np.array([_mp_hankel1_via_k(order, z) for z in kappa * r[at]])
+            assert np.all(np.abs(h[at] - ref) <= 2e-15 * np.abs(ref))
+            normal += at.sum()
+        assert np.all(h0[r * kappa.imag > 746] == 0)
+    assert normal > 0
 
 
 def test_hankel01_mixed_points_keep_their_place():

@@ -1,6 +1,8 @@
 """Correction-stencil contracts: converged weights vs the finite-h oracle."""
 
+import hashlib
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -84,6 +86,52 @@ def test_cache_determinism(monkeypatch):
     for _ in range(2):
         with pytest.raises(zw.StencilError):
             zw.build_log_stencil(zw.MAX_K + 1)
+
+
+# The first 16 hex digits of the SHA-1 of each stencil's weights, packed
+# as little-endian doubles: build_log_stencil(K) under (K, None) and
+# build_pow_stencil(K, z) under (K, z). Any change to any bit of any
+# weight changes its digest, where the tolerance tests above and the
+# oracle's would let a last-bit change pass.
+WEIGHT_DIGESTS = {
+    (0, None): "64fa2f90dc7fd806",
+    (1, None): "b8f7dad5ae951013",
+    (2, None): "241e6953fe78c77d",
+    (3, None): "bf5758f726caf8b4",
+    (4, None): "029df687e7010a8d",
+    (5, None): "c585275305ff6c69",
+    (6, None): "93b70b96a025b3a3",
+    (7, None): "8814bdb395a8b57d",
+    (8, None): "53ab7d49545cf4f4",
+    (9, None): "d120290e45c77c9b",
+    (10, None): "76fa6feecc3968df",
+    (11, None): "57c576bffd8f1b34",
+    (12, None): "46d9b0ed735df981",
+    (13, None): "69e72a9fb5e1486b",
+    (14, None): "bed387692f219f6f",
+    (15, None): "9a9b6a7a84dd93fd",
+    (16, None): "7feaf34d1b6eb5e5",
+    (17, None): "541f17c3f5fbde4d",
+    (18, None): "7acd0eae52d4a8ea",
+    (19, None): "72168bad54f84aae",
+    (20, None): "18fa717a6b72bc97",
+    (0, -0.5): "2389016151783e8e",
+    (0, 0.5): "5a0a13f5bf2e3278",
+    (2, -0.5): "f3775d0e99697b15",
+    (2, 0.5): "087a163acde1a2d5",
+    (4, -0.5): "4ca0f47fc7c796ce",
+    (4, 0.5): "21752fbb44ba73cc",
+    (7, -0.5): "4cf33546b32bda4f",
+    (7, 0.5): "c6bc453d3b5442f1",
+}
+
+
+def test_every_stencil_is_frozen_bit_for_bit():
+    assert len(WEIGHT_DIGESTS) == zw.MAX_K + 1 + 8
+    for (K, z), digest in WEIGHT_DIGESTS.items():
+        st = zw.build_log_stencil(K) if z is None else zw.build_pow_stencil(K, z)
+        packed = struct.pack(f"<{K + 1}d", *st.weights)
+        assert hashlib.sha1(packed).hexdigest()[:16] == digest, (K, z)
 
 
 # --- pow/log link -----------------------------------------------------------
